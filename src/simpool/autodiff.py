@@ -42,9 +42,6 @@ __all__ = [
     "sum_all",
     "row_sum",
     "col_sum",
-    "mean_all",
-    "l2_norm_rows",
-    "masked_fill",
     "grad_check",
     "inject_backward_fault",
     "clear_backward_fault",
@@ -104,19 +101,6 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    # operator sugar; all routed through the module-level primitives
-    def __add__(self, other: Tensor) -> Tensor:
-        return add(self, other)
-
-    def __sub__(self, other: Tensor) -> Tensor:
-        return subtract(self, other)
-
-    def __mul__(self, other: Tensor) -> Tensor:
-        return multiply(self, other)
-
-    def __matmul__(self, other: Tensor) -> Tensor:
-        return matmul(self, other)
-
 
 def constant(values) -> Tensor:
     return Tensor(values, requires_grad=False)
@@ -148,9 +132,6 @@ class Tape:
     @property
     def recording(self) -> bool:
         return self._suspended == 0
-
-    def record(self, out: Tensor, backward: Callable[[np.ndarray], None]) -> None:
-        self._nodes.append((out, backward))
 
     def backward(self, loss: Tensor) -> None:
         """Seed d(loss)/d(loss) = 1 and sweep the tape once, in reverse.
@@ -506,42 +487,6 @@ def col_sum(a: Tensor) -> Tensor:
         return ((a, np.broadcast_to(g, a.shape).copy()),)
 
     return _record("col_sum", out, (a,), backward)
-
-
-def mean_all(a: Tensor) -> Tensor:
-    n = a.values.size
-    out = Tensor._raw(np.array([[a.values.mean()]]))
-
-    def backward(g):
-        return ((a, np.full_like(a.values, float(g.reshape(-1)[0]) / n)),)
-
-    return _record("mean_all", out, (a,), backward)
-
-
-def l2_norm_rows(a: Tensor) -> Tensor:
-    """Euclidean norm of every row; (n, m) -> (n, 1)."""
-    _require_2d("l2_norm_rows", a)
-    norms = np.sqrt((a.values * a.values).sum(axis=1, keepdims=True))
-    out = Tensor._raw(norms)
-
-    def backward(g):
-        safe = np.maximum(norms, 1e-300)
-        return ((a, g * a.values / safe),)
-
-    return _record("l2_norm_rows", out, (a,), backward)
-
-
-def masked_fill(a: Tensor, mask: np.ndarray, value: float) -> Tensor:
-    """Replace entries where mask is set; the mask is a constant."""
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != a.shape:
-        raise ValueError(f"mask shape {mask.shape} != tensor shape {a.shape}")
-    out = Tensor._raw(np.where(mask, float(value), a.values))
-
-    def backward(g):
-        return ((a, g * ~mask),)
-
-    return _record("masked_fill", out, (a,), backward)
 
 
 # ---------------------------------------------------------------------------

@@ -203,7 +203,7 @@ def load_tu_dataset(root_path, name: str) -> Dataset:
         if node_labels.shape[0] != num_nodes:
             raise DatasetIntegrityError("node label count differs from node count")
         label_values = np.unique(node_labels)
-        label_pos = {int(v): i for i, v in enumerate(label_values)}
+        label_pos = np.searchsorted(label_values, node_labels)
         feature_dim = len(label_values)
 
     edge_graph = indicator[src] - 1 if src.size else np.zeros(0, dtype=np.int64)
@@ -237,8 +237,7 @@ def load_tu_dataset(root_path, name: str) -> Dataset:
         lo = offsets[g]
         if node_labels is not None:
             feats = np.zeros((n, feature_dim))
-            for local, raw in enumerate(node_labels[lo:lo + n]):
-                feats[local, label_pos[int(raw)]] = 1.0
+            feats[np.arange(n), label_pos[lo:lo + n]] = 1.0
         else:
             feats = (degrees[lo:lo + n] / max(max_degree, 1.0)).reshape(n, 1)
         graphs.append(
@@ -348,6 +347,43 @@ def kfold_split(ds: Dataset, folds: int, seed: int) -> list[tuple[np.ndarray, np
 # binary cache
 # ---------------------------------------------------------------------------
 
+class ByteReader:
+    """Sequential reader over a binary container held in memory.
+
+    Every read past the end, and any byte left over at ``finish``, raises
+    ``error`` (a named exception type of the caller) instead of numpy's
+    or struct's generic messages.
+    """
+
+    def __init__(self, raw: bytes, error: type[Exception], what: str):
+        self.view = memoryview(raw)
+        self.pos = 0
+        self.error = error
+        self.what = what
+
+    def take(self, size: int) -> memoryview:
+        if size < 0 or self.pos + size > len(self.view):
+            raise self.error(
+                f"truncated {self.what}: {size} bytes needed at offset {self.pos}, "
+                f"file has {len(self.view)}"
+            )
+        out = self.view[self.pos:self.pos + size]
+        self.pos += size
+        return out
+
+    def unpack(self, fmt: str) -> tuple:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+
+    def array(self, dtype: str, count: int) -> np.ndarray:
+        dtype = np.dtype(dtype)
+        return np.frombuffer(self.take(dtype.itemsize * count), dtype=dtype).copy()
+
+    def finish(self) -> None:
+        extra = len(self.view) - self.pos
+        if extra:
+            raise self.error(f"{extra} trailing bytes after the {self.what}")
+
+
 def _serialize_dataset(ds: Dataset) -> bytes:
     buf = io.BytesIO()
     buf.write(DATASET_MAGIC)
@@ -378,37 +414,30 @@ def load_dataset_cache(path) -> Dataset:
         raw = fh.read()
     if raw[:4] != DATASET_MAGIC:
         raise DatasetFormatError(f"bad dataset cache magic {raw[:4]!r}")
-    view = memoryview(raw)
-    pos = 4
-    version, name_len, num_classes, count = struct.unpack_from("<qqqq", view, pos)
-    pos += 32
+    reader = ByteReader(raw, DatasetFormatError, "dataset cache")
+    reader.take(4)
+    version, name_len, num_classes, count = reader.unpack("<qqqq")
     if version != 1:
         raise DatasetFormatError(f"unsupported dataset cache version {version}")
-    name = bytes(view[pos:pos + name_len]).decode("utf-8")
-    pos += name_len
-    (feature_dim,) = struct.unpack_from("<q", view, pos)
-    pos += 8
+    name = bytes(reader.take(name_len)).decode("utf-8")
+    (feature_dim,) = reader.unpack("<q")
     graphs = []
     for _ in range(count):
-        n, label, nnz = struct.unpack_from("<qqq", view, pos)
-        pos += 24
-        rows = np.frombuffer(view, dtype="<i8", count=nnz, offset=pos)
-        pos += 8 * nnz
-        cols = np.frombuffer(view, dtype="<i8", count=nnz, offset=pos)
-        pos += 8 * nnz
-        data = np.frombuffer(view, dtype="<f8", count=nnz, offset=pos)
-        pos += 8 * nnz
-        feats = np.frombuffer(view, dtype="<f8", count=n * feature_dim, offset=pos)
-        pos += 8 * n * feature_dim
-        adj = sp.coo_matrix((data.copy(), (rows.copy(), cols.copy())), shape=(n, n)).tocsr()
+        n, label, nnz = reader.unpack("<qqq")
+        rows = reader.array("<i8", nnz)
+        cols = reader.array("<i8", nnz)
+        data = reader.array("<f8", nnz)
+        feats = reader.array("<f8", n * feature_dim)
+        adj = sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
         graphs.append(
             Graph(
                 node_count=int(n),
                 adjacency=adj,
-                node_features=feats.reshape(n, feature_dim).copy(),
+                node_features=feats.reshape(n, feature_dim),
                 label=int(label),
             )
         )
+    reader.finish()
     ds = Dataset(name=name, graphs=tuple(graphs), num_classes=int(num_classes))
     ds.metadata["content_hash"] = dataset_hash(ds)
     return ds

@@ -23,7 +23,7 @@ import numpy as np
 from . import autodiff as ad
 from .layers import Dense, GcnLayer, GmnEncoder, GmnPropagation, PoolingBlock, loss_lc, loss_le, pool_forward
 from .model import SimPoolModel, resolve_preset
-from .similarity import SimilarityConfig, index_map, similarity_dense_symmetric
+from .similarity import compute_features, index_map
 
 __all__ = ["CheckResult", "run_suite", "SUITE_CHECKS"]
 
@@ -146,9 +146,7 @@ def _check_full_model(rng, n, epsilon):
     )
     a = _random_graph(rng, n)
     x = rng.uniform(-1, 1, size=(n, 3))
-    mapped = index_map(
-        similarity_dense_symmetric(a, model.sim), model.sim
-    ).mapped
+    mapped = index_map(compute_features(a, model.sim), model.sim).mapped
     label = int(rng.integers(0, 6))
 
     def forward():

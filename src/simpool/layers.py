@@ -227,14 +227,10 @@ def pool_forward(
     a: ad.Tensor,
     block: PoolingBlock,
     assign_features: ad.Tensor,
-    node_mask: np.ndarray | None = None,
 ):
     """Coarsen a graph through soft cluster assignments.
 
     Returns (pooled features, tanh-bounded pooled adjacency, assignments).
-    Padding nodes, when a mask is given, get uniform assignment rows and
-    contribute nothing: their embedding rows are zeroed and their
-    adjacency rows/columns are zero by construction.
     """
     if assign_features.shape[0] != x.shape[0]:
         raise ValueError("assignment features must have one row per node")
@@ -244,11 +240,6 @@ def pool_forward(
         raise ValueError(
             f"assignment net produced {logits.shape[1]} clusters, expected {block.clusters_out}"
         )
-    if node_mask is not None:
-        pad_rows = np.asarray(node_mask, dtype=float).reshape(-1) == 0
-        pad_matrix = np.broadcast_to(pad_rows[:, None], logits.shape)
-        logits = ad.masked_fill(logits, pad_matrix, 0.0)
-        z = ad.multiply(z, ad.constant((~pad_rows).astype(float).reshape(-1, 1)))
     s = ad.row_softmax(logits)
     st = ad.transpose(s)
     x_next = ad.matmul(st, z)
@@ -260,21 +251,19 @@ def _as_tensor(s) -> ad.Tensor:
     return s if isinstance(s, ad.Tensor) else ad.constant(np.asarray(s, dtype=np.float64))
 
 
-def loss_le(s, node_count: int | None = None) -> ad.Tensor:
+def loss_le(s) -> ad.Tensor:
     """Mean row entropy of the assignment matrix (natural log).
 
-    Zero exactly when every (real) row is one-hot, up to the 1e-12 clamp.
+    Zero exactly when every row is one-hot, up to the 1e-12 clamp.
     """
     s = _as_tensor(s)
-    if node_count is not None and node_count != s.shape[0]:
-        s = ad.gather_rows(s, np.arange(node_count))
     n = s.shape[0]
     log_p = ad.log(ad.clamp_min(s, 1e-12))
     total = ad.sum_all(ad.multiply(s, log_p))
     return ad.scalar_multiply(total, -1.0 / n)
 
 
-def loss_lc(s, node_count: int | None = None) -> ad.Tensor:
+def loss_lc(s) -> ad.Tensor:
     """Uniformity deficit of the cluster mass distribution.
 
     The cluster mass q = (1/n) * 1^T S sums to one; the deficit
@@ -283,8 +272,6 @@ def loss_lc(s, node_count: int | None = None) -> ad.Tensor:
     spread of nodes over clusters.
     """
     s = _as_tensor(s)
-    if node_count is not None and node_count != s.shape[0]:
-        s = ad.gather_rows(s, np.arange(node_count))
     n, clusters = s.shape
     q = ad.scalar_multiply(ad.col_sum(s), 1.0 / n)
     entropy = ad.scalar_multiply(

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import autodiff as ad
-from .data import PaddedBatch
+from .data import ByteReader, PaddedBatch
 from .layers import (
     Dense,
     GcnLayer,
@@ -40,7 +40,6 @@ __all__ = [
     "PRESETS",
     "resolve_preset",
     "ConfigError",
-    "LossTerms",
     "GraphForward",
     "BatchForward",
     "SimPoolModel",
@@ -166,16 +165,6 @@ def resolve_preset(name: str, scale: float = 1.0) -> ModelPreset:
 
 
 @dataclass
-class LossTerms:
-    """Scalar loss components of one forward pass."""
-
-    task_loss: float
-    l_e: tuple[float, ...]
-    l_c_uniformity: tuple[float, ...]
-    weighted_total: float
-
-
-@dataclass
 class GraphForward:
     probs: ad.Tensor  # 1 x num_classes, rows sum to 1
     ce: ad.Tensor
@@ -199,17 +188,6 @@ class BatchForward:
         if w_c != 0.0:
             out = ad.add(out, ad.scalar_multiply(ad.add(self.lc[0], self.lc[1]), w_c))
         return out
-
-    def loss_terms(self, w_e: float, w_c: float) -> LossTerms:
-        le = tuple(t.item() for t in self.le)
-        lc = tuple(t.item() for t in self.lc)
-        task = self.task_loss.item()
-        return LossTerms(
-            task_loss=task,
-            l_e=le,
-            l_c_uniformity=lc,
-            weighted_total=task + w_e * sum(le) + w_c * sum(lc),
-        )
 
 
 class _GmnStack:
@@ -444,25 +422,20 @@ def load_checkpoint(path, model: SimPoolModel) -> None:
         raw = fh.read()
     if raw[:4] != CHECKPOINT_MAGIC:
         raise ConfigError(f"bad checkpoint magic {raw[:4]!r}")
-    pos = 4
-    version, count = struct.unpack_from("<qq", raw, pos)
-    pos += 16
+    reader = ByteReader(raw, ConfigError, "checkpoint")
+    reader.take(4)
+    version, count = reader.unpack("<qq")
     if version != 1:
         raise ConfigError(f"unsupported checkpoint version {version}")
     loaded: dict[str, np.ndarray] = {}
     for _ in range(count):
-        (name_len,) = struct.unpack_from("<q", raw, pos)
-        pos += 8
-        name = raw[pos:pos + name_len].decode("utf-8")
-        pos += name_len
-        (ndim,) = struct.unpack_from("<q", raw, pos)
-        pos += 8
-        shape = struct.unpack_from(f"<{ndim}q", raw, pos)
-        pos += 8 * ndim
+        (name_len,) = reader.unpack("<q")
+        name = bytes(reader.take(name_len)).decode("utf-8")
+        (ndim,) = reader.unpack("<q")
+        shape = tuple(reader.array("<i8", ndim))
         size = int(np.prod(shape)) if ndim else 1
-        values = np.frombuffer(raw, dtype="<f8", count=size, offset=pos).reshape(shape)
-        pos += 8 * size
-        loaded[name] = values.copy()
+        loaded[name] = reader.array("<f8", size).reshape(shape)
+    reader.finish()
     params = model.parameters()
     if set(params) != set(loaded):
         missing = sorted(set(params) ^ set(loaded))

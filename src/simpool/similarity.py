@@ -2,15 +2,14 @@
 
 The similarity between two nodes is the cosine of the corresponding
 columns of (A + lambda*I)^p. For asymmetric adjacency the rows of
-[Ahat | Ahat^T] are compared instead. A fast path restricted to node
-pairs at geodesic distance <= 2 covers the p = 1 case, and the index
-mapping encodes each node's top-k most similar neighbours into a
-fixed-width, differentiable feature matrix.
+[Ahat | Ahat^T] are compared instead. Both come from one sparse Gram
+matrix, so only node pairs that share a nonzero row or column of Ahat^p
+are ever stored. The index mapping encodes each node's top-k most
+similar neighbours into a fixed-width, differentiable feature matrix.
 
 Exactness: for integer-valued adjacency (0/1 edges, integer lambda) every
-Gram accumulation is exact in float64, so the sparse and dense paths
-produce bit-identical results. Real-valued weights agree to rounding
-error only.
+Gram accumulation is exact in float64, so the result is bit-identical to
+the dense computation. Real-valued weights agree to rounding error only.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from __future__ import annotations
 import os
 import struct
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -29,19 +28,14 @@ __all__ = [
     "SimilarityConfig",
     "SimilarityFeatures",
     "SparseStats",
-    "similarity_dense_symmetric",
-    "similarity_dense_asymmetric",
     "similarity_sparse",
     "compute_features",
     "index_map",
-    "rank_cols",
     "decode_index",
     "symmetric_similarity_on_tape",
-    "index_map_on_tape",
     "preprocess_dataset",
     "save_mapped_cache",
     "load_mapped_cache",
-    "cache_filename",
 ]
 
 FEATURE_MAGIC = b"SPF1"
@@ -70,18 +64,11 @@ class SimilarityConfig:
 
 @dataclass
 class SimilarityFeatures:
-    """Dense similarity matrix and/or its top-k mapped encoding."""
+    """Similarity matrix (CSR, zeros not stored) and/or its top-k encoding."""
 
     source_node_count: int
-    dense: np.ndarray | sp.spmatrix | None = None
+    dense: sp.csr_matrix | None = None
     mapped: np.ndarray | None = None
-
-    def dense_array(self) -> np.ndarray:
-        if self.dense is None:
-            raise ValueError("no dense similarity stored")
-        if sp.issparse(self.dense):
-            return self.dense.toarray()
-        return self.dense
 
 
 @dataclass
@@ -100,105 +87,44 @@ class SparseStats:
         return self.multiply_adds + 2 * self.pair_count + self.node_count
 
 
-def _normalize_gram(gram: np.ndarray, norms_sq: np.ndarray) -> np.ndarray:
-    """Turn a Gram matrix into cosine similarities.
-
-    Exactly parallel columns (Cauchy-Schwarz equality, an exact predicate
-    for integer-valued input) get unit similarity so diagonals and
-    duplicated neighbourhoods come out as exactly 1. Zero-norm columns
-    compare as 0 against everything, including themselves.
-    """
-    norms = np.sqrt(norms_sq)
-    denom = np.outer(norms, norms)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cos = gram / denom
-    parallel = (gram * gram == np.outer(norms_sq, norms_sq)) & (gram != 0)
-    cos[parallel] = np.sign(gram[parallel])
-    zero = norms_sq == 0
-    cos[zero, :] = 0.0
-    cos[:, zero] = 0.0
-    return np.clip(cos, -1.0, 1.0)
-
-
-def _power(a: np.ndarray, lam: float, p: int) -> np.ndarray:
-    ahat = a + lam * np.eye(a.shape[0])
-    return np.linalg.matrix_power(ahat, p)
-
-
-def similarity_dense_symmetric(a, cfg: SimilarityConfig) -> SimilarityFeatures:
-    """Cosine similarity between columns of (A + lambda*I)^p, symmetric A."""
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"adjacency must be square, got {a.shape}")
-    if not np.array_equal(a, a.T):
-        raise ValueError("adjacency is not symmetric; use the asymmetric variant")
-    ahat = _power(a, cfg.lam, cfg.p)
-    gram = ahat.T @ ahat
-    dense = _normalize_gram(gram, np.diagonal(gram).copy())
-    return SimilarityFeatures(source_node_count=a.shape[0], dense=dense)
-
-
-def similarity_dense_asymmetric(a, cfg: SimilarityConfig) -> SimilarityFeatures:
-    """Cosine similarity between rows of [Ahat | Ahat^T] for any square A."""
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"adjacency must be square, got {a.shape}")
-    ahat = _power(a, cfg.lam, cfg.p)
-    gram = ahat @ ahat.T + ahat.T @ ahat
-    dense = _normalize_gram(gram, np.diagonal(gram).copy())
-    return SimilarityFeatures(source_node_count=a.shape[0], dense=dense)
-
-
 def similarity_sparse(
     a,
     cfg: SimilarityConfig,
     return_stats: bool = False,
 ):
-    """Similarity restricted to node pairs at geodesic distance <= 2.
+    """Cosine similarity from the sparse Gram matrix of Ahat^p.
 
-    Only pairs sharing a nonzero row of (A + lambda*I) can have nonzero
-    cosine, so the Gram matrix is accumulated from per-row outer products
-    and everything else is an exact (structural) zero. Matches the dense
-    computation entrywise.
+    Only pairs sharing a nonzero row of Ahat^p (or, for the asymmetric
+    Gram, a nonzero column) can have nonzero cosine, so everything the
+    sparse products do not reach is an exact (structural) zero.
+    Exactly parallel columns (Cauchy-Schwarz equality, an exact predicate
+    for integer-valued input) get unit similarity, so diagonals and
+    duplicated neighbourhoods come out as exactly 1. Zero-norm columns
+    compare as 0 against everything, including themselves.
     """
-    if cfg.p != 1:
-        raise ValueError("sparse similarity supports p = 1 only; fall back to dense")
     a = sp.csr_matrix(a, dtype=np.float64)
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"adjacency must be square, got {a.shape}")
-    if (a != a.T).nnz != 0:
-        raise ValueError("adjacency is not symmetric; use the asymmetric variant")
+    if cfg.symmetric and (a != a.T).nnz != 0:
+        raise ValueError("adjacency is not symmetric; set symmetric=False")
     if a.nnz and a.data.min() < 0:
         raise ValueError("adjacency entries must be non-negative")
 
     n = a.shape[0]
-    ahat = (a + cfg.lam * sp.identity(n, format="csr")).tocsr()
-    ahat.eliminate_zeros()
-    stats = SparseStats(node_count=n, edge_count=int(a.nnz))
-
-    rows_i: list[np.ndarray] = []
-    cols_j: list[np.ndarray] = []
-    vals: list[np.ndarray] = []
-    indptr, indices, data = ahat.indptr, ahat.indices, ahat.data
-    for m in range(n):
-        lo, hi = indptr[m], indptr[m + 1]
-        support = indices[lo:hi]
-        row_vals = data[lo:hi]
-        d = len(support)
-        if d == 0:
-            continue
-        rows_i.append(np.repeat(support, d))
-        cols_j.append(np.tile(support, d))
-        vals.append(np.outer(row_vals, row_vals).ravel())
-        stats.multiply_adds += d * d
-
-    if rows_i:
-        gram = sp.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows_i), np.concatenate(cols_j))),
-            shape=(n, n),
-        ).tocsr()
-    else:
-        gram = sp.csr_matrix((n, n))
+    base = (a + cfg.lam * sp.identity(n, format="csr")).tocsr()
+    base.eliminate_zeros()
+    ahat = base
+    for _ in range(cfg.p - 1):
+        ahat = ahat @ base
+    # Ahat^T Ahat accumulates one d x d outer product per row of degree d
+    row_degree = np.diff(ahat.indptr).astype(np.int64)
+    gram = ahat.T @ ahat
+    stats = SparseStats(node_count=n, edge_count=int(a.nnz),
+                        multiply_adds=int((row_degree**2).sum()))
+    if not cfg.symmetric:
+        gram = gram + ahat @ ahat.T
+        col_degree = np.bincount(ahat.indices, minlength=n).astype(np.int64)
+        stats.multiply_adds += int((col_degree**2).sum())
 
     norms_sq = gram.diagonal()
     norms = np.sqrt(norms_sq)
@@ -219,71 +145,47 @@ def similarity_sparse(
     return features
 
 
-def compute_features(a, cfg: SimilarityConfig, prefer_sparse: bool = True) -> SimilarityFeatures:
-    """Route to the sparse fast path when applicable, else the dense one."""
-    if not cfg.symmetric:
-        return similarity_dense_asymmetric(sp.csr_matrix(a).toarray() if sp.issparse(a) else a, cfg)
-    if prefer_sparse and cfg.p == 1:
-        return similarity_sparse(a, cfg)
-    dense_a = a.toarray() if sp.issparse(a) else a
-    return similarity_dense_symmetric(dense_a, cfg)
+def compute_features(a, cfg: SimilarityConfig) -> SimilarityFeatures:
+    """Similarity features of one graph's adjacency (dense or sparse)."""
+    return similarity_sparse(a, cfg)
 
 
 # ---------------------------------------------------------------------------
 # index mapping
 # ---------------------------------------------------------------------------
 
-def rank_cols(dense: np.ndarray, k: int) -> np.ndarray:
-    """Per-row indices of the k largest entries, in descending-value order.
-
-    Ties break towards the smaller column index so the ranking is
-    deterministic across platforms.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    order = np.argsort(-dense, axis=1, kind="stable")
-    return order[:, : min(k, dense.shape[1])]
-
-
-def index_map(
-    features,
-    cfg: SimilarityConfig,
-    method: str = "direct",
-) -> SimilarityFeatures:
+def index_map(features, cfg: SimilarityConfig) -> SimilarityFeatures:
     """Encode each node's top-k similarities as (alpha*C + j) / (|V| + 1).
 
     ``j`` is the 1-based column index of the selected similarity, so every
     nonzero output lands in (0, 1 - (1-alpha)/(|V|+1)] and decodes back to
-    the source node index. Zero similarities map to zero; rows with fewer
-    than k nonzero entries are zero-padded. ``method`` selects between the
-    full-matrix construction ("direct") and the gather-first construction
-    ("efficient"); both produce bit-identical results.
+    the source node index. Each row keeps its k largest nonzero entries in
+    descending order, ties going to the smaller column index; rows with
+    fewer than k nonzero entries are zero-padded. Similarities must be
+    non-negative, so that the ranking over stored entries is the ranking
+    over the whole row.
     """
-    if isinstance(features, SimilarityFeatures):
-        dense = features.dense_array()
-    else:
-        dense = np.asarray(features, dtype=np.float64)
-    n = dense.shape[0]
-    if dense.shape != (n, n):
+    matrix = features.dense if isinstance(features, SimilarityFeatures) else features
+    if matrix is None:
+        raise ValueError("no similarity matrix stored")
+    c = sp.csr_matrix(matrix, dtype=np.float64)
+    n = c.shape[0]
+    if c.shape != (n, n):
         raise ValueError("index_map expects a square similarity matrix")
-    k = cfg.k
-    idx = rank_cols(dense, k)
+    if c.nnz and c.data.min() < 0:
+        raise ValueError("index_map expects non-negative similarities")
 
-    if method == "direct":
-        col_index = np.arange(1, n + 1, dtype=np.float64)
-        chat = (cfg.alpha * dense + col_index[None, :]) * (dense != 0) / (n + 1)
-        core = np.take_along_axis(chat, idx, axis=1)
-    elif method == "efficient":
-        gathered = np.take_along_axis(dense, idx, axis=1)
-        chat = cfg.alpha * gathered
-        core = (chat + (idx + 1).astype(np.float64)) / (n + 1)
-        core[gathered == 0] = 0.0
-    else:
-        raise ValueError(f"unknown index_map method {method!r}")
+    rows = np.repeat(np.arange(n), np.diff(c.indptr))
+    stored = c.data != 0
+    rows, cols, vals = rows[stored], c.indices[stored], c.data[stored]
+    order = np.lexsort((cols, -vals, rows))
+    rows, cols, vals = rows[order], cols[order], vals[order]
+    rank = np.arange(rows.size) - np.searchsorted(rows, rows)
+    top = rank < cfg.k
 
-    mapped = np.zeros((n, k), dtype=np.float64)
-    mapped[:, : core.shape[1]] = core
-    return SimilarityFeatures(source_node_count=n, dense=dense, mapped=mapped)
+    mapped = np.zeros((n, cfg.k), dtype=np.float64)
+    mapped[rows[top], rank[top]] = (cfg.alpha * vals[top] + (cols[top] + 1)) / (n + 1)
+    return SimilarityFeatures(source_node_count=n, dense=c, mapped=mapped)
 
 
 def decode_index(value: float, node_count: int, alpha: float | None = None) -> int:
@@ -331,30 +233,6 @@ def symmetric_similarity_on_tape(a: ad.Tensor, p: int = 1, lam: float = 0.0) -> 
     return ad.multiply(gram, scale)
 
 
-def index_map_on_tape(c: ad.Tensor, cfg: SimilarityConfig) -> ad.Tensor:
-    """Differentiable index mapping; gradients flow only via alpha * C.
-
-    The top-k ranking, the nonzero mask and the added column indices are
-    all derived from forward values and held constant, mirroring the
-    non-differentiable index channel of the offline computation.
-    """
-    dense = c.values
-    n = dense.shape[0]
-    idx = rank_cols(dense, cfg.k)
-    mask = (dense != 0).astype(np.float64)
-    col_index = np.broadcast_to(np.arange(1, n + 1, dtype=np.float64), (n, n))
-
-    scaled = ad.scalar_multiply(c, cfg.alpha)
-    offset = ad.add(scaled, ad.constant(col_index))
-    chat = ad.scalar_multiply(ad.multiply(offset, ad.constant(mask)), 1.0 / (n + 1))
-    row_idx = np.repeat(np.arange(n).reshape(n, 1), idx.shape[1], axis=1)
-    core = ad.gather(chat, row_idx, idx)
-    if idx.shape[1] < cfg.k:
-        pad = ad.constant(np.zeros((n, cfg.k - idx.shape[1])))
-        core = ad.concat_columns([core, pad])
-    return core
-
-
 # ---------------------------------------------------------------------------
 # preprocessing and the on-disk feature cache
 # ---------------------------------------------------------------------------
@@ -364,15 +242,8 @@ def preprocess_dataset(dataset, cfg: SimilarityConfig) -> list[np.ndarray]:
     mapped = []
     for graph in dataset.graphs:
         feats = compute_features(graph.adjacency, cfg)
-        mapped.append(index_map(feats, cfg, method="efficient").mapped)
+        mapped.append(index_map(feats, cfg).mapped)
     return mapped
-
-
-def cache_filename(dataset_hash: str, cfg: SimilarityConfig) -> str:
-    return (
-        f"{dataset_hash[:16]}_p{cfg.p}_l{cfg.lam:g}_k{cfg.k}_a{cfg.alpha:g}"
-        f"{'' if cfg.symmetric else '_asym'}.spf"
-    )
 
 
 def save_mapped_cache(path, mapped: list[np.ndarray]) -> None:

@@ -1,0 +1,82 @@
+"""Dense reference implementations of the similarity features.
+
+These are the textbook O(n^2)-memory formulas that the sparse production
+path in ``simpool.similarity`` must reproduce; tests compare against them.
+"""
+
+import numpy as np
+
+from simpool.similarity import SimilarityConfig, SimilarityFeatures
+
+
+def _normalize_gram(gram: np.ndarray, norms_sq: np.ndarray) -> np.ndarray:
+    """Turn a Gram matrix into cosine similarities.
+
+    Exactly parallel columns (Cauchy-Schwarz equality, an exact predicate
+    for integer-valued input) get unit similarity so diagonals and
+    duplicated neighbourhoods come out as exactly 1. Zero-norm columns
+    compare as 0 against everything, including themselves.
+    """
+    norms = np.sqrt(norms_sq)
+    denom = np.outer(norms, norms)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cos = gram / denom
+    parallel = (gram * gram == np.outer(norms_sq, norms_sq)) & (gram != 0)
+    cos[parallel] = np.sign(gram[parallel])
+    zero = norms_sq == 0
+    cos[zero, :] = 0.0
+    cos[:, zero] = 0.0
+    return np.clip(cos, -1.0, 1.0)
+
+
+def _power(a: np.ndarray, lam: float, p: int) -> np.ndarray:
+    ahat = a + lam * np.eye(a.shape[0])
+    return np.linalg.matrix_power(ahat, p)
+
+
+def similarity_dense_symmetric(a, cfg: SimilarityConfig) -> SimilarityFeatures:
+    """Cosine similarity between columns of (A + lambda*I)^p, symmetric A."""
+    a = np.asarray(a, dtype=np.float64)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"adjacency must be square, got {a.shape}")
+    if not np.array_equal(a, a.T):
+        raise ValueError("adjacency is not symmetric; use the asymmetric variant")
+    ahat = _power(a, cfg.lam, cfg.p)
+    gram = ahat.T @ ahat
+    dense = _normalize_gram(gram, np.diagonal(gram).copy())
+    return SimilarityFeatures(source_node_count=a.shape[0], dense=dense)
+
+
+def similarity_dense_asymmetric(a, cfg: SimilarityConfig) -> SimilarityFeatures:
+    """Cosine similarity between rows of [Ahat | Ahat^T] for any square A."""
+    a = np.asarray(a, dtype=np.float64)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"adjacency must be square, got {a.shape}")
+    ahat = _power(a, cfg.lam, cfg.p)
+    gram = ahat @ ahat.T + ahat.T @ ahat
+    dense = _normalize_gram(gram, np.diagonal(gram).copy())
+    return SimilarityFeatures(source_node_count=a.shape[0], dense=dense)
+
+
+def rank_cols(dense: np.ndarray, k: int) -> np.ndarray:
+    """Per-row indices of the k largest entries, in descending-value order.
+
+    Ties break towards the smaller column index so the ranking is
+    deterministic across platforms.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    order = np.argsort(-dense, axis=1, kind="stable")
+    return order[:, : min(k, dense.shape[1])]
+
+
+def index_map_dense(dense: np.ndarray, cfg: SimilarityConfig) -> np.ndarray:
+    """Mapped features from a full ranking of every row of a dense matrix."""
+    n = dense.shape[0]
+    idx = rank_cols(dense, cfg.k)
+    gathered = np.take_along_axis(dense, idx, axis=1)
+    core = (cfg.alpha * gathered + (idx + 1).astype(np.float64)) / (n + 1)
+    core[gathered == 0] = 0.0
+    mapped = np.zeros((n, cfg.k), dtype=np.float64)
+    mapped[:, : core.shape[1]] = core
+    return mapped

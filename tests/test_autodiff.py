@@ -35,12 +35,6 @@ class TestForwardValues:
         out = ad.concat_columns([a, b])
         np.testing.assert_array_equal(out.values, [[1, 2, 5], [3, 4, 6]])
 
-    def test_masked_fill(self):
-        x = ad.constant([[1.0, 2.0], [3.0, 4.0]])
-        mask = np.array([[True, False], [False, True]])
-        out = ad.masked_fill(x, mask, -1.0)
-        np.testing.assert_array_equal(out.values, [[-1, 2], [3, -1]])
-
     def test_shape_mismatch_raises(self):
         a = ad.constant(np.ones((2, 3)))
         b = ad.constant(np.ones((2, 3)))
@@ -97,11 +91,6 @@ PRIMITIVE_CASES = {
     "sum_all": lambda x: ad.sum_all(x),
     "row_sum": lambda x: scalarize(ad.multiply(ad.row_sum(x), ad.constant(np.array([[1.0], [2.0], [3.0], [4.0]])))),
     "col_sum": lambda x: scalarize(ad.multiply(ad.col_sum(x), ad.constant(np.array([[1.0, -2.0, 3.0]])))),
-    "mean_all": lambda x: ad.mean_all(ad.tanh(x)),
-    "l2_norm_rows": lambda x: scalarize(ad.multiply(ad.l2_norm_rows(x), ad.constant(np.array([[1.0], [2.0], [-1.0], [0.5]])))),
-    "masked_fill": lambda x: scalarize(
-        ad.masked_fill(x, np.arange(12).reshape(4, 3) % 3 == 0, 0.0)
-    ),
 }
 
 

@@ -214,3 +214,14 @@ class TestCache:
         path.write_bytes(b"XXXX" + b"\x00" * 64)
         with pytest.raises(DatasetFormatError):
             load_dataset_cache(path)
+
+    def test_truncated_or_padded_file_rejected(self, toy_dataset, tmp_path):
+        path = tmp_path / "toy.spg"
+        save_dataset_cache(path, toy_dataset)
+        raw = path.read_bytes()
+        # cut inside the file header, cut inside the last feature block, one extra byte
+        for damaged, message in ((raw[:20], "truncated"), (raw[:-3], "truncated"),
+                                 (raw + b"\x00", "trailing")):
+            path.write_bytes(damaged)
+            with pytest.raises(DatasetFormatError, match=message):
+                load_dataset_cache(path)

@@ -13,9 +13,10 @@ from simpool.model import (
     resolve_preset,
     save_checkpoint,
 )
-from simpool.similarity import SimilarityConfig, index_map, similarity_dense_symmetric
+from simpool.similarity import SimilarityConfig, index_map
 
 from conftest import random_graph
+from oracles import similarity_dense_symmetric
 
 
 def tiny_model(assign_inputs="structural", seed=0, num_classes=3, feature_dim=3):
@@ -240,3 +241,15 @@ class TestCheckpoint:
         path.write_bytes(b"AAAA" + b"\x00" * 32)
         with pytest.raises(ConfigError):
             load_checkpoint(path, tiny_model())
+
+    def test_truncated_or_padded_file_rejected(self, tmp_path):
+        model = tiny_model(seed=1)
+        path = tmp_path / "model.spm"
+        save_checkpoint(path, model)
+        raw = path.read_bytes()
+        # cut inside the version/count header, cut inside the last tensor, one extra byte
+        for damaged, message in ((raw[:12], "truncated"), (raw[:-5], "truncated"),
+                                 (raw + b"\x00", "trailing")):
+            path.write_bytes(damaged)
+            with pytest.raises(ConfigError, match=message):
+                load_checkpoint(path, tiny_model())

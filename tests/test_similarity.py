@@ -4,18 +4,20 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from oracles import (
+    index_map_dense,
+    rank_cols,
+    similarity_dense_asymmetric,
+    similarity_dense_symmetric,
+)
 from simpool import autodiff as ad
 from simpool.similarity import (
     SimilarityConfig,
     compute_features,
     decode_index,
     index_map,
-    index_map_on_tape,
     load_mapped_cache,
-    rank_cols,
     save_mapped_cache,
-    similarity_dense_asymmetric,
-    similarity_dense_symmetric,
     similarity_sparse,
     symmetric_similarity_on_tape,
 )
@@ -118,13 +120,29 @@ class TestPermutationCovariance:
 class TestSparsePath:
     def test_matches_dense_exactly(self):
         rng = np.random.default_rng(3)
-        cfg = SimilarityConfig(p=1, lam=1.0)
-        for trial in range(100):
-            n = int(rng.integers(2, 65))
-            a = random_sparse_graph(rng, n, mean_degree=min(6, n - 1))
-            dense = similarity_dense_symmetric(a, cfg).dense
-            sparse = similarity_sparse(sp.coo_matrix(a), cfg).dense.toarray()
-            assert np.array_equal(dense, sparse), f"trial {trial} differs"
+        for p in (1, 2, 3):
+            for symmetric in (True, False):
+                oracle = similarity_dense_symmetric if symmetric else similarity_dense_asymmetric
+                for trial in range(100):
+                    cfg = SimilarityConfig(p=p, lam=float(trial % 3), symmetric=symmetric)
+                    n = int(rng.integers(2, 65))
+                    a = random_sparse_graph(rng, n, mean_degree=min(6, n - 1))
+                    if not symmetric:
+                        a = np.triu(a)  # keep one direction of every edge
+                    dense = oracle(a, cfg).dense
+                    sparse = similarity_sparse(sp.coo_matrix(a), cfg).dense.toarray()
+                    assert np.array_equal(dense, sparse), f"{cfg} trial {trial} differs"
+
+    def test_asymmetric_input_rejected_when_symmetric(self):
+        a = sp.csr_matrix(np.triu(np.ones((3, 3)), 1))
+        with pytest.raises(ValueError, match="not symmetric"):
+            similarity_sparse(a, SimilarityConfig())
+        similarity_sparse(a, SimilarityConfig(symmetric=False))
+
+    def test_negative_adjacency_rejected(self):
+        a = sp.csr_matrix(np.array([[0.0, -1.0], [-1.0, 0.0]]))
+        with pytest.raises(ValueError, match="non-negative"):
+            similarity_sparse(a, SimilarityConfig())
 
     def test_matches_dense_lambda_zero(self):
         rng = np.random.default_rng(4)
@@ -155,10 +173,6 @@ class TestSparsePath:
         for i in leaves:
             for j in leaves:
                 assert c[i, j] == 1.0
-
-    def test_rejects_higher_powers(self):
-        with pytest.raises(ValueError):
-            similarity_sparse(sp.eye(3, format="csr"), SimilarityConfig(p=2))
 
     def test_flop_count_tracks_degree_squared(self):
         rng = np.random.default_rng(5)
@@ -193,6 +207,12 @@ class TestIndexMap:
         dense[1, 1] = 1.0
         mapped = index_map(dense, SimilarityConfig(k=2)).mapped
         assert np.all(mapped[2] == 0.0)
+        # explicitly stored zeros count as zero similarities too
+        stored_zeros = sp.csr_matrix(
+            ([1.0, 0.5, 0.5, 1.0, 0.0], [0, 1, 0, 1, 0], [0, 2, 4, 5]), shape=(3, 3)
+        )
+        assert stored_zeros.nnz == 5
+        assert np.array_equal(index_map(stored_zeros, SimilarityConfig(k=2)).mapped, mapped)
 
     def test_alpha_zero_pure_index_encoding(self):
         rng = np.random.default_rng(6)
@@ -204,7 +224,7 @@ class TestIndexMap:
         nz = mapped != 0
         np.testing.assert_array_equal(mapped[nz], (idx + 1.0)[nz] / 9.0)
 
-    def test_direct_and_efficient_bit_identical(self):
+    def test_matches_dense_ranking_bit_identical(self):
         rng = np.random.default_rng(7)
         for trial in range(100):
             n = int(rng.integers(2, 20))
@@ -213,9 +233,14 @@ class TestIndexMap:
             alpha = float(rng.choice([0.0, 0.3, 0.8, 1.0]))
             k = int(rng.integers(1, n + 4))
             cfg = SimilarityConfig(alpha=alpha, k=k, lam=1.0)
-            direct = index_map(feats, cfg, method="direct").mapped
-            efficient = index_map(feats, cfg, method="efficient").mapped
-            assert direct.tobytes() == efficient.tobytes(), f"trial {trial}"
+            mapped = index_map(sp.csr_matrix(feats.dense), cfg).mapped
+            oracle = index_map_dense(feats.dense, cfg)
+            assert mapped.tobytes() == oracle.tobytes(), f"trial {trial}"
+
+    def test_negative_similarities_rejected(self):
+        dense = np.array([[1.0, -0.5], [-0.5, 1.0]])
+        with pytest.raises(ValueError, match="non-negative"):
+            index_map(dense, SimilarityConfig(k=2))
 
     def test_nonzero_range_bound(self):
         rng = np.random.default_rng(8)
@@ -307,31 +332,6 @@ class TestOnTape:
 
         assert ad.grad_check(f, x) < 1e-4
 
-    def test_index_channel_carries_no_gradient(self):
-        # gradient reaches only the selected, nonzero entries, scaled alpha/(n+1)
-        rng = np.random.default_rng(13)
-        a = random_symmetric(rng, 6, weighted=True)
-        cfg = SimilarityConfig(alpha=0.8, k=3, lam=1.0)
-        dense = similarity_dense_symmetric(a, cfg).dense
-        c = ad.parameter(dense)
-        with ad.Tape() as tape:
-            mapped = index_map_on_tape(c, cfg)
-            tape.backward(ad.sum_all(mapped))
-        idx = rank_cols(dense, cfg.k)
-        selected = np.zeros_like(dense, dtype=bool)
-        selected[np.repeat(np.arange(6), idx.shape[1]), idx.ravel()] = True
-        expected = np.where(selected & (dense != 0), cfg.alpha / 7.0, 0.0)
-        np.testing.assert_allclose(c.grad, expected, atol=1e-12)
-
-    def test_on_tape_matches_offline_values(self):
-        rng = np.random.default_rng(14)
-        a = random_sparse_graph(rng, 7, 3)
-        cfg = SimilarityConfig(alpha=0.5, k=9, lam=1.0)
-        feats = similarity_dense_symmetric(a, cfg)
-        offline = index_map(feats, cfg).mapped
-        on_tape = index_map_on_tape(ad.constant(feats.dense), cfg).values
-        np.testing.assert_allclose(on_tape, offline, atol=1e-15)
-
 
 class TestCacheRoundTrip:
     def test_save_and_load(self, tmp_path):
@@ -363,7 +363,8 @@ class TestConfigValidation:
     def test_compute_features_dispatch(self):
         rng = np.random.default_rng(16)
         a = random_sparse_graph(rng, 10, 3)
-        sparse_feats = compute_features(sp.csr_matrix(a), SimilarityConfig(p=1, lam=1.0))
-        assert sp.issparse(sparse_feats.dense)
-        dense_feats = compute_features(a, SimilarityConfig(p=2, lam=1.0))
-        assert not sp.issparse(dense_feats.dense)
+        for cfg in (SimilarityConfig(p=1, lam=1.0), SimilarityConfig(p=2, lam=1.0),
+                    SimilarityConfig(p=1, lam=1.0, symmetric=False)):
+            for adjacency in (sp.csr_matrix(a), a):
+                feats = compute_features(adjacency, cfg)
+                assert sp.issparse(feats.dense) and feats.dense.format == "csr"
