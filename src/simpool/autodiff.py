@@ -6,8 +6,11 @@ topological order, so ``Tape.backward`` is a single reverse sweep that
 visits each recorded node exactly once. Matrix operations are 2-D;
 elementwise operations accept any rank up to 3.
 
-Gather indices are constants: no gradient ever flows into an index
-argument, only into the gathered values.
+Gather and scatter indices are constants: no gradient ever flows into an
+index argument, only into the values. ``scatter_rows`` is the transpose of
+``gather_rows``: it sums input rows into the output rows they index, the
+message aggregation of graph layers. Both gather backward passes and
+``scatter_rows`` share one scatter-add kernel, ``_scatter_add``.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ __all__ = [
     "concat_columns",
     "gather",
     "gather_rows",
+    "scatter_rows",
     "row_softmax",
     "tanh",
     "relu",
@@ -55,7 +59,7 @@ class NumericError(ArithmeticError):
 class Tensor:
     """A float64 array participating in reverse-mode differentiation."""
 
-    __slots__ = ("values", "requires_grad", "grad", "_op_output", "meta")
+    __slots__ = ("values", "requires_grad", "grad", "_op_output")
 
     def __init__(self, values, requires_grad: bool = False):
         arr = np.asarray(values, dtype=np.float64)
@@ -69,7 +73,6 @@ class Tensor:
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
         self._op_output = False
-        self.meta: dict | None = None
 
     @classmethod
     def _raw(cls, arr: np.ndarray) -> Tensor:
@@ -79,7 +82,6 @@ class Tensor:
         t.requires_grad = False
         t.grad = None
         t._op_output = False
-        t.meta = None
         return t
 
     @property
@@ -219,6 +221,17 @@ def _record(op_name: str, out: Tensor, parents: Sequence[Tensor], backward) -> T
     return out
 
 
+def _scatter_add(x: np.ndarray, idx: np.ndarray, rows: int) -> np.ndarray:
+    """Sum row e of ``x`` into row ``idx[e]`` of a (rows, width) zero array.
+
+    One ``np.bincount`` over the flat output positions. It adds into each
+    output in order of e, so its sums are bit-identical to a loop over e.
+    """
+    width = x.shape[1]
+    flat = (idx[:, None] * width + np.arange(width)).reshape(-1)
+    return np.bincount(flat, weights=x.reshape(-1), minlength=rows * width).reshape(rows, width)
+
+
 def _require_2d(name: str, *tensors: Tensor) -> None:
     for t in tensors:
         if t.values.ndim != 2:
@@ -354,9 +367,8 @@ def gather(a: Tensor, row_idx: np.ndarray, col_idx: np.ndarray) -> Tensor:
     out = Tensor._raw(a.values[row_idx, col_idx])
 
     def backward(g):
-        pg = np.zeros_like(a.values)
-        np.add.at(pg, (row_idx, col_idx), g)
-        return ((a, pg),)
+        flat = row_idx.reshape(-1) * m + col_idx.reshape(-1)
+        return ((a, _scatter_add(g.reshape(-1, 1), flat, n * m).reshape(n, m)),)
 
     return _record("gather", out, (a,), backward)
 
@@ -370,11 +382,25 @@ def gather_rows(a: Tensor, idx: np.ndarray) -> Tensor:
     out = Tensor._raw(a.values[idx])
 
     def backward(g):
-        pg = np.zeros_like(a.values)
-        np.add.at(pg, idx, g)
-        return ((a, pg),)
+        return ((a, _scatter_add(g, idx, a.shape[0])),)
 
     return _record("gather_rows", out, (a,), backward)
+
+
+def scatter_rows(a: Tensor, idx: np.ndarray, rows: int) -> Tensor:
+    """out[idx[e]] += a[e] into a (rows, m) tensor; indices are constants."""
+    _require_2d("scatter_rows", a)
+    idx = np.asarray(idx, dtype=np.intp).reshape(-1)
+    if idx.size != a.shape[0]:
+        raise ValueError(f"scatter_rows needs one index per row, got {idx.size} for {a.shape[0]}")
+    if idx.size and (idx.min() < 0 or idx.max() >= rows):
+        raise IndexError("scatter_rows index out of bounds")
+    out = Tensor._raw(_scatter_add(a.values, idx, rows))
+
+    def backward(g):
+        return ((a, g[idx]),)
+
+    return _record("scatter_rows", out, (a,), backward)
 
 
 def row_softmax(a: Tensor) -> Tensor:

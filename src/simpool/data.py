@@ -126,25 +126,31 @@ class PaddedBatch:
 # ---------------------------------------------------------------------------
 
 def _read_int_rows(path: str, expected_cols: int) -> np.ndarray:
-    """Parse whitespace/comma separated integer rows."""
-    rows = []
+    """Parse whitespace/comma separated integer rows; blank lines are skipped."""
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.replace(",", " ").split()
-            if len(parts) != expected_cols:
-                raise DatasetFormatError(
-                    f"{os.path.basename(path)}:{lineno}: expected {expected_cols} fields, got {len(parts)}"
-                )
-            try:
-                rows.append([int(p) for p in parts])
-            except ValueError as exc:
-                raise DatasetFormatError(
-                    f"{os.path.basename(path)}:{lineno}: non-integer field"
-                ) from exc
-    return np.asarray(rows, dtype=np.int64).reshape(-1, expected_cols)
+        text = fh.read().replace(",", " ")
+    if not text.strip():
+        return np.zeros((0, expected_cols), dtype=np.int64)
+    error = None
+    try:
+        rows = np.loadtxt(io.StringIO(text), dtype=np.int64, ndmin=2, comments=None)
+        if rows.shape[1] == expected_cols:
+            return rows
+    except ValueError as exc:
+        error = exc
+    # malformed: name the first offending line
+    name = os.path.basename(path)
+    for lineno, line in enumerate(text.split("\n"), 1):
+        parts = line.split()
+        if parts and len(parts) != expected_cols:
+            raise DatasetFormatError(
+                f"{name}:{lineno}: expected {expected_cols} fields, got {len(parts)}"
+            )
+        try:
+            list(map(int, parts))
+        except ValueError as exc:
+            raise DatasetFormatError(f"{name}:{lineno}: non-integer field") from exc
+    raise DatasetFormatError(f"{name}: {error}") from error
 
 
 def load_tu_dataset(root_path, name: str) -> Dataset:

@@ -107,7 +107,6 @@ def _check_pooling(rng, n, epsilon):
         embed_net=lambda a, x: embed(x),
         assign_net=lambda a, f: assign(f),
         clusters_out=clusters,
-        assign_inputs="node",
     )
     a_vals = _random_graph(rng, n)
     x = ad.constant(rng.uniform(-2, 2, size=(n, 3)))

@@ -114,12 +114,12 @@ class GmnEncoder:
 
 
 class GmnPropagation:
-    """Message passing over weighted edges.
+    """Message passing over weighted edges of a constant adjacency.
 
     For every nonzero A[j, i] a message f_message(concat(h_i, h_j)) is
     produced, scaled by A[j, i], and summed into receiver i; the new state
-    is f_node(concat(h_i, aggregate_i)). With no edges the aggregate is
-    zero and f_node still runs.
+    is f_node(concat(h_i, aggregate_i)). A node that receives no message
+    has an aggregate of exactly zero.
     """
 
     def __init__(self, rng, in_dim: int, message_dim: int, out_dim: int,
@@ -131,48 +131,18 @@ class GmnPropagation:
     def out_dim(self) -> int:
         return self.f_node.out_dim
 
-    @staticmethod
-    def _edge_pattern(a: ad.Tensor):
-        """Edge endpoints and receiver scatter matrix.
-
-        The sparsity pattern is memoised on constant adjacency tensors: the
-        same graph is visited thousands of times during finite-difference
-        sweeps and once per epoch during training. Weights are always read
-        from the current values.
-        """
-        if not a.requires_grad and a.meta is not None and "edges" in a.meta:
-            return a.meta["edges"]
-        senders, receivers = np.nonzero(a.values)
-        if senders.size:
-            scatter = np.zeros((a.values.shape[0], senders.size))
-            scatter[receivers, np.arange(senders.size)] = 1.0
-            scatter_t = ad.constant(scatter)
-        else:
-            scatter_t = None
-        pattern = (senders, receivers, scatter_t)
-        if not a.requires_grad:
-            if a.meta is None:
-                a.meta = {}
-            a.meta["edges"] = pattern
-        return pattern
-
     def __call__(self, h: ad.Tensor, a: ad.Tensor) -> ad.Tensor:
         n = h.shape[0]
         if a.shape != (n, n):
             raise ValueError(f"adjacency {a.shape} does not match {n} node states")
-        senders, receivers, scatter = self._edge_pattern(a)
-        if senders.size:
-            h_recv = ad.gather_rows(h, receivers)
-            h_send = ad.gather_rows(h, senders)
-            messages = self.f_message(ad.concat_columns([h_recv, h_send]))
-            if a.requires_grad:  # adjacency on the tape: differentiable weights
-                weights = ad.gather(a, senders.reshape(-1, 1), receivers.reshape(-1, 1))
-            else:
-                weights = ad.constant(a.values[senders, receivers].reshape(-1, 1))
-            messages = ad.multiply(messages, weights)
-            aggregate = ad.matmul(scatter, messages)
-        else:
-            aggregate = ad.constant(np.zeros((n, self.f_message.out_dim)))
+        if a.requires_grad:
+            raise ValueError("GmnPropagation needs a constant adjacency; a learned one goes to GcnLayer")
+        senders, receivers = np.nonzero(a.values)
+        h_recv = ad.gather_rows(h, receivers)
+        h_send = ad.gather_rows(h, senders)
+        messages = self.f_message(ad.concat_columns([h_recv, h_send]))
+        weights = ad.constant(a.values[senders, receivers].reshape(-1, 1))
+        aggregate = ad.scatter_rows(ad.multiply(messages, weights), receivers, n)
         return self.f_node(ad.concat_columns([h, aggregate]))
 
     def parameters(self) -> dict[str, ad.Tensor]:
@@ -213,13 +183,10 @@ class GcnLayer:
 class PoolingBlock:
     """One coarsening stage: embedding net, assignment net, cluster count."""
 
-    def __init__(self, embed_net, assign_net, clusters_out: int, assign_inputs: str):
-        if assign_inputs not in ("structural", "node", "both"):
-            raise ValueError(f"unknown assignment input mode {assign_inputs!r}")
+    def __init__(self, embed_net, assign_net, clusters_out: int):
         self.embed_net = embed_net
         self.assign_net = assign_net
         self.clusters_out = clusters_out
-        self.assign_inputs = assign_inputs
 
 
 def pool_forward(

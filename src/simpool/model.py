@@ -248,7 +248,6 @@ class SimPoolModel:
             embed_net=self.z_stack,
             assign_net=self.s_stack,
             clusters_out=preset.clusters_1,
-            assign_inputs=assign_inputs,
         )
 
         self.gcn1 = GcnLayer(rng, d1, preset.gcn1_units, "relu", "gcn1")
@@ -267,14 +266,10 @@ class SimPoolModel:
             embed_net=lambda a, x: self.gcn1(x, a),
             assign_net=lambda a, f: self.s1_mlp(f),
             clusters_out=preset.clusters_2,
-            assign_inputs=assign_inputs,
         )
 
         self.gcn2 = GcnLayer(rng, preset.gcn1_units, preset.gcn2_units, "relu", "gcn2")
         self.classifier = Dense(rng, preset.gcn2_units, num_classes, "linear", "classifier")
-        # single-slot memo of wrapped inputs; hit by repeated passes over the
-        # same graph (finite differences, evaluation), replaced otherwise
-        self._input_memo: tuple | None = None
 
     def parameters(self) -> dict[str, ad.Tensor]:
         out = {}
@@ -319,20 +314,10 @@ class SimPoolModel:
             return structural
         return ad.concat_columns([structural, x1])
 
-    def _wrap_inputs(self, adjacency, features, mapped):
-        key = (id(adjacency), id(features), id(mapped))
-        if self._input_memo is not None and self._input_memo[0] == key:
-            return self._input_memo[2]
-        a = ad.constant(np.asarray(adjacency, dtype=np.float64))
-        x = ad.constant(np.asarray(features, dtype=np.float64))
-        f0 = self._assign_features_0(x, mapped)
-        wrapped = (a, x, f0)
-        # hold references so ids stay valid while memoised
-        self._input_memo = (key, (adjacency, features, mapped), wrapped)
-        return wrapped
-
     def forward_graph(self, adjacency, features, mapped=None, label: int | None = None) -> GraphForward:
-        a, x, f0 = self._wrap_inputs(adjacency, features, mapped)
+        a = ad.constant(adjacency)
+        x = ad.constant(features)
+        f0 = self._assign_features_0(x, mapped)
         x1, a1, s0 = pool_forward(x, a, self.block0, f0)
         f1 = self._assign_features_1(x1, a1)
         x2, a2, s1 = pool_forward(x1, a1, self.block1, f1)

@@ -184,11 +184,13 @@ class Adam:
         self.v = {k: np.zeros_like(p.values) for k, p in params.items()}
 
     def step(self) -> None:
+        """Update every parameter, or none when any gradient is non-finite."""
+        for name, p in self.params.items():
+            if p.grad is not None and not np.all(np.isfinite(p.grad)):
+                raise NumericError(f"non-finite gradient for parameter {name}")
         self.t += 1
         for name, p in self.params.items():
             grad = p.grad if p.grad is not None else np.zeros_like(p.values)
-            if not np.all(np.isfinite(grad)):
-                raise NumericError(f"non-finite gradient for parameter {name}")
             adam_update(
                 p.values, grad, self.m[name], self.v[name],
                 self.t, self.lr, self.beta1, self.beta2, self.eps,
@@ -231,8 +233,9 @@ def train_run(cfg: TrainConfig, ds: Dataset, fold: int = 0, mapped=None,
     Per epoch the stats record batch-averaged losses, training accuracy
     accumulated from the training passes themselves, validation accuracy
     from a separate pass, and the number of distinct argmax clusters used
-    across all training graphs at each pooling layer. Returns the stats
-    stream and the trained model.
+    across all training graphs at each pooling layer. A non-finite loss or
+    gradient ends the run before that step's update, with ``aborted`` set.
+    Returns the stats stream and the trained model.
     """
     if not 0 <= fold < cfg.folds:
         raise ValueError(f"fold {fold} outside [0, {cfg.folds})")
@@ -269,7 +272,11 @@ def train_run(cfg: TrainConfig, ds: Dataset, fold: int = 0, mapped=None,
                     break
                 optimiser.zero_grad()
                 tape.backward(total)
-            optimiser.step()
+            try:
+                optimiser.step()
+            except NumericError:  # a non-finite gradient; no parameter was updated
+                diverged = True
+                break
             w = batch.size
             loss_sums += w * np.array(
                 [fwd.task_loss.item(), fwd.le[0].item(), fwd.le[1].item(),

@@ -1,11 +1,13 @@
-"""Dense reference implementations of the similarity features.
+"""Reference implementations that the production paths must reproduce.
 
-These are the textbook O(n^2)-memory formulas that the sparse production
-path in ``simpool.similarity`` must reproduce; tests compare against them.
+The similarity oracles are the textbook O(n^2)-memory formulas behind the
+sparse path in ``simpool.similarity``; the GMN oracle loops over edges one
+message at a time. Tests compare against them.
 """
 
 import numpy as np
 
+from simpool import autodiff as ad
 from simpool.similarity import SimilarityConfig, SimilarityFeatures
 
 
@@ -80,3 +82,15 @@ def index_map_dense(dense: np.ndarray, cfg: SimilarityConfig) -> np.ndarray:
     mapped = np.zeros((n, cfg.k), dtype=np.float64)
     mapped[:, : core.shape[1]] = core
     return mapped
+
+
+def gmn_propagation_loop(prop, h: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """``GmnPropagation`` with one message per nonzero A[j, i], summed into i."""
+    n = h.shape[0]
+    aggregate = np.zeros((n, prop.f_message.out_dim))
+    for j in range(n):
+        for i in range(n):
+            if a[j, i] != 0:
+                pair = ad.constant(np.concatenate([h[i], h[j]]).reshape(1, -1))
+                aggregate[i] += a[j, i] * prop.f_message(pair).values[0]
+    return prop.f_node(ad.constant(np.concatenate([h, aggregate], axis=1))).values

@@ -54,6 +54,34 @@ class TestForwardValues:
         with pytest.raises(IndexError):
             ad.gather(a, np.array([[2]]), np.array([[0]]))
 
+    def test_scatter_rows_sums_into_indexed_rows(self):
+        x = ad.constant([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+        out = ad.scatter_rows(x, np.array([2, 0, 2]), 4)
+        np.testing.assert_array_equal(out.values, [[3, 4], [0, 0], [6, 8], [0, 0]])
+        empty = ad.scatter_rows(ad.constant(np.zeros((0, 2))), np.zeros(0, dtype=int), 3)
+        np.testing.assert_array_equal(empty.values, np.zeros((3, 2)))
+
+    def test_scatter_rows_is_transpose_of_gather_rows(self):
+        # <gather_rows(y, idx), x> == <y, scatter_rows(x, idx)>
+        rng = np.random.default_rng(12)
+        idx = rng.integers(0, 6, size=40)
+        x = rng.normal(size=(40, 5))
+        y = rng.normal(size=(6, 5))
+        lhs = (ad.gather_rows(ad.constant(y), idx).values * x).sum()
+        rhs = (y * ad.scatter_rows(ad.constant(x), idx, 6).values).sum()
+        np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
+
+    def test_scatter_rows_validation(self):
+        x = ad.constant(np.ones((3, 2)))
+        with pytest.raises(IndexError):
+            ad.scatter_rows(x, np.array([0, 1, 3]), 3)
+        with pytest.raises(IndexError):
+            ad.scatter_rows(x, np.array([0, -1, 2]), 3)
+        with pytest.raises(ValueError):
+            ad.scatter_rows(x, np.array([0, 1]), 3)
+        with pytest.raises(ValueError):
+            ad.scatter_rows(ad.constant(np.ones((2, 2, 2))), np.array([0, 1]), 3)
+
 
 def _run_primitive_case(name, builder, rng):
     """Finite-difference check for one randomized primitive application."""
@@ -78,6 +106,10 @@ PRIMITIVE_CASES = {
     ),
     "gather": lambda x: scalarize(
         ad.gather(x, np.array([[0, 1], [3, 3]]), np.array([[2, 0], [1, 1]]))
+    ),
+    "scatter_rows": lambda x: scalarize(
+        ad.multiply(ad.scatter_rows(x, np.array([2, 0, 2, 4]), 5),
+                    ad.constant(np.arange(15.0).reshape(5, 3) - 7.0))
     ),
     "row_softmax": lambda x: scalarize(
         ad.multiply(ad.row_softmax(x), ad.constant(np.arange(12.0).reshape(4, 3)))
@@ -175,6 +207,33 @@ class TestTapeSemantics:
         selected[rows, cols] = True
         assert np.all(x.grad[~selected] == 0.0)
         assert np.all(x.grad[selected] == 1.0)
+
+    def test_gather_backward_matches_add_at_bytes(self):
+        # repeated indices: the scatter kernel sums in the same order as np.add.at
+        rng = np.random.default_rng(13)
+        for trial in range(20):
+            n, m, width = 7, 5, int(rng.integers(1, 9))
+            rows = rng.integers(0, n, size=(30, width))
+            cols = rng.integers(0, m, size=(30, width))
+            idx = rng.integers(0, n, size=60)
+            g_gather = rng.normal(size=(30, width)) * 10.0 ** rng.integers(-8, 8, size=(30, width))
+            g_rows = rng.normal(size=(60, m)) * 10.0 ** rng.integers(-8, 8, size=(60, m))
+
+            x = ad.parameter(rng.normal(size=(n, m)))
+            with ad.Tape() as tape:
+                out = ad.gather(x, rows, cols)
+                tape.backward(ad.sum_all(ad.multiply(out, ad.constant(g_gather))))
+            expected = np.zeros((n, m))
+            np.add.at(expected, (rows, cols), g_gather)
+            assert x.grad.tobytes() == expected.tobytes()
+
+            x = ad.parameter(rng.normal(size=(n, m)))
+            with ad.Tape() as tape:
+                out = ad.gather_rows(x, idx)
+                tape.backward(ad.sum_all(ad.multiply(out, ad.constant(g_rows))))
+            expected = np.zeros((n, m))
+            np.add.at(expected, idx, g_rows)
+            assert x.grad.tobytes() == expected.tobytes()
 
     def test_fault_injection_breaks_gradients(self):
         ad.inject_backward_fault("tanh")

@@ -101,6 +101,39 @@ class TestLoader:
         with pytest.raises(DatasetIntegrityError):
             load_tu_dataset(root, "OOR")
 
+    def test_blank_lines_skipped(self, tmp_path):
+        root = tmp_path / "BL"
+        root.mkdir()
+        (root / "BL_A.txt").write_text("\n1, 2\n\n  \n2,3\n")
+        (root / "BL_graph_indicator.txt").write_text("1\n1\n\n1\n")
+        (root / "BL_graph_labels.txt").write_text("1\n\n")
+        ds = load_tu_dataset(root, "BL")
+        assert ds.graphs[0].node_count == 3
+        assert ds.graphs[0].adjacency.nnz == 4
+
+    def test_wrong_field_count_names_file_and_line(self, tmp_path):
+        root = tmp_path / "COLS"
+        root.mkdir()
+        # every row has three fields, so only the column count is wrong
+        (root / "COLS_A.txt").write_text("\n1, 2, 1\n2, 1, 1\n")
+        (root / "COLS_graph_indicator.txt").write_text("1\n1\n")
+        (root / "COLS_graph_labels.txt").write_text("1\n")
+        with pytest.raises(DatasetFormatError, match=r"COLS_A\.txt:2: expected 2 fields, got 3"):
+            load_tu_dataset(root, "COLS")
+        (root / "COLS_A.txt").write_text("1, 2\n\n2, 1, 1\n")
+        with pytest.raises(DatasetFormatError, match=r"COLS_A\.txt:3: expected 2 fields, got 3"):
+            load_tu_dataset(root, "COLS")
+
+    def test_non_integer_field_names_file_and_line(self, tmp_path):
+        root = tmp_path / "NI"
+        root.mkdir()
+        (root / "NI_A.txt").write_text("1, 2\n2, 1\n")
+        (root / "NI_graph_labels.txt").write_text("1\n")
+        for bad in ("1.0", "x"):
+            (root / "NI_graph_indicator.txt").write_text(f"1\n\n{bad}\n")
+            with pytest.raises(DatasetFormatError, match=r"NI_graph_indicator\.txt:3: non-integer field"):
+                load_tu_dataset(root, "NI")
+
     def test_every_loaded_adjacency_symmetric(self, toy_dataset):
         for g in toy_dataset.graphs:
             assert g.check_symmetric()

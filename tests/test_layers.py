@@ -18,6 +18,7 @@ from simpool.layers import (
 )
 
 from conftest import random_graph
+from oracles import gmn_propagation_loop
 
 
 def scalarize_with(rng, out):
@@ -91,6 +92,29 @@ class TestGmnPropagation:
         assert not np.allclose(out1[1], out3[1])
         np.testing.assert_allclose(out1[0], out3[0], atol=1e-14)
 
+    def test_matches_per_edge_loop_oracle(self):
+        rng = np.random.default_rng(22)
+        prop = GmnPropagation(rng, 3, 4, 5, "tanh", "prop")
+        for trial in range(12):
+            n = int(rng.integers(2, 12))
+            # weighted and directed, with some nodes isolated; the last graph has no edges
+            a = (rng.random((n, n)) < 0.4) * rng.uniform(0.2, 3.0, size=(n, n))
+            isolated = rng.random(n) < 0.25
+            a[isolated, :] = 0.0
+            a[:, isolated] = 0.0
+            if trial == 11:
+                a[...] = 0.0
+            h = rng.normal(size=(n, 3))
+            out = prop(ad.constant(h), ad.constant(a)).values
+            np.testing.assert_allclose(out, gmn_propagation_loop(prop, h, a), rtol=1e-12, atol=1e-12)
+
+    def test_learned_adjacency_rejected(self):
+        rng = np.random.default_rng(23)
+        prop = GmnPropagation(rng, 2, 2, 2, "linear", "prop")
+        a = ad.parameter(random_graph(rng, 3, 0.7))
+        with pytest.raises(ValueError, match="constant adjacency"):
+            prop(ad.constant(np.ones((3, 2))), a)
+
     def test_gradient_through_two_stacked_propagations(self):
         rng = np.random.default_rng(6)
         p1 = GmnPropagation(rng, 3, 4, 4, "relu", "p1")
@@ -162,7 +186,7 @@ def make_identity_block(rng, n, d):
     """Pooling block whose assignment logits force S = I exactly."""
     embed = lambda a, x: x
     assign = lambda a, f: ad.constant(1000.0 * np.eye(n))
-    return PoolingBlock(embed, assign, clusters_out=n, assign_inputs="node")
+    return PoolingBlock(embed, assign, clusters_out=n)
 
 
 class TestPoolForward:
@@ -187,7 +211,6 @@ class TestPoolForward:
             embed_net=lambda a, x: ad.constant(z),
             assign_net=lambda a, f: ad.constant(logits),
             clusters_out=c,
-            assign_inputs="node",
         )
         x = ad.constant(rng.normal(size=(n, d)))
         x1, a1, s = pool_forward(x, ad.constant(random_graph(rng, n, 0.5)), block, x)
@@ -203,7 +226,6 @@ class TestPoolForward:
             embed_net=lambda a, x: x,
             assign_net=lambda a, f: ad.constant(logits),
             clusters_out=c,
-            assign_inputs="node",
         )
         x = ad.constant(rng.normal(size=(n, 2)))
         _, a1, s = pool_forward(x, ad.constant(a_vals), block, x)
@@ -228,7 +250,6 @@ class TestPoolForward:
                 embed_net=lambda a, x: x,
                 assign_net=lambda a, f: ad.constant(logits),
                 clusters_out=c,
-                assign_inputs="node",
             )
             x = ad.constant(rng.normal(size=(n, 2)))
             _, a1, _ = pool_forward(x, ad.constant(a_vals), block, x)
@@ -241,7 +262,6 @@ class TestPoolForward:
             embed_net=lambda a, x: x,
             assign_net=lambda a, f: ad.constant(np.zeros((4, 5))),
             clusters_out=3,
-            assign_inputs="node",
         )
         x = ad.constant(rng.normal(size=(4, 2)))
         with pytest.raises(ValueError):
@@ -257,7 +277,6 @@ class TestPoolForward:
             embed_net=lambda a, x: embed(x),
             assign_net=lambda a, f: assign(f),
             clusters_out=c,
-            assign_inputs="node",
         )
         x_vals = rng.normal(size=(n, d))
         cx = rng.normal(size=(c, d))

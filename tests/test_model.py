@@ -152,7 +152,6 @@ class TestPermutationBehaviour:
             embed_net=model.z_stack,
             assign_net=model.s_stack,
             clusters_out=model.preset.clusters_1,
-            assign_inputs="structural",
         )
 
         def class_probs(a_in, x_in):

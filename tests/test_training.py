@@ -80,6 +80,18 @@ class TestAdam:
         with pytest.raises(NumericError, match="weird_param"):
             opt.step()
 
+    def test_non_finite_gradient_updates_no_parameter(self):
+        first = ad.parameter(np.array([[1.0, 2.0]]))
+        second = ad.parameter(np.array([[3.0]]))
+        opt = Adam({"first": first, "second": second}, lr=0.1)
+        first.grad = np.array([[0.5, -0.5]])
+        second.grad = np.array([[np.nan]])
+        with pytest.raises(NumericError, match="second"):
+            opt.step()
+        np.testing.assert_array_equal(first.values, [[1.0, 2.0]])
+        np.testing.assert_array_equal(opt.m["first"], 0.0)
+        assert opt.t == 0
+
 
 class TestTrainRun:
     def test_smoke_one_epoch(self, toy_dataset):
@@ -113,6 +125,19 @@ class TestTrainRun:
         cfg = small_config(epochs=1, assign_inputs="node")
         stats, _ = train_run(cfg, toy_dataset, fold=0)
         assert len(stats.epochs) == 1
+
+    def test_non_finite_gradient_aborts_run_and_marks_cv_partial(self, toy_dataset):
+        cfg = small_config(epochs=1, folds=2)
+        ad.inject_backward_fault("matmul", float("nan"))
+        try:
+            stats, _ = train_run(cfg, toy_dataset, fold=0)
+            result = cross_validate(cfg, toy_dataset)
+        finally:
+            ad.clear_backward_fault()
+        assert stats.aborted
+        assert stats.epochs == []
+        assert result.partial
+        assert all(s.aborted for s in result.fold_stats)
 
     def test_learns_separable_task(self, tmp_path):
         ds = separable_dataset(tmp_path, count=40, seed=5)
