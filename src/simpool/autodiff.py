@@ -118,6 +118,8 @@ class Tape:
     def __init__(self):
         self._nodes: list[tuple[Tensor, Callable[[np.ndarray], None]]] = []
         self._suspended = 0
+        # gradients of op outputs whose node the sweep has not reached yet
+        self._grads: dict[int, np.ndarray] = {}
 
     def __enter__(self) -> Tape:
         _TAPE_STACK.append(self)
@@ -138,14 +140,19 @@ class Tape:
     def backward(self, loss: Tensor) -> None:
         """Seed d(loss)/d(loss) = 1 and sweep the tape once, in reverse.
 
-        Interior gradients live in a scratch dict; leaves (tensors not
-        produced by a recorded op) additionally accumulate into ``.grad``.
+        Gradients of op outputs wait in a scratch dict until the sweep
+        reaches the node that made them. Leaves (tensors not produced by a
+        recorded op) accumulate only into ``.grad``; the scratch dict never
+        holds them, so it is empty when the sweep ends.
         """
         if loss.values.size != 1:
             raise ValueError("backward requires a scalar loss tensor")
-        grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.values)}
-        if loss.requires_grad and not loss._op_output:
-            loss.accumulate_grad(grads[id(loss)])
+        grads = self._grads = {}
+        if not loss._op_output:
+            if loss.requires_grad:
+                loss.accumulate_grad(np.ones_like(loss.values))
+            return
+        grads[id(loss)] = np.ones_like(loss.values)
         for out, backward in reversed(self._nodes):
             g = grads.pop(id(out), None)
             if g is None:
@@ -153,13 +160,14 @@ class Tape:
             for parent, pg in backward(g):
                 if not parent.requires_grad:
                     continue
+                if not parent._op_output:
+                    parent.accumulate_grad(pg)
+                    continue
                 key = id(parent)
                 if key in grads:
                     grads[key] += pg
                 else:
                     grads[key] = np.array(pg, dtype=np.float64)
-                if not parent._op_output:
-                    parent.accumulate_grad(np.asarray(pg, dtype=np.float64))
 
 
 _TAPE_STACK: list[Tape] = []
@@ -251,7 +259,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor._raw(av @ bv)
 
     def backward(g):
-        return ((a, g @ bv.T), (b, av.T @ g))
+        grads = []
+        if a.requires_grad:
+            grads.append((a, g @ bv.T))
+        if b.requires_grad:
+            grads.append((b, av.T @ g))
+        return grads
 
     return _record("matmul", out, (a, b), backward)
 
@@ -312,10 +325,12 @@ def multiply(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor._raw(av * bv)
 
     def backward(g):
-        return (
-            (a, _broadcast_grad(g * bv, av.shape)),
-            (b, _broadcast_grad(g * av, bv.shape)),
-        )
+        grads = []
+        if a.requires_grad:
+            grads.append((a, _broadcast_grad(g * bv, av.shape)))
+        if b.requires_grad:
+            grads.append((b, _broadcast_grad(g * av, bv.shape)))
+        return grads
 
     return _record("multiply", out, (a, b), backward)
 

@@ -390,28 +390,27 @@ class ByteReader:
             raise self.error(f"{extra} trailing bytes after the {self.what}")
 
 
-def _serialize_dataset(ds: Dataset) -> bytes:
-    buf = io.BytesIO()
-    buf.write(DATASET_MAGIC)
+def _serialize_dataset(ds: Dataset, write) -> None:
+    """Pass the canonical serialization to ``write`` one piece at a time."""
+    write(DATASET_MAGIC)
     name_bytes = ds.name.encode("utf-8")
-    buf.write(struct.pack("<qqqq", 1, len(name_bytes), ds.num_classes, len(ds)))
-    buf.write(name_bytes)
-    buf.write(struct.pack("<q", ds.feature_dim))
+    write(struct.pack("<qqqq", 1, len(name_bytes), ds.num_classes, len(ds)))
+    write(name_bytes)
+    write(struct.pack("<q", ds.feature_dim))
     for g in ds.graphs:
         coo = g.adjacency.tocoo()
-        buf.write(struct.pack("<qqq", g.node_count, g.label, coo.nnz))
-        buf.write(np.ascontiguousarray(coo.row, dtype="<i8").tobytes())
-        buf.write(np.ascontiguousarray(coo.col, dtype="<i8").tobytes())
-        buf.write(np.ascontiguousarray(coo.data, dtype="<f8").tobytes())
-        buf.write(np.ascontiguousarray(g.node_features, dtype="<f8").tobytes())
-    return buf.getvalue()
+        write(struct.pack("<qqq", g.node_count, g.label, coo.nnz))
+        write(np.ascontiguousarray(coo.row, dtype="<i8"))
+        write(np.ascontiguousarray(coo.col, dtype="<i8"))
+        write(np.ascontiguousarray(coo.data, dtype="<f8"))
+        write(np.ascontiguousarray(g.node_features, dtype="<f8"))
 
 
 def save_dataset_cache(path, ds: Dataset) -> None:
     path = os.fspath(path)
     tmp = f"{path}.tmp.{os.getpid()}"
     with open(tmp, "wb") as fh:
-        fh.write(_serialize_dataset(ds))
+        _serialize_dataset(ds, fh.write)
     os.replace(tmp, path)
 
 
@@ -451,4 +450,6 @@ def load_dataset_cache(path) -> Dataset:
 
 def dataset_hash(ds: Dataset) -> str:
     """Content hash over the canonical serialization."""
-    return hashlib.sha256(_serialize_dataset(ds)).hexdigest()
+    digest = hashlib.sha256()
+    _serialize_dataset(ds, digest.update)
+    return digest.hexdigest()

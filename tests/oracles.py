@@ -84,6 +84,20 @@ def index_map_dense(dense: np.ndarray, cfg: SimilarityConfig) -> np.ndarray:
     return mapped
 
 
+NUMPY_ACTIVATIONS = {
+    "relu": lambda x: np.maximum(x, 0.0),
+    "tanh": np.tanh,
+    "linear": lambda x: x,
+}
+
+
+def gmn_message(msg, h_i: np.ndarray, h_j: np.ndarray) -> np.ndarray:
+    """One GMN message in the concat form, act(concat(h_i, h_j) @ W + b)."""
+    weight = np.vstack([msg.w_recv.values, msg.w_send.values])
+    pre = np.concatenate([h_i, h_j]) @ weight + msg.bias.values[0]
+    return NUMPY_ACTIVATIONS[msg.activation](pre)
+
+
 def gmn_propagation_loop(prop, h: np.ndarray, a: np.ndarray) -> np.ndarray:
     """``GmnPropagation`` with one message per nonzero A[j, i], summed into i."""
     n = h.shape[0]
@@ -91,6 +105,5 @@ def gmn_propagation_loop(prop, h: np.ndarray, a: np.ndarray) -> np.ndarray:
     for j in range(n):
         for i in range(n):
             if a[j, i] != 0:
-                pair = ad.constant(np.concatenate([h[i], h[j]]).reshape(1, -1))
-                aggregate[i] += a[j, i] * prop.f_message(pair).values[0]
+                aggregate[i] += a[j, i] * gmn_message(prop.f_message, h[i], h[j])
     return prop.f_node(ad.constant(np.concatenate([h, aggregate], axis=1))).values

@@ -185,6 +185,51 @@ class TestTapeSemantics:
             tape.backward(ad.sum_all(y))
         np.testing.assert_allclose(x.grad, [[5.0]])
 
+    def test_matmul_backward_skips_constant_operand(self):
+        rng = np.random.default_rng(14)
+        c = ad.constant(rng.normal(size=(5, 5)))
+        w = ad.parameter(rng.normal(size=(5, 3)))
+        g = rng.normal(size=(5, 3))
+        with ad.Tape() as tape:
+            ad.matmul(c, w)
+            ad.matmul(w, ad.constant(g.T))
+        (_, left), (_, right) = tape._nodes
+        pairs = list(left(g))
+        assert len(pairs) == 1 and pairs[0][0] is w
+        np.testing.assert_array_equal(pairs[0][1], c.values.T @ g)
+        pairs = list(right(c.values))
+        assert len(pairs) == 1 and pairs[0][0] is w
+        np.testing.assert_array_equal(pairs[0][1], c.values @ g)
+
+    def test_multiply_backward_skips_constant_operand(self):
+        rng = np.random.default_rng(15)
+        c = ad.constant(rng.normal(size=(4, 1)))
+        w = ad.parameter(rng.normal(size=(4, 3)))
+        g = rng.normal(size=(4, 3))
+        with ad.Tape() as tape:
+            ad.multiply(w, c)
+            ad.multiply(c, w)
+        for _, backward in tape._nodes:
+            pairs = list(backward(g))
+            assert len(pairs) == 1 and pairs[0][0] is w
+            np.testing.assert_array_equal(pairs[0][1], g * c.values)
+
+    def test_reused_leaf_accumulates_only_into_grad(self):
+        # x feeds three ops; the sweep visits them in reverse creation order
+        rng = np.random.default_rng(16)
+        c, d, r = (rng.normal(size=(4, 4)) for _ in range(3))
+        x = ad.parameter(rng.normal(size=(4, 4)))
+        with ad.Tape() as tape:
+            s = ad.add(ad.add(ad.matmul(ad.constant(c), x), ad.multiply(x, ad.constant(d))),
+                       ad.scalar_multiply(x, 3.0))
+            tape.backward(ad.sum_all(ad.multiply(s, ad.constant(r))))
+        expected = r * 3.0
+        expected += r * d
+        expected += c.T @ r
+        assert x.grad.tobytes() == expected.tobytes()
+        assert id(x) not in tape._grads
+        assert tape._grads == {}
+
     def test_no_grad_suppresses_recording(self):
         x = ad.parameter(np.ones((2, 2)))
         with ad.Tape() as tape:

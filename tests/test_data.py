@@ -1,5 +1,7 @@
 """Tests for dataset loading, batching, folds, and the binary cache."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -241,6 +243,11 @@ class TestCache:
         path = tmp_path / "toy.spg"
         save_dataset_cache(path, toy_dataset)
         assert dataset_hash(load_dataset_cache(path)) == h1
+
+    def test_hash_is_sha256_of_cache_file(self, toy_dataset, tmp_path):
+        path = tmp_path / "toy.spg"
+        save_dataset_cache(path, toy_dataset)
+        assert dataset_hash(toy_dataset) == hashlib.sha256(path.read_bytes()).hexdigest()
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.spg"

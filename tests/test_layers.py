@@ -8,6 +8,7 @@ from simpool.layers import (
     Dense,
     GcnLayer,
     GmnEncoder,
+    GmnMessage,
     GmnPropagation,
     MLP,
     PoolingBlock,
@@ -18,7 +19,7 @@ from simpool.layers import (
 )
 
 from conftest import random_graph
-from oracles import gmn_propagation_loop
+from oracles import gmn_message, gmn_propagation_loop
 
 
 def scalarize_with(rng, out):
@@ -73,9 +74,8 @@ class TestGmnPropagation:
         a = np.zeros((2, 2))
         a[0, 1] = 1.0  # message 0 -> 1 only
         out = prop(ad.constant(h), ad.constant(a)).values
-        msg = prop.f_message(ad.constant(np.concatenate([h[1], h[0]]).reshape(1, -1))).values
         agg = np.zeros((2, 3))
-        agg[1] = msg[0]
+        agg[1] = gmn_message(prop.f_message, h[1], h[0])
         expected = prop.f_node(ad.constant(np.concatenate([h, agg], axis=1))).values
         np.testing.assert_allclose(out, expected, atol=1e-14)
 
@@ -107,6 +107,16 @@ class TestGmnPropagation:
             h = rng.normal(size=(n, 3))
             out = prop(ad.constant(h), ad.constant(a)).values
             np.testing.assert_allclose(out, gmn_propagation_loop(prop, h, a), rtol=1e-12, atol=1e-12)
+
+    def test_split_message_weights_are_the_dense_draw(self):
+        # the two halves and the bias are what one Dense(2d, m) draws from the same seed
+        for d, m in [(3, 4), (1, 5), (6, 2)]:
+            msg = GmnMessage(np.random.default_rng(31), d, m, "relu", "prop.msg")
+            dense = Dense(np.random.default_rng(31), 2 * d, m, "relu", "prop.msg")
+            assert np.array_equal(np.vstack([msg.w_recv.values, msg.w_send.values]), dense.weight.values)
+            assert np.array_equal(msg.bias.values, dense.bias.values)
+            assert msg.w_recv.shape == msg.w_send.shape == (d, m)
+            assert list(msg.parameters()) == ["prop.msg.w_recv", "prop.msg.w_send", "prop.msg.b"]
 
     def test_learned_adjacency_rejected(self):
         rng = np.random.default_rng(23)
