@@ -47,8 +47,6 @@ __all__ = [
     "row_sum",
     "col_sum",
     "grad_check",
-    "inject_backward_fault",
-    "clear_backward_fault",
 ]
 
 
@@ -117,25 +115,21 @@ class Tape:
 
     def __init__(self):
         self._nodes: list[tuple[Tensor, Callable[[np.ndarray], None]]] = []
-        self._suspended = 0
         # gradients of op outputs whose node the sweep has not reached yet
         self._grads: dict[int, np.ndarray] = {}
 
     def __enter__(self) -> Tape:
-        _TAPE_STACK.append(self)
-        _refresh_current_tape()
+        global _CURRENT_TAPE
+        self._outer = _CURRENT_TAPE
+        _CURRENT_TAPE = self
         return self
 
     def __exit__(self, *exc) -> None:
-        _TAPE_STACK.remove(self)
-        _refresh_current_tape()
+        global _CURRENT_TAPE
+        _CURRENT_TAPE = self._outer
 
     def __len__(self) -> int:
         return len(self._nodes)
-
-    @property
-    def recording(self) -> bool:
-        return self._suspended == 0
 
     def backward(self, loss: Tensor) -> None:
         """Seed d(loss)/d(loss) = 1 and sweep the tape once, in reverse.
@@ -170,48 +164,23 @@ class Tape:
                     grads[key] = np.array(pg, dtype=np.float64)
 
 
-_TAPE_STACK: list[Tape] = []
+# the tape operations record onto: the innermost open ``Tape``, or None
+# outside every tape and inside ``no_grad``
 _CURRENT_TAPE: Tape | None = None
-_FAULT: dict[str, float] = {}
-
-
-def _refresh_current_tape() -> None:
-    global _CURRENT_TAPE
-    _CURRENT_TAPE = None
-    for tape in reversed(_TAPE_STACK):
-        if tape._suspended == 0:
-            _CURRENT_TAPE = tape
-            return
 
 
 class no_grad:
-    """Context manager suspending recording on all active tapes."""
+    """Context manager that stops recording until it exits."""
 
     def __enter__(self):
-        for tape in _TAPE_STACK:
-            tape._suspended += 1
-        self._tapes = list(_TAPE_STACK)
-        _refresh_current_tape()
+        global _CURRENT_TAPE
+        self._outer = _CURRENT_TAPE
+        _CURRENT_TAPE = None
         return self
 
     def __exit__(self, *exc):
-        for tape in self._tapes:
-            tape._suspended -= 1
-        _refresh_current_tape()
-
-
-def inject_backward_fault(op_name: str, scale: float = 2.0) -> None:
-    """Corrupt one primitive's backward pass (negative-control hook)."""
-    _FAULT[op_name] = scale
-
-
-def clear_backward_fault() -> None:
-    _FAULT.clear()
-
-
-def _fault(op_name: str, g: np.ndarray) -> np.ndarray:
-    scale = _FAULT.get(op_name)
-    return g if scale is None else g * scale
+        global _CURRENT_TAPE
+        _CURRENT_TAPE = self._outer
 
 
 def _record(op_name: str, out: Tensor, parents: Sequence[Tensor], backward) -> Tensor:
@@ -219,13 +188,7 @@ def _record(op_name: str, out: Tensor, parents: Sequence[Tensor], backward) -> T
     if tape is not None and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._op_output = True
-        if _FAULT:
-            def wrapped(g: np.ndarray):
-                return backward(_fault(op_name, g))
-
-            tape._nodes.append((out, wrapped))
-        else:
-            tape._nodes.append((out, backward))
+        tape._nodes.append((out, backward))
     return out
 
 

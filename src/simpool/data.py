@@ -25,8 +25,6 @@ __all__ = [
     "load_tu_dataset",
     "make_batches",
     "kfold_split",
-    "save_dataset_cache",
-    "load_dataset_cache",
     "dataset_hash",
 ]
 
@@ -68,9 +66,6 @@ class Graph:
 
     def dense_adjacency(self) -> np.ndarray:
         return self.adjacency.toarray()
-
-    def check_symmetric(self) -> bool:
-        return (self.adjacency != self.adjacency.T).nnz == 0
 
 
 @dataclass(frozen=True)
@@ -350,7 +345,7 @@ def kfold_split(ds: Dataset, folds: int, seed: int) -> list[tuple[np.ndarray, np
 
 
 # ---------------------------------------------------------------------------
-# binary cache
+# binary formats: the dataset content hash and the checkpoint reader
 # ---------------------------------------------------------------------------
 
 class ByteReader:
@@ -404,48 +399,6 @@ def _serialize_dataset(ds: Dataset, write) -> None:
         write(np.ascontiguousarray(coo.col, dtype="<i8"))
         write(np.ascontiguousarray(coo.data, dtype="<f8"))
         write(np.ascontiguousarray(g.node_features, dtype="<f8"))
-
-
-def save_dataset_cache(path, ds: Dataset) -> None:
-    path = os.fspath(path)
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "wb") as fh:
-        _serialize_dataset(ds, fh.write)
-    os.replace(tmp, path)
-
-
-def load_dataset_cache(path) -> Dataset:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if raw[:4] != DATASET_MAGIC:
-        raise DatasetFormatError(f"bad dataset cache magic {raw[:4]!r}")
-    reader = ByteReader(raw, DatasetFormatError, "dataset cache")
-    reader.take(4)
-    version, name_len, num_classes, count = reader.unpack("<qqqq")
-    if version != 1:
-        raise DatasetFormatError(f"unsupported dataset cache version {version}")
-    name = bytes(reader.take(name_len)).decode("utf-8")
-    (feature_dim,) = reader.unpack("<q")
-    graphs = []
-    for _ in range(count):
-        n, label, nnz = reader.unpack("<qqq")
-        rows = reader.array("<i8", nnz)
-        cols = reader.array("<i8", nnz)
-        data = reader.array("<f8", nnz)
-        feats = reader.array("<f8", n * feature_dim)
-        adj = sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
-        graphs.append(
-            Graph(
-                node_count=int(n),
-                adjacency=adj,
-                node_features=feats.reshape(n, feature_dim),
-                label=int(label),
-            )
-        )
-    reader.finish()
-    ds = Dataset(name=name, graphs=tuple(graphs), num_classes=int(num_classes))
-    ds.metadata["content_hash"] = dataset_hash(ds)
-    return ds
 
 
 def dataset_hash(ds: Dataset) -> str:

@@ -52,54 +52,55 @@ def _project(rng, out: ad.Tensor) -> ad.Tensor:
     return ad.sum_all(ad.multiply(out, c))
 
 
+EPSILON = 1e-5
 REFINEMENT_EPSILONS = (1e-6, 1e-7)
 TOLERANCE = 1e-4
 
 
-def _graded_check(f, x: ad.Tensor, epsilon: float) -> float:
-    err = ad.grad_check(f, x, epsilon=epsilon)
+def _graded_check(f, x: ad.Tensor) -> float:
+    err = ad.grad_check(f, x, epsilon=EPSILON)
     for finer in REFINEMENT_EPSILONS:
-        if err < TOLERANCE or finer >= epsilon:
+        if err < TOLERANCE:
             break
         err = ad.grad_check(f, x, epsilon=finer)
     return err
 
 
-def _check_params(forward, params: dict[str, ad.Tensor], epsilon: float) -> float:
+def _check_params(forward, params: dict[str, ad.Tensor]) -> float:
     worst = 0.0
     for p in params.values():
-        worst = max(worst, _graded_check(lambda _: forward(), p, epsilon))
+        worst = max(worst, _graded_check(lambda _: forward(), p))
     return worst
 
 
-def _check_gmn_encoder(rng, n, epsilon):
+def _check_gmn_encoder(rng, n):
     enc = GmnEncoder(rng, 3, 5, "relu", "enc")
     x = ad.constant(rng.uniform(-2, 2, size=(n, 3)))
     proj = rng.normal(size=(n, 5))
     forward = lambda: ad.sum_all(ad.multiply(enc(x), ad.constant(proj)))
-    return _check_params(forward, enc.parameters(), epsilon)
+    return _check_params(forward, enc.parameters())
 
 
-def _check_gmn_propagation(rng, n, epsilon):
+def _check_gmn_propagation(rng, n):
     p1 = GmnPropagation(rng, 3, 4, 4, "relu", "p1")
     p2 = GmnPropagation(rng, 4, 4, 3, "linear", "p2")
     a = ad.constant(_random_graph(rng, n))
     x = ad.constant(rng.uniform(-2, 2, size=(n, 3)))
     proj = rng.normal(size=(n, 3))
     forward = lambda: ad.sum_all(ad.multiply(p2(p1(x, a), a), ad.constant(proj)))
-    return _check_params(forward, {**p1.parameters(), **p2.parameters()}, epsilon)
+    return _check_params(forward, {**p1.parameters(), **p2.parameters()})
 
 
-def _check_gcn(rng, n, epsilon):
+def _check_gcn(rng, n):
     gcn = GcnLayer(rng, 3, 4, "relu", "gcn")
     a = ad.constant(_random_graph(rng, n))
     x = ad.constant(rng.uniform(-2, 2, size=(n, 3)))
     proj = rng.normal(size=(n, 4))
     forward = lambda: ad.sum_all(ad.multiply(gcn(x, a), ad.constant(proj)))
-    return _check_params(forward, gcn.parameters(), epsilon)
+    return _check_params(forward, gcn.parameters())
 
 
-def _check_pooling(rng, n, epsilon):
+def _check_pooling(rng, n):
     clusters = 3
     embed = Dense(rng, 3, 4, "tanh", "embed")
     assign = Dense(rng, 3, clusters, "linear", "assign")
@@ -121,20 +122,20 @@ def _check_pooling(rng, n, epsilon):
         )
         return ad.add(term, ad.add(loss_le(s), loss_lc(s)))
 
-    return _check_params(forward, {**embed.parameters(), **assign.parameters()}, epsilon)
+    return _check_params(forward, {**embed.parameters(), **assign.parameters()})
 
 
-def _check_loss_le(rng, n, epsilon):
+def _check_loss_le(rng, n):
     logits = ad.parameter(rng.uniform(-2, 2, size=(n, 4)))
-    return _graded_check(lambda t: loss_le(ad.row_softmax(t)), logits, epsilon)
+    return _graded_check(lambda t: loss_le(ad.row_softmax(t)), logits)
 
 
-def _check_loss_lc(rng, n, epsilon):
+def _check_loss_lc(rng, n):
     logits = ad.parameter(rng.uniform(-2, 2, size=(n, 4)))
-    return _graded_check(lambda t: loss_lc(ad.row_softmax(t)), logits, epsilon)
+    return _graded_check(lambda t: loss_lc(ad.row_softmax(t)), logits)
 
 
-def _check_full_model(rng, n, epsilon):
+def _check_full_model(rng, n):
     preset = resolve_preset("enzymes", scale=1 / 32)  # width-16 variant
     model = SimPoolModel(
         preset,
@@ -153,7 +154,7 @@ def _check_full_model(rng, n, epsilon):
         loss = ad.add(out.ce, ad.add(out.le[0], out.le[1]))
         return ad.add(loss, ad.add(out.lc[0], out.lc[1]))
 
-    return _check_params(forward, model.parameters(), epsilon)
+    return _check_params(forward, model.parameters())
 
 
 SUITE_CHECKS = {
@@ -170,8 +171,6 @@ SUITE_CHECKS = {
 def run_suite(
     seed: int = 7,
     graphs_per_check: int = 20,
-    tolerance: float = 1e-4,
-    epsilon: float = 1e-5,
     checks: list[str] | None = None,
     progress=None,
 ) -> list[CheckResult]:
@@ -185,13 +184,13 @@ def run_suite(
         for g in range(graphs_per_check):
             rng = np.random.default_rng(seed * 100_003 + g)
             n = int(rng.integers(3, 11))
-            worst = max(worst, check(rng, n, epsilon))
+            worst = max(worst, check(rng, n))
         results.append(
             CheckResult(
                 name=name,
                 graphs=graphs_per_check,
                 max_error=worst,
-                tolerance=tolerance,
+                tolerance=TOLERANCE,
                 seconds=time.perf_counter() - start,
             )
         )

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import os
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -71,7 +71,7 @@ class GmnStackSpec:
 
 @dataclass(frozen=True)
 class ModelPreset:
-    """Architecture widths and training defaults for one dataset family."""
+    """Architecture widths and training settings for one dataset family."""
 
     name: str
     z_stack: GmnStackSpec
@@ -86,6 +86,14 @@ class ModelPreset:
     w_c: float
     learning_rate: float
     epochs: int
+
+    def __post_init__(self):
+        if self.learning_rate <= 0:
+            raise ValueError("learning rate must be positive")
+        if self.epochs < 1:
+            raise ValueError("epochs must be >= 1")
+        if self.w_e < 0 or self.w_c < 0:
+            raise ValueError("loss weights must be non-negative")
 
 
 PRESETS: dict[str, ModelPreset] = {
@@ -120,10 +128,6 @@ PRESETS: dict[str, ModelPreset] = {
         epochs=230,
     ),
 }
-PRESET_ALIASES = {
-    "enzymes-paper": "enzymes",
-    "dd-paper": "dd",
-}
 
 
 def _scale_width(units: int, scale: float) -> int:
@@ -136,10 +140,9 @@ def resolve_preset(name: str, scale: float = 1.0) -> ModelPreset:
     Cluster counts, top-k width and loss weights are structural choices
     and stay fixed.
     """
-    key = PRESET_ALIASES.get(name, name)
-    if key not in PRESETS:
+    if name not in PRESETS:
         raise ConfigError(f"unknown preset {name!r}; available: {sorted(PRESETS)}")
-    preset = PRESETS[key]
+    preset = PRESETS[name]
     if scale == 1.0:
         return preset
 
@@ -227,12 +230,11 @@ class SimPoolModel:
         num_classes: int,
         assign_inputs: str = "structural",
         seed: int = 0,
-        sim: SimilarityConfig | None = None,
     ):
         if assign_inputs not in ("structural", "node", "both"):
             raise ConfigError(f"unknown assignment input mode {assign_inputs!r}")
         self.preset = preset
-        self.sim = sim if sim is not None else preset.sim
+        self.sim = preset.sim
         self.assign_inputs = assign_inputs
         self.feature_dim = feature_dim
         self.num_classes = num_classes

@@ -14,9 +14,6 @@ the dense computation. Real-valued weights agree to rounding error only.
 
 from __future__ import annotations
 
-import os
-import struct
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,14 +28,9 @@ __all__ = [
     "similarity_sparse",
     "compute_features",
     "index_map",
-    "decode_index",
     "symmetric_similarity_on_tape",
     "preprocess_dataset",
-    "save_mapped_cache",
-    "load_mapped_cache",
 ]
-
-FEATURE_MAGIC = b"SPF1"
 
 
 @dataclass(frozen=True)
@@ -79,12 +71,6 @@ class SparseStats:
     edge_count: int
     pair_count: int = 0
     multiply_adds: int = 0
-
-    @property
-    def total_flops(self) -> int:
-        # Gram multiply-adds plus one multiply and one divide per stored
-        # pair and one square root per node.
-        return self.multiply_adds + 2 * self.pair_count + self.node_count
 
 
 def similarity_sparse(
@@ -188,30 +174,6 @@ def index_map(features, cfg: SimilarityConfig) -> SimilarityFeatures:
     return SimilarityFeatures(source_node_count=n, dense=c, mapped=mapped)
 
 
-def decode_index(value: float, node_count: int, alpha: float | None = None) -> int:
-    """Recover the 1-based node index encoded in one mapped entry.
-
-    Near-integer products arise in two legitimate ways: alpha = 0 encodes
-    bare indices (decodes exactly), and alpha = 1 with unit similarity
-    collides with the next index (inherent to the formula; flagged).
-    """
-    value = float(value)
-    if not 0.0 < value <= 1.0:
-        raise ValueError(f"mapped value {value} outside (0, 1]")
-    v = value * (node_count + 1)
-    nearest = round(v)
-    if abs(v - nearest) < 1e-9:
-        if alpha is None or alpha == 1.0:
-            warnings.warn(
-                "mapped value decodes to an exact integer; with alpha = 1 a "
-                "unit similarity collides with index %d" % nearest,
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        return int(nearest)
-    return int(np.floor(v))
-
-
 # ---------------------------------------------------------------------------
 # on-tape variants for learned adjacency
 # ---------------------------------------------------------------------------
@@ -234,7 +196,7 @@ def symmetric_similarity_on_tape(a: ad.Tensor, p: int = 1, lam: float = 0.0) -> 
 
 
 # ---------------------------------------------------------------------------
-# preprocessing and the on-disk feature cache
+# preprocessing
 # ---------------------------------------------------------------------------
 
 def preprocess_dataset(dataset, cfg: SimilarityConfig) -> list[np.ndarray]:
@@ -243,37 +205,4 @@ def preprocess_dataset(dataset, cfg: SimilarityConfig) -> list[np.ndarray]:
     for graph in dataset.graphs:
         feats = compute_features(graph.adjacency, cfg)
         mapped.append(index_map(feats, cfg).mapped)
-    return mapped
-
-
-def save_mapped_cache(path, mapped: list[np.ndarray]) -> None:
-    """Write mapped features; atomic via write-then-rename."""
-    path = os.fspath(path)
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "wb") as fh:
-        fh.write(FEATURE_MAGIC)
-        for m in mapped:
-            m = np.ascontiguousarray(m, dtype="<f8")
-            fh.write(struct.pack("<qq", m.shape[0], m.shape[1]))
-            fh.write(m.tobytes())
-    os.replace(tmp, path)
-
-
-def load_mapped_cache(path) -> list[np.ndarray]:
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != FEATURE_MAGIC:
-            raise ValueError(f"bad feature cache magic {magic!r}")
-        mapped = []
-        while True:
-            header = fh.read(16)
-            if not header:
-                break
-            if len(header) != 16:
-                raise ValueError("truncated feature cache header")
-            n, k = struct.unpack("<qq", header)
-            payload = fh.read(8 * n * k)
-            if len(payload) != 8 * n * k:
-                raise ValueError("truncated feature cache payload")
-            mapped.append(np.frombuffer(payload, dtype="<f8").reshape(n, k).copy())
     return mapped

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -10,8 +9,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import NumericError
 from .data import Dataset, kfold_split, make_batches
-from .model import ModelPreset, SimPoolModel, resolve_preset
-from .similarity import SimilarityConfig, preprocess_dataset
+from .model import ModelPreset, SimPoolModel
+from .similarity import preprocess_dataset
 
 __all__ = [
     "TrainConfig",
@@ -32,52 +31,24 @@ STATS_HEADER = "epoch,task_loss,le_0,le_1,lc_0,lc_1,train_acc,val_acc,clusters_0
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Concrete training settings; build from a preset and override."""
+    """One training run: a resolved, scaled preset plus the data settings.
 
-    preset: str = "enzymes"
-    scale: float = 1.0
+    Learning rate, epochs, loss weights and the similarity config live only
+    in the preset; override them with ``dataclasses.replace`` on it.
+    """
+
+    preset: ModelPreset
     assign_inputs: str = "structural"
-    learning_rate: float = 1e-4
-    epochs: int = 100
     batch_size: int = 20
-    w_e: float = 1.0
-    w_c: float = 1.0
     folds: int = 10
     seed: int = 0
-    sim: SimilarityConfig = field(default_factory=SimilarityConfig)
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning rate must be positive")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch size must be >= 1")
-        if self.w_e < 0 or self.w_c < 0:
-            raise ValueError("loss weights must be non-negative")
-
-    @classmethod
-    def from_preset(cls, name: str, scale: float = 1.0, **overrides) -> TrainConfig:
-        preset = resolve_preset(name, scale=1.0)  # defaults come from the unscaled table
-        base = dict(
-            preset=name,
-            scale=scale,
-            learning_rate=preset.learning_rate,
-            epochs=preset.epochs,
-            w_e=preset.w_e,
-            w_c=preset.w_c,
-            sim=preset.sim,
-        )
-        base.update(overrides)
-        return cls(**base)
-
-    def model_preset(self) -> ModelPreset:
-        return resolve_preset(self.preset, scale=self.scale)
 
     def to_dict(self) -> dict:
-        out = asdict(self)
-        out["sim"] = asdict(self.sim)
-        return out
+        return asdict(self)
 
 
 @dataclass
@@ -114,15 +85,6 @@ class RunStats:
     @property
     def max_val_acc(self) -> float:
         return max((e.val_acc for e in self.epochs), default=0.0)
-
-    @property
-    def best_epoch(self) -> int:
-        """First epoch at which the maximum validation accuracy occurred."""
-        best = self.max_val_acc
-        for e in self.epochs:
-            if e.val_acc == best:
-                return e.epoch
-        return -1
 
 
 def stats_to_csv(stats: RunStats) -> str:
@@ -210,7 +172,7 @@ def _mapped_features_for(cfg: TrainConfig, ds: Dataset, supplied):
         return None
     if supplied is not None:
         return supplied
-    return preprocess_dataset(ds, cfg.sim)
+    return preprocess_dataset(ds, cfg.preset.sim)
 
 
 def evaluate_accuracy(model: SimPoolModel, ds: Dataset, indices, mapped=None,
@@ -243,18 +205,18 @@ def train_run(cfg: TrainConfig, ds: Dataset, fold: int = 0, mapped=None,
     train_idx, val_idx = splits[fold]
     mapped = _mapped_features_for(cfg, ds, mapped)
 
+    preset = cfg.preset
     model = SimPoolModel(
-        cfg.model_preset(),
+        preset,
         feature_dim=ds.feature_dim,
         num_classes=ds.num_classes,
         assign_inputs=cfg.assign_inputs,
         seed=cfg.seed,
-        sim=cfg.sim,
     )
-    optimiser = Adam(model.parameters(), cfg.learning_rate)
+    optimiser = Adam(model.parameters(), preset.learning_rate)
     stats = RunStats()
 
-    for epoch in range(cfg.epochs):
+    for epoch in range(preset.epochs):
         batches = make_batches(
             ds, cfg.batch_size, shuffle_seed=cfg.seed * 1_000_003 + epoch, subset=train_idx
         )
@@ -266,7 +228,7 @@ def train_run(cfg: TrainConfig, ds: Dataset, fold: int = 0, mapped=None,
         for batch in batches:
             with ad.Tape() as tape:
                 fwd = model.forward_batch(batch, mapped)
-                total = fwd.total(cfg.w_e, cfg.w_c)
+                total = fwd.total(preset.w_e, preset.w_c)
                 if not np.isfinite(total.item()):
                     diverged = True
                     break

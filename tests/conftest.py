@@ -1,8 +1,10 @@
-"""Shared fixtures: synthetic TU-format datasets and tiny graph factories."""
+"""Shared fixtures: synthetic TU-format datasets, tiny graph factories, and
+a backward-pass fault for negative controls."""
 
 import numpy as np
 import pytest
 
+from simpool import autodiff as ad
 from simpool.data import load_tu_dataset
 
 
@@ -91,3 +93,26 @@ def separable_dataset(tmp_path, count=60, seed=5):
             labels.append(1)
     root = write_tu_dataset(tmp_path / "SEP", "SEP", graphs, [l + 1 for l in labels])
     return load_tu_dataset(root, "SEP")
+
+
+@pytest.fixture
+def corrupt_backward(monkeypatch):
+    """Return ``corrupt(op, scale)``: scale the gradient entering every
+    backward closure of primitive ``op`` recorded from then on.
+
+    It wraps ``autodiff._record``, the hook every primitive records its
+    backward closure through; ``monkeypatch`` restores it after the test.
+    """
+
+    def corrupt(op: str, scale: float = 2.0) -> None:
+        original = ad._record
+
+        def record(op_name, out, parents, backward):
+            if op_name == op:
+                clean = backward
+                backward = lambda g: clean(g * scale)
+            return original(op_name, out, parents, backward)
+
+        monkeypatch.setattr(ad, "_record", record)
+
+    return corrupt

@@ -2,8 +2,11 @@
 
 The similarity oracles are the textbook O(n^2)-memory formulas behind the
 sparse path in ``simpool.similarity``; the GMN oracle loops over edges one
-message at a time. Tests compare against them.
+message at a time. Tests compare against them. ``decode_index`` reads the
+source node back out of one ``index_map`` entry.
 """
+
+import warnings
 
 import numpy as np
 
@@ -82,6 +85,30 @@ def index_map_dense(dense: np.ndarray, cfg: SimilarityConfig) -> np.ndarray:
     mapped = np.zeros((n, cfg.k), dtype=np.float64)
     mapped[:, : core.shape[1]] = core
     return mapped
+
+
+def decode_index(value: float, node_count: int, alpha: float | None = None) -> int:
+    """Recover the 1-based node index encoded in one mapped entry.
+
+    Near-integer products arise in two legitimate ways: alpha = 0 encodes
+    bare indices (decodes exactly), and alpha = 1 with unit similarity
+    collides with the next index (inherent to the formula; flagged).
+    """
+    value = float(value)
+    if not 0.0 < value <= 1.0:
+        raise ValueError(f"mapped value {value} outside (0, 1]")
+    v = value * (node_count + 1)
+    nearest = round(v)
+    if abs(v - nearest) < 1e-9:
+        if alpha is None or alpha == 1.0:
+            warnings.warn(
+                "mapped value decodes to an exact integer; with alpha = 1 a "
+                "unit similarity collides with index %d" % nearest,
+                RuntimeWarning,
+                stacklevel=2,
+            )
+        return int(nearest)
+    return int(np.floor(v))
 
 
 NUMPY_ACTIVATIONS = {

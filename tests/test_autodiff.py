@@ -237,6 +237,9 @@ class TestTapeSemantics:
                 y = ad.tanh(x)
             assert len(tape) == 0
             assert not y.requires_grad
+            # leaving no_grad resumes recording on the same tape
+            assert ad.tanh(x).requires_grad
+            assert len(tape) == 1
 
     def test_gather_index_channel_carries_no_gradient(self):
         # perturbing source entries that were never selected must leave the
@@ -280,11 +283,8 @@ class TestTapeSemantics:
             np.add.at(expected, idx, g_rows)
             assert x.grad.tobytes() == expected.tobytes()
 
-    def test_fault_injection_breaks_gradients(self):
-        ad.inject_backward_fault("tanh")
-        try:
-            x = ad.parameter(np.full((2, 2), 0.3))
-            err = ad.grad_check(lambda t: ad.sum_all(ad.tanh(t)), x)
-            assert err > 1e-4
-        finally:
-            ad.clear_backward_fault()
+    def test_fault_injection_breaks_gradients(self, corrupt_backward):
+        corrupt_backward("tanh")
+        x = ad.parameter(np.full((2, 2), 0.3))
+        err = ad.grad_check(lambda t: ad.sum_all(ad.tanh(t)), x)
+        assert err > 1e-4

@@ -16,7 +16,7 @@ from simpool.model import (
 from simpool.similarity import SimilarityConfig, index_map
 
 from conftest import random_graph
-from oracles import similarity_dense_symmetric
+from oracles import decode_index, similarity_dense_symmetric
 
 
 def tiny_model(assign_inputs="structural", seed=0, num_classes=3, feature_dim=3):
@@ -63,10 +63,12 @@ class TestPresets:
         assert p.sim.k == 12
 
     def test_aliases(self):
-        assert resolve_preset("enzymes-paper").name == "enzymes"
-        assert resolve_preset("dd-paper").name == "dd"
-        with pytest.raises(ConfigError):
-            resolve_preset("unknown")
+        # there are none: only the table's own keys resolve
+        for name in PRESETS:
+            assert resolve_preset(name).name == name
+        for name in ("enzymes-paper", "dd-paper", "unknown"):
+            with pytest.raises(ConfigError):
+                resolve_preset(name)
 
 
 class TestForward:
@@ -181,8 +183,6 @@ class TestPermutationBehaviour:
     def test_index_trick_decodes_consistently_under_permutation(self):
         # weighted graph: similarities are generically distinct, so the
         # selected nodes must map through the permutation exactly
-        from simpool.similarity import decode_index
-
         rng = np.random.default_rng(8)
         n = 10
         a_vals = random_graph(rng, n, 0.4) * rng.uniform(0.5, 1.5, size=(n, n))

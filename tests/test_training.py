@@ -1,10 +1,13 @@
 """Tests for the optimiser, the training loop, and run statistics."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from simpool import autodiff as ad
 from simpool.autodiff import NumericError
+from simpool.model import resolve_preset
 from simpool.similarity import SimilarityConfig
 from simpool.training import (
     Adam,
@@ -20,19 +23,17 @@ from simpool.training import (
 from conftest import separable_dataset
 
 
-def small_config(**overrides):
-    base = dict(
-        preset="enzymes",
-        scale=1 / 32,
-        assign_inputs="structural",
-        epochs=2,
-        batch_size=5,
-        folds=5,
-        seed=0,
+def small_config(epochs=2, learning_rate=1e-4, **overrides):
+    """ENZYMES at scale 1/32 with k = 6; other keywords go to TrainConfig."""
+    preset = replace(
+        resolve_preset("enzymes", scale=1 / 32),
+        epochs=epochs,
+        learning_rate=learning_rate,
         sim=SimilarityConfig(p=1, lam=0.0, alpha=1.0, k=6),
     )
+    base = dict(assign_inputs="structural", batch_size=5, folds=5, seed=0)
     base.update(overrides)
-    return TrainConfig.from_preset(base.pop("preset"), base.pop("scale"), **base)
+    return TrainConfig(preset, **base)
 
 
 class TestAdam:
@@ -126,18 +127,26 @@ class TestTrainRun:
         stats, _ = train_run(cfg, toy_dataset, fold=0)
         assert len(stats.epochs) == 1
 
-    def test_non_finite_gradient_aborts_run_and_marks_cv_partial(self, toy_dataset):
+    def test_non_finite_gradient_aborts_run_and_marks_cv_partial(self, toy_dataset,
+                                                                   corrupt_backward):
         cfg = small_config(epochs=1, folds=2)
-        ad.inject_backward_fault("matmul", float("nan"))
-        try:
-            stats, _ = train_run(cfg, toy_dataset, fold=0)
-            result = cross_validate(cfg, toy_dataset)
-        finally:
-            ad.clear_backward_fault()
+        corrupt_backward("matmul", float("nan"))
+        stats, _ = train_run(cfg, toy_dataset, fold=0)
+        result = cross_validate(cfg, toy_dataset)
         assert stats.aborted
         assert stats.epochs == []
         assert result.partial
         assert all(s.aborted for s in result.fold_stats)
+
+    def test_settings_come_from_the_named_preset(self, toy_dataset):
+        # DD's own top-k width (25), not ENZYMES' (12), sizes the stage-0
+        # assignment input
+        cfg = TrainConfig(replace(resolve_preset("dd", 1 / 32), epochs=1), batch_size=5, folds=2)
+        stats, model = train_run(cfg, toy_dataset, fold=0)
+        assert len(stats.epochs) == 1
+        assert model.sim.k == 25
+        assert model.parameters()["s0.enc.node_mlp.w"].shape[0] == 25
+        assert cfg.to_dict()["preset"]["sim"]["k"] == 25
 
     def test_learns_separable_task(self, tmp_path):
         ds = separable_dataset(tmp_path, count=40, seed=5)
@@ -187,11 +196,14 @@ class TestCrossValidate:
         np.testing.assert_allclose(std, 0.05, rtol=1e-12)
 
     def test_config_validation(self):
+        preset = resolve_preset("enzymes", scale=1 / 32)
         with pytest.raises(ValueError):
-            TrainConfig(learning_rate=0.0)
+            replace(preset, learning_rate=0.0)
         with pytest.raises(ValueError):
-            TrainConfig(epochs=0)
+            replace(preset, epochs=0)
         with pytest.raises(ValueError):
-            small_config(folds=1).folds if False else cross_validate(
-                small_config(folds=1), None
-            )
+            replace(preset, w_e=-1.0)
+        with pytest.raises(ValueError):
+            TrainConfig(preset, batch_size=0)
+        with pytest.raises(ValueError):
+            cross_validate(small_config(folds=1), None)
