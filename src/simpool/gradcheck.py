@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .layers import Dense, GcnLayer, GmnEncoder, GmnPropagation, PoolingBlock, loss_lc, loss_le, pool_forward
+from .layers import Dense, GcnLayer, GmnEncoder, GmnPropagation, loss_lc, loss_le, pool_forward
 from .model import SimPoolModel, resolve_preset
 from .similarity import compute_features, index_map
 
@@ -104,18 +104,13 @@ def _check_pooling(rng, n):
     clusters = 3
     embed = Dense(rng, 3, 4, "tanh", "embed")
     assign = Dense(rng, 3, clusters, "linear", "assign")
-    block = PoolingBlock(
-        embed_net=lambda a, x: embed(x),
-        assign_net=lambda a, f: assign(f),
-        clusters_out=clusters,
-    )
     a_vals = _random_graph(rng, n)
     x = ad.constant(rng.uniform(-2, 2, size=(n, 3)))
     proj_x = rng.normal(size=(clusters, 4))
     proj_a = rng.normal(size=(clusters, clusters))
 
     def forward():
-        x1, a1, s = pool_forward(x, ad.constant(a_vals), block, x)
+        x1, a1, s = pool_forward(embed(x), assign(x), ad.constant(a_vals))
         term = ad.add(
             ad.sum_all(ad.multiply(x1, ad.constant(proj_x))),
             ad.sum_all(ad.multiply(a1, ad.constant(proj_a))),

@@ -17,7 +17,6 @@ __all__ = [
     "GmnMessage",
     "GmnPropagation",
     "GcnLayer",
-    "PoolingBlock",
     "pool_forward",
     "loss_le",
     "loss_lc",
@@ -220,33 +219,16 @@ class GcnLayer:
         return {f"{self.name}.w": self.weight}
 
 
-class PoolingBlock:
-    """One coarsening stage: embedding net, assignment net, cluster count."""
+def pool_forward(z: ad.Tensor, logits: ad.Tensor, a: ad.Tensor):
+    """Coarsen a graph: S = softmax(logits), X' = S^T Z, A' = tanh(S^T A S).
 
-    def __init__(self, embed_net, assign_net, clusters_out: int):
-        self.embed_net = embed_net
-        self.assign_net = assign_net
-        self.clusters_out = clusters_out
-
-
-def pool_forward(
-    x: ad.Tensor,
-    a: ad.Tensor,
-    block: PoolingBlock,
-    assign_features: ad.Tensor,
-):
-    """Coarsen a graph through soft cluster assignments.
-
-    Returns (pooled features, tanh-bounded pooled adjacency, assignments).
+    ``z`` and ``logits`` are the embedding and assignment nets' outputs,
+    one row per node of ``a``. Returns (X', A', S).
     """
-    if assign_features.shape[0] != x.shape[0]:
-        raise ValueError("assignment features must have one row per node")
-    z = block.embed_net(a, x)
-    logits = block.assign_net(a, assign_features)
-    if logits.shape[1] != block.clusters_out:
-        raise ValueError(
-            f"assignment net produced {logits.shape[1]} clusters, expected {block.clusters_out}"
-        )
+    n = a.shape[0]
+    if z.shape[0] != n or logits.shape[0] != n:
+        raise ValueError(f"z ({z.shape[0]} rows) and logits ({logits.shape[0]} rows) "
+                         f"need one row per node ({n})")
     s = ad.row_softmax(logits)
     st = ad.transpose(s)
     x_next = ad.matmul(st, z)
@@ -254,23 +236,18 @@ def pool_forward(
     return x_next, a_next, s
 
 
-def _as_tensor(s) -> ad.Tensor:
-    return s if isinstance(s, ad.Tensor) else ad.constant(np.asarray(s, dtype=np.float64))
-
-
-def loss_le(s) -> ad.Tensor:
+def loss_le(s: ad.Tensor) -> ad.Tensor:
     """Mean row entropy of the assignment matrix (natural log).
 
     Zero exactly when every row is one-hot, up to the 1e-12 clamp.
     """
-    s = _as_tensor(s)
     n = s.shape[0]
     log_p = ad.log(ad.clamp_min(s, 1e-12))
     total = ad.sum_all(ad.multiply(s, log_p))
     return ad.scalar_multiply(total, -1.0 / n)
 
 
-def loss_lc(s) -> ad.Tensor:
+def loss_lc(s: ad.Tensor) -> ad.Tensor:
     """Uniformity deficit of the cluster mass distribution.
 
     The cluster mass q = (1/n) * 1^T S sums to one; the deficit
@@ -278,7 +255,6 @@ def loss_lc(s) -> ad.Tensor:
     when all mass sits on one cluster, so minimising it maximises the
     spread of nodes over clusters.
     """
-    s = _as_tensor(s)
     n, clusters = s.shape
     q = ad.scalar_multiply(ad.col_sum(s), 1.0 / n)
     entropy = ad.scalar_multiply(

@@ -1,12 +1,15 @@
 """Hierarchical pooling model: two coarsening stages plus a classifier.
 
-Stage 0 embeds nodes with a GMN encoder and two propagation steps and
-assigns them to clusters from structural features, node features, or
-both. Stage 1 embeds with a GCN and assigns through a two-layer MLP fed
-by similarity features recomputed (differentiably) from the learned
-coarse adjacency. Stage 2 sum-pools everything into a single row and a
-dense softmax layer produces class probabilities. There is no link
-prediction term anywhere.
+Stage 0 runs two GMN stacks of the same shape: a relu encoder, a relu
+propagation step and a linear propagation step, each `gmn_units` wide.
+The Z stack ends in `embed_units` node embeddings; the S stack reads
+structural features, node features, or both, and ends in `clusters_1`
+assignment logits. Stage 1 embeds with a GCN and assigns through a
+two-layer MLP fed by similarity features recomputed (differentiably)
+from the learned coarse adjacency. Each stage coarsens with
+``pool_forward(z, logits, a)``. Stage 2 sum-pools everything into a
+single row and a dense softmax layer produces class probabilities.
+There is no link prediction term anywhere.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from .layers import (
     GmnEncoder,
     GmnPropagation,
     MLP,
-    PoolingBlock,
     cross_entropy,
     loss_lc,
     loss_le,
@@ -34,8 +36,7 @@ from .layers import (
 from .similarity import SimilarityConfig, symmetric_similarity_on_tape
 
 __all__ = [
-    "PropSpec",
-    "GmnStackSpec",
+    "ASSIGN_INPUTS",
     "ModelPreset",
     "PRESETS",
     "resolve_preset",
@@ -50,23 +51,12 @@ __all__ = [
 
 CHECKPOINT_MAGIC = b"SPM1"
 
+# what the assignment nets read: top-k structural features, node features, or both
+ASSIGN_INPUTS = ("structural", "node", "both")
+
 
 class ConfigError(ValueError):
     """Configuration inconsistent with the requested computation."""
-
-
-@dataclass(frozen=True)
-class PropSpec:
-    message: int
-    node: int
-    activation: str
-
-
-@dataclass(frozen=True)
-class GmnStackSpec:
-    encoder: int
-    encoder_activation: str
-    props: tuple[PropSpec, ...]
 
 
 @dataclass(frozen=True)
@@ -74,8 +64,8 @@ class ModelPreset:
     """Architecture widths and training settings for one dataset family."""
 
     name: str
-    z_stack: GmnStackSpec
-    s_stack: GmnStackSpec  # final prop node width equals clusters_1
+    gmn_units: int  # encoder, message and hidden node width of both GMN stacks
+    embed_units: int  # node embeddings leaving the Z stack
     clusters_1: int
     clusters_2: int
     gcn1_units: int
@@ -99,8 +89,8 @@ class ModelPreset:
 PRESETS: dict[str, ModelPreset] = {
     "enzymes": ModelPreset(
         name="enzymes",
-        z_stack=GmnStackSpec(512, "relu", (PropSpec(512, 512, "relu"), PropSpec(512, 256, "linear"))),
-        s_stack=GmnStackSpec(512, "relu", (PropSpec(512, 512, "relu"), PropSpec(512, 8, "linear"))),
+        gmn_units=512,
+        embed_units=256,
         clusters_1=8,
         clusters_2=4,
         gcn1_units=512,
@@ -114,8 +104,8 @@ PRESETS: dict[str, ModelPreset] = {
     ),
     "dd": ModelPreset(
         name="dd",
-        z_stack=GmnStackSpec(1024, "relu", (PropSpec(1024, 1024, "relu"), PropSpec(1024, 1024, "linear"))),
-        s_stack=GmnStackSpec(1024, "relu", (PropSpec(1024, 1024, "relu"), PropSpec(1024, 32, "linear"))),
+        gmn_units=1024,
+        embed_units=1024,
         clusters_1=32,
         clusters_2=8,
         gcn1_units=2048,
@@ -130,10 +120,6 @@ PRESETS: dict[str, ModelPreset] = {
 }
 
 
-def _scale_width(units: int, scale: float) -> int:
-    return max(1, round(units * scale))
-
-
 def resolve_preset(name: str, scale: float = 1.0) -> ModelPreset:
     """Look up a preset and multiply its hidden widths by `scale`.
 
@@ -143,28 +129,8 @@ def resolve_preset(name: str, scale: float = 1.0) -> ModelPreset:
     if name not in PRESETS:
         raise ConfigError(f"unknown preset {name!r}; available: {sorted(PRESETS)}")
     preset = PRESETS[name]
-    if scale == 1.0:
-        return preset
-
-    def scale_stack(stack: GmnStackSpec, final_node: int | None) -> GmnStackSpec:
-        props = []
-        for i, prop in enumerate(stack.props):
-            node = prop.node
-            if final_node is not None and i == len(stack.props) - 1:
-                node = final_node
-            else:
-                node = _scale_width(node, scale)
-            props.append(PropSpec(_scale_width(prop.message, scale), node, prop.activation))
-        return GmnStackSpec(_scale_width(stack.encoder, scale), stack.encoder_activation, tuple(props))
-
-    return replace(
-        preset,
-        z_stack=scale_stack(preset.z_stack, None),
-        s_stack=scale_stack(preset.s_stack, preset.clusters_1),
-        gcn1_units=_scale_width(preset.gcn1_units, scale),
-        s1_hidden=_scale_width(preset.s1_hidden, scale),
-        gcn2_units=_scale_width(preset.gcn2_units, scale),
-    )
+    widths = ("gmn_units", "embed_units", "gcn1_units", "s1_hidden", "gcn2_units")
+    return replace(preset, **{w: max(1, round(getattr(preset, w) * scale)) for w in widths})
 
 
 @dataclass
@@ -194,30 +160,19 @@ class BatchForward:
 
 
 class _GmnStack:
-    """Encoder followed by propagation layers; shared by Z- and S-nets."""
+    """Relu encoder, relu propagation, linear propagation; the Z and S nets."""
 
-    def __init__(self, rng, in_dim: int, spec: GmnStackSpec, name: str):
-        self.encoder = GmnEncoder(rng, in_dim, spec.encoder, spec.encoder_activation, f"{name}.enc")
-        self.props = []
-        width = spec.encoder
-        for i, prop in enumerate(spec.props):
-            self.props.append(
-                GmnPropagation(rng, width, prop.message, prop.node, prop.activation, f"{name}.prop{i}")
-            )
-            width = prop.node
-        self.out_dim = width
+    def __init__(self, rng, in_dim: int, units: int, out_dim: int, name: str):
+        self.encoder = GmnEncoder(rng, in_dim, units, "relu", f"{name}.enc")
+        self.prop0 = GmnPropagation(rng, units, units, units, "relu", f"{name}.prop0")
+        self.prop1 = GmnPropagation(rng, units, units, out_dim, "linear", f"{name}.prop1")
+        self.out_dim = out_dim
 
     def __call__(self, a: ad.Tensor, x: ad.Tensor) -> ad.Tensor:
-        h = self.encoder(x)
-        for prop in self.props:
-            h = prop(h, a)
-        return h
+        return self.prop1(self.prop0(self.encoder(x), a), a)
 
     def parameters(self) -> dict[str, ad.Tensor]:
-        out = dict(self.encoder.parameters())
-        for prop in self.props:
-            out.update(prop.parameters())
-        return out
+        return {**self.encoder.parameters(), **self.prop0.parameters(), **self.prop1.parameters()}
 
 
 class SimPoolModel:
@@ -231,7 +186,7 @@ class SimPoolModel:
         assign_inputs: str = "structural",
         seed: int = 0,
     ):
-        if assign_inputs not in ("structural", "node", "both"):
+        if assign_inputs not in ASSIGN_INPUTS:
             raise ConfigError(f"unknown assignment input mode {assign_inputs!r}")
         self.preset = preset
         self.sim = preset.sim
@@ -243,15 +198,9 @@ class SimPoolModel:
 
         k = self.sim.k
         f0_dim = {"structural": k, "node": feature_dim, "both": k + feature_dim}[assign_inputs]
-        self.z_stack = _GmnStack(rng, feature_dim, preset.z_stack, "z")
-        self.s_stack = _GmnStack(rng, f0_dim, preset.s_stack, "s0")
-        d1 = self.z_stack.out_dim
-        self.block0 = PoolingBlock(
-            embed_net=self.z_stack,
-            assign_net=self.s_stack,
-            clusters_out=preset.clusters_1,
-        )
-
+        self.z_stack = _GmnStack(rng, feature_dim, preset.gmn_units, preset.embed_units, "z")
+        self.s_stack = _GmnStack(rng, f0_dim, preset.gmn_units, preset.clusters_1, "s0")
+        d1 = preset.embed_units
         self.gcn1 = GcnLayer(rng, d1, preset.gcn1_units, "relu", "gcn1")
         f1_dim = {
             "structural": preset.clusters_1,
@@ -263,11 +212,6 @@ class SimPoolModel:
             [f1_dim, preset.s1_hidden, preset.clusters_2],
             ["relu", "linear"],
             "s1",
-        )
-        self.block1 = PoolingBlock(
-            embed_net=lambda a, x: self.gcn1(x, a),
-            assign_net=lambda a, f: self.s1_mlp(f),
-            clusters_out=preset.clusters_2,
         )
 
         self.gcn2 = GcnLayer(rng, preset.gcn1_units, preset.gcn2_units, "relu", "gcn2")
@@ -320,9 +264,9 @@ class SimPoolModel:
         a = ad.constant(adjacency)
         x = ad.constant(features)
         f0 = self._assign_features_0(x, mapped)
-        x1, a1, s0 = pool_forward(x, a, self.block0, f0)
+        x1, a1, s0 = pool_forward(self.z_stack(a, x), self.s_stack(a, f0), a)
         f1 = self._assign_features_1(x1, a1)
-        x2, a2, s1 = pool_forward(x1, a1, self.block1, f1)
+        x2, a2, s1 = pool_forward(self.gcn1(x1, a1), self.s1_mlp(f1), a1)
         z2 = self.gcn2(x2, a2)
         pooled = ad.col_sum(z2)  # global sum pool: all-ones assignment
         probs = ad.row_softmax(self.classifier(pooled))

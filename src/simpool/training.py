@@ -9,7 +9,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import NumericError
 from .data import Dataset, kfold_split, make_batches
-from .model import ModelPreset, SimPoolModel
+from .model import ASSIGN_INPUTS, ConfigError, ModelPreset, SimPoolModel
 from .similarity import preprocess_dataset
 
 __all__ = [
@@ -44,6 +44,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.assign_inputs not in ASSIGN_INPUTS:
+            raise ConfigError(f"unknown assignment input mode {self.assign_inputs!r}")
         if self.batch_size < 1:
             raise ValueError("batch size must be >= 1")
 

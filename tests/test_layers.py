@@ -11,7 +11,6 @@ from simpool.layers import (
     GmnMessage,
     GmnPropagation,
     MLP,
-    PoolingBlock,
     cross_entropy,
     loss_lc,
     loss_le,
@@ -192,21 +191,14 @@ class TestGcn:
         assert ad.grad_check(f, a) < 1e-4
 
 
-def make_identity_block(rng, n, d):
-    """Pooling block whose assignment logits force S = I exactly."""
-    embed = lambda a, x: x
-    assign = lambda a, f: ad.constant(1000.0 * np.eye(n))
-    return PoolingBlock(embed, assign, clusters_out=n)
-
-
 class TestPoolForward:
     def test_identity_assignment(self):
         rng = np.random.default_rng(12)
         n, d = 5, 3
         x = ad.constant(rng.normal(size=(n, d)))
         a_vals = random_graph(rng, n, 0.5)
-        block = make_identity_block(rng, n, d)
-        x1, a1, s = pool_forward(x, ad.constant(a_vals), block, x)
+        # logits that force S = I exactly
+        x1, a1, s = pool_forward(x, ad.constant(1000.0 * np.eye(n)), ad.constant(a_vals))
         np.testing.assert_array_equal(s.values, np.eye(n))
         np.testing.assert_array_equal(x1.values, x.values)
         np.testing.assert_allclose(a1.values, np.tanh(a_vals), atol=1e-15)
@@ -217,13 +209,8 @@ class TestPoolForward:
         z = rng.normal(size=(n, d))
         logits = np.zeros((n, c))
         logits[:, 0] = 1000.0
-        block = PoolingBlock(
-            embed_net=lambda a, x: ad.constant(z),
-            assign_net=lambda a, f: ad.constant(logits),
-            clusters_out=c,
-        )
-        x = ad.constant(rng.normal(size=(n, d)))
-        x1, a1, s = pool_forward(x, ad.constant(random_graph(rng, n, 0.5)), block, x)
+        x1, a1, s = pool_forward(ad.constant(z), ad.constant(logits),
+                                 ad.constant(random_graph(rng, n, 0.5)))
         np.testing.assert_allclose(x1.values[0], z.sum(axis=0), atol=1e-12)
         np.testing.assert_allclose(x1.values[1:], 0.0, atol=1e-12)
 
@@ -232,13 +219,8 @@ class TestPoolForward:
         n, c = 8, 3
         a_vals = random_graph(rng, n, 0.4)
         logits = rng.normal(size=(n, c))
-        block = PoolingBlock(
-            embed_net=lambda a, x: x,
-            assign_net=lambda a, f: ad.constant(logits),
-            clusters_out=c,
-        )
-        x = ad.constant(rng.normal(size=(n, 2)))
-        _, a1, s = pool_forward(x, ad.constant(a_vals), block, x)
+        z = ad.constant(rng.normal(size=(n, 2)))
+        _, a1, s = pool_forward(z, ad.constant(logits), ad.constant(a_vals))
         sv = s.values
         expected = np.zeros((c, c))
         for ci in range(c):
@@ -256,26 +238,19 @@ class TestPoolForward:
             n, c = 7, 4
             a_vals = random_graph(rng, n, 0.6) * rng.uniform(0.5, 3.0)
             logits = rng.normal(size=(n, c))
-            block = PoolingBlock(
-                embed_net=lambda a, x: x,
-                assign_net=lambda a, f: ad.constant(logits),
-                clusters_out=c,
-            )
-            x = ad.constant(rng.normal(size=(n, 2)))
-            _, a1, _ = pool_forward(x, ad.constant(a_vals), block, x)
+            z = ad.constant(rng.normal(size=(n, 2)))
+            _, a1, _ = pool_forward(z, ad.constant(logits), ad.constant(a_vals))
             assert np.all(a1.values >= 0.0)
             assert np.all(a1.values < 1.0)
 
-    def test_cluster_count_mismatch_rejected(self):
+    def test_row_count_mismatch_rejected(self):
         rng = np.random.default_rng(16)
-        block = PoolingBlock(
-            embed_net=lambda a, x: x,
-            assign_net=lambda a, f: ad.constant(np.zeros((4, 5))),
-            clusters_out=3,
-        )
-        x = ad.constant(rng.normal(size=(4, 2)))
-        with pytest.raises(ValueError):
-            pool_forward(x, ad.constant(np.zeros((4, 4))), block, x)
+        a = ad.constant(np.zeros((4, 4)))
+        z = ad.constant(rng.normal(size=(4, 2)))
+        with pytest.raises(ValueError, match="one row per node"):
+            pool_forward(z, ad.constant(np.zeros((5, 3))), a)
+        with pytest.raises(ValueError, match="one row per node"):
+            pool_forward(ad.constant(rng.normal(size=(3, 2))), ad.constant(np.zeros((4, 3))), a)
 
     def test_pooling_gradients_through_eq9(self):
         rng = np.random.default_rng(18)
@@ -283,18 +258,13 @@ class TestPoolForward:
         a_vals = random_graph(rng, n, 0.5)
         assign = Dense(rng, d, c, "linear", "assign")
         embed = Dense(rng, d, d, "tanh", "embed")
-        block = PoolingBlock(
-            embed_net=lambda a, x: embed(x),
-            assign_net=lambda a, f: assign(f),
-            clusters_out=c,
-        )
         x_vals = rng.normal(size=(n, d))
         cx = rng.normal(size=(c, d))
         ca = rng.normal(size=(c, c))
 
         def f(_):
             x = ad.constant(x_vals)
-            x1, a1, s = pool_forward(x, ad.constant(a_vals), block, x)
+            x1, a1, s = pool_forward(embed(x), assign(x), ad.constant(a_vals))
             return ad.add(
                 ad.sum_all(ad.multiply(x1, ad.constant(cx))),
                 ad.sum_all(ad.multiply(a1, ad.constant(ca))),
@@ -308,33 +278,33 @@ class TestPoolForward:
 class TestLosses:
     def test_le_one_hot_is_zero(self):
         s = np.eye(4)[[0, 1, 2, 0]]
-        assert loss_le(s).item() < 1e-9
+        assert loss_le(ad.constant(s)).item() < 1e-9
 
     def test_le_uniform_is_log_c(self):
         for c in (2, 3, 5):
             s = np.full((6, c), 1.0 / c)
-            np.testing.assert_allclose(loss_le(s).item(), np.log(c), rtol=1e-12)
+            np.testing.assert_allclose(loss_le(ad.constant(s)).item(), np.log(c), rtol=1e-12)
 
     def test_le_half_half(self):
         s = np.full((3, 2), 0.5)
-        np.testing.assert_allclose(loss_le(s).item(), np.log(2.0), rtol=1e-12)
+        np.testing.assert_allclose(loss_le(ad.constant(s)).item(), np.log(2.0), rtol=1e-12)
 
     def test_lc_uniform_mass_zero(self):
         s = np.eye(4)[[0, 1, 0, 1]][:, :2]
-        assert abs(loss_lc(s).item()) < 1e-12
+        assert abs(loss_lc(ad.constant(s)).item()) < 1e-12
 
     def test_lc_single_cluster_max(self):
         s = np.zeros((5, 3))
         s[:, 1] = 1.0
-        np.testing.assert_allclose(loss_lc(s).item(), np.log(3.0), rtol=1e-12)
+        np.testing.assert_allclose(loss_lc(ad.constant(s)).item(), np.log(3.0), rtol=1e-12)
 
     def test_lc_three_one_split(self):
         s = np.zeros((4, 2))
         s[:3, 0] = 1.0
         s[3, 1] = 1.0
         expected = np.log(2.0) - (-(0.75 * np.log(0.75) + 0.25 * np.log(0.25)))
-        np.testing.assert_allclose(loss_lc(s).item(), expected, rtol=1e-10)
-        np.testing.assert_allclose(loss_lc(s).item(), 0.1308, atol=5e-5)
+        np.testing.assert_allclose(loss_lc(ad.constant(s)).item(), expected, rtol=1e-10)
+        np.testing.assert_allclose(loss_lc(ad.constant(s)).item(), 0.1308, atol=5e-5)
 
     def test_joint_minimum_at_balanced_one_hot(self):
         # all 2^4 hard assignments of 4 nodes to 2 clusters
@@ -343,7 +313,7 @@ class TestLosses:
             s = np.zeros((4, 2))
             for node in range(4):
                 s[node, (code >> node) & 1] = 1.0
-            combined = loss_le(s).item() + loss_lc(s).item()
+            combined = loss_le(ad.constant(s)).item() + loss_lc(ad.constant(s)).item()
             best.append((combined, int(np.sum(s[:, 0]))))
         values = np.array([v for v, _ in best])
         balanced = np.array([count == 2 for _, count in best])

@@ -1,10 +1,13 @@
 """Tests for the assembled pooling model, presets, and checkpoints."""
 
+import hashlib
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from simpool import autodiff as ad
-from simpool.layers import PoolingBlock, pool_forward
+from simpool.layers import pool_forward
 from simpool.model import (
     ConfigError,
     PRESETS,
@@ -43,24 +46,42 @@ class TestPresets:
     def test_enzymes_cluster_schedule(self):
         p = PRESETS["enzymes"]
         assert p.clusters_1 == 8 and p.clusters_2 == 4
-        assert p.s_stack.props[-1].node == 8
+        assert p.gmn_units == 512 and p.embed_units == 256
         assert p.sim.k == 12 and p.w_e == 1.0 and p.w_c == 1.0
         assert p.epochs == 100 and p.learning_rate == 1e-4
 
     def test_dd_cluster_schedule(self):
         p = PRESETS["dd"]
         assert p.clusters_1 == 32 and p.clusters_2 == 8
+        assert p.gmn_units == 1024 and p.embed_units == 1024
         assert p.sim.k == 25 and p.w_e == 0.4
         assert p.epochs == 230
 
     def test_scale_leaves_structure_fixed(self):
         p = resolve_preset("enzymes", scale=0.125)
-        assert p.z_stack.encoder == 64
-        assert p.z_stack.props[-1].node == 32
-        assert p.s_stack.props[-1].node == 8  # cluster count, not a width
+        assert p.gmn_units == 64
+        assert p.embed_units == 32
         assert p.clusters_1 == 8 and p.clusters_2 == 4
         assert p.gcn2_units == 128
         assert p.sim.k == 12
+
+    def test_cluster_override_resizes_both_assignment_nets(self):
+        # the stage-0 S stack ends in clusters_1 logits and stage 1 reads them
+        preset = replace(resolve_preset("enzymes", 1 / 32), clusters_1=16)
+        model = SimPoolModel(preset, 3, 6, seed=0)
+        assert model.s_stack.out_dim == 16
+        assert model.parameters()["s1.0.w"].shape[0] == 16
+        a, x, mapped = graph_inputs(np.random.default_rng(10), 9, 3, model.sim.k)
+        with ad.Tape() as tape:
+            out = model.forward_graph(a, x, mapped=mapped, label=1)
+            tape.backward(out.ce)
+        assert out.assign_argmax[1].shape == (16,)
+        for name, p in model.parameters().items():
+            assert p.grad is not None and np.all(np.isfinite(p.grad)), name
+
+    def test_unknown_assign_inputs_rejected(self):
+        with pytest.raises(ConfigError, match="bogus"):
+            tiny_model(assign_inputs="bogus")
 
     def test_aliases(self):
         # there are none: only the table's own keys resolve
@@ -69,6 +90,54 @@ class TestPresets:
         for name in ("enzymes-paper", "dd-paper", "unknown"):
             with pytest.raises(ConfigError):
                 resolve_preset(name)
+
+
+def gmn_stack_shapes(name, in_dim, units, out_dim):
+    """Relu encoder, relu propagation, linear propagation ending in `out_dim`."""
+    shapes = [(f"{name}.enc.node_mlp.w", (in_dim, units)), (f"{name}.enc.node_mlp.b", (1, units))]
+    for i, node in enumerate((units, out_dim)):
+        shapes += [
+            (f"{name}.prop{i}.msg.w_recv", (units, units)),
+            (f"{name}.prop{i}.msg.w_send", (units, units)),
+            (f"{name}.prop{i}.msg.b", (1, units)),
+            (f"{name}.prop{i}.node.w", (2 * units, node)),
+            (f"{name}.prop{i}.node.b", (1, node)),
+        ]
+    return shapes
+
+
+class TestInitialisation:
+    # seed-0 draws of SimPoolModel(resolve_preset(name, 1/32), 3, 6): numpy's
+    # Generator is platform-stable, so any change here means the draw order,
+    # a shape or a parameter name moved
+    EXPECTED = {
+        "enzymes": (
+            gmn_stack_shapes("z", 3, 16, 8) + gmn_stack_shapes("s0", 12, 16, 8) + [
+                ("gcn1.w", (8, 16)), ("s1.0.w", (8, 8)), ("s1.0.b", (1, 8)),
+                ("s1.1.w", (8, 4)), ("s1.1.b", (1, 4)), ("gcn2.w", (16, 32)),
+                ("classifier.w", (32, 6)), ("classifier.b", (1, 6)),
+            ],
+            "317824b59635ca118be6bee607b77efcc1434f56eef6b045b2f1e2c487789011",
+        ),
+        "dd": (
+            gmn_stack_shapes("z", 3, 32, 32) + gmn_stack_shapes("s0", 25, 32, 32) + [
+                ("gcn1.w", (32, 64)), ("s1.0.w", (32, 64)), ("s1.0.b", (1, 64)),
+                ("s1.1.w", (64, 8)), ("s1.1.b", (1, 8)), ("gcn2.w", (64, 128)),
+                ("classifier.w", (128, 6)), ("classifier.b", (1, 6)),
+            ],
+            "173a917ff15df7b144e86535d7e745ddf4c13a817ba99230a9343abadd30899b",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(EXPECTED))
+    def test_parameters_pinned(self, name):
+        shapes, digest = self.EXPECTED[name]
+        params = SimPoolModel(resolve_preset(name, 1 / 32), 3, 6, seed=0).parameters()
+        assert [(k, p.shape) for k, p in params.items()] == shapes
+        h = hashlib.sha256()
+        for p in params.values():
+            h.update(np.ascontiguousarray(p.values, dtype="<f8").tobytes())
+        assert h.hexdigest() == digest
 
 
 class TestForward:
@@ -150,11 +219,6 @@ class TestPermutationBehaviour:
         cfg = SimilarityConfig(p=1, lam=1.0)
         # assignment features have width 3, matching the "node" input mode
         model = SimPoolModel(resolve_preset("enzymes", scale=1 / 32), 3, 2, "node", seed=5)
-        block = PoolingBlock(
-            embed_net=model.z_stack,
-            assign_net=model.s_stack,
-            clusters_out=model.preset.clusters_1,
-        )
 
         def class_probs(a_in, x_in):
             c = similarity_dense_symmetric(a_in, cfg).dense
@@ -166,8 +230,9 @@ class TestPermutationBehaviour:
                 ],
                 axis=1,
             )
+            a = ad.constant(a_in)
             x1, a1, _ = pool_forward(
-                ad.constant(x_in), ad.constant(a_in), block, ad.constant(stats)
+                model.z_stack(a, ad.constant(x_in)), model.s_stack(a, ad.constant(stats)), a
             )
             z2 = model.gcn2(model.gcn1(x1, a1), a1)
             pooled = ad.col_sum(z2)

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from simpool import autodiff as ad
+from simpool import training
 from simpool.autodiff import NumericError
-from simpool.model import resolve_preset
+from simpool.model import ConfigError, resolve_preset
 from simpool.similarity import SimilarityConfig
 from simpool.training import (
     Adam,
@@ -121,6 +122,14 @@ class TestTrainRun:
     def test_invalid_fold_rejected(self, toy_dataset):
         with pytest.raises(ValueError):
             train_run(small_config(), toy_dataset, fold=7)
+
+    def test_unknown_assign_inputs_rejected_before_preprocessing(self, toy_dataset, monkeypatch):
+        def preprocess_dataset(*args, **kwargs):
+            raise AssertionError("similarity pass ran before the mode was checked")
+
+        monkeypatch.setattr(training, "preprocess_dataset", preprocess_dataset)
+        with pytest.raises(ConfigError, match="bogus"):
+            train_run(small_config(assign_inputs="bogus"), toy_dataset, fold=0)
 
     def test_node_mode_needs_no_mapped_features(self, toy_dataset):
         cfg = small_config(epochs=1, assign_inputs="node")
