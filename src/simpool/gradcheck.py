@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .layers import Dense, GcnLayer, GmnEncoder, GmnPropagation, loss_lc, loss_le, pool_forward
+from .layers import Dense, Edges, GcnLayer, GmnEncoder, GmnPropagation, loss_lc, loss_le, pool_forward
 from .model import SimPoolModel, resolve_preset
 from .similarity import compute_features, index_map
 
@@ -45,11 +45,6 @@ def _random_graph(rng, n: int) -> np.ndarray:
     a = (rng.random((n, n)) < 0.5).astype(np.float64)
     a = np.triu(a, 1)
     return a + a.T
-
-
-def _project(rng, out: ad.Tensor) -> ad.Tensor:
-    c = ad.constant(rng.normal(size=out.shape))
-    return ad.sum_all(ad.multiply(out, c))
 
 
 EPSILON = 1e-5
@@ -84,10 +79,10 @@ def _check_gmn_encoder(rng, n):
 def _check_gmn_propagation(rng, n):
     p1 = GmnPropagation(rng, 3, 4, 4, "relu", "p1")
     p2 = GmnPropagation(rng, 4, 4, 3, "linear", "p2")
-    a = ad.constant(_random_graph(rng, n))
+    edges = Edges(_random_graph(rng, n))
     x = ad.constant(rng.uniform(-2, 2, size=(n, 3)))
     proj = rng.normal(size=(n, 3))
-    forward = lambda: ad.sum_all(ad.multiply(p2(p1(x, a), a), ad.constant(proj)))
+    forward = lambda: ad.sum_all(ad.multiply(p2(p1(x, edges), edges), ad.constant(proj)))
     return _check_params(forward, {**p1.parameters(), **p2.parameters()})
 
 
@@ -104,13 +99,13 @@ def _check_pooling(rng, n):
     clusters = 3
     embed = Dense(rng, 3, 4, "tanh", "embed")
     assign = Dense(rng, 3, clusters, "linear", "assign")
-    a_vals = _random_graph(rng, n)
+    edges = Edges(_random_graph(rng, n))
     x = ad.constant(rng.uniform(-2, 2, size=(n, 3)))
     proj_x = rng.normal(size=(clusters, 4))
     proj_a = rng.normal(size=(clusters, clusters))
 
     def forward():
-        x1, a1, s = pool_forward(embed(x), assign(x), ad.constant(a_vals))
+        x1, a1, s = pool_forward(embed(x), assign(x), edges.spread)
         term = ad.add(
             ad.sum_all(ad.multiply(x1, ad.constant(proj_x))),
             ad.sum_all(ad.multiply(a1, ad.constant(proj_a))),

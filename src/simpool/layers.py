@@ -1,7 +1,9 @@
 """Differentiable layers: GMN encoder/propagation, GCN, MLP, pooling.
 
 All layers operate on single graphs (2-D tensors); batches are handled by
-the model loop. Parameters are named so checkpoints stay stable.
+the model loop. Parameters are named so checkpoints stay stable. Stage 0
+reads each graph as one ``Edges`` list: GMN propagation scatters messages
+along it and stage-0 pooling takes A·S from it, with no n x n tensor.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ import numpy as np
 from . import autodiff as ad
 
 __all__ = [
+    "Edges",
     "Dense",
     "MLP",
     "GmnEncoder",
@@ -34,6 +37,20 @@ ACTIVATIONS = {
 def glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
+
+
+class Edges:
+    """A graph's weighted directed edges A[senders[e], receivers[e]] = weights[e]."""
+
+    def __init__(self, adjacency: np.ndarray):
+        self.node_count = adjacency.shape[0]
+        self.senders, self.receivers = np.nonzero(adjacency)
+        self.weights = ad.constant(adjacency[self.senders, self.receivers].reshape(-1, 1))
+
+    def spread(self, x: ad.Tensor) -> ad.Tensor:
+        """A @ x: row i sums weights[e] * x[receivers[e]] over the edges e that i sends."""
+        weighted = ad.multiply(ad.gather_rows(x, self.receivers), self.weights)
+        return ad.scatter_rows(weighted, self.senders, self.node_count)
 
 
 class Dense:
@@ -138,10 +155,10 @@ class GmnMessage:
     def out_dim(self) -> int:
         return self.bias.shape[1]
 
-    def __call__(self, h: ad.Tensor, receivers: np.ndarray, senders: np.ndarray) -> ad.Tensor:
+    def __call__(self, h: ad.Tensor, edges: Edges) -> ad.Tensor:
         """One message row per edge (receivers[e], senders[e])."""
-        from_recv = ad.gather_rows(ad.matmul(h, self.w_recv), receivers)
-        from_send = ad.gather_rows(ad.matmul(h, self.w_send), senders)
+        from_recv = ad.gather_rows(ad.matmul(h, self.w_recv), edges.receivers)
+        from_send = ad.gather_rows(ad.matmul(h, self.w_send), edges.senders)
         return ACTIVATIONS[self.activation](ad.add(ad.add(from_recv, from_send), self.bias))
 
     def parameters(self) -> dict[str, ad.Tensor]:
@@ -153,10 +170,10 @@ class GmnMessage:
 
 
 class GmnPropagation:
-    """Message passing over weighted edges of a constant adjacency.
+    """Message passing over a graph's ``Edges``.
 
-    For every nonzero A[j, i] a message f_message(concat(h_i, h_j)) is
-    produced, scaled by A[j, i], and summed into receiver i; the new state
+    For every edge j -> i, A[j, i] != 0, a message f_message(concat(h_i, h_j))
+    is produced, scaled by A[j, i], and summed into receiver i; the new state
     is f_node(concat(h_i, aggregate_i)). A node that receives no message
     has an aggregate of exactly zero. ``GmnMessage`` computes the messages
     as (h @ W_recv)[i] + (h @ W_send)[j], the same affine map on n node
@@ -172,16 +189,12 @@ class GmnPropagation:
     def out_dim(self) -> int:
         return self.f_node.out_dim
 
-    def __call__(self, h: ad.Tensor, a: ad.Tensor) -> ad.Tensor:
-        n = h.shape[0]
-        if a.shape != (n, n):
-            raise ValueError(f"adjacency {a.shape} does not match {n} node states")
-        if a.requires_grad:
-            raise ValueError("GmnPropagation needs a constant adjacency; a learned one goes to GcnLayer")
-        senders, receivers = np.nonzero(a.values)
-        messages = self.f_message(h, receivers, senders)
-        weights = ad.constant(a.values[senders, receivers].reshape(-1, 1))
-        aggregate = ad.scatter_rows(ad.multiply(messages, weights), receivers, n)
+    def __call__(self, h: ad.Tensor, edges: Edges) -> ad.Tensor:
+        n = edges.node_count
+        if h.shape[0] != n:
+            raise ValueError(f"{h.shape[0]} node states for a graph of {n} nodes")
+        messages = ad.multiply(self.f_message(h, edges), edges.weights)
+        aggregate = ad.scatter_rows(messages, edges.receivers, n)
         return self.f_node(ad.concat_columns([h, aggregate]))
 
     def parameters(self) -> dict[str, ad.Tensor]:
@@ -219,21 +232,19 @@ class GcnLayer:
         return {f"{self.name}.w": self.weight}
 
 
-def pool_forward(z: ad.Tensor, logits: ad.Tensor, a: ad.Tensor):
-    """Coarsen a graph: S = softmax(logits), X' = S^T Z, A' = tanh(S^T A S).
+def pool_forward(z: ad.Tensor, logits: ad.Tensor, spread):
+    """Coarsen a graph: S = softmax(logits), X' = S^T Z, A' = tanh(S^T (A S)).
 
     ``z`` and ``logits`` are the embedding and assignment nets' outputs,
-    one row per node of ``a``. Returns (X', A', S).
+    one row per node. ``spread(x)`` returns the product A·x: stage 0 passes
+    its ``Edges.spread``, stage 1 a matmul by the learned coarse adjacency.
+    Returns (X', A', S).
     """
-    n = a.shape[0]
-    if z.shape[0] != n or logits.shape[0] != n:
-        raise ValueError(f"z ({z.shape[0]} rows) and logits ({logits.shape[0]} rows) "
-                         f"need one row per node ({n})")
+    if z.shape[0] != logits.shape[0]:
+        raise ValueError(f"z has {z.shape[0]} rows, logits {logits.shape[0]}: need one row per node")
     s = ad.row_softmax(logits)
     st = ad.transpose(s)
-    x_next = ad.matmul(st, z)
-    a_next = ad.tanh(ad.matmul(ad.matmul(st, a), s))
-    return x_next, a_next, s
+    return ad.matmul(st, z), ad.tanh(ad.matmul(st, spread(s))), s
 
 
 def loss_le(s: ad.Tensor) -> ad.Tensor:

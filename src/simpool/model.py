@@ -4,12 +4,13 @@ Stage 0 runs two GMN stacks of the same shape: a relu encoder, a relu
 propagation step and a linear propagation step, each `gmn_units` wide.
 The Z stack ends in `embed_units` node embeddings; the S stack reads
 structural features, node features, or both, and ends in `clusters_1`
-assignment logits. Stage 1 embeds with a GCN and assigns through a
-two-layer MLP fed by similarity features recomputed (differentiably)
-from the learned coarse adjacency. Each stage coarsens with
-``pool_forward(z, logits, a)``. Stage 2 sum-pools everything into a
-single row and a dense softmax layer produces class probabilities.
-There is no link prediction term anywhere.
+assignment logits. Both stacks and the first pooling read one ``Edges``
+list, built once per graph. Stage 1 embeds with a GCN and assigns through
+a two-layer MLP fed by similarity features recomputed (differentiably)
+from the learned dense coarse adjacency. Each stage coarsens with
+``pool_forward(z, logits, spread)``, ``spread`` being its A·x. Stage 2
+sum-pools everything into a single row and a dense softmax layer
+produces class probabilities. There is no link prediction term anywhere.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from . import autodiff as ad
 from .data import ByteReader, PaddedBatch
 from .layers import (
     Dense,
+    Edges,
     GcnLayer,
     GmnEncoder,
     GmnPropagation,
@@ -168,8 +170,8 @@ class _GmnStack:
         self.prop1 = GmnPropagation(rng, units, units, out_dim, "linear", f"{name}.prop1")
         self.out_dim = out_dim
 
-    def __call__(self, a: ad.Tensor, x: ad.Tensor) -> ad.Tensor:
-        return self.prop1(self.prop0(self.encoder(x), a), a)
+    def __call__(self, edges: Edges, x: ad.Tensor) -> ad.Tensor:
+        return self.prop1(self.prop0(self.encoder(x), edges), edges)
 
     def parameters(self) -> dict[str, ad.Tensor]:
         return {**self.encoder.parameters(), **self.prop0.parameters(), **self.prop1.parameters()}
@@ -260,20 +262,19 @@ class SimPoolModel:
             return structural
         return ad.concat_columns([structural, x1])
 
-    def forward_graph(self, adjacency, features, mapped=None, label: int | None = None) -> GraphForward:
-        a = ad.constant(adjacency)
+    def forward_graph(self, adjacency, features, label: int, mapped=None) -> GraphForward:
+        edges = Edges(adjacency)
         x = ad.constant(features)
         f0 = self._assign_features_0(x, mapped)
-        x1, a1, s0 = pool_forward(self.z_stack(a, x), self.s_stack(a, f0), a)
+        x1, a1, s0 = pool_forward(self.z_stack(edges, x), self.s_stack(edges, f0), edges.spread)
         f1 = self._assign_features_1(x1, a1)
-        x2, a2, s1 = pool_forward(self.gcn1(x1, a1), self.s1_mlp(f1), a1)
+        x2, a2, s1 = pool_forward(self.gcn1(x1, a1), self.s1_mlp(f1), lambda s: ad.matmul(a1, s))
         z2 = self.gcn2(x2, a2)
         pooled = ad.col_sum(z2)  # global sum pool: all-ones assignment
         probs = ad.row_softmax(self.classifier(pooled))
-        ce = cross_entropy(probs, label) if label is not None else ad.constant([[0.0]])
         return GraphForward(
             probs=probs,
-            ce=ce,
+            ce=cross_entropy(probs, label),
             le=(loss_le(s0), loss_le(s1)),
             lc=(loss_lc(s0), loss_lc(s1)),
             assign_argmax=(

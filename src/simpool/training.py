@@ -18,7 +18,6 @@ __all__ = [
     "RunStats",
     "CrossValResult",
     "Adam",
-    "adam_update",
     "train_run",
     "cross_validate",
     "evaluate_accuracy",
@@ -122,27 +121,15 @@ def stats_from_csv(text: str) -> RunStats:
 # optimiser
 # ---------------------------------------------------------------------------
 
-def adam_update(value, grad, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
-    """One bias-corrected update; mutates value/m/v in place."""
-    m *= beta1
-    m += (1.0 - beta1) * grad
-    v *= beta2
-    v += (1.0 - beta2) * (grad * grad)
-    m_hat = m / (1.0 - beta1**t)
-    v_hat = v / (1.0 - beta2**t)
-    value -= lr * m_hat / (np.sqrt(v_hat) + eps)
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 
 class Adam:
     """Adam over named parameter tensors; missing gradients count as zero."""
 
-    def __init__(self, params: dict[str, ad.Tensor], lr: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: dict[str, ad.Tensor], lr: float):
         self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = {k: np.zeros_like(p.values) for k, p in params.items()}
         self.v = {k: np.zeros_like(p.values) for k, p in params.items()}
@@ -155,10 +142,14 @@ class Adam:
         self.t += 1
         for name, p in self.params.items():
             grad = p.grad if p.grad is not None else np.zeros_like(p.values)
-            adam_update(
-                p.values, grad, self.m[name], self.v[name],
-                self.t, self.lr, self.beta1, self.beta2, self.eps,
-            )
+            m, v = self.m[name], self.v[name]
+            m *= BETA1
+            m += (1.0 - BETA1) * grad
+            v *= BETA2
+            v += (1.0 - BETA2) * (grad * grad)
+            m_hat = m / (1.0 - BETA1**self.t)
+            v_hat = v / (1.0 - BETA2**self.t)
+            p.values -= self.lr * m_hat / (np.sqrt(v_hat) + EPS)
 
     def zero_grad(self) -> None:
         for p in self.params.values():

@@ -6,6 +6,7 @@ import pytest
 from simpool import autodiff as ad
 from simpool.layers import (
     Dense,
+    Edges,
     GcnLayer,
     GmnEncoder,
     GmnMessage,
@@ -24,6 +25,37 @@ from oracles import gmn_message, gmn_propagation_loop
 def scalarize_with(rng, out):
     c = ad.constant(rng.normal(size=out.shape))
     return ad.sum_all(ad.multiply(out, c))
+
+
+GRAPH_KINDS = ("weighted", "directed", "isolated", "edgeless")
+
+
+def graph_of_kind(rng, n, kind):
+    """A dense (n, n) adjacency: symmetric weighted, directed weighted (self-loops
+    allowed), directed with isolated nodes, or without edges."""
+    a = (rng.random((n, n)) < 0.4) * rng.uniform(0.2, 3.0, size=(n, n))
+    if kind == "weighted":
+        a = np.triu(a, 1)
+        a = a + a.T
+    elif kind == "isolated":
+        a[::3, :] = 0.0
+        a[:, ::3] = 0.0
+    elif kind == "edgeless":
+        a[...] = 0.0
+    return a
+
+
+class TestEdges:
+    @pytest.mark.parametrize("kind", GRAPH_KINDS)
+    def test_spread_is_the_dense_product(self, kind):
+        rng = np.random.default_rng(40)
+        for n in (1, 2, 5, 11):
+            a = graph_of_kind(rng, n, kind)
+            x = rng.normal(size=(n, 3))
+            edges = Edges(a)
+            assert edges.node_count == n and edges.weights.shape == (edges.senders.size, 1)
+            np.testing.assert_allclose(edges.spread(ad.constant(x)).values, a @ x,
+                                       rtol=1e-12, atol=1e-12)
 
 
 class TestGmnEncoder:
@@ -62,7 +94,7 @@ class TestGmnPropagation:
         rng = np.random.default_rng(3)
         prop = GmnPropagation(rng, 3, 4, 3, "tanh", "prop")
         h = rng.normal(size=(5, 3))
-        out = prop(ad.constant(h), ad.constant(np.zeros((5, 5)))).values
+        out = prop(ad.constant(h), Edges(np.zeros((5, 5)))).values
         expected = prop.f_node(ad.constant(np.concatenate([h, np.zeros((5, 4))], axis=1))).values
         np.testing.assert_array_equal(out, expected)
 
@@ -72,7 +104,7 @@ class TestGmnPropagation:
         h = rng.normal(size=(2, 2))
         a = np.zeros((2, 2))
         a[0, 1] = 1.0  # message 0 -> 1 only
-        out = prop(ad.constant(h), ad.constant(a)).values
+        out = prop(ad.constant(h), Edges(a)).values
         agg = np.zeros((2, 3))
         agg[1] = gmn_message(prop.f_message, h[1], h[0])
         expected = prop.f_node(ad.constant(np.concatenate([h, agg], axis=1))).values
@@ -85,27 +117,23 @@ class TestGmnPropagation:
         a1 = np.zeros((2, 2))
         a1[0, 1] = 1.0
         a3 = a1 * 3.0
-        out1 = prop(ad.constant(h), ad.constant(a1)).values
-        out3 = prop(ad.constant(h), ad.constant(a3)).values
+        out1 = prop(ad.constant(h), Edges(a1)).values
+        out3 = prop(ad.constant(h), Edges(a3)).values
         # receiver 1's aggregate triples; f_node is affine so difference scales
         assert not np.allclose(out1[1], out3[1])
         np.testing.assert_allclose(out1[0], out3[0], atol=1e-14)
 
     def test_matches_per_edge_loop_oracle(self):
+        # the loop sums the dense a[j, i] * message(h_i, h_j) over every nonzero a[j, i]
         rng = np.random.default_rng(22)
         prop = GmnPropagation(rng, 3, 4, 5, "tanh", "prop")
-        for trial in range(12):
-            n = int(rng.integers(2, 12))
-            # weighted and directed, with some nodes isolated; the last graph has no edges
-            a = (rng.random((n, n)) < 0.4) * rng.uniform(0.2, 3.0, size=(n, n))
-            isolated = rng.random(n) < 0.25
-            a[isolated, :] = 0.0
-            a[:, isolated] = 0.0
-            if trial == 11:
-                a[...] = 0.0
-            h = rng.normal(size=(n, 3))
-            out = prop(ad.constant(h), ad.constant(a)).values
-            np.testing.assert_allclose(out, gmn_propagation_loop(prop, h, a), rtol=1e-12, atol=1e-12)
+        for kind in GRAPH_KINDS:
+            for n in (1, 2, 5, 11):
+                a = graph_of_kind(rng, n, kind)
+                h = rng.normal(size=(n, 3))
+                out = prop(ad.constant(h), Edges(a)).values
+                expected = gmn_propagation_loop(prop, h, a)
+                np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-12, err_msg=kind)
 
     def test_split_message_weights_are_the_dense_draw(self):
         # the two halves and the bias are what one Dense(2d, m) draws from the same seed
@@ -117,23 +145,24 @@ class TestGmnPropagation:
             assert msg.w_recv.shape == msg.w_send.shape == (d, m)
             assert list(msg.parameters()) == ["prop.msg.w_recv", "prop.msg.w_send", "prop.msg.b"]
 
-    def test_learned_adjacency_rejected(self):
+    def test_node_count_mismatch_rejected(self):
         rng = np.random.default_rng(23)
         prop = GmnPropagation(rng, 2, 2, 2, "linear", "prop")
-        a = ad.parameter(random_graph(rng, 3, 0.7))
-        with pytest.raises(ValueError, match="constant adjacency"):
-            prop(ad.constant(np.ones((3, 2))), a)
+        edges = Edges(random_graph(rng, 3, 0.7))
+        for rows in (2, 4):
+            with pytest.raises(ValueError, match=f"{rows} node states for a graph of 3 nodes"):
+                prop(ad.constant(np.ones((rows, 2))), edges)
 
     def test_gradient_through_two_stacked_propagations(self):
         rng = np.random.default_rng(6)
         p1 = GmnPropagation(rng, 3, 4, 4, "relu", "p1")
         p2 = GmnPropagation(rng, 4, 4, 3, "linear", "p2")
-        a = ad.constant(random_graph(rng, 6, 0.5))
+        edges = Edges(random_graph(rng, 6, 0.5))
         x = rng.normal(size=(6, 3))
         c = rng.normal(size=(6, 3))
 
         def forward():
-            h = p2(p1(ad.constant(x), a), a)
+            h = p2(p1(ad.constant(x), edges), edges)
             return ad.sum_all(ad.multiply(h, ad.constant(c)))
 
         params = {**p1.parameters(), **p2.parameters()}
@@ -191,6 +220,13 @@ class TestGcn:
         assert ad.grad_check(f, a) < 1e-4
 
 
+# A·x the two ways pool_forward is given it: stage 0's edge list, stage 1's dense matmul
+SPREAD_FORMS = {
+    "edge_list": lambda a: Edges(a).spread,
+    "dense_matmul": lambda a: lambda x: ad.matmul(ad.constant(a), x),
+}
+
+
 class TestPoolForward:
     def test_identity_assignment(self):
         rng = np.random.default_rng(12)
@@ -198,7 +234,7 @@ class TestPoolForward:
         x = ad.constant(rng.normal(size=(n, d)))
         a_vals = random_graph(rng, n, 0.5)
         # logits that force S = I exactly
-        x1, a1, s = pool_forward(x, ad.constant(1000.0 * np.eye(n)), ad.constant(a_vals))
+        x1, a1, s = pool_forward(x, ad.constant(1000.0 * np.eye(n)), Edges(a_vals).spread)
         np.testing.assert_array_equal(s.values, np.eye(n))
         np.testing.assert_array_equal(x1.values, x.values)
         np.testing.assert_allclose(a1.values, np.tanh(a_vals), atol=1e-15)
@@ -210,17 +246,18 @@ class TestPoolForward:
         logits = np.zeros((n, c))
         logits[:, 0] = 1000.0
         x1, a1, s = pool_forward(ad.constant(z), ad.constant(logits),
-                                 ad.constant(random_graph(rng, n, 0.5)))
+                                 Edges(random_graph(rng, n, 0.5)).spread)
         np.testing.assert_allclose(x1.values[0], z.sum(axis=0), atol=1e-12)
         np.testing.assert_allclose(x1.values[1:], 0.0, atol=1e-12)
 
-    def test_coarse_adjacency_double_sum_oracle(self):
+    @pytest.mark.parametrize("form", SPREAD_FORMS)
+    def test_coarse_adjacency_double_sum_oracle(self, form):
         rng = np.random.default_rng(14)
         n, c = 8, 3
         a_vals = random_graph(rng, n, 0.4)
         logits = rng.normal(size=(n, c))
         z = ad.constant(rng.normal(size=(n, 2)))
-        _, a1, s = pool_forward(z, ad.constant(logits), ad.constant(a_vals))
+        _, a1, s = pool_forward(z, ad.constant(logits), SPREAD_FORMS[form](a_vals))
         sv = s.values
         expected = np.zeros((c, c))
         for ci in range(c):
@@ -232,25 +269,29 @@ class TestPoolForward:
                 expected[ci, cj] = acc
         np.testing.assert_allclose(a1.values, np.tanh(expected), rtol=1e-10)
 
-    def test_coarse_adjacency_range(self):
+    @pytest.mark.parametrize("form", SPREAD_FORMS)
+    def test_coarse_adjacency_range(self, form):
         rng = np.random.default_rng(15)
         for _ in range(10):
             n, c = 7, 4
             a_vals = random_graph(rng, n, 0.6) * rng.uniform(0.5, 3.0)
             logits = rng.normal(size=(n, c))
             z = ad.constant(rng.normal(size=(n, 2)))
-            _, a1, _ = pool_forward(z, ad.constant(logits), ad.constant(a_vals))
+            _, a1, _ = pool_forward(z, ad.constant(logits), SPREAD_FORMS[form](a_vals))
             assert np.all(a1.values >= 0.0)
             assert np.all(a1.values < 1.0)
 
     def test_row_count_mismatch_rejected(self):
         rng = np.random.default_rng(16)
-        a = ad.constant(np.zeros((4, 4)))
+        spread = Edges(random_graph(rng, 4, 0.7)).spread
         z = ad.constant(rng.normal(size=(4, 2)))
         with pytest.raises(ValueError, match="one row per node"):
-            pool_forward(z, ad.constant(np.zeros((5, 3))), a)
+            pool_forward(z, ad.constant(np.zeros((5, 3))), spread)
         with pytest.raises(ValueError, match="one row per node"):
-            pool_forward(ad.constant(rng.normal(size=(3, 2))), ad.constant(np.zeros((4, 3))), a)
+            pool_forward(ad.constant(rng.normal(size=(3, 2))), ad.constant(np.zeros((4, 3))), spread)
+        # rows agree with each other but not with the graph: A·S cannot meet S^T
+        with pytest.raises(ValueError, match="shape mismatch"):
+            pool_forward(ad.constant(np.zeros((5, 2))), ad.constant(np.zeros((5, 3))), spread)
 
     def test_pooling_gradients_through_eq9(self):
         rng = np.random.default_rng(18)
@@ -264,7 +305,7 @@ class TestPoolForward:
 
         def f(_):
             x = ad.constant(x_vals)
-            x1, a1, s = pool_forward(embed(x), assign(x), ad.constant(a_vals))
+            x1, a1, s = pool_forward(embed(x), assign(x), Edges(a_vals).spread)
             return ad.add(
                 ad.sum_all(ad.multiply(x1, ad.constant(cx))),
                 ad.sum_all(ad.multiply(a1, ad.constant(ca))),

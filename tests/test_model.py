@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from simpool import autodiff as ad
-from simpool.layers import pool_forward
+from simpool.layers import Edges, pool_forward
 from simpool.model import (
     ConfigError,
     PRESETS,
@@ -191,6 +191,39 @@ class TestForward:
         assert out.assign_argmax[1].max() < model.preset.clusters_2
 
 
+class TestStageZeroOnEdges:
+    def test_no_node_by_node_tensor_on_the_tape(self, monkeypatch):
+        # n = 11 differs from every width of the 1/32 preset and from k, the
+        # feature width and the class count, so only the input graph is n x n
+        rng = np.random.default_rng(11)
+        n = 11
+        model = tiny_model()
+        a, x, mapped = graph_inputs(rng, n, 3, model.sim.k)
+        shapes = []
+        original = ad._record
+
+        def record(op_name, out, parents, backward):
+            if any(p.requires_grad for p in parents):
+                shapes.extend((op_name, t.shape) for t in (out, *parents))
+            return original(op_name, out, parents, backward)
+
+        monkeypatch.setattr(ad, "_record", record)
+        with ad.Tape() as tape:
+            out = model.forward_graph(a, x, mapped=mapped, label=1)
+            tape.backward(out.ce)
+        assert shapes
+        assert [op for op, shape in shapes if shape == (n, n)] == []
+
+    def test_graph_is_converted_once(self, monkeypatch):
+        calls = []
+        original = np.nonzero
+        monkeypatch.setattr(np, "nonzero", lambda a: calls.append(a.shape) or original(a))
+        model = tiny_model()
+        a, x, mapped = graph_inputs(np.random.default_rng(12), 9, 3, model.sim.k)
+        model.forward_graph(a, x, mapped=mapped, label=0)
+        assert calls == [(9, 9)]
+
+
 class TestEndToEndGradients:
     def test_total_loss_matches_finite_differences(self):
         rng = np.random.default_rng(6)
@@ -230,9 +263,10 @@ class TestPermutationBehaviour:
                 ],
                 axis=1,
             )
-            a = ad.constant(a_in)
+            edges = Edges(a_in)
             x1, a1, _ = pool_forward(
-                model.z_stack(a, ad.constant(x_in)), model.s_stack(a, ad.constant(stats)), a
+                model.z_stack(edges, ad.constant(x_in)), model.s_stack(edges, ad.constant(stats)),
+                edges.spread,
             )
             z2 = model.gcn2(model.gcn1(x1, a1), a1)
             pooled = ad.col_sum(z2)

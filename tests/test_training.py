@@ -13,7 +13,6 @@ from simpool.similarity import SimilarityConfig
 from simpool.training import (
     Adam,
     TrainConfig,
-    adam_update,
     cross_validate,
     fold_aggregate,
     stats_from_csv,
@@ -62,16 +61,15 @@ class TestAdam:
         np.testing.assert_allclose(p.values, [[-1e-3]], rtol=1e-7)
 
     def test_constant_gradient_approaches_lr_sign(self):
-        value = np.array([[0.0]])
-        m = np.zeros_like(value)
-        v = np.zeros_like(value)
-        g = np.array([[-3.7]])
+        p = ad.parameter(np.array([[0.0]]))
         lr = 0.01
+        opt = Adam({"p": p}, lr=lr)
         deltas = []
-        for t in range(1, 200):
-            before = value.copy()
-            adam_update(value, g, m, v, t, lr)
-            deltas.append((value - before).item())
+        for _ in range(1, 200):
+            before = p.values.copy()
+            p.grad = np.array([[-3.7]])
+            opt.step()
+            deltas.append((p.values - before).item())
         # updates settle at -lr * sign(g) = +lr
         np.testing.assert_allclose(deltas[-1], lr, rtol=1e-3)
 
