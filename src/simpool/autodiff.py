@@ -3,8 +3,8 @@
 Tensors are float64 numpy arrays tracked on an explicit tape. Operations
 record their backward closure in creation order, which is already a
 topological order, so ``Tape.backward`` is a single reverse sweep that
-visits each recorded node exactly once. Matrix operations are 2-D;
-elementwise operations accept any rank up to 3.
+visits each recorded node exactly once. Every tensor is 2-D: scalars and
+vectors are stored as 1 x 1 and n x 1, so no operation checks ranks.
 
 Gather and scatter indices are constants: no gradient ever flows into an
 index argument, only into the values. ``scatter_rows`` is the transpose of
@@ -65,8 +65,8 @@ class Tensor:
             arr = arr.reshape(1, 1)
         elif arr.ndim == 1:
             arr = arr.reshape(-1, 1)
-        if arr.ndim > 3:
-            raise ValueError(f"rank {arr.ndim} tensors are not supported (max 3)")
+        elif arr.ndim > 2:
+            raise ValueError(f"rank {arr.ndim} tensors are not supported (max 2)")
         self.values = arr
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
@@ -74,7 +74,7 @@ class Tensor:
 
     @classmethod
     def _raw(cls, arr: np.ndarray) -> Tensor:
-        """Fast construction for op outputs (already float64, valid rank)."""
+        """Fast construction for op outputs (already float64 and 2-D)."""
         t = object.__new__(cls)
         t.values = arr
         t.requires_grad = False
@@ -203,20 +203,12 @@ def _scatter_add(x: np.ndarray, idx: np.ndarray, rows: int) -> np.ndarray:
     return np.bincount(flat, weights=x.reshape(-1), minlength=rows * width).reshape(rows, width)
 
 
-def _require_2d(name: str, *tensors: Tensor) -> None:
-    for t in tensors:
-        if t.values.ndim != 2:
-            raise ValueError(f"{name} requires 2-D tensors, got shape {t.shape}")
-
-
 # ---------------------------------------------------------------------------
 # primitives
 # ---------------------------------------------------------------------------
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     av, bv = a.values, b.values
-    if av.ndim != 2 or bv.ndim != 2:
-        raise ValueError(f"matmul requires 2-D tensors, got {av.shape} @ {bv.shape}")
     if av.shape[1] != bv.shape[0]:
         raise ValueError(f"matmul shape mismatch: {av.shape} @ {bv.shape}")
     out = Tensor._raw(av @ bv)
@@ -233,7 +225,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def transpose(a: Tensor) -> Tensor:
-    _require_2d("transpose", a)
     out = Tensor._raw(a.values.T.copy())
 
     def backward(g):
@@ -253,8 +244,6 @@ def _broadcast_grad(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 def _check_broadcast(name: str, av: np.ndarray, bv: np.ndarray) -> None:
     if av.shape == bv.shape:
         return
-    if av.ndim != bv.ndim:
-        raise ValueError(f"{name} rank mismatch: {av.shape} vs {bv.shape}")
     for sa, sb in zip(av.shape, bv.shape):
         if sa != sb and sa != 1 and sb != 1:
             raise ValueError(f"{name} shape mismatch: {av.shape} vs {bv.shape}")
@@ -311,7 +300,6 @@ def scalar_multiply(a: Tensor, c: float) -> Tensor:
 def concat_columns(tensors: Sequence[Tensor]) -> Tensor:
     if not tensors:
         raise ValueError("concat_columns of an empty sequence")
-    _require_2d("concat_columns", *tensors)
     rows = tensors[0].shape[0]
     for t in tensors:
         if t.shape[0] != rows:
@@ -332,11 +320,10 @@ def concat_columns(tensors: Sequence[Tensor]) -> Tensor:
 
 def gather(a: Tensor, row_idx: np.ndarray, col_idx: np.ndarray) -> Tensor:
     """out[i, j] = a[row_idx[i, j], col_idx[i, j]]; indices are constants."""
-    _require_2d("gather", a)
     row_idx = np.asarray(row_idx, dtype=np.intp)
     col_idx = np.asarray(col_idx, dtype=np.intp)
-    if row_idx.shape != col_idx.shape:
-        raise ValueError("gather index arrays must share a shape")
+    if row_idx.ndim != 2 or row_idx.shape != col_idx.shape:
+        raise ValueError("gather index arrays must be 2-D and share a shape")
     n, m = a.shape
     if row_idx.size and (row_idx.min() < 0 or row_idx.max() >= n):
         raise IndexError("gather row index out of bounds")
@@ -353,7 +340,6 @@ def gather(a: Tensor, row_idx: np.ndarray, col_idx: np.ndarray) -> Tensor:
 
 def gather_rows(a: Tensor, idx: np.ndarray) -> Tensor:
     """Select whole rows of a 2-D tensor; indices are constants."""
-    _require_2d("gather_rows", a)
     idx = np.asarray(idx, dtype=np.intp).reshape(-1)
     if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
         raise IndexError("gather_rows index out of bounds")
@@ -367,7 +353,6 @@ def gather_rows(a: Tensor, idx: np.ndarray) -> Tensor:
 
 def scatter_rows(a: Tensor, idx: np.ndarray, rows: int) -> Tensor:
     """out[idx[e]] += a[e] into a (rows, m) tensor; indices are constants."""
-    _require_2d("scatter_rows", a)
     idx = np.asarray(idx, dtype=np.intp).reshape(-1)
     if idx.size != a.shape[0]:
         raise ValueError(f"scatter_rows needs one index per row, got {idx.size} for {a.shape[0]}")
@@ -382,7 +367,6 @@ def scatter_rows(a: Tensor, idx: np.ndarray, rows: int) -> Tensor:
 
 
 def row_softmax(a: Tensor) -> Tensor:
-    _require_2d("row_softmax", a)
     shifted = a.values - a.values.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     s = e / e.sum(axis=1, keepdims=True)
@@ -473,7 +457,6 @@ def sum_all(a: Tensor) -> Tensor:
 
 def row_sum(a: Tensor) -> Tensor:
     """Sum over columns; (n, m) -> (n, 1)."""
-    _require_2d("row_sum", a)
     out = Tensor._raw(a.values.sum(axis=1, keepdims=True))
 
     def backward(g):
@@ -484,7 +467,6 @@ def row_sum(a: Tensor) -> Tensor:
 
 def col_sum(a: Tensor) -> Tensor:
     """Sum over rows; (n, m) -> (1, m)."""
-    _require_2d("col_sum", a)
     out = Tensor._raw(a.values.sum(axis=0, keepdims=True))
 
     def backward(g):

@@ -140,9 +140,7 @@ def _check_full_model(rng, n):
     label = int(rng.integers(0, 6))
 
     def forward():
-        out = model.forward_graph(a, x, mapped=mapped, label=label)
-        loss = ad.add(out.ce, ad.add(out.le[0], out.le[1]))
-        return ad.add(loss, ad.add(out.lc[0], out.lc[1]))
+        return model.forward_graph(a, x, mapped=mapped, label=label).total(1.0, 1.0)
 
     return _check_params(forward, model.parameters())
 

@@ -11,6 +11,12 @@ from the learned dense coarse adjacency. Each stage coarsens with
 ``pool_forward(z, logits, spread)``, ``spread`` being its A·x. Stage 2
 sum-pools everything into a single row and a dense softmax layer
 produces class probabilities. There is no link prediction term anywhere.
+
+The objective is DiffPool's: the task cross-entropy plus the entropy term
+L_E and the cluster term L_C of each stage, five terms named once in
+``LOSS_TERMS``. ``forward_graph`` and ``forward_batch`` return the same
+``Forward`` record; for a batch each term is the mean over its graphs, and
+``Forward.total`` is the one place that weighs the terms together.
 """
 
 from __future__ import annotations
@@ -43,8 +49,8 @@ __all__ = [
     "PRESETS",
     "resolve_preset",
     "ConfigError",
-    "GraphForward",
-    "BatchForward",
+    "LOSS_TERMS",
+    "Forward",
     "SimPoolModel",
     "save_checkpoint",
     "load_checkpoint",
@@ -130,35 +136,29 @@ def resolve_preset(name: str, scale: float = 1.0) -> ModelPreset:
     """
     if name not in PRESETS:
         raise ConfigError(f"unknown preset {name!r}; available: {sorted(PRESETS)}")
+    if not 0 < scale < np.inf:  # also false for nan
+        raise ConfigError(f"scale must be positive and finite, got {scale!r}")
     preset = PRESETS[name]
     widths = ("gmn_units", "embed_units", "gcn1_units", "s1_hidden", "gcn2_units")
     return replace(preset, **{w: max(1, round(getattr(preset, w) * scale)) for w in widths})
 
 
-@dataclass
-class GraphForward:
-    probs: ad.Tensor  # 1 x num_classes, rows sum to 1
-    ce: ad.Tensor
-    le: tuple[ad.Tensor, ad.Tensor]
-    lc: tuple[ad.Tensor, ad.Tensor]
-    assign_argmax: tuple[np.ndarray, np.ndarray]
+# DiffPool's objective: task cross-entropy, then L_E and L_C of stages 0 and 1
+LOSS_TERMS = ("task_loss", "le_0", "le_1", "lc_0", "lc_1")
 
 
 @dataclass
-class BatchForward:
-    probs: np.ndarray  # B x num_classes
-    task_loss: ad.Tensor
-    le: tuple[ad.Tensor, ad.Tensor]
-    lc: tuple[ad.Tensor, ad.Tensor]
-    cluster_ids: tuple[set[int], set[int]]
+class Forward:
+    """One forward pass over a graph or a batch of graphs."""
+
+    probs: np.ndarray  # one row per graph, rows sum to 1
+    losses: dict[str, ad.Tensor]  # 1 x 1 per name in LOSS_TERMS; batch means
+    assign_argmax: tuple[np.ndarray, np.ndarray]  # stage-0 and stage-1 cluster of every row
 
     def total(self, w_e: float, w_c: float) -> ad.Tensor:
-        out = self.task_loss
-        if w_e != 0.0:
-            out = ad.add(out, ad.scalar_multiply(ad.add(self.le[0], self.le[1]), w_e))
-        if w_c != 0.0:
-            out = ad.add(out, ad.scalar_multiply(ad.add(self.lc[0], self.lc[1]), w_c))
-        return out
+        task, le0, le1, lc0, lc1 = (self.losses[k] for k in LOSS_TERMS)
+        out = ad.add(task, ad.scalar_multiply(ad.add(le0, le1), w_e))
+        return ad.add(out, ad.scalar_multiply(ad.add(lc0, lc1), w_c))
 
 
 class _GmnStack:
@@ -262,7 +262,7 @@ class SimPoolModel:
             return structural
         return ad.concat_columns([structural, x1])
 
-    def forward_graph(self, adjacency, features, label: int, mapped=None) -> GraphForward:
+    def forward_graph(self, adjacency, features, label: int, mapped=None) -> Forward:
         edges = Edges(adjacency)
         x = ad.constant(features)
         f0 = self._assign_features_0(x, mapped)
@@ -272,43 +272,27 @@ class SimPoolModel:
         z2 = self.gcn2(x2, a2)
         pooled = ad.col_sum(z2)  # global sum pool: all-ones assignment
         probs = ad.row_softmax(self.classifier(pooled))
-        return GraphForward(
-            probs=probs,
-            ce=cross_entropy(probs, label),
-            le=(loss_le(s0), loss_le(s1)),
-            lc=(loss_lc(s0), loss_lc(s1)),
-            assign_argmax=(
-                np.argmax(s0.values, axis=1),
-                np.argmax(s1.values, axis=1),
-            ),
+        terms = (cross_entropy(probs, label), loss_le(s0), loss_le(s1), loss_lc(s0), loss_lc(s1))
+        return Forward(
+            probs=probs.values,
+            losses=dict(zip(LOSS_TERMS, terms)),
+            assign_argmax=(np.argmax(s0.values, axis=1), np.argmax(s1.values, axis=1)),
         )
 
-    def forward_batch(self, batch: PaddedBatch, mapped_by_index=None) -> BatchForward:
+    def forward_batch(self, batch: PaddedBatch, mapped_by_index=None) -> Forward:
         counts = batch.node_counts()
-        b = batch.size
-        ce_terms, le0, le1, lc0, lc1 = [], [], [], [], []
-        probs = np.zeros((b, self.num_classes))
-        ids0: set[int] = set()
-        ids1: set[int] = set()
-        for slot in range(b):
+        outs = []
+        for slot in range(batch.size):
             n = int(counts[slot])
             mapped = None
             if mapped_by_index is not None:
                 mapped = mapped_by_index[int(batch.indices[slot])][:n]
-            out = self.forward_graph(
+            outs.append(self.forward_graph(
                 batch.adjacency[slot, :n, :n],
                 batch.features[slot, :n],
                 mapped=mapped,
                 label=int(batch.labels[slot]),
-            )
-            probs[slot] = out.probs.values[0]
-            ce_terms.append(out.ce)
-            le0.append(out.le[0])
-            le1.append(out.le[1])
-            lc0.append(out.lc[0])
-            lc1.append(out.lc[1])
-            ids0.update(int(c) for c in np.unique(out.assign_argmax[0]))
-            ids1.update(int(c) for c in np.unique(out.assign_argmax[1]))
+            ))
 
         def mean(terms):
             acc = terms[0]
@@ -316,12 +300,10 @@ class SimPoolModel:
                 acc = ad.add(acc, t)
             return ad.scalar_multiply(acc, 1.0 / len(terms))
 
-        return BatchForward(
-            probs=probs,
-            task_loss=mean(ce_terms),
-            le=(mean(le0), mean(le1)),
-            lc=(mean(lc0), mean(lc1)),
-            cluster_ids=(ids0, ids1),
+        return Forward(
+            probs=np.concatenate([o.probs for o in outs]),
+            losses={k: mean([o.losses[k] for o in outs]) for k in LOSS_TERMS},
+            assign_argmax=tuple(np.concatenate(a) for a in zip(*(o.assign_argmax for o in outs))),
         )
 
 

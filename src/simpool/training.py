@@ -2,14 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, astuple, dataclass, field, fields
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import NumericError
 from .data import Dataset, kfold_split, make_batches
-from .model import ASSIGN_INPUTS, ConfigError, ModelPreset, SimPoolModel
+from .model import ASSIGN_INPUTS, LOSS_TERMS, ConfigError, ModelPreset, SimPoolModel
 from .similarity import preprocess_dataset
 
 __all__ = [
@@ -24,9 +24,6 @@ __all__ = [
     "stats_to_csv",
     "stats_from_csv",
 ]
-
-STATS_HEADER = "epoch,task_loss,le_0,le_1,lc_0,lc_1,train_acc,val_acc,clusters_0,clusters_1"
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -54,28 +51,22 @@ class TrainConfig:
 
 @dataclass
 class EpochStats:
+    """One epoch of a run; its fields, in order, are the stats CSV columns."""
+
     epoch: int
-    task_loss: float
-    le: tuple[float, float]
-    lc: tuple[float, float]
+    task_loss: float  # the losses are means over the epoch's training graphs
+    le_0: float
+    le_1: float
+    lc_0: float
+    lc_1: float
     train_acc: float
     val_acc: float
-    clusters: tuple[int, int]
+    clusters_0: int  # distinct argmax clusters over the training graphs, per stage
+    clusters_1: int
 
-    def csv_row(self) -> str:
-        fields = [
-            str(self.epoch),
-            repr(self.task_loss),
-            repr(self.le[0]),
-            repr(self.le[1]),
-            repr(self.lc[0]),
-            repr(self.lc[1]),
-            repr(self.train_acc),
-            repr(self.val_acc),
-            str(self.clusters[0]),
-            str(self.clusters[1]),
-        ]
-        return ",".join(fields)
+
+STATS_HEADER = ",".join(f.name for f in fields(EpochStats))
+_PARSERS = {"int": int, "float": float}  # by annotation; the module's annotations are strings
 
 
 @dataclass
@@ -90,7 +81,7 @@ class RunStats:
 
 def stats_to_csv(stats: RunStats) -> str:
     lines = [STATS_HEADER]
-    lines.extend(e.csv_row() for e in stats.epochs)
+    lines.extend(",".join(map(str, astuple(e))) for e in stats.epochs)
     return "\n".join(lines) + "\n"
 
 
@@ -98,22 +89,13 @@ def stats_from_csv(text: str) -> RunStats:
     lines = [l for l in text.strip().splitlines() if l]
     if not lines or lines[0] != STATS_HEADER:
         raise ValueError("unrecognised stats CSV header")
+    columns = fields(EpochStats)
     stats = RunStats()
     for line in lines[1:]:
         parts = line.split(",")
-        if len(parts) != 10:
+        if len(parts) != len(columns):
             raise ValueError(f"malformed stats row: {line!r}")
-        stats.epochs.append(
-            EpochStats(
-                epoch=int(parts[0]),
-                task_loss=float(parts[1]),
-                le=(float(parts[2]), float(parts[3])),
-                lc=(float(parts[4]), float(parts[5])),
-                train_acc=float(parts[6]),
-                val_acc=float(parts[7]),
-                clusters=(int(parts[8]), int(parts[9])),
-            )
-        )
+        stats.epochs.append(EpochStats(*(_PARSERS[f.type](v) for f, v in zip(columns, parts))))
     return stats
 
 
@@ -213,10 +195,9 @@ def train_run(cfg: TrainConfig, ds: Dataset, fold: int = 0, mapped=None,
         batches = make_batches(
             ds, cfg.batch_size, shuffle_seed=cfg.seed * 1_000_003 + epoch, subset=train_idx
         )
-        loss_sums = np.zeros(5)  # task, le0, le1, lc0, lc1
+        loss_sums = dict.fromkeys(LOSS_TERMS, 0.0)
         correct = 0
-        ids0: set[int] = set()
-        ids1: set[int] = set()
+        used = (np.zeros(preset.clusters_1, bool), np.zeros(preset.clusters_2, bool))
         diverged = False
         for batch in batches:
             with ad.Tape() as tape:
@@ -232,14 +213,11 @@ def train_run(cfg: TrainConfig, ds: Dataset, fold: int = 0, mapped=None,
             except NumericError:  # a non-finite gradient; no parameter was updated
                 diverged = True
                 break
-            w = batch.size
-            loss_sums += w * np.array(
-                [fwd.task_loss.item(), fwd.le[0].item(), fwd.le[1].item(),
-                 fwd.lc[0].item(), fwd.lc[1].item()]
-            )
+            for k, loss in fwd.losses.items():
+                loss_sums[k] += batch.size * loss.item()
             correct += int((fwd.probs.argmax(axis=1) == batch.labels).sum())
-            ids0 |= fwd.cluster_ids[0]
-            ids1 |= fwd.cluster_ids[1]
+            for seen, argmax in zip(used, fwd.assign_argmax):
+                seen[argmax] = True
         if diverged:
             stats.aborted = True
             break
@@ -247,12 +225,11 @@ def train_run(cfg: TrainConfig, ds: Dataset, fold: int = 0, mapped=None,
         val_acc = evaluate_accuracy(model, ds, val_idx, mapped, cfg.batch_size)
         row = EpochStats(
             epoch=epoch,
-            task_loss=float(loss_sums[0] / n_train),
-            le=(float(loss_sums[1] / n_train), float(loss_sums[2] / n_train)),
-            lc=(float(loss_sums[3] / n_train), float(loss_sums[4] / n_train)),
+            **{k: loss_sums[k] / n_train for k in LOSS_TERMS},
             train_acc=correct / n_train,
             val_acc=val_acc,
-            clusters=(len(ids0), len(ids1)),
+            clusters_0=int(used[0].sum()),
+            clusters_1=int(used[1].sum()),
         )
         stats.epochs.append(row)
         if progress is not None:

@@ -53,6 +53,8 @@ class TestForwardValues:
         a = ad.constant(np.ones((2, 2)))
         with pytest.raises(IndexError):
             ad.gather(a, np.array([[2]]), np.array([[0]]))
+        with pytest.raises(ValueError):  # a 1-D index would make a 1-D tensor
+            ad.gather(a, np.array([0]), np.array([0]))
 
     def test_scatter_rows_sums_into_indexed_rows(self):
         x = ad.constant([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])

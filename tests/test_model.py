@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from simpool import autodiff as ad
+from simpool.data import load_tu_dataset, make_batches
 from simpool.layers import Edges, pool_forward
 from simpool.model import (
+    LOSS_TERMS,
     ConfigError,
     PRESETS,
     SimPoolModel,
@@ -16,9 +18,9 @@ from simpool.model import (
     resolve_preset,
     save_checkpoint,
 )
-from simpool.similarity import SimilarityConfig, index_map
+from simpool.similarity import SimilarityConfig, index_map, preprocess_dataset
 
-from conftest import random_graph
+from conftest import random_graph, write_tu_dataset
 from oracles import decode_index, similarity_dense_symmetric
 
 
@@ -74,10 +76,15 @@ class TestPresets:
         a, x, mapped = graph_inputs(np.random.default_rng(10), 9, 3, model.sim.k)
         with ad.Tape() as tape:
             out = model.forward_graph(a, x, mapped=mapped, label=1)
-            tape.backward(out.ce)
+            tape.backward(out.losses["task_loss"])
         assert out.assign_argmax[1].shape == (16,)
         for name, p in model.parameters().items():
             assert p.grad is not None and np.all(np.isfinite(p.grad)), name
+
+    def test_scale_must_be_positive_and_finite(self):
+        for scale in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ConfigError, match="scale"):
+                resolve_preset("enzymes", scale)
 
     def test_unknown_assign_inputs_rejected(self):
         with pytest.raises(ConfigError, match="bogus"):
@@ -147,8 +154,8 @@ class TestForward:
         a, x, mapped = graph_inputs(rng, 7, 3, model.sim.k)
         out = model.forward_graph(a, x, mapped=mapped, label=1)
         assert out.probs.shape == (1, 3)
-        np.testing.assert_allclose(out.probs.values.sum(), 1.0, atol=1e-9)
-        assert np.all(out.probs.values >= 0)
+        np.testing.assert_allclose(out.probs.sum(), 1.0, atol=1e-9)
+        assert np.all(out.probs >= 0)
 
     def test_structural_requires_mapped(self):
         rng = np.random.default_rng(1)
@@ -177,7 +184,7 @@ class TestForward:
         outs = []
         for _ in range(2):
             model = tiny_model(seed=7)
-            outs.append(model.forward_graph(a, x, mapped=mapped, label=0).probs.values)
+            outs.append(model.forward_graph(a, x, mapped=mapped, label=0).probs)
         assert np.array_equal(outs[0], outs[1])
 
     def test_assignment_argmax_ranges(self):
@@ -189,6 +196,48 @@ class TestForward:
         assert out.assign_argmax[0].max() < model.preset.clusters_1
         assert out.assign_argmax[1].shape == (model.preset.clusters_1,)
         assert out.assign_argmax[1].max() < model.preset.clusters_2
+
+    def test_total_without_weights_is_the_task_loss(self):
+        model = tiny_model()
+        a, x, mapped = graph_inputs(np.random.default_rng(14), 9, 3, model.sim.k)
+        out = model.forward_graph(a, x, mapped=mapped, label=2)
+        assert out.total(0.0, 0.0).item() == out.losses["task_loss"].item()
+        assert all(out.losses[k].shape == (1, 1) for k in LOSS_TERMS)
+
+
+class TestBatchMatchesGraphs:
+    def test_batch_is_the_mean_of_its_graphs(self, tmp_path):
+        # four sizes; the 7-node graph is a 6-ring plus an isolated node
+        rng = np.random.default_rng(15)
+        ring = np.zeros((7, 7))
+        for i in range(6):
+            ring[i, (i + 1) % 6] = ring[(i + 1) % 6, i] = 1.0
+        graphs = [random_graph(rng, n, 0.5) for n in (5, 9, 12)] + [ring]
+        node_labels = rng.integers(1, 4, size=sum(g.shape[0] for g in graphs))
+        root = write_tu_dataset(tmp_path / "MIX", "MIX", graphs, [1, 2, 3, 2], node_labels)
+        ds = load_tu_dataset(root, "MIX")
+        assert ds.graphs[3].dense_adjacency()[6].sum() == 0
+        model = tiny_model(assign_inputs="both")
+        mapped = preprocess_dataset(ds, model.sim)
+        (batch,) = make_batches(ds, 4, shuffle_seed=1)
+
+        fwd = model.forward_batch(batch, mapped)
+        singles = []
+        for i in batch.indices:
+            g = ds.graphs[i]
+            singles.append(model.forward_graph(g.dense_adjacency(), g.node_features,
+                                               label=g.label, mapped=mapped[i]))
+
+        np.testing.assert_allclose(fwd.probs, np.concatenate([o.probs for o in singles]),
+                                   rtol=1e-12, atol=0)
+        for k in LOSS_TERMS:
+            expected = np.mean([o.losses[k].item() for o in singles])
+            np.testing.assert_allclose(fwd.losses[k].item(), expected, rtol=1e-12, err_msg=k)
+        for stage in (0, 1):
+            np.testing.assert_array_equal(
+                fwd.assign_argmax[stage],
+                np.concatenate([o.assign_argmax[stage] for o in singles]),
+            )
 
 
 class TestStageZeroOnEdges:
@@ -210,7 +259,7 @@ class TestStageZeroOnEdges:
         monkeypatch.setattr(ad, "_record", record)
         with ad.Tape() as tape:
             out = model.forward_graph(a, x, mapped=mapped, label=1)
-            tape.backward(out.ce)
+            tape.backward(out.losses["task_loss"])
         assert shapes
         assert [op for op, shape in shapes if shape == (n, n)] == []
 
@@ -231,9 +280,7 @@ class TestEndToEndGradients:
         a, x, mapped = graph_inputs(rng, 7, 3, model.sim.k)
 
         def total(_):
-            out = model.forward_graph(a, x, mapped=mapped, label=1)
-            loss = ad.add(out.ce, ad.add(out.le[0], out.le[1]))
-            return ad.add(loss, ad.add(out.lc[0], out.lc[1]))
+            return model.forward_graph(a, x, mapped=mapped, label=1).total(1.0, 1.0)
 
         for name, p in model.parameters().items():
             err = ad.grad_check(total, p)
@@ -315,15 +362,15 @@ class TestCheckpoint:
         rng = np.random.default_rng(9)
         model = tiny_model(seed=1)
         a, x, mapped = graph_inputs(rng, 6, 3, model.sim.k)
-        before = model.forward_graph(a, x, mapped=mapped, label=0).probs.values.copy()
+        before = model.forward_graph(a, x, mapped=mapped, label=0).probs.copy()
         path = tmp_path / "model.spm"
         save_checkpoint(path, model)
 
         fresh = tiny_model(seed=2)
-        different = fresh.forward_graph(a, x, mapped=mapped, label=0).probs.values.copy()
+        different = fresh.forward_graph(a, x, mapped=mapped, label=0).probs.copy()
         assert not np.allclose(different, before)
         load_checkpoint(path, fresh)
-        after = fresh.forward_graph(a, x, mapped=mapped, label=0).probs.values
+        after = fresh.forward_graph(a, x, mapped=mapped, label=0).probs
         assert np.array_equal(after, before)
 
     def test_incompatible_model_rejected(self, tmp_path):

@@ -11,6 +11,7 @@ from simpool.autodiff import NumericError
 from simpool.model import ConfigError, resolve_preset
 from simpool.similarity import SimilarityConfig
 from simpool.training import (
+    STATS_HEADER,
     Adam,
     TrainConfig,
     cross_validate,
@@ -102,8 +103,8 @@ class TestTrainRun:
         row = stats.epochs[0]
         assert 0.0 <= row.train_acc <= 1.0
         assert 0.0 <= row.val_acc <= 1.0
-        assert 1 <= row.clusters[0] <= 8
-        assert 1 <= row.clusters[1] <= 4
+        assert 1 <= row.clusters_0 <= 8
+        assert 1 <= row.clusters_1 <= 4
 
     def test_deterministic_stats_stream(self, toy_dataset):
         cfg = small_config(epochs=2, seed=3)
@@ -176,6 +177,21 @@ class TestStatsCsv:
     def test_header_enforced(self):
         with pytest.raises(ValueError):
             stats_from_csv("nope\n1,2,3\n")
+
+    def test_header_pinned(self):
+        assert STATS_HEADER == (
+            "epoch,task_loss,le_0,le_1,lc_0,lc_1,train_acc,val_acc,clusters_0,clusters_1"
+        )
+
+    def test_malformed_rows_rejected(self):
+        good = "3,0.5,1.25,1.0,0.25,0.125,0.75,0.5,4,2"
+        assert stats_from_csv(f"{STATS_HEADER}\n{good}\n").epochs[0].clusters_0 == 4
+        for row in ("3,0.5,1.25,1.0,0.25,0.125,0.75,0.5,4",
+                    "3,0.5,1.25,1.0,0.25,0.125,0.75,0.5,4,2,1",
+                    "3,0.5,abc,1.0,0.25,0.125,0.75,0.5,4,2",
+                    "3,0.5,1.25,1.0,0.25,0.125,0.75,0.5,4.5,2"):
+            with pytest.raises(ValueError):
+                stats_from_csv(f"{STATS_HEADER}\n{row}\n")
 
 
 class TestCrossValidate:
