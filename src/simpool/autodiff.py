@@ -8,9 +8,15 @@ vectors are stored as 1 x 1 and n x 1, so no operation checks ranks.
 
 Gather and scatter indices are constants: no gradient ever flows into an
 index argument, only into the values. ``scatter_rows`` is the transpose of
-``gather_rows``: it sums input rows into the output rows they index, the
-message aggregation of graph layers. Both gather backward passes and
-``scatter_rows`` share one scatter-add kernel, ``_scatter_add``.
+``gather_rows``: it sums input rows into the output rows they index. Its
+forward pass and the backward passes of ``gather`` and ``gather_rows`` run
+on ``_scatter_add``, one ``np.bincount`` that adds in index order.
+
+``edge_aggregate`` is GMN message passing as one op. Its forward and
+backward sums are products with a graph's constant CSR incidence matrices
+(``layers.Edges``), whose rows list their edges in edge order, so they add
+in the same order as ``_scatter_add``. The op keeps only its node-row
+inputs on the tape and recomputes the edge rows in its backward pass.
 """
 
 from __future__ import annotations
@@ -36,6 +42,7 @@ __all__ = [
     "gather",
     "gather_rows",
     "scatter_rows",
+    "edge_aggregate",
     "row_softmax",
     "tanh",
     "relu",
@@ -135,7 +142,10 @@ class Tape:
         """Seed d(loss)/d(loss) = 1 and sweep the tape once, in reverse.
 
         Gradients of op outputs wait in a scratch dict until the sweep
-        reaches the node that made them. Leaves (tensors not produced by a
+        reaches the node that made them. The first gradient to arrive is
+        stored as it is and later ones are added out of place, so a
+        backward closure may return its own ``g`` and no closure may write
+        into the ``g`` it receives. Leaves (tensors not produced by a
         recorded op) accumulate only into ``.grad``; the scratch dict never
         holds them, so it is empty when the sweep ends.
         """
@@ -157,11 +167,10 @@ class Tape:
                 if not parent._op_output:
                     parent.accumulate_grad(pg)
                     continue
+                # out of place: pg may be an array another gradient shares
                 key = id(parent)
-                if key in grads:
-                    grads[key] += pg
-                else:
-                    grads[key] = np.array(pg, dtype=np.float64)
+                prev = grads.get(key)
+                grads[key] = pg if prev is None else prev + pg
 
 
 # the tape operations record onto: the innermost open ``Tape``, or None
@@ -364,6 +373,65 @@ def scatter_rows(a: Tensor, idx: np.ndarray, rows: int) -> Tensor:
         return ((a, g[idx]),)
 
     return _record("scatter_rows", out, (a,), backward)
+
+
+def _tanh_grad_in_place(g: np.ndarray, pre: np.ndarray) -> None:
+    t = np.tanh(pre, out=pre)
+    g *= np.subtract(1.0, np.multiply(t, t, out=t), out=t)
+
+
+# activation -> (act(x) in place, g *= act'(pre) in place, overwriting pre)
+_EDGE_ACTIVATIONS = {
+    "relu": (lambda x: np.maximum(x, 0.0, out=x), lambda g, pre: np.multiply(g, pre > 0.0, out=g)),
+    "tanh": (lambda x: np.tanh(x, out=x), _tanh_grad_in_place),
+    "linear": (lambda x: x, lambda g, pre: g),
+}
+
+
+def edge_aggregate(p_recv: Tensor, p_send: Tensor, bias: Tensor, edges, activation: str) -> Tensor:
+    """out[i] = sum over edges e into i of w_e * act(p_recv[i] + p_send[senders[e]] + bias).
+
+    ``edges`` is a ``layers.Edges``: its ``receivers``, ``senders`` and
+    ``weights`` list the edges, ``weighted_receivers`` is the n x E
+    incidence with w_e at (receivers[e], e), and ``receiver_incidence`` and
+    ``sender_incidence`` are the unweighted n x E incidences. The E x m
+    pre-activations exist only while the forward or backward pass runs;
+    the tape keeps the n x m inputs, and the backward pass recomputes
+    ``pre`` to form g_pre = w * act'(pre) * g[receivers]. Its gradients are
+    the receiver and sender incidences times g_pre and the column sum of
+    g_pre.
+    """
+    if activation not in _EDGE_ACTIVATIONS:
+        raise ValueError(f"unknown activation {activation!r}")
+    act, act_grad = _EDGE_ACTIVATIONS[activation]
+    n, m = edges.node_count, bias.shape[1]
+    if p_recv.shape != (n, m) or p_send.shape != (n, m) or bias.shape != (1, m):
+        raise ValueError(f"edge_aggregate shape mismatch: {p_recv.shape}, {p_send.shape}, "
+                         f"{bias.shape} for {n} nodes")
+    rv, sv, bv = p_recv.values, p_send.values, bias.values
+
+    def pre_activations() -> np.ndarray:
+        pre = rv[edges.receivers]
+        pre += sv[edges.senders]
+        pre += bv
+        return pre
+
+    out = Tensor._raw(edges.weighted_receivers @ act(pre_activations()))
+
+    def backward(g):
+        g_pre = g[edges.receivers]
+        g_pre *= edges.weights.values
+        act_grad(g_pre, pre_activations())
+        grads = []
+        if p_recv.requires_grad:
+            grads.append((p_recv, edges.receiver_incidence @ g_pre))
+        if p_send.requires_grad:
+            grads.append((p_send, edges.sender_incidence @ g_pre))
+        if bias.requires_grad:
+            grads.append((bias, _broadcast_grad(g_pre, bv.shape)))
+        return grads
+
+    return _record("edge_aggregate", out, (p_recv, p_send, bias), backward)
 
 
 def row_softmax(a: Tensor) -> Tensor:

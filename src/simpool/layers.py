@@ -2,13 +2,18 @@
 
 All layers operate on single graphs (2-D tensors); batches are handled by
 the model loop. Parameters are named so checkpoints stay stable. Stage 0
-reads each graph as one ``Edges`` list: GMN propagation scatters messages
-along it and stage-0 pooling takes A·S from it, with no n x n tensor.
+reads each graph as one ``Edges`` list, with no n x n tensor: GMN
+propagation sums its messages through the edge list's CSR incidence
+matrices in one ``ad.edge_aggregate`` op, which keeps no edge rows on the
+tape, and stage-0 pooling takes A·S from it by gather and scatter.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
+import scipy.sparse as sp
 
 from . import autodiff as ad
 
@@ -39,13 +44,48 @@ def glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
+def _incidence(data: np.ndarray, edge_order: np.ndarray, nodes: np.ndarray, node_count: int):
+    """The node_count x E CSR matrix with data[k] at (nodes[e], e), e = edge_order[k].
+
+    ``edge_order`` lists the edges sorted by node, each node's edges in
+    edge order, so a product with it sums every row in edge order.
+    """
+    indptr = np.zeros(node_count + 1, dtype=np.intp)
+    np.cumsum(np.bincount(nodes, minlength=node_count), out=indptr[1:])
+    return sp.csr_matrix((data, edge_order, indptr), shape=(node_count, nodes.size))
+
+
 class Edges:
-    """A graph's weighted directed edges A[senders[e], receivers[e]] = weights[e]."""
+    """A graph's weighted directed edges A[senders[e], receivers[e]] = weights[e].
+
+    The edges come in row-major order, so ``senders`` is sorted. For
+    ``ad.edge_aggregate`` the list also holds node x edge CSR incidence
+    matrices, built once per graph: ``weighted_receivers`` (w_e at
+    (receivers[e], e)), which the forward pass needs and which is built
+    with the list, and the unweighted ``receiver_incidence`` and
+    ``sender_incidence``, which only a backward pass needs and which are
+    built on first use. Each row lists its edges in edge order, so the
+    products add in the same order as a scatter over the edges.
+    """
 
     def __init__(self, adjacency: np.ndarray):
         self.node_count = adjacency.shape[0]
         self.senders, self.receivers = np.nonzero(adjacency)
-        self.weights = ad.constant(adjacency[self.senders, self.receivers].reshape(-1, 1))
+        weights = adjacency[self.senders, self.receivers]
+        self.weights = ad.constant(weights.reshape(-1, 1))
+        self._by_receiver = np.argsort(self.receivers, kind="stable")
+        self.weighted_receivers = _incidence(weights[self._by_receiver], self._by_receiver,
+                                             self.receivers, self.node_count)
+
+    @cached_property
+    def receiver_incidence(self):
+        return _incidence(np.ones(self.senders.size), self._by_receiver, self.receivers,
+                          self.node_count)
+
+    @cached_property
+    def sender_incidence(self):
+        return _incidence(np.ones(self.senders.size), np.arange(self.senders.size),
+                          self.senders, self.node_count)
 
     def spread(self, x: ad.Tensor) -> ad.Tensor:
         """A @ x: row i sums weights[e] * x[receivers[e]] over the edges e that i sends."""
@@ -131,14 +171,14 @@ class GmnEncoder:
 
 
 class GmnMessage:
-    """GMN message function act(concat(h_i, h_j) @ W + b), split by rows of W.
+    """Parameters of the GMN message function act(concat(h_i, h_j) @ W + b).
 
     W's top d rows act on the receiver state h_i and its bottom d rows on
     the sender state h_j, so ``concat(h_i, h_j) @ W = h_i @ W_recv + h_j @
-    W_send``. Each half multiplies the n node states once and the products
-    are gathered onto the E edges, instead of one GEMM on E x 2d edge rows.
-    W is drawn as one glorot(2d, m) matrix before the bias, so the split
-    draws the same numbers as ``Dense(rng, 2d, m, ...)``.
+    W_send``: each half multiplies the n node states once, and
+    ``GmnPropagation`` combines the products on the edges. W is drawn as
+    one glorot(2d, m) matrix before the bias, so the split draws the same
+    numbers as ``Dense(rng, 2d, m, ...)``.
     """
 
     def __init__(self, rng, in_dim: int, out_dim: int, activation: str, name: str):
@@ -155,12 +195,6 @@ class GmnMessage:
     def out_dim(self) -> int:
         return self.bias.shape[1]
 
-    def __call__(self, h: ad.Tensor, edges: Edges) -> ad.Tensor:
-        """One message row per edge (receivers[e], senders[e])."""
-        from_recv = ad.gather_rows(ad.matmul(h, self.w_recv), edges.receivers)
-        from_send = ad.gather_rows(ad.matmul(h, self.w_send), edges.senders)
-        return ACTIVATIONS[self.activation](ad.add(ad.add(from_recv, from_send), self.bias))
-
     def parameters(self) -> dict[str, ad.Tensor]:
         return {
             f"{self.name}.w_recv": self.w_recv,
@@ -175,9 +209,12 @@ class GmnPropagation:
     For every edge j -> i, A[j, i] != 0, a message f_message(concat(h_i, h_j))
     is produced, scaled by A[j, i], and summed into receiver i; the new state
     is f_node(concat(h_i, aggregate_i)). A node that receives no message
-    has an aggregate of exactly zero. ``GmnMessage`` computes the messages
-    as (h @ W_recv)[i] + (h @ W_send)[j], the same affine map on n node
-    rows instead of E edge rows.
+    has an aggregate of exactly zero. The layer is two matmuls on the n
+    node rows, h @ W_recv and h @ W_send, then ``ad.edge_aggregate``, which
+    forms each message (h @ W_recv)[i] + (h @ W_send)[j] + b on the fly and
+    sums it through the receiver incidence, then f_node. The E x m message
+    rows are never kept: the op's backward pass recomputes them, so the
+    tape holds O(n) rows per layer.
     """
 
     def __init__(self, rng, in_dim: int, message_dim: int, out_dim: int,
@@ -193,8 +230,9 @@ class GmnPropagation:
         n = edges.node_count
         if h.shape[0] != n:
             raise ValueError(f"{h.shape[0]} node states for a graph of {n} nodes")
-        messages = ad.multiply(self.f_message(h, edges), edges.weights)
-        aggregate = ad.scatter_rows(messages, edges.receivers, n)
+        msg = self.f_message
+        aggregate = ad.edge_aggregate(ad.matmul(h, msg.w_recv), ad.matmul(h, msg.w_send),
+                                      msg.bias, edges, msg.activation)
         return self.f_node(ad.concat_columns([h, aggregate]))
 
     def parameters(self) -> dict[str, ad.Tensor]:

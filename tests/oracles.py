@@ -2,8 +2,9 @@
 
 The similarity oracles are the textbook O(n^2)-memory formulas behind the
 sparse path in ``simpool.similarity``; the GMN oracle loops over edges one
-message at a time. Tests compare against them. ``decode_index`` reads the
-source node back out of one ``index_map`` entry.
+message at a time, and ``edge_aggregate_chain`` is ``ad.edge_aggregate``
+spelt out as the tape ops it fuses. Tests compare against them.
+``decode_index`` reads the source node back out of one ``index_map`` entry.
 """
 
 import warnings
@@ -11,6 +12,7 @@ import warnings
 import numpy as np
 
 from simpool import autodiff as ad
+from simpool.layers import ACTIVATIONS
 from simpool.similarity import SimilarityConfig, SimilarityFeatures
 
 
@@ -134,3 +136,14 @@ def gmn_propagation_loop(prop, h: np.ndarray, a: np.ndarray) -> np.ndarray:
             if a[j, i] != 0:
                 aggregate[i] += a[j, i] * gmn_message(prop.f_message, h[i], h[j])
     return prop.f_node(ad.constant(np.concatenate([h, aggregate], axis=1))).values
+
+
+def edge_aggregate_chain(p_recv, p_send, bias, edges, activation: str) -> ad.Tensor:
+    """``ad.edge_aggregate`` as separate tape ops: gather both ends, add, act, weigh, scatter.
+
+    Every intermediate has one row per edge and stays on the tape.
+    """
+    pre = ad.add(ad.add(ad.gather_rows(p_recv, edges.receivers),
+                        ad.gather_rows(p_send, edges.senders)), bias)
+    messages = ad.multiply(ACTIVATIONS[activation](pre), edges.weights)
+    return ad.scatter_rows(messages, edges.receivers, edges.node_count)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from simpool import autodiff as ad
+from simpool.layers import ACTIVATIONS, Edges
 
 
 def scalarize(t):
@@ -92,6 +93,21 @@ def _run_primitive_case(name, builder, rng):
     assert err < 1e-4, f"{name}: relative error {err:.3e}"
 
 
+# four nodes: a weighted self-loop, a node with two incoming edges, node 3 receives none
+EDGES = Edges(np.array([[0.0, 1.5, 0.0, 0.0],
+                        [0.7, 0.0, 2.0, 0.0],
+                        [0.0, 1.0, 0.4, 0.0],
+                        [0.3, 0.0, 0.0, 0.0]]))
+
+
+def edge_aggregate_case(activation):
+    c = ad.constant(np.arange(12.0).reshape(4, 3) / 6.0 - 1.0)
+    d = ad.constant(np.arange(12.0).reshape(4, 3) - 5.0)
+    return lambda x: scalarize(ad.multiply(
+        ad.edge_aggregate(x, ad.multiply(x, c), ad.col_sum(ad.scalar_multiply(x, 0.3)),
+                          EDGES, activation), d))
+
+
 PRIMITIVE_CASES = {
     "matmul_left": lambda x: scalarize(ad.matmul(x, ad.constant(np.arange(12.0).reshape(3, 4)))),
     "matmul_right": lambda x: scalarize(ad.matmul(ad.constant(np.arange(8.0).reshape(2, 4)), x)),
@@ -125,6 +141,7 @@ PRIMITIVE_CASES = {
     "sum_all": lambda x: ad.sum_all(x),
     "row_sum": lambda x: scalarize(ad.multiply(ad.row_sum(x), ad.constant(np.array([[1.0], [2.0], [3.0], [4.0]])))),
     "col_sum": lambda x: scalarize(ad.multiply(ad.col_sum(x), ad.constant(np.array([[1.0, -2.0, 3.0]])))),
+    **{f"edge_aggregate_{act}": edge_aggregate_case(act) for act in ACTIVATIONS},
 }
 
 
@@ -135,6 +152,27 @@ def test_primitive_gradients(name):
     for trial in range(50):
         rng = np.random.default_rng(1000 + trial)
         _run_primitive_case(name, builder, rng)
+
+
+@pytest.mark.parametrize("name", sorted(PRIMITIVE_CASES))
+def test_backward_does_not_write_into_its_gradient(name, monkeypatch):
+    """The tape stores the first gradient it is given as it is, so a backward pass
+    may read its ``g`` but never write into it: every closure gets a read-only one."""
+    original = ad._record
+
+    def record(op_name, out, parents, backward):
+        def read_only(g):
+            g = g.view()
+            g.flags.writeable = False
+            return backward(g)
+
+        return original(op_name, out, parents, read_only)
+
+    monkeypatch.setattr(ad, "_record", record)
+    x = ad.parameter(np.random.default_rng(17).uniform(-2.0, 2.0, size=(4, 3)))
+    with ad.Tape() as tape:
+        tape.backward(PRIMITIVE_CASES[name](x))
+    assert x.grad is not None and np.all(np.isfinite(x.grad))
 
 
 class TestGradCheck:
@@ -231,6 +269,18 @@ class TestTapeSemantics:
         assert x.grad.tobytes() == expected.tobytes()
         assert id(x) not in tape._grads
         assert tape._grads == {}
+
+    def test_gradient_shared_by_two_outputs_is_added_out_of_place(self):
+        # the sweep runs the inner add first: it hands one array to t and u, then
+        # t receives 3 * g from v, which must not change the array u still waits on
+        x = ad.parameter(np.array([[0.5, -1.0]]))
+        with ad.Tape() as tape:
+            t = ad.tanh(x)
+            u = ad.scalar_multiply(x, 2.0)
+            v = ad.scalar_multiply(t, 3.0)
+            tape.backward(ad.sum_all(ad.add(ad.add(t, u), v)))
+        np.testing.assert_allclose(x.grad, 4.0 * (1.0 - np.tanh(x.values) ** 2) + 2.0,
+                                   rtol=1e-15)
 
     def test_no_grad_suppresses_recording(self):
         x = ad.parameter(np.ones((2, 2)))

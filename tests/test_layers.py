@@ -5,6 +5,7 @@ import pytest
 
 from simpool import autodiff as ad
 from simpool.layers import (
+    ACTIVATIONS,
     Dense,
     Edges,
     GcnLayer,
@@ -18,8 +19,8 @@ from simpool.layers import (
     pool_forward,
 )
 
-from conftest import random_graph
-from oracles import gmn_message, gmn_propagation_loop
+from conftest import random_graph, ring_graph
+from oracles import edge_aggregate_chain, gmn_message, gmn_propagation_loop
 
 
 def scalarize_with(rng, out):
@@ -56,6 +57,67 @@ class TestEdges:
             assert edges.node_count == n and edges.weights.shape == (edges.senders.size, 1)
             np.testing.assert_allclose(edges.spread(ad.constant(x)).values, a @ x,
                                        rtol=1e-12, atol=1e-12)
+
+
+class TestEdgeAggregate:
+    @staticmethod
+    def run(fn, rng, a, activation, m=4):
+        """Forward and backward of ``fn`` on random node rows: the output and the
+        gradients of p_recv, p_send and the bias."""
+        n = a.shape[0]
+        edges = Edges(a)
+        p_recv, p_send = (ad.parameter(rng.normal(size=(n, m))) for _ in range(2))
+        bias = ad.parameter(rng.uniform(-0.05, 0.05, size=(1, m)))
+        c = ad.constant(rng.normal(size=(n, m)))
+        with ad.Tape() as tape:
+            out = fn(p_recv, p_send, bias, edges, activation)
+            tape.backward(ad.sum_all(ad.multiply(out, c)))
+        grads = [np.zeros((n, m)) if p.grad is None else p.grad for p in (p_recv, p_send)]
+        grads.append(np.zeros((1, m)) if bias.grad is None else bias.grad)
+        return out.values, grads
+
+    @pytest.mark.parametrize("activation", sorted(ACTIVATIONS))
+    @pytest.mark.parametrize("kind", GRAPH_KINDS)
+    def test_bytes_match_the_op_chain(self, kind, activation):
+        # the incidence products add in edge order, like the chain's bincount scatter
+        for n in (1, 2, 5, 11, 23):
+            a = graph_of_kind(np.random.default_rng(n), n, kind)
+            out, grads = self.run(ad.edge_aggregate, np.random.default_rng(50 + n), a, activation)
+            ref, ref_grads = self.run(edge_aggregate_chain, np.random.default_rng(50 + n), a,
+                                      activation)
+            assert out.tobytes() == ref.tobytes()
+            for g, ref_g in zip(grads, ref_grads):
+                assert g.tobytes() == ref_g.tobytes()
+
+    @pytest.mark.parametrize("kind", ("isolated", "edgeless"))
+    def test_nodes_without_incoming_edges_get_zero_rows(self, kind):
+        rng = np.random.default_rng(41)
+        a = graph_of_kind(rng, 9, kind)
+        for activation in sorted(ACTIVATIONS):
+            out, grads = self.run(ad.edge_aggregate, rng, a, activation)
+            silent = a.sum(axis=0) == 0
+            assert silent.any()
+            assert np.all(out[silent] == 0.0)
+            assert all(np.all(np.isfinite(g)) for g in grads)
+
+    def test_forward_builds_only_the_weighted_incidence(self):
+        rng = np.random.default_rng(43)
+        edges = Edges(graph_of_kind(rng, 6, "directed"))
+        with ad.no_grad():
+            ad.edge_aggregate(*(ad.constant(rng.normal(size=(6, 3))) for _ in range(2)),
+                              ad.constant(np.zeros((1, 3))), edges, "relu")
+        assert "receiver_incidence" not in vars(edges)
+        assert "sender_incidence" not in vars(edges)
+
+    def test_validation(self):
+        edges = Edges(ring_graph(4))
+        rows, bias = ad.constant(np.ones((4, 3))), ad.constant(np.zeros((1, 3)))
+        with pytest.raises(ValueError, match="unknown activation"):
+            ad.edge_aggregate(rows, rows, bias, edges, "sigmoid")
+        with pytest.raises(ValueError, match="shape mismatch"):
+            ad.edge_aggregate(ad.constant(np.ones((5, 3))), rows, bias, edges, "relu")
+        with pytest.raises(ValueError, match="shape mismatch"):
+            ad.edge_aggregate(rows, rows, ad.constant(np.zeros((1, 2))), edges, "relu")
 
 
 class TestGmnEncoder:
@@ -134,6 +196,25 @@ class TestGmnPropagation:
                 out = prop(ad.constant(h), Edges(a)).values
                 expected = gmn_propagation_loop(prop, h, a)
                 np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-12, err_msg=kind)
+
+    def test_tape_holds_no_edge_rows(self, monkeypatch):
+        # message passing keeps node rows only; its E x m edge rows are recomputed
+        rng = np.random.default_rng(24)
+        a = random_graph(rng, 12, 0.5)
+        edges = Edges(a)
+        assert edges.senders.size not in (0, 12)
+        prop = GmnPropagation(rng, 3, 8, 5, "relu", "prop")
+        shapes = []
+        original = ad._record
+
+        def record(op_name, out, parents, backward):
+            shapes.append((op_name, out.shape))
+            return original(op_name, out, parents, backward)
+
+        monkeypatch.setattr(ad, "_record", record)
+        with ad.Tape():
+            prop(ad.parameter(rng.normal(size=(12, 3))), edges)
+        assert shapes and all(rows == 12 for _, (rows, _) in shapes), shapes
 
     def test_split_message_weights_are_the_dense_draw(self):
         # the two halves and the bias are what one Dense(2d, m) draws from the same seed
