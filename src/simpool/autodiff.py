@@ -392,14 +392,14 @@ def edge_aggregate(p_recv: Tensor, p_send: Tensor, bias: Tensor, edges, activati
     """out[i] = sum over edges e into i of w_e * act(p_recv[i] + p_send[senders[e]] + bias).
 
     ``edges`` is a ``layers.Edges``: its ``receivers``, ``senders`` and
-    ``weights`` list the edges, ``weighted_receivers`` is the n x E
-    incidence with w_e at (receivers[e], e), and ``receiver_incidence`` and
-    ``sender_incidence`` are the unweighted n x E incidences. The E x m
-    pre-activations exist only while the forward or backward pass runs;
-    the tape keeps the n x m inputs, and the backward pass recomputes
-    ``pre`` to form g_pre = w * act'(pre) * g[receivers]. Its gradients are
-    the receiver and sender incidences times g_pre and the column sum of
-    g_pre.
+    ``weights`` list the edges, and ``receiver_incidence`` and
+    ``sender_incidence`` are the unweighted n x E incidences. The forward
+    pass weighs the activated edge rows in place and sums them through the
+    receiver incidence. The E x m pre-activations exist only while the
+    forward or backward pass runs; the tape keeps the n x m inputs, and the
+    backward pass recomputes ``pre`` to form g_pre = w * act'(pre) *
+    g[receivers]. Its gradients are the receiver and sender incidences
+    times g_pre and the column sum of g_pre.
     """
     if activation not in _EDGE_ACTIVATIONS:
         raise ValueError(f"unknown activation {activation!r}")
@@ -416,12 +416,16 @@ def edge_aggregate(p_recv: Tensor, p_send: Tensor, bias: Tensor, edges, activati
         pre += bv
         return pre
 
-    out = Tensor._raw(edges.weighted_receivers @ act(pre_activations()))
+    messages = act(pre_activations())
+    messages *= edges.weights.values
+    out = Tensor._raw(edges.receiver_incidence @ messages)
 
     def backward(g):
+        # pre first: its gather temporaries are freed before the E x m g_pre exists
+        pre = pre_activations()
         g_pre = g[edges.receivers]
         g_pre *= edges.weights.values
-        act_grad(g_pre, pre_activations())
+        act_grad(g_pre, pre)
         grads = []
         if p_recv.requires_grad:
             grads.append((p_recv, edges.receiver_incidence @ g_pre))

@@ -2,7 +2,7 @@
 
 Datasets arrive as TU-style text files (1-based edge list, graph
 indicator, graph labels, optional node labels). Loaded graphs are
-immutable; adjacency is kept coordinate-sparse, features dense.
+immutable; adjacency is kept as CSR, features dense.
 """
 
 from __future__ import annotations
@@ -63,9 +63,6 @@ class Graph:
     @property
     def feature_dim(self) -> int:
         return self.node_features.shape[1]
-
-    def dense_adjacency(self) -> np.ndarray:
-        return self.adjacency.toarray()
 
 
 @dataclass(frozen=True)
@@ -183,77 +180,53 @@ def load_tu_dataset(root_path, name: str) -> Dataset:
 
     # node id ranges per graph (TU ids are 1-based and globally consecutive)
     counts = np.bincount(indicator, minlength=num_graphs + 1)[1:]
-    offsets = np.concatenate([[0], np.cumsum(counts)])
+    offsets = np.concatenate([[0], np.cumsum(counts)]).tolist()
 
-    if edges.size:
-        if edges.min() < 1 or edges.max() > num_nodes:
-            raise DatasetIntegrityError("edge endpoint outside the node id range")
-        src = edges[:, 0] - 1
-        dst = edges[:, 1] - 1
-        if np.any(indicator[src] != indicator[dst]):
-            bad = int(np.argmax(indicator[src] != indicator[dst]))
-            raise DatasetIntegrityError(
-                f"edge ({edges[bad, 0]}, {edges[bad, 1]}) crosses graph boundaries"
-            )
-    else:
-        src = dst = np.zeros(0, dtype=np.int64)
+    src, dst = edges.T - 1
+    if edges.size and (edges.min() < 1 or edges.max() > num_nodes):
+        raise DatasetIntegrityError("edge endpoint outside the node id range")
+    crosses = indicator[src] != indicator[dst]
+    if crosses.any():
+        bad = int(np.argmax(crosses))
+        raise DatasetIntegrityError(
+            f"edge ({edges[bad, 0]}, {edges[bad, 1]}) crosses graph boundaries"
+        )
 
     node_labels = None
     if os.path.isfile(path_of("node_labels")):
         node_labels = _read_int_rows(path_of("node_labels"), 1).reshape(-1)
         if node_labels.shape[0] != num_nodes:
             raise DatasetIntegrityError("node label count differs from node count")
-        label_values = np.unique(node_labels)
-        label_pos = np.searchsorted(label_values, node_labels)
-        feature_dim = len(label_values)
 
-    edge_graph = indicator[src] - 1 if src.size else np.zeros(0, dtype=np.int64)
-    order = np.argsort(edge_graph, kind="stable")
-    src, dst, edge_graph = src[order], dst[order], edge_graph[order]
-    edge_offsets = np.searchsorted(edge_graph, np.arange(num_graphs + 1))
+    # no edge crosses graphs, so the dataset is one block-diagonal matrix:
+    # build it once and cut each graph out as a row range
+    adj = sp.coo_matrix((np.ones(src.size), (src, dst)), shape=(num_nodes, num_nodes)).tocsr()
+    adj.data[:] = 1.0  # collapse duplicate listings
+    adj = adj.maximum(adj.T)  # symmetrise
+    degrees = np.diff(adj.indptr)
+    if node_labels is not None:
+        label_values, label_pos = np.unique(node_labels, return_inverse=True)
+        features = np.zeros((num_nodes, len(label_values)))
+        features[np.arange(num_nodes), label_pos] = 1.0
+    else:
+        features = (degrees / max(degrees.max(), 1.0)).reshape(num_nodes, 1)
+    class_values, classes = np.unique(graph_labels_raw, return_inverse=True)
 
-    adjacencies = []
-    degrees = np.zeros(num_nodes)
-    for g in range(num_graphs):
-        lo, hi = edge_offsets[g], edge_offsets[g + 1]
-        n = int(counts[g])
-        rows = src[lo:hi] - offsets[g]
-        cols = dst[lo:hi] - offsets[g]
-        data = np.ones(hi - lo, dtype=np.float64)
-        adj = sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
-        adj.data[:] = 1.0  # collapse duplicate listings
-        adj = adj.maximum(adj.T)  # symmetrise
-        adj.eliminate_zeros()
-        adjacencies.append(adj)
-        degrees[offsets[g]:offsets[g] + n] = np.asarray(adj.sum(axis=1)).reshape(-1)
-
-    label_values_raw = np.unique(graph_labels_raw)
-    class_of = {int(v): i for i, v in enumerate(label_values_raw)}
-    num_classes = len(label_values_raw)
-
-    max_degree = degrees.max() if num_nodes else 1.0
     graphs = []
-    for g in range(num_graphs):
-        n = int(counts[g])
-        lo = offsets[g]
-        if node_labels is not None:
-            feats = np.zeros((n, feature_dim))
-            feats[np.arange(n), label_pos[lo:lo + n]] = 1.0
-        else:
-            feats = (degrees[lo:lo + n] / max(max_degree, 1.0)).reshape(n, 1)
+    for lo, hi, label in zip(offsets[:-1], offsets[1:], classes.tolist()):
+        p0, p1 = adj.indptr[lo], adj.indptr[hi]
+        block = sp.csr_matrix(
+            (adj.data[p0:p1], adj.indices[p0:p1] - lo, adj.indptr[lo:hi + 1] - p0),
+            shape=(hi - lo, hi - lo),
+        )
         graphs.append(
-            Graph(
-                node_count=n,
-                adjacency=adjacencies[g],
-                node_features=feats,
-                label=class_of[int(graph_labels_raw[g])],
-            )
+            Graph(node_count=hi - lo, adjacency=block, node_features=features[lo:hi], label=label)
         )
 
     ds = Dataset(
         name=name,
         graphs=tuple(graphs),
-        num_classes=num_classes,
+        num_classes=len(class_values),
         metadata={
             "feature_kind": "node_label_onehot" if node_labels is not None else "degree_scalar",
             "source": root,
@@ -297,7 +270,7 @@ def make_batches(
         labels = np.zeros(b, dtype=np.int64)
         for slot, g in enumerate(graphs):
             n = g.node_count
-            adjacency[slot, :n, :n] = g.dense_adjacency()
+            adjacency[slot, :n, :n] = g.adjacency.toarray()
             features[slot, :n, :] = g.node_features
             mask[slot, :n] = 1.0
             labels[slot] = g.label
@@ -331,9 +304,8 @@ def kfold_split(ds: Dataset, folds: int, seed: int) -> list[tuple[np.ndarray, np
     for cls in np.unique(labels):
         members = np.flatnonzero(labels == cls)
         members = members[rng.permutation(members.size)]
-        for idx in members:
-            assignment[idx] = pointer % folds
-            pointer += 1
+        assignment[members] = (pointer + np.arange(members.size)) % folds
+        pointer += members.size
 
     splits = []
     everything = np.arange(len(ds))

@@ -59,11 +59,10 @@ class Edges:
     """A graph's weighted directed edges A[senders[e], receivers[e]] = weights[e].
 
     The edges come in row-major order, so ``senders`` is sorted. For
-    ``ad.edge_aggregate`` the list also holds node x edge CSR incidence
-    matrices, built once per graph: ``weighted_receivers`` (w_e at
-    (receivers[e], e)), which the forward pass needs and which is built
-    with the list, and the unweighted ``receiver_incidence`` and
-    ``sender_incidence``, which only a backward pass needs and which are
+    ``ad.edge_aggregate`` the list also holds the unweighted node x edge
+    CSR incidence matrices: ``receiver_incidence`` (1 at (receivers[e], e)),
+    which the forward pass needs and which is built with the list, and
+    ``sender_incidence``, which only a backward pass needs and which is
     built on first use. Each row lists its edges in edge order, so the
     products add in the same order as a scatter over the edges.
     """
@@ -71,16 +70,10 @@ class Edges:
     def __init__(self, adjacency: np.ndarray):
         self.node_count = adjacency.shape[0]
         self.senders, self.receivers = np.nonzero(adjacency)
-        weights = adjacency[self.senders, self.receivers]
-        self.weights = ad.constant(weights.reshape(-1, 1))
-        self._by_receiver = np.argsort(self.receivers, kind="stable")
-        self.weighted_receivers = _incidence(weights[self._by_receiver], self._by_receiver,
-                                             self.receivers, self.node_count)
-
-    @cached_property
-    def receiver_incidence(self):
-        return _incidence(np.ones(self.senders.size), self._by_receiver, self.receivers,
-                          self.node_count)
+        self.weights = ad.constant(adjacency[self.senders, self.receivers].reshape(-1, 1))
+        self.receiver_incidence = _incidence(
+            np.ones(self.senders.size), np.argsort(self.receivers, kind="stable"),
+            self.receivers, self.node_count)
 
     @cached_property
     def sender_incidence(self):
@@ -111,10 +104,6 @@ class Dense:
     def in_dim(self) -> int:
         return self.weight.shape[0]
 
-    @property
-    def out_dim(self) -> int:
-        return self.weight.shape[1]
-
     def __call__(self, x: ad.Tensor) -> ad.Tensor:
         if x.shape[1] != self.in_dim:
             raise ValueError(
@@ -137,10 +126,6 @@ class MLP:
             for i in range(len(activations))
         ]
 
-    @property
-    def out_dim(self) -> int:
-        return self.layers[-1].out_dim
-
     def __call__(self, x: ad.Tensor) -> ad.Tensor:
         for layer in self.layers:
             x = layer(x)
@@ -158,10 +143,6 @@ class GmnEncoder:
 
     def __init__(self, rng, in_dim: int, out_dim: int, activation: str, name: str):
         self.dense = Dense(rng, in_dim, out_dim, activation, f"{name}.node_mlp")
-
-    @property
-    def out_dim(self) -> int:
-        return self.dense.out_dim
 
     def __call__(self, x: ad.Tensor) -> ad.Tensor:
         return self.dense(x)
@@ -191,10 +172,6 @@ class GmnMessage:
         self.w_send = ad.parameter(weight[in_dim:].copy())
         self.bias = ad.parameter(rng.uniform(-0.05, 0.05, size=(1, out_dim)))
 
-    @property
-    def out_dim(self) -> int:
-        return self.bias.shape[1]
-
     def parameters(self) -> dict[str, ad.Tensor]:
         return {
             f"{self.name}.w_recv": self.w_recv,
@@ -222,10 +199,6 @@ class GmnPropagation:
         self.f_message = GmnMessage(rng, in_dim, message_dim, activation, f"{name}.msg")
         self.f_node = Dense(rng, in_dim + message_dim, out_dim, activation, f"{name}.node")
 
-    @property
-    def out_dim(self) -> int:
-        return self.f_node.out_dim
-
     def __call__(self, h: ad.Tensor, edges: Edges) -> ad.Tensor:
         n = edges.node_count
         if h.shape[0] != n:
@@ -248,10 +221,6 @@ class GcnLayer:
         self.name = name
         self.activation = activation
         self.weight = ad.parameter(glorot(rng, in_dim, out_dim))
-
-    @property
-    def out_dim(self) -> int:
-        return self.weight.shape[1]
 
     def __call__(self, h: ad.Tensor, a: ad.Tensor) -> ad.Tensor:
         n = h.shape[0]

@@ -168,7 +168,6 @@ class _GmnStack:
         self.encoder = GmnEncoder(rng, in_dim, units, "relu", f"{name}.enc")
         self.prop0 = GmnPropagation(rng, units, units, units, "relu", f"{name}.prop0")
         self.prop1 = GmnPropagation(rng, units, units, out_dim, "linear", f"{name}.prop1")
-        self.out_dim = out_dim
 
     def __call__(self, edges: Edges, x: ad.Tensor) -> ad.Tensor:
         return self.prop1(self.prop0(self.encoder(x), edges), edges)
@@ -193,9 +192,6 @@ class SimPoolModel:
         self.preset = preset
         self.sim = preset.sim
         self.assign_inputs = assign_inputs
-        self.feature_dim = feature_dim
-        self.num_classes = num_classes
-        self.seed = seed
         rng = np.random.default_rng(seed)
 
         k = self.sim.k
@@ -228,10 +224,6 @@ class SimPoolModel:
         out.update(self.gcn2.parameters())
         out.update(self.classifier.parameters())
         return out
-
-    def zero_grad(self) -> None:
-        for p in self.parameters().values():
-            p.zero_grad()
 
     # ------------------------------------------------------------------
     # forward passes

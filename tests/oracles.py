@@ -3,15 +3,21 @@
 The similarity oracles are the textbook O(n^2)-memory formulas behind the
 sparse path in ``simpool.similarity``; the GMN oracle loops over edges one
 message at a time, and ``edge_aggregate_chain`` is ``ad.edge_aggregate``
-spelt out as the tape ops it fuses. Tests compare against them.
-``decode_index`` reads the source node back out of one ``index_map`` entry.
+spelt out as the tape ops it fuses. ``tu_graphs_one_by_one`` builds a TU
+dataset's graphs one sparse matrix at a time, the reference for the
+loader's row ranges of one block-diagonal matrix. Tests compare against
+them. ``decode_index`` reads the source node back out of one
+``index_map`` entry.
 """
 
+import os
 import warnings
 
 import numpy as np
+import scipy.sparse as sp
 
 from simpool import autodiff as ad
+from simpool.data import _read_int_rows
 from simpool.layers import ACTIVATIONS
 from simpool.similarity import SimilarityConfig, SimilarityFeatures
 
@@ -130,7 +136,7 @@ def gmn_message(msg, h_i: np.ndarray, h_j: np.ndarray) -> np.ndarray:
 def gmn_propagation_loop(prop, h: np.ndarray, a: np.ndarray) -> np.ndarray:
     """``GmnPropagation`` with one message per nonzero A[j, i], summed into i."""
     n = h.shape[0]
-    aggregate = np.zeros((n, prop.f_message.out_dim))
+    aggregate = np.zeros((n, prop.f_message.bias.shape[1]))
     for j in range(n):
         for i in range(n):
             if a[j, i] != 0:
@@ -147,3 +153,51 @@ def edge_aggregate_chain(p_recv, p_send, bias, edges, activation: str) -> ad.Ten
                         ad.gather_rows(p_send, edges.senders)), bias)
     messages = ad.multiply(ACTIVATIONS[activation](pre), edges.weights)
     return ad.scatter_rows(messages, edges.receivers, edges.node_count)
+
+
+def tu_graphs_one_by_one(root, name: str) -> list[tuple[sp.csr_matrix, np.ndarray, int]]:
+    """(adjacency, features, label) of each graph in valid TU files, built per graph.
+
+    Each graph's edges make a COO matrix, then a CSR with duplicate
+    listings collapsed to 1, then its maximum with its transpose; node
+    degrees are the row sums of those matrices. Features and labels follow
+    ``load_tu_dataset``'s rules.
+    """
+    def read(suffix: str, cols: int = 1) -> np.ndarray:
+        return _read_int_rows(os.path.join(root, f"{name}_{suffix}.txt"), cols).reshape(-1, cols)
+
+    edges = read("A", 2)
+    indicator = read("graph_indicator")[:, 0]
+    graph_labels = read("graph_labels")[:, 0]
+    counts = np.bincount(indicator)[1:]
+    offsets = np.concatenate([[0], np.cumsum(counts)])
+    edge_graph = indicator[edges[:, 0] - 1] - 1
+
+    adjacencies = []
+    degrees = []
+    for g, n in enumerate(counts):
+        rows, cols = (edges[edge_graph == g] - 1 - offsets[g]).T
+        adj = sp.coo_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n)).tocsr()
+        adj.data[:] = 1.0
+        adj = adj.maximum(adj.T)
+        adj.eliminate_zeros()
+        adjacencies.append(adj)
+        degrees.append(np.asarray(adj.sum(axis=1)).reshape(-1))
+    degrees = np.concatenate(degrees)
+
+    node_labels = None
+    if os.path.isfile(os.path.join(root, f"{name}_node_labels.txt")):
+        node_labels = read("node_labels")[:, 0]
+        label_values = np.unique(node_labels)
+    class_of = {v: i for i, v in enumerate(np.unique(graph_labels).tolist())}
+
+    out = []
+    for g, n in enumerate(counts):
+        lo = offsets[g]
+        if node_labels is not None:
+            feats = np.zeros((n, len(label_values)))
+            feats[np.arange(n), np.searchsorted(label_values, node_labels[lo:lo + n])] = 1.0
+        else:
+            feats = (degrees[lo:lo + n] / max(degrees.max(), 1.0)).reshape(n, 1)
+        out.append((adjacencies[g], feats, class_of[int(graph_labels[g])]))
+    return out

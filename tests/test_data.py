@@ -13,6 +13,7 @@ from simpool.data import (
 )
 
 from conftest import ring_graph, write_tu_dataset
+from oracles import tu_graphs_one_by_one
 
 
 def is_symmetric(graph):
@@ -31,7 +32,7 @@ class TestLoader:
         assert ds.num_classes == 1
         g = ds.graphs[0]
         assert g.node_count == 2
-        a = g.dense_adjacency()
+        a = g.adjacency.toarray()
         assert a[0, 1] == 1.0 and a[1, 0] == 1.0
         assert is_symmetric(g)
 
@@ -139,6 +140,35 @@ class TestLoader:
     def test_every_loaded_adjacency_symmetric(self, toy_dataset):
         for g in toy_dataset.graphs:
             assert is_symmetric(g)
+
+
+class TestLoaderOracle:
+    """Row ranges of one block-diagonal CSR against graphs built one by one."""
+
+    # graph 1: a duplicate listing, one-directional edges, a self-loop and an
+    # isolated last node; graph 2 has no edges; the dataset's last node is isolated
+    EDGES = "1, 2\n1, 2\n2, 3\n3, 3\n2, 1\n7, 8\n8, 7\n9, 10\n10, 7\n7, 7\n9, 10\n"
+    INDICATOR = "1\n1\n1\n1\n2\n2\n3\n3\n3\n3\n3\n"
+
+    @pytest.mark.parametrize("edges", ("mixed", "edgeless"))
+    @pytest.mark.parametrize("node_labels", (True, False))
+    def test_graphs_match_per_graph_construction(self, tmp_path, edges, node_labels):
+        (tmp_path / "ORC_A.txt").write_text(self.EDGES if edges == "mixed" else "")
+        (tmp_path / "ORC_graph_indicator.txt").write_text(self.INDICATOR)
+        (tmp_path / "ORC_graph_labels.txt").write_text("5\n-1\n5\n")
+        if node_labels:
+            (tmp_path / "ORC_node_labels.txt").write_text("3\n1\n3\n7\n1\n1\n7\n3\n2\n2\n9\n")
+        ds = load_tu_dataset(tmp_path, "ORC")
+        reference = tu_graphs_one_by_one(tmp_path, "ORC")
+        assert len(ds) == len(reference) == 3
+        for g, (adjacency, features, label) in zip(ds.graphs, reference):
+            for attr in ("indptr", "indices", "data"):
+                got, want = getattr(g.adjacency, attr), getattr(adjacency, attr)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), attr
+            assert g.node_features.dtype == features.dtype
+            assert g.node_features.shape == features.shape
+            assert g.node_features.tobytes() == features.tobytes()
+            assert g.label == label
 
 
 class TestBatches:

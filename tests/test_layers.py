@@ -1,5 +1,7 @@
 """Tests for GMN/GCN layers, pooling, and the assignment regularisers."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -100,14 +102,31 @@ class TestEdgeAggregate:
             assert np.all(out[silent] == 0.0)
             assert all(np.all(np.isfinite(g)) for g in grads)
 
-    def test_forward_builds_only_the_weighted_incidence(self):
+    def test_forward_builds_only_the_receiver_incidence(self):
         rng = np.random.default_rng(43)
         edges = Edges(graph_of_kind(rng, 6, "directed"))
         with ad.no_grad():
             ad.edge_aggregate(*(ad.constant(rng.normal(size=(6, 3))) for _ in range(2)),
                               ad.constant(np.zeros((1, 3))), edges, "relu")
-        assert "receiver_incidence" not in vars(edges)
         assert "sender_incidence" not in vars(edges)
+
+    @pytest.mark.parametrize("activation", sorted(ACTIVATIONS))
+    def test_backward_holds_at_most_two_edge_arrays(self, activation):
+        # the recomputed pre-activations and g_pre are E x m; the rest is O(n x m + E)
+        rng = np.random.default_rng(44)
+        n, m = 300, 64
+        edges = Edges(graph_of_kind(rng, n, "directed"))
+        p_recv, p_send = (ad.parameter(rng.normal(size=(n, m))) for _ in range(2))
+        bias = ad.parameter(np.zeros((1, m)))
+        with ad.Tape() as tape:
+            loss = ad.sum_all(ad.edge_aggregate(p_recv, p_send, bias, edges, activation))
+            tracemalloc.start()
+            try:
+                tape.backward(loss)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 2.5 * edges.senders.size * m * 8
 
     def test_validation(self):
         edges = Edges(ring_graph(4))

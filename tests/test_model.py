@@ -71,7 +71,7 @@ class TestPresets:
         # the stage-0 S stack ends in clusters_1 logits and stage 1 reads them
         preset = replace(resolve_preset("enzymes", 1 / 32), clusters_1=16)
         model = SimPoolModel(preset, 3, 6, seed=0)
-        assert model.s_stack.out_dim == 16
+        assert model.parameters()["s0.prop1.node.w"].shape[1] == 16
         assert model.parameters()["s1.0.w"].shape[0] == 16
         a, x, mapped = graph_inputs(np.random.default_rng(10), 9, 3, model.sim.k)
         with ad.Tape() as tape:
@@ -216,7 +216,7 @@ class TestBatchMatchesGraphs:
         node_labels = rng.integers(1, 4, size=sum(g.shape[0] for g in graphs))
         root = write_tu_dataset(tmp_path / "MIX", "MIX", graphs, [1, 2, 3, 2], node_labels)
         ds = load_tu_dataset(root, "MIX")
-        assert ds.graphs[3].dense_adjacency()[6].sum() == 0
+        assert ds.graphs[3].adjacency.toarray()[6].sum() == 0
         model = tiny_model(assign_inputs="both")
         mapped = preprocess_dataset(ds, model.sim)
         (batch,) = make_batches(ds, 4, shuffle_seed=1)
@@ -225,7 +225,7 @@ class TestBatchMatchesGraphs:
         singles = []
         for i in batch.indices:
             g = ds.graphs[i]
-            singles.append(model.forward_graph(g.dense_adjacency(), g.node_features,
+            singles.append(model.forward_graph(g.adjacency.toarray(), g.node_features,
                                                label=g.label, mapped=mapped[i]))
 
         np.testing.assert_allclose(fwd.probs, np.concatenate([o.probs for o in singles]),
