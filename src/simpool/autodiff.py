@@ -389,17 +389,16 @@ _EDGE_ACTIVATIONS = {
 
 
 def edge_aggregate(p_recv: Tensor, p_send: Tensor, bias: Tensor, edges, activation: str) -> Tensor:
-    """out[i] = sum over edges e into i of w_e * act(p_recv[i] + p_send[senders[e]] + bias).
+    """out[i] = sum over edges e into i of act(p_recv[i] + p_send[senders[e]] + bias).
 
-    ``edges`` is a ``layers.Edges``: its ``receivers``, ``senders`` and
-    ``weights`` list the edges, and ``receiver_incidence`` and
-    ``sender_incidence`` are the unweighted n x E incidences. The forward
-    pass weighs the activated edge rows in place and sums them through the
-    receiver incidence. The E x m pre-activations exist only while the
-    forward or backward pass runs; the tape keeps the n x m inputs, and the
-    backward pass recomputes ``pre`` to form g_pre = w * act'(pre) *
-    g[receivers]. Its gradients are the receiver and sender incidences
-    times g_pre and the column sum of g_pre.
+    ``edges`` is a ``layers.Edges``: its ``receivers`` and ``senders`` list
+    the edges, and ``receiver_incidence`` and ``sender_incidence`` are its
+    n x E incidences. The forward pass sums the activated edge rows
+    through the receiver incidence. The E x m pre-activations exist only
+    while the forward or backward pass runs; the tape keeps the n x m
+    inputs, and the backward pass recomputes ``pre`` to form g_pre =
+    act'(pre) * g[receivers]. Its gradients are the receiver and sender
+    incidences times g_pre and the column sum of g_pre.
     """
     if activation not in _EDGE_ACTIVATIONS:
         raise ValueError(f"unknown activation {activation!r}")
@@ -416,15 +415,12 @@ def edge_aggregate(p_recv: Tensor, p_send: Tensor, bias: Tensor, edges, activati
         pre += bv
         return pre
 
-    messages = act(pre_activations())
-    messages *= edges.weights.values
-    out = Tensor._raw(edges.receiver_incidence @ messages)
+    out = Tensor._raw(edges.receiver_incidence @ act(pre_activations()))
 
     def backward(g):
         # pre first: its gather temporaries are freed before the E x m g_pre exists
         pre = pre_activations()
         g_pre = g[edges.receivers]
-        g_pre *= edges.weights.values
         act_grad(g_pre, pre)
         grads = []
         if p_recv.requires_grad:

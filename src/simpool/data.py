@@ -41,24 +41,29 @@ class DatasetIntegrityError(ValueError):
 
 @dataclass(frozen=True)
 class Graph:
-    """One labelled graph: sparse adjacency plus dense node features."""
+    """One labelled graph: sparse adjacency plus dense node features.
 
-    node_count: int
+    Every stored adjacency entry is 0 or 1: a graph is its structure.
+    """
+
     adjacency: sp.csr_matrix
     node_features: np.ndarray
     label: int
 
     def __post_init__(self):
-        if self.node_count < 1:
+        n, cols = self.adjacency.shape
+        if n != cols:
+            raise ValueError(f"adjacency must be square, got {self.adjacency.shape}")
+        if n < 1:
             raise ValueError("graph must have at least one node")
-        if self.adjacency.shape != (self.node_count, self.node_count):
-            raise ValueError(
-                f"adjacency shape {self.adjacency.shape} != node count {self.node_count}"
-            )
-        if self.adjacency.nnz and self.adjacency.data.min() < 0:
-            raise ValueError("adjacency entries must be non-negative")
-        if self.node_features.shape[0] != self.node_count:
+        if np.any((self.adjacency.data != 0) & (self.adjacency.data != 1)):
+            raise ValueError("adjacency entries must be 0 or 1")
+        if self.node_features.shape[0] != n:
             raise ValueError("feature rows must match node count")
+
+    @property
+    def node_count(self) -> int:
+        return self.adjacency.shape[0]
 
     @property
     def feature_dim(self) -> int:
@@ -150,8 +155,8 @@ def load_tu_dataset(root_path, name: str) -> Dataset:
 
     Node features are one-hot node labels when `<name>_node_labels.txt`
     exists, otherwise a single degree scalar normalised by the dataset's
-    maximum degree. Adjacency is symmetrised; class labels are remapped to
-    a contiguous range.
+    maximum degree. Adjacency is 0/1 and symmetrised; class labels are
+    remapped to a contiguous range.
     """
     root = os.fspath(root_path)
 
@@ -219,9 +224,7 @@ def load_tu_dataset(root_path, name: str) -> Dataset:
             (adj.data[p0:p1], adj.indices[p0:p1] - lo, adj.indptr[lo:hi + 1] - p0),
             shape=(hi - lo, hi - lo),
         )
-        graphs.append(
-            Graph(node_count=hi - lo, adjacency=block, node_features=features[lo:hi], label=label)
-        )
+        graphs.append(Graph(adjacency=block, node_features=features[lo:hi], label=label))
 
     ds = Dataset(
         name=name,

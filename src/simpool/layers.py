@@ -44,22 +44,23 @@ def glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
-def _incidence(data: np.ndarray, edge_order: np.ndarray, nodes: np.ndarray, node_count: int):
-    """The node_count x E CSR matrix with data[k] at (nodes[e], e), e = edge_order[k].
+def _incidence(edge_order: np.ndarray, nodes: np.ndarray, node_count: int):
+    """The node_count x E CSR matrix with 1 at (nodes[e], e), listed in ``edge_order``.
 
     ``edge_order`` lists the edges sorted by node, each node's edges in
     edge order, so a product with it sums every row in edge order.
     """
     indptr = np.zeros(node_count + 1, dtype=np.intp)
     np.cumsum(np.bincount(nodes, minlength=node_count), out=indptr[1:])
-    return sp.csr_matrix((data, edge_order, indptr), shape=(node_count, nodes.size))
+    return sp.csr_matrix((np.ones(nodes.size), edge_order, indptr), shape=(node_count, nodes.size))
 
 
 class Edges:
-    """A graph's weighted directed edges A[senders[e], receivers[e]] = weights[e].
+    """A graph's directed edges, A[senders[e], receivers[e]] = 1.
 
-    The edges come in row-major order, so ``senders`` is sorted. For
-    ``ad.edge_aggregate`` the list also holds the unweighted node x edge
+    Stage 0 reads a graph's structure only, so every nonzero adjacency
+    entry must be 1. The edges come in row-major order, so ``senders`` is
+    sorted. For ``ad.edge_aggregate`` the list also holds the node x edge
     CSR incidence matrices: ``receiver_incidence`` (1 at (receivers[e], e)),
     which the forward pass needs and which is built with the list, and
     ``sender_incidence``, which only a backward pass needs and which is
@@ -70,20 +71,18 @@ class Edges:
     def __init__(self, adjacency: np.ndarray):
         self.node_count = adjacency.shape[0]
         self.senders, self.receivers = np.nonzero(adjacency)
-        self.weights = ad.constant(adjacency[self.senders, self.receivers].reshape(-1, 1))
+        if np.any(adjacency[self.senders, self.receivers] != 1.0):
+            raise ValueError("stage 0 takes a 0/1 adjacency: an edge entry is not 1")
         self.receiver_incidence = _incidence(
-            np.ones(self.senders.size), np.argsort(self.receivers, kind="stable"),
-            self.receivers, self.node_count)
+            np.argsort(self.receivers, kind="stable"), self.receivers, self.node_count)
 
     @cached_property
     def sender_incidence(self):
-        return _incidence(np.ones(self.senders.size), np.arange(self.senders.size),
-                          self.senders, self.node_count)
+        return _incidence(np.arange(self.senders.size), self.senders, self.node_count)
 
     def spread(self, x: ad.Tensor) -> ad.Tensor:
-        """A @ x: row i sums weights[e] * x[receivers[e]] over the edges e that i sends."""
-        weighted = ad.multiply(ad.gather_rows(x, self.receivers), self.weights)
-        return ad.scatter_rows(weighted, self.senders, self.node_count)
+        """A @ x: row i sums x[receivers[e]] over the edges e that i sends."""
+        return ad.scatter_rows(ad.gather_rows(x, self.receivers), self.senders, self.node_count)
 
 
 class Dense:
@@ -183,9 +182,9 @@ class GmnMessage:
 class GmnPropagation:
     """Message passing over a graph's ``Edges``.
 
-    For every edge j -> i, A[j, i] != 0, a message f_message(concat(h_i, h_j))
-    is produced, scaled by A[j, i], and summed into receiver i; the new state
-    is f_node(concat(h_i, aggregate_i)). A node that receives no message
+    For every edge j -> i, A[j, i] = 1, a message f_message(concat(h_i, h_j))
+    is produced and summed into receiver i; the new state is
+    f_node(concat(h_i, aggregate_i)). A node that receives no message
     has an aggregate of exactly zero. The layer is two matmuls on the n
     node rows, h @ W_recv and h @ W_send, then ``ad.edge_aggregate``, which
     forms each message (h @ W_recv)[i] + (h @ W_send)[j] + b on the fly and

@@ -41,7 +41,6 @@ class SimilarityConfig:
     lam: float = 0.0
     alpha: float = 1.0
     k: int = 12
-    symmetric: bool = True
 
     def __post_init__(self):
         if self.p < 1:
@@ -80,8 +79,9 @@ def similarity_sparse(
 ):
     """Cosine similarity from the sparse Gram matrix of Ahat^p.
 
-    Only pairs sharing a nonzero row of Ahat^p (or, for the asymmetric
-    Gram, a nonzero column) can have nonzero cosine, so everything the
+    The Gram is Ahat^T Ahat, plus Ahat Ahat^T when ``a`` is not symmetric,
+    so only pairs sharing a nonzero row of Ahat^p (or, for asymmetric
+    input, a nonzero column) can have nonzero cosine; everything the
     sparse products do not reach is an exact (structural) zero.
     Exactly parallel columns (Cauchy-Schwarz equality, an exact predicate
     for integer-valued input) get unit similarity, so diagonals and
@@ -91,8 +91,6 @@ def similarity_sparse(
     a = sp.csr_matrix(a, dtype=np.float64)
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"adjacency must be square, got {a.shape}")
-    if cfg.symmetric and (a != a.T).nnz != 0:
-        raise ValueError("adjacency is not symmetric; set symmetric=False")
     if a.nnz and a.data.min() < 0:
         raise ValueError("adjacency entries must be non-negative")
 
@@ -107,7 +105,7 @@ def similarity_sparse(
     gram = ahat.T @ ahat
     stats = SparseStats(node_count=n, edge_count=int(a.nnz),
                         multiply_adds=int((row_degree**2).sum()))
-    if not cfg.symmetric:
+    if (a != a.T).nnz:
         gram = gram + ahat @ ahat.T
         col_degree = np.bincount(ahat.indices, minlength=n).astype(np.int64)
         stats.multiply_adds += int((col_degree**2).sum())

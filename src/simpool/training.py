@@ -160,7 +160,7 @@ def evaluate_accuracy(model: SimPoolModel, ds: Dataset, indices, mapped=None,
             fwd = model.forward_batch(batch, mapped)
             correct += int((fwd.probs.argmax(axis=1) == batch.labels).sum())
             total += batch.size
-    return correct / total if total else 0.0
+    return correct / total
 
 
 def train_run(cfg: TrainConfig, ds: Dataset, fold: int = 0, mapped=None,

@@ -134,25 +134,24 @@ def gmn_message(msg, h_i: np.ndarray, h_j: np.ndarray) -> np.ndarray:
 
 
 def gmn_propagation_loop(prop, h: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """``GmnPropagation`` with one message per nonzero A[j, i], summed into i."""
+    """``GmnPropagation`` with one message per edge A[j, i] = 1, summed into i."""
     n = h.shape[0]
     aggregate = np.zeros((n, prop.f_message.bias.shape[1]))
     for j in range(n):
         for i in range(n):
             if a[j, i] != 0:
-                aggregate[i] += a[j, i] * gmn_message(prop.f_message, h[i], h[j])
+                aggregate[i] += gmn_message(prop.f_message, h[i], h[j])
     return prop.f_node(ad.constant(np.concatenate([h, aggregate], axis=1))).values
 
 
 def edge_aggregate_chain(p_recv, p_send, bias, edges, activation: str) -> ad.Tensor:
-    """``ad.edge_aggregate`` as separate tape ops: gather both ends, add, act, weigh, scatter.
+    """``ad.edge_aggregate`` as separate tape ops: gather both ends, add, act, scatter.
 
     Every intermediate has one row per edge and stays on the tape.
     """
     pre = ad.add(ad.add(ad.gather_rows(p_recv, edges.receivers),
                         ad.gather_rows(p_send, edges.senders)), bias)
-    messages = ad.multiply(ACTIVATIONS[activation](pre), edges.weights)
-    return ad.scatter_rows(messages, edges.receivers, edges.node_count)
+    return ad.scatter_rows(ACTIVATIONS[activation](pre), edges.receivers, edges.node_count)
 
 
 def tu_graphs_one_by_one(root, name: str) -> list[tuple[sp.csr_matrix, np.ndarray, int]]:

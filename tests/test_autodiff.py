@@ -93,11 +93,11 @@ def _run_primitive_case(name, builder, rng):
     assert err < 1e-4, f"{name}: relative error {err:.3e}"
 
 
-# four nodes: a weighted self-loop, a node with two incoming edges, node 3 receives none
-EDGES = Edges(np.array([[0.0, 1.5, 0.0, 0.0],
-                        [0.7, 0.0, 2.0, 0.0],
-                        [0.0, 1.0, 0.4, 0.0],
-                        [0.3, 0.0, 0.0, 0.0]]))
+# four nodes: a self-loop, a node with two incoming edges, node 3 receives none
+EDGES = Edges(np.array([[0.0, 1.0, 0.0, 0.0],
+                        [1.0, 0.0, 1.0, 0.0],
+                        [0.0, 1.0, 1.0, 0.0],
+                        [1.0, 0.0, 0.0, 0.0]]))
 
 
 def edge_aggregate_case(activation):

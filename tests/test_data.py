@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from simpool.data import (
     DatasetFormatError,
     DatasetIntegrityError,
+    Graph,
     dataset_hash,
     kfold_split,
     load_tu_dataset,
@@ -140,6 +142,19 @@ class TestLoader:
     def test_every_loaded_adjacency_symmetric(self, toy_dataset):
         for g in toy_dataset.graphs:
             assert is_symmetric(g)
+
+
+class TestGraph:
+    def test_adjacency_is_square_and_0_or_1(self):
+        features = np.ones((4, 1))
+        a = sp.csr_matrix(ring_graph(4))
+        a.data[0] = 0.0  # a stored zero is no edge
+        assert Graph(adjacency=a, node_features=features, label=0).node_count == 4
+        a.data[0] = 1.5
+        with pytest.raises(ValueError, match="0 or 1"):
+            Graph(adjacency=a, node_features=features, label=0)
+        with pytest.raises(ValueError, match="square"):
+            Graph(adjacency=sp.csr_matrix((4, 3)), node_features=features, label=0)
 
 
 class TestLoaderOracle:

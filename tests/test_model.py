@@ -206,20 +206,26 @@ class TestForward:
 
 
 class TestBatchMatchesGraphs:
-    def test_batch_is_the_mean_of_its_graphs(self, tmp_path):
-        # four sizes; the 7-node graph is a 6-ring plus an isolated node
+    @staticmethod
+    def mixed_dataset(tmp_path):
+        # five sizes; the 7-node graph is a 6-ring plus an isolated node, the 4-node one has no edges
         rng = np.random.default_rng(15)
         ring = np.zeros((7, 7))
         for i in range(6):
             ring[i, (i + 1) % 6] = ring[(i + 1) % 6, i] = 1.0
-        graphs = [random_graph(rng, n, 0.5) for n in (5, 9, 12)] + [ring]
+        graphs = [random_graph(rng, n, 0.5) for n in (5, 9, 12)] + [ring, np.zeros((4, 4))]
         node_labels = rng.integers(1, 4, size=sum(g.shape[0] for g in graphs))
-        root = write_tu_dataset(tmp_path / "MIX", "MIX", graphs, [1, 2, 3, 2], node_labels)
+        root = write_tu_dataset(tmp_path / "MIX", "MIX", graphs, [1, 2, 3, 2, 1], node_labels)
         ds = load_tu_dataset(root, "MIX")
-        assert ds.graphs[3].adjacency.toarray()[6].sum() == 0
+        assert ds.graphs[3].adjacency.toarray()[6].sum() == 0 and ds.graphs[4].adjacency.nnz == 0
+        assert ds.feature_dim == 3
+        (batch,) = make_batches(ds, 5, shuffle_seed=1)
+        return ds, batch
+
+    def test_batch_is_the_mean_of_its_graphs(self, tmp_path):
+        ds, batch = self.mixed_dataset(tmp_path)
         model = tiny_model(assign_inputs="both")
         mapped = preprocess_dataset(ds, model.sim)
-        (batch,) = make_batches(ds, 4, shuffle_seed=1)
 
         fwd = model.forward_batch(batch, mapped)
         singles = []
@@ -238,6 +244,31 @@ class TestBatchMatchesGraphs:
                 fwd.assign_argmax[stage],
                 np.concatenate([o.assign_argmax[stage] for o in singles]),
             )
+
+    @pytest.mark.parametrize("assign_inputs", ("structural", "both"))
+    def test_gradients_are_the_mean_of_its_graphs(self, tmp_path, assign_inputs):
+        ds, batch = self.mixed_dataset(tmp_path)
+        model = tiny_model(assign_inputs=assign_inputs)
+        mapped = preprocess_dataset(ds, model.sim)
+        params = model.parameters()
+
+        def gradients(forward):
+            for p in params.values():
+                p.zero_grad()
+            with ad.Tape() as tape:
+                tape.backward(forward().total(model.preset.w_e, model.preset.w_c))
+            return {name: p.grad.copy() for name, p in params.items()}
+
+        batched = gradients(lambda: model.forward_batch(batch, mapped))
+        singles = [
+            gradients(lambda g=ds.graphs[i], m=mapped[i]: model.forward_graph(
+                g.adjacency.toarray(), g.node_features, label=g.label, mapped=m))
+            for i in batch.indices
+        ]
+        for name, grad in batched.items():
+            expected = np.mean([single[name] for single in singles], axis=0)
+            err = np.abs(grad - expected).max() / np.abs(expected).max()
+            assert err <= 1e-12, f"{name}: {err:.1e}"
 
 
 class TestStageZeroOnEdges:

@@ -117,25 +117,30 @@ class TestPermutationCovariance:
 
 class TestSparsePath:
     def test_matches_dense_exactly(self):
+        # directed input takes the asymmetric Gram, symmetric input the symmetric one
         rng = np.random.default_rng(3)
         for p in (1, 2, 3):
-            for symmetric in (True, False):
-                oracle = similarity_dense_symmetric if symmetric else similarity_dense_asymmetric
+            for directed in (False, True):
+                oracle = similarity_dense_asymmetric if directed else similarity_dense_symmetric
                 for trial in range(100):
-                    cfg = SimilarityConfig(p=p, lam=float(trial % 3), symmetric=symmetric)
+                    cfg = SimilarityConfig(p=p, lam=float(trial % 3))
                     n = int(rng.integers(2, 65))
                     a = random_sparse_graph(rng, n, mean_degree=min(6, n - 1))
-                    if not symmetric:
+                    if directed:
                         a = np.triu(a)  # keep one direction of every edge
                     dense = oracle(a, cfg).dense
                     sparse = similarity_sparse(sp.coo_matrix(a), cfg).dense.toarray()
                     assert np.array_equal(dense, sparse), f"{cfg} trial {trial} differs"
 
-    def test_asymmetric_input_rejected_when_symmetric(self):
-        a = sp.csr_matrix(np.triu(np.ones((3, 3)), 1))
-        with pytest.raises(ValueError, match="not symmetric"):
-            similarity_sparse(a, SimilarityConfig())
-        similarity_sparse(a, SimilarityConfig(symmetric=False))
+    def test_directed_input_with_default_config_is_the_asymmetric_oracle(self):
+        rng = np.random.default_rng(17)
+        for trial in range(50):
+            n = int(rng.integers(2, 40))
+            a = (rng.random((n, n)) < 0.2).astype(np.float64)  # self-loops allowed
+            a[0, 1], a[1, 0] = 1.0, 0.0  # never symmetric
+            dense = similarity_dense_asymmetric(a, SimilarityConfig()).dense
+            sparse = similarity_sparse(sp.csr_matrix(a), SimilarityConfig()).dense.toarray()
+            assert np.array_equal(dense, sparse), f"trial {trial} differs"
 
     def test_negative_adjacency_rejected(self):
         a = sp.csr_matrix(np.array([[0.0, -1.0], [-1.0, 0.0]]))
@@ -345,8 +350,7 @@ class TestConfigValidation:
     def test_compute_features_dispatch(self):
         rng = np.random.default_rng(16)
         a = random_sparse_graph(rng, 10, 3)
-        for cfg in (SimilarityConfig(p=1, lam=1.0), SimilarityConfig(p=2, lam=1.0),
-                    SimilarityConfig(p=1, lam=1.0, symmetric=False)):
-            for adjacency in (sp.csr_matrix(a), a):
+        for cfg in (SimilarityConfig(p=1, lam=1.0), SimilarityConfig(p=2, lam=1.0)):
+            for adjacency in (sp.csr_matrix(a), a, np.triu(a)):
                 feats = compute_features(adjacency, cfg)
                 assert sp.issparse(feats.dense) and feats.dense.format == "csr"
