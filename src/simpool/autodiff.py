@@ -3,20 +3,30 @@
 Tensors are float64 numpy arrays tracked on an explicit tape. Operations
 record their backward closure in creation order, which is already a
 topological order, so ``Tape.backward`` is a single reverse sweep that
-visits each recorded node exactly once. Every tensor is 2-D: scalars and
-vectors are stored as 1 x 1 and n x 1, so no operation checks ranks.
+visits each recorded node exactly once and releases it. Every tensor is
+2-D: scalars and vectors are stored as 1 x 1 and n x 1, so no operation
+checks ranks.
+
+A batch of graphs is one disjoint union, so the ops see it as one graph.
+Where the union must stay per graph, ``matmul`` takes ``segments``: the
+product of a block-diagonal left operand, given as its blocks side by
+side, with the stacked right operand, one row block per graph.
 
 Gather and scatter indices are constants: no gradient ever flows into an
 index argument, only into the values. ``scatter_rows`` is the transpose of
 ``gather_rows``: it sums input rows into the output rows they index. Its
 forward pass and the backward passes of ``gather`` and ``gather_rows`` run
-on ``_scatter_add``, one ``np.bincount`` that adds in index order.
+on ``_scatter_add``, one sparse incidence product that adds in index order.
+
+``sparse_matmul`` multiplies by a constant sparse matrix: stage-0
+pooling's A·S on the union's adjacency, with no edge rows.
 
 ``edge_aggregate`` is GMN message passing as one op. Its forward and
-backward sums are products with a graph's constant CSR incidence matrices
-(``layers.Edges``), whose rows list their edges in edge order, so they add
+backward sums are products with the constant CSR incidence matrices of
+``layers.Edges``, whose rows list their edges in edge order, so they add
 in the same order as ``_scatter_add``. The op keeps only its node-row
-inputs on the tape and recomputes the edge rows in its backward pass.
+inputs on the tape and recomputes the edge rows in its backward pass, in
+runs of whole graphs of bounded size.
 """
 
 from __future__ import annotations
@@ -24,6 +34,7 @@ from __future__ import annotations
 from collections.abc import Callable, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 __all__ = [
     "Tensor",
@@ -42,6 +53,7 @@ __all__ = [
     "gather",
     "gather_rows",
     "scatter_rows",
+    "sparse_matmul",
     "edge_aggregate",
     "row_softmax",
     "tanh",
@@ -64,7 +76,7 @@ class NumericError(ArithmeticError):
 class Tensor:
     """A float64 array participating in reverse-mode differentiation."""
 
-    __slots__ = ("values", "requires_grad", "grad", "_op_output")
+    __slots__ = ("values", "requires_grad", "grad", "_grad_buffer", "_op_output", "__weakref__")
 
     def __init__(self, values, requires_grad: bool = False):
         arr = np.asarray(values, dtype=np.float64)
@@ -77,6 +89,7 @@ class Tensor:
         self.values = arr
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
+        self._grad_buffer: np.ndarray | None = None
         self._op_output = False
 
     @classmethod
@@ -86,6 +99,7 @@ class Tensor:
         t.values = arr
         t.requires_grad = False
         t.grad = None
+        t._grad_buffer = None
         t._op_output = False
         return t
 
@@ -100,10 +114,22 @@ class Tensor:
         self.grad = None
 
     def accumulate_grad(self, g: np.ndarray) -> None:
-        if self.grad is None:
-            self.grad = g.copy()
-        else:
+        """Add ``g`` into ``grad``.
+
+        The first gradient after ``zero_grad`` is copied into a buffer the
+        tensor keeps, so ``grad`` is the same array from one backward pass
+        to the next: copy it to keep it past a ``zero_grad``. A fresh copy
+        per pass would be a long-lived allocation made while the sweep's
+        arrays fill the heap, and would keep the allocator from returning
+        the memory freed around it.
+        """
+        if self.grad is not None:
             self.grad += g
+            return
+        if self._grad_buffer is None or self._grad_buffer.shape != g.shape:
+            self._grad_buffer = np.empty(g.shape)
+        np.copyto(self._grad_buffer, g)
+        self.grad = self._grad_buffer
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -141,23 +167,29 @@ class Tape:
     def backward(self, loss: Tensor) -> None:
         """Seed d(loss)/d(loss) = 1 and sweep the tape once, in reverse.
 
-        Gradients of op outputs wait in a scratch dict until the sweep
-        reaches the node that made them. The first gradient to arrive is
-        stored as it is and later ones are added out of place, so a
-        backward closure may return its own ``g`` and no closure may write
-        into the ``g`` it receives. Leaves (tensors not produced by a
+        A tape is swept once: the sweep pops each node before it runs its
+        closure, so an op output and what its closure holds are freed as
+        soon as nothing else refers to them, and the tape is empty
+        afterwards. Gradients of op outputs wait in a scratch dict until
+        the sweep reaches the node that made them. The first gradient to
+        arrive is stored as it is and later ones are added out of place,
+        so a backward closure may return its own ``g`` and no closure may
+        write into the ``g`` it receives. Leaves (tensors not produced by a
         recorded op) accumulate only into ``.grad``; the scratch dict never
         holds them, so it is empty when the sweep ends.
         """
         if loss.values.size != 1:
             raise ValueError("backward requires a scalar loss tensor")
         grads = self._grads = {}
+        nodes = self._nodes
         if not loss._op_output:
+            nodes.clear()
             if loss.requires_grad:
                 loss.accumulate_grad(np.ones_like(loss.values))
             return
         grads[id(loss)] = np.ones_like(loss.values)
-        for out, backward in reversed(self._nodes):
+        while nodes:
+            out, backward = nodes.pop()
             g = grads.pop(id(out), None)
             if g is None:
                 continue
@@ -204,33 +236,91 @@ def _record(op_name: str, out: Tensor, parents: Sequence[Tensor], backward) -> T
 def _scatter_add(x: np.ndarray, idx: np.ndarray, rows: int) -> np.ndarray:
     """Sum row e of ``x`` into row ``idx[e]`` of a (rows, width) zero array.
 
-    One ``np.bincount`` over the flat output positions. It adds into each
-    output in order of e, so its sums are bit-identical to a loop over e.
+    The product of the rows x E incidence matrix, stored as CSC with one
+    entry per column, with ``x``. It adds into each output row in order of
+    e, so its sums are bit-identical to a loop over e, and it needs no
+    index array of E x width entries.
     """
-    width = x.shape[1]
-    flat = (idx[:, None] * width + np.arange(width)).reshape(-1)
-    return np.bincount(flat, weights=x.reshape(-1), minlength=rows * width).reshape(rows, width)
+    edges = idx.size
+    incidence = sp.csc_matrix((np.ones(edges), idx, np.arange(edges + 1)), shape=(rows, edges))
+    return incidence @ x
 
 
 # ---------------------------------------------------------------------------
 # primitives
 # ---------------------------------------------------------------------------
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
+def matmul(a: Tensor, b: Tensor, segments: np.ndarray | None = None) -> Tensor:
+    """a @ b, or with ``segments`` the product of a block-diagonal left operand.
+
+    ``segments`` are offsets 0 = o_0 <= ... <= o_B = K that cut the K
+    columns of ``a`` and the K rows of ``b`` into B ranges. The blocks of
+    the left operand are the column ranges of ``a``, so ``a`` is r x K and
+    the result stacks the B products a[:, o_g:o_(g+1)] @ b[o_g:o_(g+1)] as
+    a (B r) x m array. With a = transpose(S) this is S_g^T Z_g for every
+    graph g of a disjoint union at once.
+    """
     av, bv = a.values, b.values
     if av.shape[1] != bv.shape[0]:
         raise ValueError(f"matmul shape mismatch: {av.shape} @ {bv.shape}")
-    out = Tensor._raw(av @ bv)
+    if segments is None:
+        out = Tensor._raw(av @ bv)
 
-    def backward(g):
+        def backward(g):
+            grads = []
+            if a.requires_grad:
+                grads.append((a, g @ bv.T))
+            if b.requires_grad:
+                grads.append((b, av.T @ g))
+            return grads
+
+        return _record("matmul", out, (a, b), backward)
+
+    segments = np.asarray(segments)
+    sizes = np.diff(segments)
+    if segments[0] != 0 or segments[-1] != av.shape[1] or np.any(sizes < 0):
+        raise ValueError(f"segments must rise from 0 to {av.shape[1]}")
+    count, r, m = sizes.size, av.shape[0], bv.shape[1]
+    # equal segments (stacked c x c blocks) make 3-D views: one batched product
+    equal = count > 0 and bool(np.all(sizes == sizes[0]))
+
+    def blocks(x: np.ndarray, by_columns: bool):
+        """x's blocks along the segmented axis, as views where x is contiguous."""
+        if equal:
+            if by_columns:
+                return x.reshape(x.shape[0], count, sizes[0]).transpose(1, 0, 2)
+            return x.reshape(count, sizes[0], x.shape[1])
+        pairs = zip(segments[:-1], segments[1:])
+        return [x[:, lo:hi] for lo, hi in pairs] if by_columns else [x[lo:hi] for lo, hi in pairs]
+
+    def transposed(xs):
+        return xs.transpose(0, 2, 1) if equal else [x.T for x in xs]
+
+    def products(lefts, rights, outs) -> None:
+        if equal:
+            np.matmul(lefts, rights, out=outs)
+        else:
+            for x, y, o in zip(lefts, rights, outs):
+                np.matmul(x, y, out=o)
+
+    out = np.empty((count * r, m))
+    products(blocks(av, True), blocks(bv, False), out.reshape(count, r, m))
+    out = Tensor._raw(out)
+
+    def segmented_backward(g):
         grads = []
+        g_blocks = g.reshape(count, r, m)
         if a.requires_grad:
-            grads.append((a, g @ bv.T))
+            ga = np.empty(av.shape)
+            products(g_blocks, transposed(blocks(bv, False)), blocks(ga, True))
+            grads.append((a, ga))
         if b.requires_grad:
-            grads.append((b, av.T @ g))
+            gb = np.empty(bv.shape)
+            products(transposed(blocks(av, True)), g_blocks, blocks(gb, False))
+            grads.append((b, gb))
         return grads
 
-    return _record("matmul", out, (a, b), backward)
+    return _record("matmul", out, (a, b), segmented_backward)
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -352,7 +442,7 @@ def gather_rows(a: Tensor, idx: np.ndarray) -> Tensor:
     idx = np.asarray(idx, dtype=np.intp).reshape(-1)
     if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
         raise IndexError("gather_rows index out of bounds")
-    out = Tensor._raw(a.values[idx])
+    out = Tensor._raw(np.take(a.values, idx, axis=0))
 
     def backward(g):
         return ((a, _scatter_add(g, idx, a.shape[0])),)
@@ -370,9 +460,26 @@ def scatter_rows(a: Tensor, idx: np.ndarray, rows: int) -> Tensor:
     out = Tensor._raw(_scatter_add(a.values, idx, rows))
 
     def backward(g):
-        return ((a, g[idx]),)
+        return ((a, np.take(g, idx, axis=0)),)
 
     return _record("scatter_rows", out, (a,), backward)
+
+
+def sparse_matmul(matrix, a: Tensor) -> Tensor:
+    """matrix @ a for a constant scipy sparse ``matrix``; the gradient is matrix^T @ g.
+
+    A CSR row sums its stored entries in index order, so with a 0/1
+    ``layers.Edges.adjacency`` this adds in the order of a gather of each
+    edge's receiver row and a scatter into its sender, with no edge rows.
+    """
+    if matrix.shape[1] != a.shape[0]:
+        raise ValueError(f"sparse_matmul shape mismatch: {matrix.shape} @ {a.shape}")
+    out = Tensor._raw(matrix @ a.values)
+
+    def backward(g):
+        return ((a, matrix.T @ g),)
+
+    return _record("sparse_matmul", out, (a,), backward)
 
 
 def _tanh_grad_in_place(g: np.ndarray, pre: np.ndarray) -> None:
@@ -388,17 +495,50 @@ _EDGE_ACTIVATIONS = {
 }
 
 
+# bytes of E x m float64 edge rows that one run of ``edge_aggregate`` holds
+EDGE_CHUNK_BYTES = 1 << 20
+
+
+def _edge_runs(edges, width: int) -> list[tuple[int, int, int, int]]:
+    """(first node, end node, first edge, end edge) of runs of whole graphs.
+
+    Each run's edge rows of ``width`` float64 fit ``EDGE_CHUNK_BYTES``; a
+    graph larger than that is a run of its own.
+    """
+    budget = EDGE_CHUNK_BYTES // (8 * max(width, 1))
+    nodes, starts = edges.node_offsets, edges.edge_offsets
+    cuts = [0]
+    for g in range(1, len(starts) - 1):
+        if starts[g + 1] - starts[cuts[-1]] > budget:
+            cuts.append(g)
+    cuts.append(len(starts) - 1)
+    return [(nodes[lo], nodes[hi], starts[lo], starts[hi]) for lo, hi in zip(cuts[:-1], cuts[1:])]
+
+
+def _incidence_rows(incidence, n0: int, n1: int, e0: int, e1: int):
+    """Rows n0:n1 of a node x edge CSR incidence whose entries lie in columns e0:e1."""
+    if n1 - n0 == incidence.shape[0]:
+        return incidence
+    p0, p1 = incidence.indptr[n0], incidence.indptr[n1]
+    return sp.csr_matrix((incidence.data[p0:p1], incidence.indices[p0:p1] - e0,
+                          incidence.indptr[n0:n1 + 1] - p0), shape=(n1 - n0, e1 - e0))
+
+
 def edge_aggregate(p_recv: Tensor, p_send: Tensor, bias: Tensor, edges, activation: str) -> Tensor:
     """out[i] = sum over edges e into i of act(p_recv[i] + p_send[senders[e]] + bias).
 
     ``edges`` is a ``layers.Edges``: its ``receivers`` and ``senders`` list
-    the edges, and ``receiver_incidence`` and ``sender_incidence`` are its
-    n x E incidences. The forward pass sums the activated edge rows
-    through the receiver incidence. The E x m pre-activations exist only
-    while the forward or backward pass runs; the tape keeps the n x m
-    inputs, and the backward pass recomputes ``pre`` to form g_pre =
-    act'(pre) * g[receivers]. Its gradients are the receiver and sender
-    incidences times g_pre and the column sum of g_pre.
+    the edges, ``receiver_incidence`` and ``sender_incidence`` are its
+    n x E incidences, and its offsets cut nodes and edges into graphs.
+    Both passes run over runs of whole graphs (``_edge_runs``), so the
+    E x m pre-activations exist one run at a time and only while a pass
+    runs; the tape keeps the n x m inputs. The forward pass sums the
+    activated edge rows through the run's rows of the receiver incidence.
+    The backward pass recomputes ``pre`` to form g_pre = act'(pre) *
+    g[receivers]; the input gradients are the incidences' rows times g_pre,
+    and the bias gradient is the column sum of the ``p_recv`` gradient,
+    which sums every edge once whatever the runs are. Every node's sums
+    add in edge order, so outputs and gradients do not depend on the runs.
     """
     if activation not in _EDGE_ACTIVATIONS:
         raise ValueError(f"unknown activation {activation!r}")
@@ -408,27 +548,39 @@ def edge_aggregate(p_recv: Tensor, p_send: Tensor, bias: Tensor, edges, activati
         raise ValueError(f"edge_aggregate shape mismatch: {p_recv.shape}, {p_send.shape}, "
                          f"{bias.shape} for {n} nodes")
     rv, sv, bv = p_recv.values, p_send.values, bias.values
+    runs = _edge_runs(edges, m)
 
-    def pre_activations() -> np.ndarray:
-        pre = rv[edges.receivers]
-        pre += sv[edges.senders]
+    def pre_activations(e0: int, e1: int) -> np.ndarray:
+        pre = np.take(rv, edges.receivers[e0:e1], axis=0)
+        pre += np.take(sv, edges.senders[e0:e1], axis=0)
         pre += bv
         return pre
 
-    out = Tensor._raw(edges.receiver_incidence @ act(pre_activations()))
+    out = np.empty((n, m))
+    for n0, n1, e0, e1 in runs:
+        out[n0:n1] = _incidence_rows(edges.receiver_incidence, n0, n1, e0, e1) @ act(
+            pre_activations(e0, e1))
+    out = Tensor._raw(out)
 
     def backward(g):
-        # pre first: its gather temporaries are freed before the E x m g_pre exists
-        pre = pre_activations()
-        g_pre = g[edges.receivers]
-        act_grad(g_pre, pre)
+        g_recv = np.empty((n, m))
+        g_send = np.empty((n, m)) if p_send.requires_grad else None
+        for n0, n1, e0, e1 in runs:
+            # pre first: its gather temporaries are freed before the E x m g_pre exists
+            pre = pre_activations(e0, e1)
+            g_pre = np.take(g, edges.receivers[e0:e1], axis=0)
+            act_grad(g_pre, pre)
+            del pre
+            g_recv[n0:n1] = _incidence_rows(edges.receiver_incidence, n0, n1, e0, e1) @ g_pre
+            if g_send is not None:
+                g_send[n0:n1] = _incidence_rows(edges.sender_incidence, n0, n1, e0, e1) @ g_pre
         grads = []
         if p_recv.requires_grad:
-            grads.append((p_recv, edges.receiver_incidence @ g_pre))
-        if p_send.requires_grad:
-            grads.append((p_send, edges.sender_incidence @ g_pre))
+            grads.append((p_recv, g_recv))
+        if g_send is not None:
+            grads.append((p_send, g_send))
         if bias.requires_grad:
-            grads.append((bias, _broadcast_grad(g_pre, bv.shape)))
+            grads.append((bias, g_recv.sum(axis=0, keepdims=True)))
         return grads
 
     return _record("edge_aggregate", out, (p_recv, p_send, bias), backward)

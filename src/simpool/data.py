@@ -102,13 +102,22 @@ class Dataset:
 
 @dataclass(frozen=True)
 class PaddedBatch:
-    """Dense, zero-padded batch; masked rows/columns are exactly zero."""
+    """A batch of graphs as one disjoint union, with a padded dense copy.
+
+    The model reads the union: ``block_adjacency`` is every graph's
+    adjacency on the diagonal of one CSR matrix, ``features`` stacks the
+    graphs' node rows in the same order, and ``node_offsets()`` cuts both
+    into graphs. ``adjacency`` and ``node_mask`` are the same graphs
+    zero-padded to the largest one (masked rows and columns are exactly
+    zero); the model does not read them.
+    """
 
     adjacency: np.ndarray  # B x N x N
-    features: np.ndarray  # B x N x d
+    features: np.ndarray  # (sum of node counts) x d, the graphs' node rows stacked
     node_mask: np.ndarray  # B x N, leading ones
     labels: np.ndarray  # B
     indices: np.ndarray  # B source positions in the dataset
+    block_adjacency: sp.csr_matrix  # (sum of node counts) squared, block-diagonal
 
     @property
     def size(self) -> int:
@@ -116,6 +125,10 @@ class PaddedBatch:
 
     def node_counts(self) -> np.ndarray:
         return self.node_mask.sum(axis=1).astype(np.int64)
+
+    def node_offsets(self) -> np.ndarray:
+        """Where each graph's node rows start, then the total: B + 1 entries."""
+        return np.concatenate([[0], np.cumsum(self.node_counts())])
 
 
 # ---------------------------------------------------------------------------
@@ -243,13 +256,24 @@ def load_tu_dataset(root_path, name: str) -> Dataset:
 # batching and splits
 # ---------------------------------------------------------------------------
 
+def _block_diagonal(blocks: list[sp.csr_matrix]) -> sp.csr_matrix:
+    """The CSR matrix with ``blocks`` on its diagonal, built from their arrays."""
+    sizes = np.array([b.shape[0] for b in blocks])
+    starts = np.concatenate([[0], np.cumsum(sizes)])
+    stored = np.concatenate([[0], np.cumsum([b.nnz for b in blocks])])
+    indptr = np.concatenate([[0]] + [b.indptr[1:] + p for b, p in zip(blocks, stored)])
+    indices = np.concatenate([b.indices + lo for b, lo in zip(blocks, starts)])
+    data = np.concatenate([b.data for b in blocks])
+    return sp.csr_matrix((data, indices, indptr), shape=(starts[-1], starts[-1]))
+
+
 def make_batches(
     ds: Dataset,
     batch_size: int,
     shuffle_seed: int | None = None,
     subset: np.ndarray | None = None,
 ) -> list[PaddedBatch]:
-    """Partition a dataset (or an index subset) into padded batches."""
+    """Partition a dataset (or an index subset) into batches of disjoint unions."""
     if batch_size < 1:
         raise ValueError("batch size must be >= 1")
     if len(ds) == 0:
@@ -268,22 +292,19 @@ def make_batches(
         n_max = max(g.node_count for g in graphs)
         b = len(graphs)
         adjacency = np.zeros((b, n_max, n_max))
-        features = np.zeros((b, n_max, ds.feature_dim))
         mask = np.zeros((b, n_max))
-        labels = np.zeros(b, dtype=np.int64)
         for slot, g in enumerate(graphs):
             n = g.node_count
             adjacency[slot, :n, :n] = g.adjacency.toarray()
-            features[slot, :n, :] = g.node_features
             mask[slot, :n] = 1.0
-            labels[slot] = g.label
         batches.append(
             PaddedBatch(
                 adjacency=adjacency,
-                features=features,
+                features=np.concatenate([g.node_features for g in graphs]),
                 node_mask=mask,
-                labels=labels,
+                labels=np.array([g.label for g in graphs], dtype=np.int64),
                 indices=chunk.copy(),
+                block_adjacency=_block_diagonal([g.adjacency for g in graphs]),
             )
         )
     return batches

@@ -20,10 +20,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
+import scipy.sparse as sp
+
 from . import autodiff as ad
-from .layers import Dense, Edges, GcnLayer, GmnEncoder, GmnPropagation, loss_lc, loss_le, pool_forward
-from .model import SimPoolModel, resolve_preset
-from .similarity import compute_features, index_map
+from .layers import (
+    Dense,
+    Edges,
+    GcnLayer,
+    GmnEncoder,
+    GmnPropagation,
+    cross_entropy,
+    loss_lc,
+    loss_le,
+    pool_forward,
+)
+from .model import GraphUnion, SimPoolModel, resolve_preset
+from .similarity import compute_features, index_map, symmetric_similarity_on_tape
 
 __all__ = ["CheckResult", "run_suite", "SUITE_CHECKS"]
 
@@ -139,10 +151,35 @@ def _check_full_model(rng, n):
     mapped = index_map(compute_features(a, model.sim), model.sim).mapped
     label = int(rng.integers(0, 6))
 
+    graph = GraphUnion.single(a, x, label, mapped)
+
     def forward():
-        return model.forward_graph(a, x, mapped=mapped, label=label).total(1.0, 1.0)
+        return model.forward_graph(graph).total(1.0, 1.0)
 
     return _check_params(forward, model.parameters())
+
+
+def _check_packed_batch(rng, n):
+    """Stage 0 to the losses on a disjoint union of three graphs, one edgeless."""
+    sizes = [n, int(rng.integers(3, 11)), int(rng.integers(3, 11))]
+    graphs = [_random_graph(rng, sizes[0]), _random_graph(rng, sizes[1]), np.zeros((sizes[2],) * 2)]
+    segments = np.concatenate([[0], np.cumsum(sizes)])
+    edges = Edges(sp.block_diag(graphs, format="csr"), segments)
+    prop = GmnPropagation(rng, 3, 3, 3, "tanh", "prop")
+    assign = Dense(rng, 3, 2, "linear", "assign")
+    gcn = GcnLayer(rng, 3, 2, "tanh", "gcn")
+    x = ad.constant(rng.uniform(-2, 2, size=(segments[-1], 3)))
+    labels = rng.integers(0, 2, size=len(graphs))
+
+    def forward():
+        h = prop(x, edges)
+        x1, a1, s = pool_forward(h, assign(h), edges.spread, segments)
+        z1 = ad.multiply(gcn(x1, a1), symmetric_similarity_on_tape(a1))
+        pooled = ad.scatter_rows(z1, np.repeat(np.arange(len(graphs)), a1.shape[1]), len(graphs))
+        task = cross_entropy(ad.row_softmax(pooled), labels)
+        return ad.add(task, ad.add(loss_le(s, segments), loss_lc(s, segments)))
+
+    return _check_params(forward, {**prop.parameters(), **assign.parameters(), **gcn.parameters()})
 
 
 SUITE_CHECKS = {
@@ -153,6 +190,7 @@ SUITE_CHECKS = {
     "loss_le": _check_loss_le,
     "loss_lc": _check_loss_lc,
     "full_model_width16": _check_full_model,
+    "packed_batch": _check_packed_batch,
 }
 
 

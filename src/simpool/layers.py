@@ -1,11 +1,14 @@
 """Differentiable layers: GMN encoder/propagation, GCN, MLP, pooling.
 
-All layers operate on single graphs (2-D tensors); batches are handled by
-the model loop. Parameters are named so checkpoints stay stable. Stage 0
-reads each graph as one ``Edges`` list, with no n x n tensor: GMN
-propagation sums its messages through the edge list's CSR incidence
-matrices in one ``ad.edge_aggregate`` op, which keeps no edge rows on the
-tape, and stage-0 pooling takes A·S from it by gather and scatter.
+Every layer reads a batch of graphs as one disjoint union: node rows are
+stacked, and a coarsened graph is a stack of square blocks, one per
+graph. Parameters are named so checkpoints stay stable. Stage 0 reads the
+union as one ``Edges`` list, with no n x n tensor: GMN propagation sums
+its messages through the edge list's CSR incidence matrices in one
+``ad.edge_aggregate`` op, which keeps no edge rows on the tape, and
+stage-0 pooling takes A·S as one sparse product. Pooling and the
+GCN keep graphs apart through ``ad.matmul``'s segments, and the losses are
+means over graphs.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ __all__ = [
     "GmnMessage",
     "GmnPropagation",
     "GcnLayer",
+    "block_offsets",
     "pool_forward",
     "loss_le",
     "loss_lc",
@@ -56,33 +60,55 @@ def _incidence(edge_order: np.ndarray, nodes: np.ndarray, node_count: int):
 
 
 class Edges:
-    """A graph's directed edges, A[senders[e], receivers[e]] = 1.
+    """The directed edges of a disjoint union of graphs, A[senders[e], receivers[e]] = 1.
 
-    Stage 0 reads a graph's structure only, so every nonzero adjacency
-    entry must be 1. The edges come in row-major order, so ``senders`` is
-    sorted. For ``ad.edge_aggregate`` the list also holds the node x edge
-    CSR incidence matrices: ``receiver_incidence`` (1 at (receivers[e], e)),
-    which the forward pass needs and which is built with the list, and
-    ``sender_incidence``, which only a backward pass needs and which is
-    built on first use. Each row lists its edges in edge order, so the
-    products add in the same order as a scatter over the edges.
+    ``adjacency`` (dense or sparse) is the union's block-diagonal matrix,
+    kept as canonical CSR, and ``node_offsets`` cut its nodes into graphs
+    (default: one graph). Stage 0 reads structure only, so every nonzero
+    entry must be 1, and no edge may join two graphs. The edges come in row-major order, so
+    ``senders`` is sorted and graph g's edges are the range
+    ``edge_offsets[g]:edge_offsets[g + 1]``. For ``ad.edge_aggregate`` the
+    list also holds the node x edge CSR incidence matrices:
+    ``receiver_incidence`` (1 at (receivers[e], e)), which the forward pass
+    needs and which is built with the list, and ``sender_incidence``, which
+    only a backward pass needs and which is built on first use. Each row
+    lists its edges in edge order, so the products add in the same order
+    as a scatter over the edges.
     """
 
-    def __init__(self, adjacency: np.ndarray):
-        self.node_count = adjacency.shape[0]
-        self.senders, self.receivers = np.nonzero(adjacency)
-        if np.any(adjacency[self.senders, self.receivers] != 1.0):
+    def __init__(self, adjacency, node_offsets=None):
+        a = sp.csr_matrix(adjacency, dtype=np.float64, copy=True)
+        a.sum_duplicates()
+        a.eliminate_zeros()
+        if np.any(a.data != 1.0):
             raise ValueError("stage 0 takes a 0/1 adjacency: an edge entry is not 1")
+        self.adjacency = a
+        n = self.node_count = a.shape[0]
+        self.senders = np.repeat(np.arange(n), np.diff(a.indptr))
+        self.receivers = a.indices.astype(np.intp)
+        offsets = np.array([0, n] if node_offsets is None else node_offsets, dtype=np.intp)
+        if offsets[0] != 0 or offsets[-1] != n or np.any(np.diff(offsets) < 1):
+            raise ValueError(f"node offsets must rise strictly from 0 to {n}")
+        self.node_offsets = offsets
+        self.edge_offsets = a.indptr[offsets].astype(np.intp)
+        graph_of_edge = np.repeat(np.arange(offsets.size - 1), np.diff(self.edge_offsets))
+        if np.any((self.receivers < offsets[graph_of_edge])
+                  | (self.receivers >= offsets[graph_of_edge + 1])):
+            raise ValueError("an edge joins two graphs of the union")
         self.receiver_incidence = _incidence(
-            np.argsort(self.receivers, kind="stable"), self.receivers, self.node_count)
+            np.argsort(self.receivers, kind="stable"), self.receivers, n)
+
+    @property
+    def graph_count(self) -> int:
+        return self.node_offsets.size - 1
 
     @cached_property
     def sender_incidence(self):
         return _incidence(np.arange(self.senders.size), self.senders, self.node_count)
 
     def spread(self, x: ad.Tensor) -> ad.Tensor:
-        """A @ x: row i sums x[receivers[e]] over the edges e that i sends."""
-        return ad.scatter_rows(ad.gather_rows(x, self.receivers), self.senders, self.node_count)
+        """A @ x: row i sums x[receivers[e]] over the edges e that i sends, in edge order."""
+        return ad.sparse_matmul(self.adjacency, x)
 
 
 class Dense:
@@ -211,8 +237,23 @@ class GmnPropagation:
         return {**self.f_message.parameters(), **self.f_node.parameters()}
 
 
+def block_offsets(a: ad.Tensor) -> np.ndarray:
+    """Offsets 0, n, ..., B n of a stack of B square n x n blocks, (B n) x n."""
+    rows, n = a.shape
+    if n == 0 or rows % n:
+        raise ValueError(f"a {a.shape} tensor is not a stack of square blocks")
+    return np.arange(0, rows + 1, n)
+
+
 class GcnLayer:
-    """Symmetrically normalised graph convolution (self-loops added)."""
+    """Symmetrically normalised graph convolution (self-loops added).
+
+    ``a`` stacks one symmetric n x n adjacency block per graph, (B n) x n,
+    and ``h`` the graphs' node rows. With D = diag(1/sqrt(rowsum(A + I))),
+    each graph's output is act(D (A + I) D h W). A block is symmetric, so
+    the column ranges of transpose(A + I) are the blocks in the form the
+    segmented ``ad.matmul`` takes them.
+    """
 
     def __init__(self, rng, in_dim: int, out_dim: int, activation: str, name: str):
         if activation not in ACTIVATIONS:
@@ -222,66 +263,81 @@ class GcnLayer:
         self.weight = ad.parameter(glorot(rng, in_dim, out_dim))
 
     def __call__(self, h: ad.Tensor, a: ad.Tensor) -> ad.Tensor:
-        n = h.shape[0]
-        if a.shape != (n, n):
-            raise ValueError("adjacency must be square and match node states")
+        segments = block_offsets(a)
+        if h.shape[0] != a.shape[0]:
+            raise ValueError("adjacency must stack square blocks that match node states")
         if np.any(a.values < 0):
             raise ValueError("gcn requires non-negative adjacency")
-        a_tilde = ad.add(a, ad.constant(np.eye(n)))
+        n = a.shape[1]
+        a_tilde = ad.add(a, ad.constant(np.tile(np.eye(n), (segments.size - 1, 1))))
         inv_sqrt_deg = ad.reciprocal(ad.sqrt(ad.row_sum(a_tilde)))
-        normalised = ad.multiply(ad.multiply(a_tilde, inv_sqrt_deg),
-                                 ad.transpose(inv_sqrt_deg))
-        out = ad.matmul(ad.matmul(normalised, h), self.weight)
+        mixed = ad.matmul(ad.transpose(a_tilde), ad.multiply(h, inv_sqrt_deg), segments)
+        out = ad.matmul(ad.multiply(mixed, inv_sqrt_deg), self.weight)
         return ACTIVATIONS[self.activation](out)
 
     def parameters(self) -> dict[str, ad.Tensor]:
         return {f"{self.name}.w": self.weight}
 
 
-def pool_forward(z: ad.Tensor, logits: ad.Tensor, spread):
-    """Coarsen a graph: S = softmax(logits), X' = S^T Z, A' = tanh(S^T (A S)).
+def pool_forward(z: ad.Tensor, logits: ad.Tensor, spread, segments=None):
+    """Coarsen graphs: S = softmax(logits), X' = S^T Z, A' = tanh(S^T (A S)).
 
     ``z`` and ``logits`` are the embedding and assignment nets' outputs,
     one row per node. ``spread(x)`` returns the product A·x: stage 0 passes
-    its ``Edges.spread``, stage 1 a matmul by the learned coarse adjacency.
-    Returns (X', A', S).
+    its ``Edges.spread``, stage 1 a product with the learned coarse
+    adjacency. ``segments`` cut the rows into graphs (default: one graph);
+    each graph's S^T products run through the segmented ``ad.matmul``, so
+    X' and A' stack one c-row block per graph. Returns (X', A', S).
     """
     if z.shape[0] != logits.shape[0]:
         raise ValueError(f"z has {z.shape[0]} rows, logits {logits.shape[0]}: need one row per node")
     s = ad.row_softmax(logits)
     st = ad.transpose(s)
-    return ad.matmul(st, z), ad.tanh(ad.matmul(st, spread(s))), s
+    return ad.matmul(st, z, segments), ad.tanh(ad.matmul(st, spread(s), segments)), s
 
 
-def loss_le(s: ad.Tensor) -> ad.Tensor:
-    """Mean row entropy of the assignment matrix (natural log).
+def _graph_sizes(rows: int, segments) -> np.ndarray:
+    """Each graph's row count; without ``segments``, all rows are one graph."""
+    return np.array([rows]) if segments is None else np.diff(segments)
 
+
+def loss_le(s: ad.Tensor, segments=None) -> ad.Tensor:
+    """Mean over graphs of each graph's mean row entropy of S (natural log).
+
+    ``segments`` cut the rows into graphs (default: one graph). The means
+    come from a constant weight column, 1 / (B n_g) on graph g's rows.
     Zero exactly when every row is one-hot, up to the 1e-12 clamp.
     """
-    n = s.shape[0]
+    sizes = _graph_sizes(s.shape[0], segments)
+    weights = np.repeat(-1.0 / (sizes.size * sizes), sizes).reshape(-1, 1)
     log_p = ad.log(ad.clamp_min(s, 1e-12))
-    total = ad.sum_all(ad.multiply(s, log_p))
-    return ad.scalar_multiply(total, -1.0 / n)
+    return ad.sum_all(ad.multiply(ad.multiply(s, log_p), ad.constant(weights)))
 
 
-def loss_lc(s: ad.Tensor) -> ad.Tensor:
-    """Uniformity deficit of the cluster mass distribution.
+def loss_lc(s: ad.Tensor, segments=None) -> ad.Tensor:
+    """Mean over graphs of the uniformity deficit of each graph's cluster mass.
 
-    The cluster mass q = (1/n) * 1^T S sums to one; the deficit
-    ln(clusters) - H(q) is zero exactly at uniform mass and ln(clusters)
+    Graph g's cluster mass q_g = (1/n_g) 1^T S_g sums to one; the deficit
+    ln(clusters) - H(q_g) is zero exactly at uniform mass and ln(clusters)
     when all mass sits on one cluster, so minimising it maximises the
-    spread of nodes over clusters.
+    spread of nodes over clusters. ``segments`` cut the rows into graphs
+    (default: one graph); q is the segmented product of the constant
+    weight row 1/n_g with S, one row per graph.
     """
-    n, clusters = s.shape
-    q = ad.scalar_multiply(ad.col_sum(s), 1.0 / n)
-    entropy = ad.scalar_multiply(
-        ad.sum_all(ad.multiply(q, ad.log(ad.clamp_min(q, 1e-12)))), -1.0
-    )
-    deficit = ad.subtract(ad.constant([[np.log(clusters)]]), entropy)
-    return ad.clamp_min(deficit, 0.0)
+    sizes = _graph_sizes(s.shape[0], segments)
+    weights = ad.constant(np.repeat(1.0 / sizes, sizes).reshape(1, -1))
+    q = ad.matmul(weights, s, segments)
+    entropy = ad.scalar_multiply(ad.row_sum(ad.multiply(q, ad.log(ad.clamp_min(q, 1e-12)))), -1.0)
+    deficit = ad.clamp_min(ad.subtract(ad.constant([[np.log(s.shape[1])]]), entropy), 0.0)
+    return ad.scalar_multiply(ad.col_sum(deficit), 1.0 / sizes.size)
 
 
-def cross_entropy(probs: ad.Tensor, label: int) -> ad.Tensor:
-    """Negative log likelihood of one label under a softmax row."""
-    picked = ad.gather(probs, np.array([[0]]), np.array([[int(label)]]))
-    return ad.scalar_multiply(ad.log(ad.clamp_min(picked, 1e-12)), -1.0)
+def cross_entropy(probs: ad.Tensor, labels) -> ad.Tensor:
+    """Mean negative log likelihood of each row's label under its softmax row.
+
+    ``labels`` holds one class per row of ``probs`` (an int for one row).
+    """
+    rows = probs.shape[0]
+    labels = np.asarray(labels, dtype=np.intp).reshape(rows, 1)
+    picked = ad.gather(probs, np.arange(rows).reshape(rows, 1), labels)
+    return ad.scalar_multiply(ad.sum_all(ad.log(ad.clamp_min(picked, 1e-12))), -1.0 / rows)

@@ -1,22 +1,27 @@
 """Hierarchical pooling model: two coarsening stages plus a classifier.
 
-Stage 0 runs two GMN stacks of the same shape: a relu encoder, a relu
-propagation step and a linear propagation step, each `gmn_units` wide.
-The Z stack ends in `embed_units` node embeddings; the S stack reads
-structural features, node features, or both, and ends in `clusters_1`
-assignment logits. Both stacks and the first pooling read one ``Edges``
-list, built once per graph. Stage 1 embeds with a GCN and assigns through
-a two-layer MLP fed by similarity features recomputed (differentiably)
-from the learned dense coarse adjacency. Each stage coarsens with
-``pool_forward(z, logits, spread)``, ``spread`` being its A·x. Stage 2
-sum-pools everything into a single row and a dense softmax layer
-produces class probabilities. There is no link prediction term anywhere.
+The model reads a batch of graphs as one ``GraphUnion``, their disjoint
+union: one edge list over the stacked node rows, cut into graphs by node
+offsets. A single graph is a union of one. Stage 0 runs two GMN stacks of
+the same shape on the whole union: a relu encoder, a relu propagation
+step and a linear propagation step, each `gmn_units` wide. The Z stack
+ends in `embed_units` node embeddings; the S stack reads structural
+features, node features, or both, and ends in `clusters_1` assignment
+logits. Stage 1 embeds with a GCN and assigns through a two-layer MLP fed
+by similarity features recomputed (differentiably) from the learned
+coarse adjacency. Each stage coarsens with ``pool_forward(z, logits,
+spread, segments)``, ``spread`` being its A·x and ``segments`` its graphs,
+so every graph's coarse adjacency is a c x c block of one (B c) x c
+stack. Stage 2 sum-pools each graph into a single row and a dense softmax
+layer produces class probabilities. There is no link prediction term
+anywhere.
 
 The objective is DiffPool's: the task cross-entropy plus the entropy term
 L_E and the cluster term L_C of each stage, five terms named once in
-``LOSS_TERMS``. ``forward_graph`` and ``forward_batch`` return the same
-``Forward`` record; for a batch each term is the mean over its graphs, and
-``Forward.total`` is the one place that weighs the terms together.
+``LOSS_TERMS``, each a mean over the union's graphs. ``forward_graph``
+takes a union and ``forward_batch`` a ``PaddedBatch``; both return the
+same ``Forward`` record, and ``Forward.total`` is the one place that
+weighs the terms together.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ from .layers import (
     GmnEncoder,
     GmnPropagation,
     MLP,
+    block_offsets,
     cross_entropy,
     loss_lc,
     loss_le,
@@ -51,6 +57,7 @@ __all__ = [
     "ConfigError",
     "LOSS_TERMS",
     "Forward",
+    "GraphUnion",
     "SimPoolModel",
     "save_checkpoint",
     "load_checkpoint",
@@ -161,6 +168,31 @@ class Forward:
         return ad.add(out, ad.scalar_multiply(ad.add(lc0, lc1), w_c))
 
 
+@dataclass(frozen=True)
+class GraphUnion:
+    """Graphs as one disjoint union, the input of ``SimPoolModel.forward_graph``.
+
+    ``edges`` lists every edge over the stacked node rows, and its
+    ``node_offsets`` cut ``features`` (and ``mapped``, the precomputed
+    structural features, when given) into graphs. ``labels`` holds one
+    class per graph.
+    """
+
+    edges: Edges
+    features: np.ndarray
+    labels: np.ndarray
+    mapped: np.ndarray | None = None
+
+    @classmethod
+    def single(cls, adjacency, features, label: int, mapped=None) -> GraphUnion:
+        """The union of one graph."""
+        return cls(Edges(adjacency), np.asarray(features), np.array([label]), mapped)
+
+    @property
+    def size(self) -> int:
+        return self.edges.graph_count
+
+
 class _GmnStack:
     """Relu encoder, relu propagation, linear propagation; the Z and S nets."""
 
@@ -254,17 +286,25 @@ class SimPoolModel:
             return structural
         return ad.concat_columns([structural, x1])
 
-    def forward_graph(self, adjacency, features, label: int, mapped=None) -> Forward:
-        edges = Edges(adjacency)
-        x = ad.constant(features)
-        f0 = self._assign_features_0(x, mapped)
-        x1, a1, s0 = pool_forward(self.z_stack(edges, x), self.s_stack(edges, f0), edges.spread)
+    def forward_graph(self, graphs: GraphUnion) -> Forward:
+        """One forward pass over a disjoint union of graphs."""
+        edges = graphs.edges
+        segments = edges.node_offsets
+        x = ad.constant(graphs.features)
+        f0 = self._assign_features_0(x, graphs.mapped)
+        x1, a1, s0 = pool_forward(self.z_stack(edges, x), self.s_stack(edges, f0), edges.spread,
+                                  segments)
         f1 = self._assign_features_1(x1, a1)
-        x2, a2, s1 = pool_forward(self.gcn1(x1, a1), self.s1_mlp(f1), lambda s: ad.matmul(a1, s))
+        blocks1 = block_offsets(a1)
+        # a1's blocks are symmetric: transpose(a1) holds them as column ranges
+        x2, a2, s1 = pool_forward(self.gcn1(x1, a1), self.s1_mlp(f1),
+                                  lambda s: ad.matmul(ad.transpose(a1), s, blocks1), blocks1)
         z2 = self.gcn2(x2, a2)
-        pooled = ad.col_sum(z2)  # global sum pool: all-ones assignment
+        # global sum pool: each graph's c rows summed into one
+        pooled = ad.scatter_rows(z2, np.repeat(np.arange(graphs.size), a2.shape[1]), graphs.size)
         probs = ad.row_softmax(self.classifier(pooled))
-        terms = (cross_entropy(probs, label), loss_le(s0), loss_le(s1), loss_lc(s0), loss_lc(s1))
+        terms = (cross_entropy(probs, graphs.labels), loss_le(s0, segments), loss_le(s1, blocks1),
+                 loss_lc(s0, segments), loss_lc(s1, blocks1))
         return Forward(
             probs=probs.values,
             losses=dict(zip(LOSS_TERMS, terms)),
@@ -272,31 +312,12 @@ class SimPoolModel:
         )
 
     def forward_batch(self, batch: PaddedBatch, mapped_by_index=None) -> Forward:
-        counts = batch.node_counts()
-        outs = []
-        for slot in range(batch.size):
-            n = int(counts[slot])
-            mapped = None
-            if mapped_by_index is not None:
-                mapped = mapped_by_index[int(batch.indices[slot])][:n]
-            outs.append(self.forward_graph(
-                batch.adjacency[slot, :n, :n],
-                batch.features[slot, :n],
-                mapped=mapped,
-                label=int(batch.labels[slot]),
-            ))
-
-        def mean(terms):
-            acc = terms[0]
-            for t in terms[1:]:
-                acc = ad.add(acc, t)
-            return ad.scalar_multiply(acc, 1.0 / len(terms))
-
-        return Forward(
-            probs=np.concatenate([o.probs for o in outs]),
-            losses={k: mean([o.losses[k] for o in outs]) for k in LOSS_TERMS},
-            assign_argmax=tuple(np.concatenate(a) for a in zip(*(o.assign_argmax for o in outs))),
-        )
+        """``forward_graph`` on the batch's union; ``mapped_by_index[i]`` belongs to graph i."""
+        mapped = None
+        if mapped_by_index is not None:
+            mapped = np.concatenate([mapped_by_index[int(i)] for i in batch.indices])
+        edges = Edges(batch.block_adjacency, batch.node_offsets())
+        return self.forward_graph(GraphUnion(edges, batch.features, batch.labels, mapped))
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import autodiff as ad
+from .layers import block_offsets
 
 __all__ = [
     "SimilarityConfig",
@@ -93,6 +94,10 @@ def similarity_sparse(
         raise ValueError(f"adjacency must be square, got {a.shape}")
     if a.nnz and a.data.min() < 0:
         raise ValueError("adjacency entries must be non-negative")
+    if not a.has_canonical_format or not a.data.all():
+        a = a.copy()  # the caller's matrix keeps its layout
+        a.sum_duplicates()
+        a.eliminate_zeros()
 
     n = a.shape[0]
     base = (a + cfg.lam * sp.identity(n, format="csr")).tocsr()
@@ -105,7 +110,10 @@ def similarity_sparse(
     gram = ahat.T @ ahat
     stats = SparseStats(node_count=n, edge_count=int(a.nnz),
                         multiply_adds=int((row_degree**2).sum()))
-    if (a != a.T).nnz:
+    # canonical CSR with no stored zeros: equal arrays mean equal matrices
+    at = a.T.tocsr()
+    if not (np.array_equal(a.indptr, at.indptr) and np.array_equal(a.indices, at.indices)
+            and np.array_equal(a.data, at.data)):
         gram = gram + ahat @ ahat.T
         col_degree = np.bincount(ahat.indices, minlength=n).astype(np.int64)
         stats.multiply_adds += int((col_degree**2).sum())
@@ -177,20 +185,29 @@ def index_map(features, cfg: SimilarityConfig) -> SimilarityFeatures:
 # ---------------------------------------------------------------------------
 
 def symmetric_similarity_on_tape(a: ad.Tensor, p: int = 1, lam: float = 0.0) -> ad.Tensor:
-    """Differentiable column-cosine similarity of (A + lambda*I)^p."""
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise ValueError("adjacency tensor must be square")
-    base = ad.add(a, ad.constant(lam * np.eye(n))) if lam != 0.0 else a
+    """Differentiable column-cosine similarity of (A + lambda*I)^p, block by block.
+
+    ``a`` stacks one symmetric n x n block per graph, (B n) x n, and so
+    does the result. Each block's products run through the segmented
+    ``ad.matmul``, whose left operand is the column ranges of a transpose:
+    a symmetric block's transpose is the block itself. Row r's inverse
+    norm scales row r, and every row of a block takes its block's row of
+    inverse norms as column scales.
+    """
+    segments = block_offsets(a)
+    count, n = segments.size - 1, a.shape[1]
+    base = a if lam == 0.0 else ad.add(a, ad.constant(np.tile(lam * np.eye(n), (count, 1))))
     ahat = base
     for _ in range(p - 1):
-        ahat = ad.matmul(ahat, base)
-    gram = ad.matmul(ad.transpose(ahat), ahat)
-    diag_idx = np.arange(n).reshape(n, 1)
-    norms_sq = ad.gather(gram, diag_idx, diag_idx)
+        ahat = ad.matmul(ad.transpose(ahat), base, segments)
+    gram = ad.matmul(ad.transpose(ahat), ahat, segments)
+    rows = np.arange(a.shape[0])
+    block, within = rows // n, rows % n
+    # one row of inverse column norms per block: its diagonal's square roots
+    norms_sq = ad.gather(gram, rows.reshape(count, n), within.reshape(count, n))
     inv_norms = ad.reciprocal(ad.clamp_min(ad.sqrt(norms_sq), 1e-12))
-    scale = ad.matmul(inv_norms, ad.transpose(inv_norms))
-    return ad.multiply(gram, scale)
+    row_scale = ad.gather(inv_norms, block.reshape(-1, 1), within.reshape(-1, 1))
+    return ad.multiply(ad.multiply(gram, row_scale), ad.gather_rows(inv_norms, block))
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,10 @@ spelt out as the tape ops it fuses. ``tu_graphs_one_by_one`` builds a TU
 dataset's graphs one sparse matrix at a time, the reference for the
 loader's row ranges of one block-diagonal matrix. Tests compare against
 them. ``decode_index`` reads the source node back out of one
-``index_map`` entry.
+``index_map`` entry. ``forward_graph_loop`` is the model's forward pass
+one graph at a time, with dense per-graph stage-1 formulas, the reference
+for the packed batch; ``scatter_add_bincount`` is the flat-index
+``np.bincount`` scatter, the reference for ``autodiff._scatter_add``.
 """
 
 import os
@@ -18,7 +21,8 @@ import scipy.sparse as sp
 
 from simpool import autodiff as ad
 from simpool.data import _read_int_rows
-from simpool.layers import ACTIVATIONS
+from simpool.layers import ACTIVATIONS, Edges
+from simpool.model import LOSS_TERMS, Forward
 from simpool.similarity import SimilarityConfig, SimilarityFeatures
 
 
@@ -200,3 +204,79 @@ def tu_graphs_one_by_one(root, name: str) -> list[tuple[sp.csr_matrix, np.ndarra
             feats = (degrees[lo:lo + n] / max(degrees.max(), 1.0)).reshape(n, 1)
         out.append((adjacencies[g], feats, class_of[int(graph_labels[g])]))
     return out
+
+
+def scatter_add_bincount(x: np.ndarray, idx: np.ndarray, rows: int) -> np.ndarray:
+    """Sum row e of ``x`` into row ``idx[e]``: one bincount over flat output positions."""
+    width = x.shape[1]
+    flat = (idx[:, None] * width + np.arange(width)).reshape(-1)
+    return np.bincount(flat, weights=x.reshape(-1), minlength=rows * width).reshape(rows, width)
+
+
+def _gcn_dense(gcn, h, a):
+    """act(D (A + I) D h W) for one graph's dense n x n adjacency tensor."""
+    a_tilde = ad.add(a, ad.constant(np.eye(a.shape[0])))
+    inv_sqrt_deg = ad.reciprocal(ad.sqrt(ad.row_sum(a_tilde)))
+    normalised = ad.multiply(ad.multiply(a_tilde, inv_sqrt_deg), ad.transpose(inv_sqrt_deg))
+    return ACTIVATIONS[gcn.activation](ad.matmul(ad.matmul(normalised, h), gcn.weight))
+
+
+def _similarity_dense_on_tape(a, p, lam):
+    """Column-cosine similarity of one graph's (A + lam I)^p as dense tape ops."""
+    n = a.shape[0]
+    base = ad.add(a, ad.constant(lam * np.eye(n))) if lam != 0.0 else a
+    ahat = base
+    for _ in range(p - 1):
+        ahat = ad.matmul(ahat, base)
+    gram = ad.matmul(ad.transpose(ahat), ahat)
+    diag = np.arange(n).reshape(n, 1)
+    inv_norms = ad.reciprocal(ad.clamp_min(ad.sqrt(ad.gather(gram, diag, diag)), 1e-12))
+    return ad.multiply(gram, ad.matmul(inv_norms, ad.transpose(inv_norms)))
+
+
+def _pool_dense(z, logits, spread):
+    s = ad.row_softmax(logits)
+    st = ad.transpose(s)
+    return ad.matmul(st, z), ad.tanh(ad.matmul(st, spread(s))), s
+
+
+def _loss_le_one(s):
+    log_p = ad.log(ad.clamp_min(s, 1e-12))
+    return ad.scalar_multiply(ad.sum_all(ad.multiply(s, log_p)), -1.0 / s.shape[0])
+
+
+def _loss_lc_one(s):
+    n, clusters = s.shape
+    q = ad.scalar_multiply(ad.col_sum(s), 1.0 / n)
+    entropy = ad.scalar_multiply(ad.sum_all(ad.multiply(q, ad.log(ad.clamp_min(q, 1e-12)))), -1.0)
+    return ad.clamp_min(ad.subtract(ad.constant([[np.log(clusters)]]), entropy), 0.0)
+
+
+def forward_graph_loop(model, adjacency, features, label: int, mapped=None) -> Forward:
+    """``SimPoolModel.forward_graph`` on one graph, as it ran before batches were packed.
+
+    Stage 0 runs the model's own GMN stacks on the graph's ``Edges``;
+    pooling, the GCNs, the on-tape similarity, the sum pool and the five
+    loss terms are dense formulas on this graph alone.
+    """
+    edges = Edges(adjacency)
+    x = ad.constant(features)
+    f0 = model._assign_features_0(x, mapped)
+    x1, a1, s0 = _pool_dense(model.z_stack(edges, x), model.s_stack(edges, f0), edges.spread)
+    f1 = x1
+    if model.assign_inputs != "node":
+        f1 = _similarity_dense_on_tape(a1, model.sim.p, model.sim.lam)
+        if model.assign_inputs == "both":
+            f1 = ad.concat_columns([f1, x1])
+    x2, a2, s1 = _pool_dense(_gcn_dense(model.gcn1, x1, a1), model.s1_mlp(f1),
+                             lambda s: ad.matmul(a1, s))
+    pooled = ad.col_sum(_gcn_dense(model.gcn2, x2, a2))
+    probs = ad.row_softmax(model.classifier(pooled))
+    picked = ad.gather(probs, np.array([[0]]), np.array([[int(label)]]))
+    task = ad.scalar_multiply(ad.log(ad.clamp_min(picked, 1e-12)), -1.0)
+    terms = (task, _loss_le_one(s0), _loss_le_one(s1), _loss_lc_one(s0), _loss_lc_one(s1))
+    return Forward(
+        probs=probs.values,
+        losses=dict(zip(LOSS_TERMS, terms)),
+        assign_argmax=(np.argmax(s0.values, axis=1), np.argmax(s1.values, axis=1)),
+    )

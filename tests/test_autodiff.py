@@ -1,10 +1,15 @@
 """Tests for the reverse-mode autodiff kernel."""
 
+import weakref
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from simpool import autodiff as ad
 from simpool.layers import ACTIVATIONS, Edges
+
+from oracles import scatter_add_bincount
 
 
 def scalarize(t):
@@ -35,6 +40,28 @@ class TestForwardValues:
         b = ad.constant([[5.0], [6.0]])
         out = ad.concat_columns([a, b])
         np.testing.assert_array_equal(out.values, [[1, 2, 5], [3, 4, 6]])
+
+    def test_segmented_matmul_is_the_block_diagonal_product(self):
+        rng = np.random.default_rng(1)
+        segments = np.array([0, 2, 2, 7, 8])
+        a, b = rng.normal(size=(3, 8)), rng.normal(size=(8, 4))
+        blocks = [a[:, lo:hi] for lo, hi in zip(segments[:-1], segments[1:])]
+        out = ad.matmul(ad.constant(a), ad.constant(b), segments).values
+        np.testing.assert_allclose(out, sp.block_diag(blocks).toarray() @ b, rtol=1e-14, atol=1e-14)
+        assert np.all(out[3:6] == 0.0)  # the empty segment's block
+        for bad in ([1, 8], [0, 7], [0, 5, 3, 8]):
+            with pytest.raises(ValueError, match="segments"):
+                ad.matmul(ad.constant(a), ad.constant(b), np.array(bad))
+
+    def test_scatter_add_matches_bincount_bytes(self):
+        # random, heavily repeated and empty index lists
+        rng = np.random.default_rng(2)
+        for rows, edges, width in ((7, 40, 3), (2, 300, 5), (5, 0, 3), (1, 9, 1), (60, 500, 17)):
+            idx = rng.integers(0, rows, size=edges).astype(np.intp)
+            x = rng.normal(size=(edges, width)) * 10.0 ** rng.integers(-8, 8, size=(edges, width))
+            got = ad._scatter_add(x, idx, rows)
+            assert got.shape == (rows, width)
+            assert got.tobytes() == scatter_add_bincount(x, idx, rows).tobytes()
 
     def test_shape_mismatch_raises(self):
         a = ad.constant(np.ones((2, 3)))
@@ -111,6 +138,14 @@ def edge_aggregate_case(activation):
 PRIMITIVE_CASES = {
     "matmul_left": lambda x: scalarize(ad.matmul(x, ad.constant(np.arange(12.0).reshape(3, 4)))),
     "matmul_right": lambda x: scalarize(ad.matmul(ad.constant(np.arange(8.0).reshape(2, 4)), x)),
+    "matmul_segmented_left": lambda x: scalarize(ad.multiply(
+        ad.matmul(x, ad.constant(np.arange(6.0).reshape(3, 2) - 2.0), np.array([0, 1, 3])),
+        ad.constant(np.arange(16.0).reshape(8, 2) / 4.0 - 2.0))),
+    "matmul_segmented_right": lambda x: scalarize(ad.multiply(
+        ad.matmul(ad.constant(np.arange(8.0).reshape(2, 4) - 3.0), x, np.array([0, 3, 3, 4])),
+        ad.constant(np.arange(18.0).reshape(6, 3) / 3.0 - 3.0))),
+    "matmul_segmented_both": lambda x: scalarize(ad.tanh(
+        ad.matmul(ad.transpose(x), x, np.array([0, 2, 4])))),
     "transpose": lambda x: scalarize(ad.multiply(ad.transpose(x), ad.constant(np.arange(12.0).reshape(3, 4)))),
     "add": lambda x: scalarize(ad.add(x, ad.constant(np.ones((4, 3))))),
     "add_row_broadcast": lambda x: scalarize(ad.tanh(ad.add(x, ad.constant(np.array([[0.3, -0.4, 0.1]]))))),
@@ -129,6 +164,9 @@ PRIMITIVE_CASES = {
         ad.multiply(ad.scatter_rows(x, np.array([2, 0, 2, 4]), 5),
                     ad.constant(np.arange(15.0).reshape(5, 3) - 7.0))
     ),
+    "sparse_matmul": lambda x: scalarize(ad.multiply(
+        ad.sparse_matmul(sp.csr_matrix(np.array([[0.0, 2.0, 0.0, 1.0], [1.0, 0.0, 0.0, -3.0]])), x),
+        ad.constant(np.arange(6.0).reshape(2, 3) - 2.0))),
     "row_softmax": lambda x: scalarize(
         ad.multiply(ad.row_softmax(x), ad.constant(np.arange(12.0).reshape(4, 3)))
     ),
@@ -206,6 +244,30 @@ class TestGradCheck:
 
 
 class TestTapeSemantics:
+    def test_gradient_buffer_is_reused_after_zero_grad(self):
+        x = ad.parameter(np.random.default_rng(5).normal(size=(3, 2)))
+        grads = []
+        for scale in (2.0, 3.0):
+            x.zero_grad()
+            with ad.Tape() as tape:
+                tape.backward(ad.sum_all(ad.scalar_multiply(x, scale)))
+            grads.append(x.grad)
+            np.testing.assert_array_equal(x.grad, np.full((3, 2), scale))
+        assert grads[0] is grads[1]
+
+    def test_backward_empties_the_tape_and_frees_op_outputs(self):
+        x = ad.parameter(np.random.default_rng(4).normal(size=(3, 3)))
+        with ad.Tape() as tape:
+            hidden = ad.tanh(ad.matmul(x, x))
+            freed = weakref.ref(hidden)
+            loss = ad.sum_all(hidden)
+            del hidden
+            assert len(tape) == 3 and freed() is not None
+            tape.backward(loss)
+        assert len(tape) == 0
+        assert freed() is None
+        assert x.grad is not None
+
     def test_backward_deterministic(self):
         rng = np.random.default_rng(3)
         base = rng.normal(size=(6, 6))

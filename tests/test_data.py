@@ -197,7 +197,12 @@ class TestBatches:
         # masked-out region is exactly zero
         assert np.all(batch.adjacency[0, 2:, :] == 0.0)
         assert np.all(batch.adjacency[0, :, 2:] == 0.0)
-        assert np.all(batch.features[1, 3:, :] == 0.0)
+        # node rows are packed, not padded: the graphs' rows in batch order
+        assert batch.features.tobytes() == np.concatenate(
+            [g.node_features for g in ds.graphs]).tobytes()
+        np.testing.assert_array_equal(batch.node_offsets(), [0, 2, 5, 10])
+        np.testing.assert_array_equal(batch.block_adjacency.toarray(), sp.block_diag(
+            [g.adjacency for g in ds.graphs]).toarray())
         # leading-ones mask
         np.testing.assert_array_equal(batch.node_mask[0], [1, 1, 0, 0, 0])
 

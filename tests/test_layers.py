@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from simpool import autodiff as ad
 from simpool.layers import (
@@ -48,6 +49,12 @@ def graph_of_kind(rng, n, kind):
     return a
 
 
+def union_of(graphs):
+    """Block-diagonal adjacency and node offsets of a list of dense graphs."""
+    sizes = [g.shape[0] for g in graphs]
+    return sp.block_diag(graphs, format="csr"), np.concatenate([[0], np.cumsum(sizes)])
+
+
 class TestEdges:
     @pytest.mark.parametrize("kind", GRAPH_KINDS)
     def test_spread_is_the_dense_product(self, kind):
@@ -60,11 +67,54 @@ class TestEdges:
             np.testing.assert_allclose(edges.spread(ad.constant(x)).values, a @ x,
                                        rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("kind", GRAPH_KINDS)
+    def test_spread_bytes_match_gather_then_scatter(self, kind):
+        # one sparse product adds in edge order, like the two-op edge-row chain
+        rng = np.random.default_rng(48)
+        for n in (1, 5, 11, 23):
+            edges = Edges(graph_of_kind(rng, n, kind))
+            values, c = rng.normal(size=(n, 3)), ad.constant(rng.normal(size=(n, 3)))
+            results = []
+            for spread in (edges.spread, lambda x: ad.scatter_rows(
+                    ad.gather_rows(x, edges.receivers), edges.senders, n)):
+                x = ad.parameter(values)
+                with ad.Tape() as tape:
+                    out = spread(x)
+                    tape.backward(ad.sum_all(ad.multiply(out, c)))
+                results.append((out.values.tobytes(), x.grad.tobytes()))
+            assert results[0] == results[1]
+
     def test_non_unit_entry_rejected(self):
         a = ring_graph(4)
         a[0, 1] = 1.5
         with pytest.raises(ValueError, match="entry is not 1"):
             Edges(a)
+
+    def test_union_lists_each_graph_as_an_edge_range(self):
+        rng = np.random.default_rng(45)
+        graphs = [graph_of_kind(rng, n, kind) for n, kind in
+                  ((4, "directed"), (1, "edgeless"), (6, "isolated"), (5, "weighted"))]
+        adjacency, offsets = union_of(graphs)
+        edges = Edges(adjacency, offsets)
+        assert edges.graph_count == 4
+        for g, a in enumerate(graphs):
+            e0, e1 = edges.edge_offsets[g], edges.edge_offsets[g + 1]
+            single = Edges(a)
+            np.testing.assert_array_equal(edges.senders[e0:e1] - offsets[g], single.senders)
+            np.testing.assert_array_equal(edges.receivers[e0:e1] - offsets[g], single.receivers)
+        x = rng.normal(size=(offsets[-1], 3))
+        np.testing.assert_allclose(edges.spread(ad.constant(x)).values, adjacency @ x,
+                                   rtol=1e-12, atol=1e-12)
+
+    def test_union_validation(self):
+        adjacency, offsets = union_of([ring_graph(3), ring_graph(4)])
+        crossing = adjacency.tolil()
+        crossing[0, 5] = 1.0
+        with pytest.raises(ValueError, match="joins two graphs"):
+            Edges(crossing, offsets)
+        for bad in ([0, 3], [1, 3, 7], [0, 3, 3, 7]):
+            with pytest.raises(ValueError, match="node offsets"):
+                Edges(adjacency, bad)
 
 
 class TestEdgeAggregate:
@@ -94,8 +144,11 @@ class TestEdgeAggregate:
             ref, ref_grads = self.run(edge_aggregate_chain, np.random.default_rng(50 + n), a,
                                       activation)
             assert out.tobytes() == ref.tobytes()
-            for g, ref_g in zip(grads, ref_grads):
+            for g, ref_g in zip(grads[:2], ref_grads[:2]):
                 assert g.tobytes() == ref_g.tobytes()
+            # the op sums the bias gradient over receivers, the chain over edges
+            assert grads[2].tobytes() == ref_grads[0].sum(axis=0, keepdims=True).tobytes()
+            np.testing.assert_allclose(grads[2], ref_grads[2], rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("kind", ("isolated", "edgeless"))
     def test_nodes_without_incoming_edges_get_zero_rows(self, kind):
@@ -133,6 +186,35 @@ class TestEdgeAggregate:
             finally:
                 tracemalloc.stop()
         assert peak < 2.5 * edges.senders.size * m * 8
+
+    @pytest.mark.parametrize("activation", sorted(ACTIVATIONS))
+    def test_edge_runs_do_not_change_any_byte(self, activation, monkeypatch):
+        # six graphs; with a budget of 20 edge rows the 30-node one is a run of its own
+        rng = np.random.default_rng(46)
+        graphs = [graph_of_kind(rng, n, kind) for n, kind in
+                  ((5, "directed"), (3, "edgeless"), (30, "weighted"), (7, "isolated"),
+                   (4, "directed"), (9, "weighted"))]
+        adjacency, offsets = union_of(graphs)
+        edges = Edges(adjacency, offsets)
+        assert edges.edge_offsets[3] - edges.edge_offsets[2] > 20
+        n, m = offsets[-1], 4
+        results = []
+        for budget in (1 << 30, 20 * m * 8):
+            monkeypatch.setattr(ad, "EDGE_CHUNK_BYTES", budget)
+            r = np.random.default_rng(47)
+            p_recv, p_send = (ad.parameter(r.normal(size=(n, m))) for _ in range(2))
+            bias = ad.parameter(r.uniform(-0.05, 0.05, size=(1, m)))
+            c = ad.constant(r.normal(size=(n, m)))
+            with ad.Tape() as tape:
+                out = ad.edge_aggregate(p_recv, p_send, bias, edges, activation)
+                tape.backward(ad.sum_all(ad.multiply(out, c)))
+            runs = [run[:2] for run in ad._edge_runs(edges, m)]
+            results.append((runs, [t.tobytes() for t in
+                                   (out.values, p_recv.grad, p_send.grad, bias.grad)]))
+        (one, whole), (many, chunked) = results
+        assert len(one) == 1 and len(many) >= 4
+        assert (offsets[2], offsets[3]) in many
+        assert chunked == whole
 
     def test_validation(self):
         edges = Edges(ring_graph(4))
@@ -313,6 +395,19 @@ class TestGcn:
         assert ad.grad_check(f, a) < 1e-4
 
 
+    def test_stacked_blocks_match_each_block_alone(self):
+        rng = np.random.default_rng(12)
+        gcn = GcnLayer(rng, 3, 4, "relu", "gcn")
+        blocks = [random_graph(rng, 5, p) * rng.uniform(0.2, 2.0) for p in (0.0, 0.5, 0.9)]
+        h = rng.normal(size=(15, 3))
+        out = gcn(ad.constant(h), ad.constant(np.vstack(blocks))).values
+        for g, a in enumerate(blocks):
+            alone = gcn(ad.constant(h[5 * g:5 * g + 5]), ad.constant(a)).values
+            np.testing.assert_allclose(out[5 * g:5 * g + 5], alone, rtol=1e-14, atol=1e-14)
+        with pytest.raises(ValueError, match="square blocks"):
+            gcn(ad.constant(h[:14]), ad.constant(np.vstack(blocks)[:14]))
+
+
 # A·x the two ways pool_forward is given it: stage 0's edge list, stage 1's dense matmul
 SPREAD_FORMS = {
     "edge_list": lambda a: Edges(a).spread,
@@ -387,6 +482,22 @@ class TestPoolForward:
         # rows agree with each other but not with the graph: A·S cannot meet S^T
         with pytest.raises(ValueError, match="shape mismatch"):
             pool_forward(ad.constant(np.zeros((5, 2))), ad.constant(np.zeros((5, 3))), spread)
+
+    def test_segments_pool_each_graph_alone(self):
+        rng = np.random.default_rng(17)
+        graphs = [random_graph(rng, n, 0.5) for n in (4, 1, 6)]
+        adjacency, offsets = union_of(graphs)
+        z, logits = rng.normal(size=(11, 2)), rng.normal(size=(11, 3))
+        x1, a1, s = pool_forward(ad.constant(z), ad.constant(logits),
+                                 Edges(adjacency, offsets).spread, offsets)
+        assert x1.shape == (9, 2) and a1.shape == (9, 3) and s.shape == (11, 3)
+        for g, a in enumerate(graphs):
+            rows = slice(offsets[g], offsets[g + 1])
+            x_g, a_g, _ = pool_forward(ad.constant(z[rows]), ad.constant(logits[rows]),
+                                       Edges(a).spread)
+            block = slice(3 * g, 3 * g + 3)
+            np.testing.assert_allclose(x1.values[block], x_g.values, rtol=1e-14, atol=1e-15)
+            np.testing.assert_allclose(a1.values[block], a_g.values, rtol=1e-14, atol=1e-15)
 
     def test_pooling_gradients_through_eq9(self):
         rng = np.random.default_rng(18)
@@ -471,6 +582,20 @@ class TestLosses:
     def test_cross_entropy_matches_log(self):
         probs = ad.constant([[0.2, 0.5, 0.3]])
         np.testing.assert_allclose(cross_entropy(probs, 1).item(), -np.log(0.5), rtol=1e-12)
+
+    def test_segmented_losses_are_means_over_graphs(self):
+        rng = np.random.default_rng(20)
+        offsets = np.array([0, 3, 4, 9])
+        s = ad.row_softmax(ad.constant(rng.normal(size=(9, 3))))
+        for loss in (loss_le, loss_lc):
+            alone = [loss(ad.constant(s.values[lo:hi])).item()
+                     for lo, hi in zip(offsets[:-1], offsets[1:])]
+            np.testing.assert_allclose(loss(s, offsets).item(), np.mean(alone), rtol=1e-13)
+        probs = ad.row_softmax(ad.constant(rng.normal(size=(3, 4))))
+        labels = np.array([2, 0, 3])
+        np.testing.assert_allclose(
+            cross_entropy(probs, labels).item(),
+            -np.mean(np.log(probs.values[np.arange(3), labels])), rtol=1e-13)
 
 
 class TestMlp:

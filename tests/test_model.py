@@ -12,6 +12,7 @@ from simpool.layers import Edges, pool_forward
 from simpool.model import (
     LOSS_TERMS,
     ConfigError,
+    GraphUnion,
     PRESETS,
     SimPoolModel,
     load_checkpoint,
@@ -20,8 +21,8 @@ from simpool.model import (
 )
 from simpool.similarity import SimilarityConfig, index_map, preprocess_dataset
 
-from conftest import random_graph, write_tu_dataset
-from oracles import decode_index, similarity_dense_symmetric
+from conftest import random_graph, separable_dataset, write_tu_dataset
+from oracles import decode_index, forward_graph_loop, similarity_dense_symmetric
 
 
 def tiny_model(assign_inputs="structural", seed=0, num_classes=3, feature_dim=3):
@@ -33,6 +34,11 @@ def tiny_model(assign_inputs="structural", seed=0, num_classes=3, feature_dim=3)
         assign_inputs=assign_inputs,
         seed=seed,
     )
+
+
+def forward_one(model, a, x, label, mapped=None):
+    """``forward_graph`` on the union of one graph."""
+    return model.forward_graph(GraphUnion.single(a, x, label, mapped))
 
 
 def graph_inputs(rng, n, d, k):
@@ -75,7 +81,7 @@ class TestPresets:
         assert model.parameters()["s1.0.w"].shape[0] == 16
         a, x, mapped = graph_inputs(np.random.default_rng(10), 9, 3, model.sim.k)
         with ad.Tape() as tape:
-            out = model.forward_graph(a, x, mapped=mapped, label=1)
+            out = forward_one(model, a, x, mapped=mapped, label=1)
             tape.backward(out.losses["task_loss"])
         assert out.assign_argmax[1].shape == (16,)
         for name, p in model.parameters().items():
@@ -152,7 +158,7 @@ class TestForward:
         rng = np.random.default_rng(0)
         model = tiny_model()
         a, x, mapped = graph_inputs(rng, 7, 3, model.sim.k)
-        out = model.forward_graph(a, x, mapped=mapped, label=1)
+        out = forward_one(model, a, x, mapped=mapped, label=1)
         assert out.probs.shape == (1, 3)
         np.testing.assert_allclose(out.probs.sum(), 1.0, atol=1e-9)
         assert np.all(out.probs >= 0)
@@ -162,20 +168,20 @@ class TestForward:
         model = tiny_model()
         a, x, _ = graph_inputs(rng, 6, 3, model.sim.k)
         with pytest.raises(ConfigError):
-            model.forward_graph(a, x, mapped=None, label=0)
+            forward_one(model, a, x, mapped=None, label=0)
 
     def test_node_mode_ignores_mapped(self):
         rng = np.random.default_rng(2)
         model = tiny_model(assign_inputs="node")
         a, x, _ = graph_inputs(rng, 6, 3, model.sim.k)
-        out = model.forward_graph(a, x, label=0)
+        out = forward_one(model, a, x, label=0)
         assert out.probs.shape == (1, 3)
 
     def test_both_mode_concatenates(self):
         rng = np.random.default_rng(3)
         model = tiny_model(assign_inputs="both")
         a, x, mapped = graph_inputs(rng, 6, 3, model.sim.k)
-        out = model.forward_graph(a, x, mapped=mapped, label=2)
+        out = forward_one(model, a, x, mapped=mapped, label=2)
         assert out.probs.shape == (1, 3)
 
     def test_deterministic_forward(self):
@@ -184,14 +190,14 @@ class TestForward:
         outs = []
         for _ in range(2):
             model = tiny_model(seed=7)
-            outs.append(model.forward_graph(a, x, mapped=mapped, label=0).probs)
+            outs.append(forward_one(model, a, x, mapped=mapped, label=0).probs)
         assert np.array_equal(outs[0], outs[1])
 
     def test_assignment_argmax_ranges(self):
         rng = np.random.default_rng(5)
         model = tiny_model()
         a, x, mapped = graph_inputs(rng, 9, 3, model.sim.k)
-        out = model.forward_graph(a, x, mapped=mapped, label=0)
+        out = forward_one(model, a, x, mapped=mapped, label=0)
         assert out.assign_argmax[0].shape == (9,)
         assert out.assign_argmax[0].max() < model.preset.clusters_1
         assert out.assign_argmax[1].shape == (model.preset.clusters_1,)
@@ -200,7 +206,7 @@ class TestForward:
     def test_total_without_weights_is_the_task_loss(self):
         model = tiny_model()
         a, x, mapped = graph_inputs(np.random.default_rng(14), 9, 3, model.sim.k)
-        out = model.forward_graph(a, x, mapped=mapped, label=2)
+        out = forward_one(model, a, x, mapped=mapped, label=2)
         assert out.total(0.0, 0.0).item() == out.losses["task_loss"].item()
         assert all(out.losses[k].shape == (1, 1) for k in LOSS_TERMS)
 
@@ -222,30 +228,34 @@ class TestBatchMatchesGraphs:
         (batch,) = make_batches(ds, 5, shuffle_seed=1)
         return ds, batch
 
+    @staticmethod
+    def oracle(model, ds, i, mapped):
+        """The per-graph forward pass of graph i."""
+        g = ds.graphs[i]
+        return forward_graph_loop(model, g.adjacency.toarray(), g.node_features, label=g.label,
+                                  mapped=mapped[i])
+
     def test_batch_is_the_mean_of_its_graphs(self, tmp_path):
         ds, batch = self.mixed_dataset(tmp_path)
-        model = tiny_model(assign_inputs="both")
-        mapped = preprocess_dataset(ds, model.sim)
+        for assign_inputs in ("structural", "node", "both"):
+            model = tiny_model(assign_inputs=assign_inputs)
+            mapped = preprocess_dataset(ds, model.sim)
+            fwd = model.forward_batch(batch, mapped)
+            singles = [self.oracle(model, ds, i, mapped) for i in batch.indices]
 
-        fwd = model.forward_batch(batch, mapped)
-        singles = []
-        for i in batch.indices:
-            g = ds.graphs[i]
-            singles.append(model.forward_graph(g.adjacency.toarray(), g.node_features,
-                                               label=g.label, mapped=mapped[i]))
+            np.testing.assert_allclose(fwd.probs, np.concatenate([o.probs for o in singles]),
+                                       rtol=1e-12, atol=0, err_msg=assign_inputs)
+            for k in LOSS_TERMS:
+                expected = np.mean([o.losses[k].item() for o in singles])
+                np.testing.assert_allclose(fwd.losses[k].item(), expected, rtol=1e-12,
+                                           err_msg=f"{assign_inputs} {k}")
+            for stage in (0, 1):
+                np.testing.assert_array_equal(
+                    fwd.assign_argmax[stage],
+                    np.concatenate([o.assign_argmax[stage] for o in singles]),
+                )
 
-        np.testing.assert_allclose(fwd.probs, np.concatenate([o.probs for o in singles]),
-                                   rtol=1e-12, atol=0)
-        for k in LOSS_TERMS:
-            expected = np.mean([o.losses[k].item() for o in singles])
-            np.testing.assert_allclose(fwd.losses[k].item(), expected, rtol=1e-12, err_msg=k)
-        for stage in (0, 1):
-            np.testing.assert_array_equal(
-                fwd.assign_argmax[stage],
-                np.concatenate([o.assign_argmax[stage] for o in singles]),
-            )
-
-    @pytest.mark.parametrize("assign_inputs", ("structural", "both"))
+    @pytest.mark.parametrize("assign_inputs", ("structural", "node", "both"))
     def test_gradients_are_the_mean_of_its_graphs(self, tmp_path, assign_inputs):
         ds, batch = self.mixed_dataset(tmp_path)
         model = tiny_model(assign_inputs=assign_inputs)
@@ -261,14 +271,24 @@ class TestBatchMatchesGraphs:
 
         batched = gradients(lambda: model.forward_batch(batch, mapped))
         singles = [
-            gradients(lambda g=ds.graphs[i], m=mapped[i]: model.forward_graph(
-                g.adjacency.toarray(), g.node_features, label=g.label, mapped=m))
-            for i in batch.indices
+            gradients(lambda i=i: self.oracle(model, ds, i, mapped)) for i in batch.indices
         ]
         for name, grad in batched.items():
             expected = np.mean([single[name] for single in singles], axis=0)
             err = np.abs(grad - expected).max() / np.abs(expected).max()
             assert err <= 1e-12, f"{name}: {err:.1e}"
+
+    def test_tape_length_does_not_depend_on_the_batch_size(self, tmp_path):
+        ds = separable_dataset(tmp_path, count=10)
+        model = tiny_model(num_classes=2, feature_dim=ds.feature_dim)
+        mapped = preprocess_dataset(ds, model.sim)
+        lengths = []
+        for size in (2, 5):
+            (batch,) = make_batches(ds, size, subset=np.arange(size))
+            with ad.Tape() as tape:
+                model.forward_batch(batch, mapped)
+                lengths.append(len(tape))
+        assert lengths[0] == lengths[1]
 
 
 class TestStageZeroOnEdges:
@@ -289,19 +309,23 @@ class TestStageZeroOnEdges:
 
         monkeypatch.setattr(ad, "_record", record)
         with ad.Tape() as tape:
-            out = model.forward_graph(a, x, mapped=mapped, label=1)
+            out = forward_one(model, a, x, mapped=mapped, label=1)
             tape.backward(out.losses["task_loss"])
         assert shapes
         assert [op for op, shape in shapes if shape == (n, n)] == []
 
-    def test_graph_is_converted_once(self, monkeypatch):
-        calls = []
-        original = np.nonzero
-        monkeypatch.setattr(np, "nonzero", lambda a: calls.append(a.shape) or original(a))
-        model = tiny_model()
-        a, x, mapped = graph_inputs(np.random.default_rng(12), 9, 3, model.sim.k)
-        model.forward_graph(a, x, mapped=mapped, label=0)
-        assert calls == [(9, 9)]
+    def test_graph_is_converted_once(self, tmp_path, monkeypatch):
+        # one edge list for the whole batch, read by both stacks and stage-0 pooling
+        built = []
+        original = Edges.__init__
+        monkeypatch.setattr(Edges, "__init__",
+                            lambda self, *a, **kw: built.append(a) or original(self, *a, **kw))
+        ds = separable_dataset(tmp_path, count=6)
+        model = tiny_model(num_classes=2, feature_dim=ds.feature_dim)
+        (batch,) = make_batches(ds, 6)
+        model.forward_batch(batch, preprocess_dataset(ds, model.sim))
+        assert len(built) == 1
+        assert built[0][0].shape == (batch.node_counts().sum(),) * 2
 
 
 class TestEndToEndGradients:
@@ -311,7 +335,7 @@ class TestEndToEndGradients:
         a, x, mapped = graph_inputs(rng, 7, 3, model.sim.k)
 
         def total(_):
-            return model.forward_graph(a, x, mapped=mapped, label=1).total(1.0, 1.0)
+            return forward_one(model, a, x, mapped=mapped, label=1).total(1.0, 1.0)
 
         for name, p in model.parameters().items():
             err = ad.grad_check(total, p)
@@ -393,15 +417,15 @@ class TestCheckpoint:
         rng = np.random.default_rng(9)
         model = tiny_model(seed=1)
         a, x, mapped = graph_inputs(rng, 6, 3, model.sim.k)
-        before = model.forward_graph(a, x, mapped=mapped, label=0).probs.copy()
+        before = forward_one(model, a, x, mapped=mapped, label=0).probs.copy()
         path = tmp_path / "model.spm"
         save_checkpoint(path, model)
 
         fresh = tiny_model(seed=2)
-        different = fresh.forward_graph(a, x, mapped=mapped, label=0).probs.copy()
+        different = forward_one(fresh, a, x, mapped=mapped, label=0).probs.copy()
         assert not np.allclose(different, before)
         load_checkpoint(path, fresh)
-        after = fresh.forward_graph(a, x, mapped=mapped, label=0).probs
+        after = forward_one(fresh, a, x, mapped=mapped, label=0).probs
         assert np.array_equal(after, before)
 
     def test_incompatible_model_rejected(self, tmp_path):

@@ -142,6 +142,36 @@ class TestSparsePath:
             sparse = similarity_sparse(sp.csr_matrix(a), SimilarityConfig()).dense.toarray()
             assert np.array_equal(dense, sparse), f"trial {trial} differs"
 
+    def test_symmetry_is_read_off_the_canonical_matrix(self):
+        # duplicate listings, unsorted indices and stored zeros do not decide the Gram
+        rng = np.random.default_rng(18)
+        cfg = SimilarityConfig()
+        for trial in range(30):
+            n = int(rng.integers(3, 30))
+            directed = trial % 2 == 1
+            a = random_sparse_graph(rng, n, mean_degree=min(4, n - 1))
+            if directed:
+                a = np.triu(a)
+                a[0, 1], a[1, 0] = 1.0, 0.0
+            oracle = similarity_dense_asymmetric if directed else similarity_dense_symmetric
+            coo = sp.coo_matrix(a)
+            order = rng.permutation(coo.nnz)
+            # every entry listed twice as halves, in shuffled order, plus a stored zero
+            rows = np.concatenate([coo.row[order], coo.row[order], [n - 1]])
+            cols = np.concatenate([coo.col[order], coo.col[order], [0]])
+            data = np.concatenate([coo.data[order] / 2, coo.data[order] / 2, [0.0]])
+            by_row = np.argsort(rows, kind="stable")
+            indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
+            raw = sp.csr_matrix((data[by_row], cols[by_row], indptr), shape=(n, n))
+            assert not raw.has_canonical_format
+            before = [arr.copy() for arr in (raw.indptr, raw.indices, raw.data)]
+            got, stats = similarity_sparse(raw, cfg, return_stats=True)
+            assert np.array_equal(got.dense.toarray(), oracle(a, cfg).dense), trial
+            _, canonical = similarity_sparse(sp.csr_matrix(a), cfg, return_stats=True)
+            assert stats.multiply_adds == canonical.multiply_adds
+            for arr, kept in zip((raw.indptr, raw.indices, raw.data), before):
+                assert np.array_equal(arr, kept)
+
     def test_negative_adjacency_rejected(self):
         a = sp.csr_matrix(np.array([[0.0, -1.0], [-1.0, 0.0]]))
         with pytest.raises(ValueError, match="non-negative"):
@@ -324,6 +354,18 @@ class TestOnTape:
             on_tape = symmetric_similarity_on_tape(ad.constant(a), p=p, lam=0.5).values
             # offline applies exact-parallel snapping, so compare loosely
             np.testing.assert_allclose(on_tape, offline, atol=1e-9)
+
+    def test_stacked_blocks_match_each_block_alone(self):
+        rng = np.random.default_rng(13)
+        blocks = [random_symmetric(rng, 4, weighted=True) for _ in range(3)]
+        blocks[1][...] = 0.0  # an edgeless block
+        for p in (1, 2):
+            stacked = symmetric_similarity_on_tape(ad.constant(np.vstack(blocks)), p=p,
+                                                   lam=0.5).values
+            for g, a in enumerate(blocks):
+                alone = symmetric_similarity_on_tape(ad.constant(a), p=p, lam=0.5).values
+                np.testing.assert_allclose(stacked[4 * g:4 * g + 4], alone, rtol=1e-14,
+                                           atol=1e-15)
 
     def test_tape_similarity_gradients(self):
         rng = np.random.default_rng(12)
