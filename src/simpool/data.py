@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
+from .layers import Edges
+
 __all__ = [
     "Graph",
     "Dataset",
@@ -104,12 +106,12 @@ class Dataset:
 class PaddedBatch:
     """A batch of graphs as one disjoint union, with a padded dense copy.
 
-    The model reads the union: ``block_adjacency`` is every graph's
-    adjacency on the diagonal of one CSR matrix, ``features`` stacks the
-    graphs' node rows in the same order, and ``node_offsets()`` cuts both
-    into graphs. ``adjacency`` and ``node_mask`` are the same graphs
-    zero-padded to the largest one (masked rows and columns are exactly
-    zero); the model does not read them.
+    The model reads the union: ``edges`` lists every graph's edges over
+    the stacked node rows, and its ``node_offsets`` cut ``features``, the
+    graphs' node rows in batch order, into graphs. ``adjacency`` and
+    ``node_mask`` are the same graphs zero-padded to the largest one
+    (masked rows and columns are exactly zero); the model does not read
+    them. Build one with ``PaddedBatch.of``.
     """
 
     adjacency: np.ndarray  # B x N x N
@@ -117,7 +119,27 @@ class PaddedBatch:
     node_mask: np.ndarray  # B x N, leading ones
     labels: np.ndarray  # B
     indices: np.ndarray  # B source positions in the dataset
-    block_adjacency: sp.csr_matrix  # (sum of node counts) squared, block-diagonal
+    edges: Edges  # the union's edge list
+
+    @classmethod
+    def of(cls, graphs, indices=None) -> PaddedBatch:
+        """The batch of ``graphs``; ``indices`` are their dataset positions (default 0..B-1)."""
+        b = len(graphs)
+        n_max = max(g.node_count for g in graphs)
+        adjacency = np.zeros((b, n_max, n_max))
+        mask = np.zeros((b, n_max))
+        for slot, g in enumerate(graphs):
+            n = g.node_count
+            adjacency[slot, :n, :n] = g.adjacency.toarray()
+            mask[slot, :n] = 1.0
+        return cls(
+            adjacency=adjacency,
+            features=np.concatenate([g.node_features for g in graphs]),
+            node_mask=mask,
+            labels=np.array([g.label for g in graphs], dtype=np.int64),
+            indices=np.arange(b) if indices is None else np.array(indices, dtype=np.int64),
+            edges=Edges([g.adjacency for g in graphs]),
+        )
 
     @property
     def size(self) -> int:
@@ -125,10 +147,6 @@ class PaddedBatch:
 
     def node_counts(self) -> np.ndarray:
         return self.node_mask.sum(axis=1).astype(np.int64)
-
-    def node_offsets(self) -> np.ndarray:
-        """Where each graph's node rows start, then the total: B + 1 entries."""
-        return np.concatenate([[0], np.cumsum(self.node_counts())])
 
 
 # ---------------------------------------------------------------------------
@@ -256,24 +274,13 @@ def load_tu_dataset(root_path, name: str) -> Dataset:
 # batching and splits
 # ---------------------------------------------------------------------------
 
-def _block_diagonal(blocks: list[sp.csr_matrix]) -> sp.csr_matrix:
-    """The CSR matrix with ``blocks`` on its diagonal, built from their arrays."""
-    sizes = np.array([b.shape[0] for b in blocks])
-    starts = np.concatenate([[0], np.cumsum(sizes)])
-    stored = np.concatenate([[0], np.cumsum([b.nnz for b in blocks])])
-    indptr = np.concatenate([[0]] + [b.indptr[1:] + p for b, p in zip(blocks, stored)])
-    indices = np.concatenate([b.indices + lo for b, lo in zip(blocks, starts)])
-    data = np.concatenate([b.data for b in blocks])
-    return sp.csr_matrix((data, indices, indptr), shape=(starts[-1], starts[-1]))
-
-
 def make_batches(
     ds: Dataset,
     batch_size: int,
     shuffle_seed: int | None = None,
     subset: np.ndarray | None = None,
 ) -> list[PaddedBatch]:
-    """Partition a dataset (or an index subset) into batches of disjoint unions."""
+    """Partition a dataset (or a subset of its positions) into batches of disjoint unions."""
     if batch_size < 1:
         raise ValueError("batch size must be >= 1")
     if len(ds) == 0:
@@ -281,33 +288,16 @@ def make_batches(
     positions = np.arange(len(ds)) if subset is None else np.asarray(subset, dtype=np.int64)
     if positions.size == 0:
         raise ValueError("cannot batch an empty index subset")
+    outside = (positions < 0) | (positions >= len(ds))
+    if outside.any():
+        raise ValueError(f"subset position {positions[outside][0]} outside [0, {len(ds)})")
     if shuffle_seed is not None:
         rng = np.random.default_rng(shuffle_seed)
         positions = positions[rng.permutation(positions.size)]
-
-    batches = []
-    for start in range(0, positions.size, batch_size):
-        chunk = positions[start:start + batch_size]
-        graphs = [ds.graphs[i] for i in chunk]
-        n_max = max(g.node_count for g in graphs)
-        b = len(graphs)
-        adjacency = np.zeros((b, n_max, n_max))
-        mask = np.zeros((b, n_max))
-        for slot, g in enumerate(graphs):
-            n = g.node_count
-            adjacency[slot, :n, :n] = g.adjacency.toarray()
-            mask[slot, :n] = 1.0
-        batches.append(
-            PaddedBatch(
-                adjacency=adjacency,
-                features=np.concatenate([g.node_features for g in graphs]),
-                node_mask=mask,
-                labels=np.array([g.label for g in graphs], dtype=np.int64),
-                indices=chunk.copy(),
-                block_adjacency=_block_diagonal([g.adjacency for g in graphs]),
-            )
-        )
-    return batches
+    return [
+        PaddedBatch.of([ds.graphs[i] for i in chunk], chunk)
+        for chunk in np.split(positions, np.arange(batch_size, positions.size, batch_size))
+    ]
 
 
 def kfold_split(ds: Dataset, folds: int, seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -370,6 +360,13 @@ class ByteReader:
 
     def unpack(self, fmt: str) -> tuple:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+
+    def text(self, size: int) -> str:
+        at = self.pos
+        try:
+            return bytes(self.take(size)).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise self.error(f"{self.what} text at offset {at} is not UTF-8") from exc
 
     def array(self, dtype: str, count: int) -> np.ndarray:
         dtype = np.dtype(dtype)

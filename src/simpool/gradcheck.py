@@ -19,10 +19,10 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-
 import scipy.sparse as sp
 
 from . import autodiff as ad
+from .data import Graph, PaddedBatch
 from .layers import (
     Dense,
     Edges,
@@ -34,7 +34,7 @@ from .layers import (
     loss_le,
     pool_forward,
 )
-from .model import GraphUnion, SimPoolModel, resolve_preset
+from .model import SimPoolModel, resolve_preset
 from .similarity import compute_features, index_map, symmetric_similarity_on_tape
 
 __all__ = ["CheckResult", "run_suite", "SUITE_CHECKS"]
@@ -91,7 +91,7 @@ def _check_gmn_encoder(rng, n):
 def _check_gmn_propagation(rng, n):
     p1 = GmnPropagation(rng, 3, 4, 4, "relu", "p1")
     p2 = GmnPropagation(rng, 4, 4, 3, "linear", "p2")
-    edges = Edges(_random_graph(rng, n))
+    edges = Edges([_random_graph(rng, n)])
     x = ad.constant(rng.uniform(-2, 2, size=(n, 3)))
     proj = rng.normal(size=(n, 3))
     forward = lambda: ad.sum_all(ad.multiply(p2(p1(x, edges), edges), ad.constant(proj)))
@@ -111,7 +111,7 @@ def _check_pooling(rng, n):
     clusters = 3
     embed = Dense(rng, 3, 4, "tanh", "embed")
     assign = Dense(rng, 3, clusters, "linear", "assign")
-    edges = Edges(_random_graph(rng, n))
+    edges = Edges([_random_graph(rng, n)])
     x = ad.constant(rng.uniform(-2, 2, size=(n, 3)))
     proj_x = rng.normal(size=(clusters, 4))
     proj_a = rng.normal(size=(clusters, clusters))
@@ -151,10 +151,10 @@ def _check_full_model(rng, n):
     mapped = index_map(compute_features(a, model.sim), model.sim).mapped
     label = int(rng.integers(0, 6))
 
-    graph = GraphUnion.single(a, x, label, mapped)
+    batch = PaddedBatch.of([Graph(sp.csr_matrix(a), x, label)])
 
     def forward():
-        return model.forward_graph(graph).total(1.0, 1.0)
+        return model.forward_graph(batch, mapped).total(1.0, 1.0)
 
     return _check_params(forward, model.parameters())
 
@@ -163,8 +163,8 @@ def _check_packed_batch(rng, n):
     """Stage 0 to the losses on a disjoint union of three graphs, one edgeless."""
     sizes = [n, int(rng.integers(3, 11)), int(rng.integers(3, 11))]
     graphs = [_random_graph(rng, sizes[0]), _random_graph(rng, sizes[1]), np.zeros((sizes[2],) * 2)]
-    segments = np.concatenate([[0], np.cumsum(sizes)])
-    edges = Edges(sp.block_diag(graphs, format="csr"), segments)
+    edges = Edges(graphs)
+    segments = edges.node_offsets
     prop = GmnPropagation(rng, 3, 3, 3, "tanh", "prop")
     assign = Dense(rng, 3, 2, "linear", "assign")
     gcn = GcnLayer(rng, 3, 2, "tanh", "gcn")

@@ -62,45 +62,42 @@ def _incidence(edge_order: np.ndarray, nodes: np.ndarray, node_count: int):
 class Edges:
     """The directed edges of a disjoint union of graphs, A[senders[e], receivers[e]] = 1.
 
-    ``adjacency`` (dense or sparse) is the union's block-diagonal matrix,
-    kept as canonical CSR, and ``node_offsets`` cut its nodes into graphs
-    (default: one graph). Stage 0 reads structure only, so every nonzero
-    entry must be 1, and no edge may join two graphs. The edges come in row-major order, so
-    ``senders`` is sorted and graph g's edges are the range
-    ``edge_offsets[g]:edge_offsets[g + 1]``. For ``ad.edge_aggregate`` the
-    list also holds the node x edge CSR incidence matrices:
-    ``receiver_incidence`` (1 at (receivers[e], e)), which the forward pass
-    needs and which is built with the list, and ``sender_incidence``, which
-    only a backward pass needs and which is built on first use. Each row
-    lists its edges in edge order, so the products add in the same order
-    as a scatter over the edges.
+    ``blocks`` holds each graph's square adjacency (dense or sparse, at
+    least one node; one graph is ``Edges([a])``). The union's matrix
+    ``adjacency`` is their block diagonal as canonical CSR, and
+    ``node_offsets``, read off the block sizes, cut its nodes into graphs.
+    Stage 0 reads structure only, so every nonzero entry must be 1. The
+    edges come in row-major order, so ``senders`` is sorted and graph g's
+    edges are the range ``edge_offsets[g]:edge_offsets[g + 1]``. For
+    ``ad.edge_aggregate`` the list also holds the node x edge CSR
+    incidence matrices: ``receiver_incidence`` (1 at (receivers[e], e)),
+    which the forward pass needs and which is built with the list, and
+    ``sender_incidence``, which only a backward pass needs and which is
+    built on first use. Each row lists its edges in edge order, so the
+    products add in the same order as a scatter over the edges.
     """
 
-    def __init__(self, adjacency, node_offsets=None):
-        a = sp.csr_matrix(adjacency, dtype=np.float64, copy=True)
+    def __init__(self, blocks):
+        blocks = [sp.csr_matrix(b, dtype=np.float64) for b in blocks]
+        if not blocks or any(b.shape[0] != b.shape[1] or b.shape[0] < 1 for b in blocks):
+            raise ValueError("edges take one or more square blocks with at least one node each")
+        offsets = np.cumsum([0] + [b.shape[0] for b in blocks])
+        stored = np.cumsum([0] + [b.nnz for b in blocks])
+        n = self.node_count = int(offsets[-1])
+        indptr = np.concatenate([[0]] + [b.indptr[1:] + p for b, p in zip(blocks, stored)])
+        indices = np.concatenate([b.indices + lo for b, lo in zip(blocks, offsets)])
+        a = sp.csr_matrix((np.concatenate([b.data for b in blocks]), indices, indptr), shape=(n, n))
         a.sum_duplicates()
         a.eliminate_zeros()
         if np.any(a.data != 1.0):
             raise ValueError("stage 0 takes a 0/1 adjacency: an edge entry is not 1")
         self.adjacency = a
-        n = self.node_count = a.shape[0]
         self.senders = np.repeat(np.arange(n), np.diff(a.indptr))
         self.receivers = a.indices.astype(np.intp)
-        offsets = np.array([0, n] if node_offsets is None else node_offsets, dtype=np.intp)
-        if offsets[0] != 0 or offsets[-1] != n or np.any(np.diff(offsets) < 1):
-            raise ValueError(f"node offsets must rise strictly from 0 to {n}")
         self.node_offsets = offsets
         self.edge_offsets = a.indptr[offsets].astype(np.intp)
-        graph_of_edge = np.repeat(np.arange(offsets.size - 1), np.diff(self.edge_offsets))
-        if np.any((self.receivers < offsets[graph_of_edge])
-                  | (self.receivers >= offsets[graph_of_edge + 1])):
-            raise ValueError("an edge joins two graphs of the union")
         self.receiver_incidence = _incidence(
             np.argsort(self.receivers, kind="stable"), self.receivers, n)
-
-    @property
-    def graph_count(self) -> int:
-        return self.node_offsets.size - 1
 
     @cached_property
     def sender_incidence(self):

@@ -1,27 +1,28 @@
 """Hierarchical pooling model: two coarsening stages plus a classifier.
 
-The model reads a batch of graphs as one ``GraphUnion``, their disjoint
-union: one edge list over the stacked node rows, cut into graphs by node
-offsets. A single graph is a union of one. Stage 0 runs two GMN stacks of
-the same shape on the whole union: a relu encoder, a relu propagation
-step and a linear propagation step, each `gmn_units` wide. The Z stack
-ends in `embed_units` node embeddings; the S stack reads structural
-features, node features, or both, and ends in `clusters_1` assignment
-logits. Stage 1 embeds with a GCN and assigns through a two-layer MLP fed
-by similarity features recomputed (differentiably) from the learned
-coarse adjacency. Each stage coarsens with ``pool_forward(z, logits,
-spread, segments)``, ``spread`` being its A·x and ``segments`` its graphs,
-so every graph's coarse adjacency is a c x c block of one (B c) x c
-stack. Stage 2 sum-pools each graph into a single row and a dense softmax
-layer produces class probabilities. There is no link prediction term
-anywhere.
+The model reads a batch of graphs as one ``PaddedBatch``, their disjoint
+union: one ``Edges`` list over the stacked node rows, cut into graphs by
+its node offsets. A single graph is a batch of one. Stage 0 runs two GMN
+stacks of the same shape on the whole union: a relu encoder, a relu
+propagation step and a linear propagation step, each `gmn_units` wide.
+The Z stack ends in `embed_units` node embeddings; the S stack reads
+structural features, node features, or both, and ends in `clusters_1`
+assignment logits. Stage 1 embeds with a GCN and assigns through a
+two-layer MLP fed by similarity features recomputed (differentiably)
+from the learned coarse adjacency. Each stage coarsens with
+``pool_forward(z, logits, spread, segments)``, ``spread`` being its A·x
+and ``segments`` its graphs, so every graph's coarse adjacency is a
+c x c block of one (B c) x c stack. Stage 2 sum-pools each graph into a
+single row and a dense softmax layer produces class probabilities. There
+is no link prediction term anywhere.
 
 The objective is DiffPool's: the task cross-entropy plus the entropy term
 L_E and the cluster term L_C of each stage, five terms named once in
-``LOSS_TERMS``, each a mean over the union's graphs. ``forward_graph``
-takes a union and ``forward_batch`` a ``PaddedBatch``; both return the
-same ``Forward`` record, and ``Forward.total`` is the one place that
-weighs the terms together.
+``LOSS_TERMS``, each a mean over the batch's graphs. ``forward_graph``
+takes a batch and its stacked structural rows, ``forward_batch`` a batch
+and those rows per dataset position; both return the same ``Forward``
+record, and ``Forward.total`` is the one place that weighs the terms
+together.
 """
 
 from __future__ import annotations
@@ -57,7 +58,6 @@ __all__ = [
     "ConfigError",
     "LOSS_TERMS",
     "Forward",
-    "GraphUnion",
     "SimPoolModel",
     "save_checkpoint",
     "load_checkpoint",
@@ -93,6 +93,10 @@ class ModelPreset:
     epochs: int
 
     def __post_init__(self):
+        for size in ("gmn_units", "embed_units", "clusters_1", "clusters_2", "gcn1_units",
+                     "s1_hidden", "gcn2_units"):
+            if getattr(self, size) < 1:
+                raise ValueError(f"{size} must be >= 1, got {getattr(self, size)}")
         if self.learning_rate <= 0:
             raise ValueError("learning rate must be positive")
         if self.epochs < 1:
@@ -166,31 +170,6 @@ class Forward:
         task, le0, le1, lc0, lc1 = (self.losses[k] for k in LOSS_TERMS)
         out = ad.add(task, ad.scalar_multiply(ad.add(le0, le1), w_e))
         return ad.add(out, ad.scalar_multiply(ad.add(lc0, lc1), w_c))
-
-
-@dataclass(frozen=True)
-class GraphUnion:
-    """Graphs as one disjoint union, the input of ``SimPoolModel.forward_graph``.
-
-    ``edges`` lists every edge over the stacked node rows, and its
-    ``node_offsets`` cut ``features`` (and ``mapped``, the precomputed
-    structural features, when given) into graphs. ``labels`` holds one
-    class per graph.
-    """
-
-    edges: Edges
-    features: np.ndarray
-    labels: np.ndarray
-    mapped: np.ndarray | None = None
-
-    @classmethod
-    def single(cls, adjacency, features, label: int, mapped=None) -> GraphUnion:
-        """The union of one graph."""
-        return cls(Edges(adjacency), np.asarray(features), np.array([label]), mapped)
-
-    @property
-    def size(self) -> int:
-        return self.edges.graph_count
 
 
 class _GmnStack:
@@ -286,12 +265,12 @@ class SimPoolModel:
             return structural
         return ad.concat_columns([structural, x1])
 
-    def forward_graph(self, graphs: GraphUnion) -> Forward:
-        """One forward pass over a disjoint union of graphs."""
-        edges = graphs.edges
+    def forward_graph(self, batch: PaddedBatch, mapped: np.ndarray | None = None) -> Forward:
+        """One forward pass over a batch's disjoint union; ``mapped`` stacks its structural rows."""
+        edges = batch.edges
         segments = edges.node_offsets
-        x = ad.constant(graphs.features)
-        f0 = self._assign_features_0(x, graphs.mapped)
+        x = ad.constant(batch.features)
+        f0 = self._assign_features_0(x, mapped)
         x1, a1, s0 = pool_forward(self.z_stack(edges, x), self.s_stack(edges, f0), edges.spread,
                                   segments)
         f1 = self._assign_features_1(x1, a1)
@@ -301,9 +280,9 @@ class SimPoolModel:
                                   lambda s: ad.matmul(ad.transpose(a1), s, blocks1), blocks1)
         z2 = self.gcn2(x2, a2)
         # global sum pool: each graph's c rows summed into one
-        pooled = ad.scatter_rows(z2, np.repeat(np.arange(graphs.size), a2.shape[1]), graphs.size)
+        pooled = ad.scatter_rows(z2, np.repeat(np.arange(batch.size), a2.shape[1]), batch.size)
         probs = ad.row_softmax(self.classifier(pooled))
-        terms = (cross_entropy(probs, graphs.labels), loss_le(s0, segments), loss_le(s1, blocks1),
+        terms = (cross_entropy(probs, batch.labels), loss_le(s0, segments), loss_le(s1, blocks1),
                  loss_lc(s0, segments), loss_lc(s1, blocks1))
         return Forward(
             probs=probs.values,
@@ -312,12 +291,11 @@ class SimPoolModel:
         )
 
     def forward_batch(self, batch: PaddedBatch, mapped_by_index=None) -> Forward:
-        """``forward_graph`` on the batch's union; ``mapped_by_index[i]`` belongs to graph i."""
+        """``forward_graph`` with ``mapped_by_index[i]``, graph i's structural rows, stacked."""
         mapped = None
         if mapped_by_index is not None:
             mapped = np.concatenate([mapped_by_index[int(i)] for i in batch.indices])
-        edges = Edges(batch.block_adjacency, batch.node_offsets())
-        return self.forward_graph(GraphUnion(edges, batch.features, batch.labels, mapped))
+        return self.forward_graph(batch, mapped)
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +335,7 @@ def load_checkpoint(path, model: SimPoolModel) -> None:
     loaded: dict[str, np.ndarray] = {}
     for _ in range(count):
         (name_len,) = reader.unpack("<q")
-        name = bytes(reader.take(name_len)).decode("utf-8")
+        name = reader.text(name_len)
         (ndim,) = reader.unpack("<q")
         shape = tuple(reader.array("<i8", ndim))
         size = int(np.prod(shape)) if ndim else 1

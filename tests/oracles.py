@@ -259,7 +259,7 @@ def forward_graph_loop(model, adjacency, features, label: int, mapped=None) -> F
     pooling, the GCNs, the on-tape similarity, the sum pool and the five
     loss terms are dense formulas on this graph alone.
     """
-    edges = Edges(adjacency)
+    edges = Edges([adjacency])
     x = ad.constant(features)
     f0 = model._assign_features_0(x, mapped)
     x1, a1, s0 = _pool_dense(model.z_stack(edges, x), model.s_stack(edges, f0), edges.spread)

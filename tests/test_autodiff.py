@@ -121,10 +121,10 @@ def _run_primitive_case(name, builder, rng):
 
 
 # four nodes: a self-loop, a node with two incoming edges, node 3 receives none
-EDGES = Edges(np.array([[0.0, 1.0, 0.0, 0.0],
-                        [1.0, 0.0, 1.0, 0.0],
-                        [0.0, 1.0, 1.0, 0.0],
-                        [1.0, 0.0, 0.0, 0.0]]))
+EDGES = Edges([np.array([[0.0, 1.0, 0.0, 0.0],
+                         [1.0, 0.0, 1.0, 0.0],
+                         [0.0, 1.0, 1.0, 0.0],
+                         [1.0, 0.0, 0.0, 0.0]])])
 
 
 def edge_aggregate_case(activation):

@@ -200,8 +200,8 @@ class TestBatches:
         # node rows are packed, not padded: the graphs' rows in batch order
         assert batch.features.tobytes() == np.concatenate(
             [g.node_features for g in ds.graphs]).tobytes()
-        np.testing.assert_array_equal(batch.node_offsets(), [0, 2, 5, 10])
-        np.testing.assert_array_equal(batch.block_adjacency.toarray(), sp.block_diag(
+        np.testing.assert_array_equal(batch.edges.node_offsets, [0, 2, 5, 10])
+        np.testing.assert_array_equal(batch.edges.adjacency.toarray(), sp.block_diag(
             [g.adjacency for g in ds.graphs]).toarray())
         # leading-ones mask
         np.testing.assert_array_equal(batch.node_mask[0], [1, 1, 0, 0, 0])
@@ -223,6 +223,12 @@ class TestBatches:
     def test_batch_size_validation(self, toy_dataset):
         with pytest.raises(ValueError):
             make_batches(toy_dataset, batch_size=0)
+
+    def test_subset_positions_must_lie_in_the_dataset(self, toy_dataset):
+        # a negative position would wrap to the end, and one past the end used to raise IndexError
+        for subset, bad in (([-1], -1), ([3, 10, 12], 10), ([0, 1, 2, 9, -4], -4)):
+            with pytest.raises(ValueError, match=rf"position {bad} outside \[0, 10\)"):
+                make_batches(toy_dataset, batch_size=2, subset=subset)
 
 
 class TestKFold:

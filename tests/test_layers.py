@@ -49,12 +49,6 @@ def graph_of_kind(rng, n, kind):
     return a
 
 
-def union_of(graphs):
-    """Block-diagonal adjacency and node offsets of a list of dense graphs."""
-    sizes = [g.shape[0] for g in graphs]
-    return sp.block_diag(graphs, format="csr"), np.concatenate([[0], np.cumsum(sizes)])
-
-
 class TestEdges:
     @pytest.mark.parametrize("kind", GRAPH_KINDS)
     def test_spread_is_the_dense_product(self, kind):
@@ -62,7 +56,7 @@ class TestEdges:
         for n in (1, 2, 5, 11):
             a = graph_of_kind(rng, n, kind)
             x = rng.normal(size=(n, 3))
-            edges = Edges(a)
+            edges = Edges([a])
             assert edges.node_count == n and edges.receivers.shape == edges.senders.shape
             np.testing.assert_allclose(edges.spread(ad.constant(x)).values, a @ x,
                                        rtol=1e-12, atol=1e-12)
@@ -72,7 +66,7 @@ class TestEdges:
         # one sparse product adds in edge order, like the two-op edge-row chain
         rng = np.random.default_rng(48)
         for n in (1, 5, 11, 23):
-            edges = Edges(graph_of_kind(rng, n, kind))
+            edges = Edges([graph_of_kind(rng, n, kind)])
             values, c = rng.normal(size=(n, 3)), ad.constant(rng.normal(size=(n, 3)))
             results = []
             for spread in (edges.spread, lambda x: ad.scatter_rows(
@@ -88,33 +82,46 @@ class TestEdges:
         a = ring_graph(4)
         a[0, 1] = 1.5
         with pytest.raises(ValueError, match="entry is not 1"):
-            Edges(a)
+            Edges([a])
 
     def test_union_lists_each_graph_as_an_edge_range(self):
         rng = np.random.default_rng(45)
         graphs = [graph_of_kind(rng, n, kind) for n, kind in
                   ((4, "directed"), (1, "edgeless"), (6, "isolated"), (5, "weighted"))]
-        adjacency, offsets = union_of(graphs)
-        edges = Edges(adjacency, offsets)
-        assert edges.graph_count == 4
+        edges = Edges(graphs)
+        offsets = edges.node_offsets
+        np.testing.assert_array_equal(offsets, [0, 4, 5, 11, 16])
         for g, a in enumerate(graphs):
             e0, e1 = edges.edge_offsets[g], edges.edge_offsets[g + 1]
-            single = Edges(a)
+            single = Edges([a])
             np.testing.assert_array_equal(edges.senders[e0:e1] - offsets[g], single.senders)
             np.testing.assert_array_equal(edges.receivers[e0:e1] - offsets[g], single.receivers)
         x = rng.normal(size=(offsets[-1], 3))
-        np.testing.assert_allclose(edges.spread(ad.constant(x)).values, adjacency @ x,
-                                   rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(edges.spread(ad.constant(x)).values,
+                                   sp.block_diag(graphs) @ x, rtol=1e-12, atol=1e-12)
 
     def test_union_validation(self):
-        adjacency, offsets = union_of([ring_graph(3), ring_graph(4)])
-        crossing = adjacency.tolil()
-        crossing[0, 5] = 1.0
-        with pytest.raises(ValueError, match="joins two graphs"):
-            Edges(crossing, offsets)
-        for bad in ([0, 3], [1, 3, 7], [0, 3, 3, 7]):
-            with pytest.raises(ValueError, match="node offsets"):
-                Edges(adjacency, bad)
+        for blocks in ([], [ring_graph(3), np.zeros((0, 0))], [ring_graph(3), np.ones((2, 3))]):
+            with pytest.raises(ValueError, match="square blocks"):
+                Edges(blocks)
+
+    @pytest.mark.parametrize("sparse", (False, True))
+    def test_union_equals_the_canonical_sp_block_diag(self, sparse):
+        rng = np.random.default_rng(49)
+        graphs = [graph_of_kind(rng, n, kind) for n, kind in
+                  ((4, "directed"), (1, "edgeless"), (6, "isolated"), (3, "edgeless"),
+                   (5, "directed"), (2, "isolated"))]
+        for blocks in (graphs, graphs[1:2], graphs[3:4], graphs[:3]):
+            if sparse:  # a stored zero and a self-loop listed as two halves canonicalise away
+                blocks = [sp.csr_matrix(b) for b in blocks] + [sp.csr_matrix(
+                    ([0.0, 0.5, 0.5], [1, 0, 0], [0, 3, 3]), shape=(2, 2))]
+            reference = sp.block_diag(blocks, format="csr")
+            reference.sum_duplicates()
+            reference.eliminate_zeros()
+            union = Edges(blocks).adjacency
+            for attr in ("indptr", "indices", "data"):
+                got, want = getattr(union, attr), getattr(reference, attr)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), attr
 
 
 class TestEdgeAggregate:
@@ -123,7 +130,7 @@ class TestEdgeAggregate:
         """Forward and backward of ``fn`` on random node rows: the output and the
         gradients of p_recv, p_send and the bias."""
         n = a.shape[0]
-        edges = Edges(a)
+        edges = Edges([a])
         p_recv, p_send = (ad.parameter(rng.normal(size=(n, m))) for _ in range(2))
         bias = ad.parameter(rng.uniform(-0.05, 0.05, size=(1, m)))
         c = ad.constant(rng.normal(size=(n, m)))
@@ -163,7 +170,7 @@ class TestEdgeAggregate:
 
     def test_forward_builds_only_the_receiver_incidence(self):
         rng = np.random.default_rng(43)
-        edges = Edges(graph_of_kind(rng, 6, "directed"))
+        edges = Edges([graph_of_kind(rng, 6, "directed")])
         with ad.no_grad():
             ad.edge_aggregate(*(ad.constant(rng.normal(size=(6, 3))) for _ in range(2)),
                               ad.constant(np.zeros((1, 3))), edges, "relu")
@@ -174,7 +181,7 @@ class TestEdgeAggregate:
         # the recomputed pre-activations and g_pre are E x m; the rest is O(n x m + E)
         rng = np.random.default_rng(44)
         n, m = 300, 64
-        edges = Edges(graph_of_kind(rng, n, "directed"))
+        edges = Edges([graph_of_kind(rng, n, "directed")])
         p_recv, p_send = (ad.parameter(rng.normal(size=(n, m))) for _ in range(2))
         bias = ad.parameter(np.zeros((1, m)))
         with ad.Tape() as tape:
@@ -194,8 +201,8 @@ class TestEdgeAggregate:
         graphs = [graph_of_kind(rng, n, kind) for n, kind in
                   ((5, "directed"), (3, "edgeless"), (30, "weighted"), (7, "isolated"),
                    (4, "directed"), (9, "weighted"))]
-        adjacency, offsets = union_of(graphs)
-        edges = Edges(adjacency, offsets)
+        edges = Edges(graphs)
+        offsets = edges.node_offsets
         assert edges.edge_offsets[3] - edges.edge_offsets[2] > 20
         n, m = offsets[-1], 4
         results = []
@@ -217,7 +224,7 @@ class TestEdgeAggregate:
         assert chunked == whole
 
     def test_validation(self):
-        edges = Edges(ring_graph(4))
+        edges = Edges([ring_graph(4)])
         rows, bias = ad.constant(np.ones((4, 3))), ad.constant(np.zeros((1, 3)))
         with pytest.raises(ValueError, match="unknown activation"):
             ad.edge_aggregate(rows, rows, bias, edges, "sigmoid")
@@ -263,7 +270,7 @@ class TestGmnPropagation:
         rng = np.random.default_rng(3)
         prop = GmnPropagation(rng, 3, 4, 3, "tanh", "prop")
         h = rng.normal(size=(5, 3))
-        out = prop(ad.constant(h), Edges(np.zeros((5, 5)))).values
+        out = prop(ad.constant(h), Edges([np.zeros((5, 5))])).values
         expected = prop.f_node(ad.constant(np.concatenate([h, np.zeros((5, 4))], axis=1))).values
         np.testing.assert_array_equal(out, expected)
 
@@ -273,7 +280,7 @@ class TestGmnPropagation:
         h = rng.normal(size=(2, 2))
         a = np.zeros((2, 2))
         a[0, 1] = 1.0  # message 0 -> 1 only
-        out = prop(ad.constant(h), Edges(a)).values
+        out = prop(ad.constant(h), Edges([a])).values
         agg = np.zeros((2, 3))
         agg[1] = gmn_message(prop.f_message, h[1], h[0])
         expected = prop.f_node(ad.constant(np.concatenate([h, agg], axis=1))).values
@@ -287,7 +294,7 @@ class TestGmnPropagation:
             for n in (1, 2, 5, 11):
                 a = graph_of_kind(rng, n, kind)
                 h = rng.normal(size=(n, 3))
-                out = prop(ad.constant(h), Edges(a)).values
+                out = prop(ad.constant(h), Edges([a])).values
                 expected = gmn_propagation_loop(prop, h, a)
                 np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-12, err_msg=kind)
 
@@ -295,7 +302,7 @@ class TestGmnPropagation:
         # message passing keeps node rows only; its E x m edge rows are recomputed
         rng = np.random.default_rng(24)
         a = random_graph(rng, 12, 0.5)
-        edges = Edges(a)
+        edges = Edges([a])
         assert edges.senders.size not in (0, 12)
         prop = GmnPropagation(rng, 3, 8, 5, "relu", "prop")
         shapes = []
@@ -323,7 +330,7 @@ class TestGmnPropagation:
     def test_node_count_mismatch_rejected(self):
         rng = np.random.default_rng(23)
         prop = GmnPropagation(rng, 2, 2, 2, "linear", "prop")
-        edges = Edges(random_graph(rng, 3, 0.7))
+        edges = Edges([random_graph(rng, 3, 0.7)])
         for rows in (2, 4):
             with pytest.raises(ValueError, match=f"{rows} node states for a graph of 3 nodes"):
                 prop(ad.constant(np.ones((rows, 2))), edges)
@@ -332,7 +339,7 @@ class TestGmnPropagation:
         rng = np.random.default_rng(6)
         p1 = GmnPropagation(rng, 3, 4, 4, "relu", "p1")
         p2 = GmnPropagation(rng, 4, 4, 3, "linear", "p2")
-        edges = Edges(random_graph(rng, 6, 0.5))
+        edges = Edges([random_graph(rng, 6, 0.5)])
         x = rng.normal(size=(6, 3))
         c = rng.normal(size=(6, 3))
 
@@ -410,7 +417,7 @@ class TestGcn:
 
 # A·x the two ways pool_forward is given it: stage 0's edge list, stage 1's dense matmul
 SPREAD_FORMS = {
-    "edge_list": lambda a: Edges(a).spread,
+    "edge_list": lambda a: Edges([a]).spread,
     "dense_matmul": lambda a: lambda x: ad.matmul(ad.constant(a), x),
 }
 
@@ -422,7 +429,7 @@ class TestPoolForward:
         x = ad.constant(rng.normal(size=(n, d)))
         a_vals = random_graph(rng, n, 0.5)
         # logits that force S = I exactly
-        x1, a1, s = pool_forward(x, ad.constant(1000.0 * np.eye(n)), Edges(a_vals).spread)
+        x1, a1, s = pool_forward(x, ad.constant(1000.0 * np.eye(n)), Edges([a_vals]).spread)
         np.testing.assert_array_equal(s.values, np.eye(n))
         np.testing.assert_array_equal(x1.values, x.values)
         np.testing.assert_allclose(a1.values, np.tanh(a_vals), atol=1e-15)
@@ -434,7 +441,7 @@ class TestPoolForward:
         logits = np.zeros((n, c))
         logits[:, 0] = 1000.0
         x1, a1, s = pool_forward(ad.constant(z), ad.constant(logits),
-                                 Edges(random_graph(rng, n, 0.5)).spread)
+                                 Edges([random_graph(rng, n, 0.5)]).spread)
         np.testing.assert_allclose(x1.values[0], z.sum(axis=0), atol=1e-12)
         np.testing.assert_allclose(x1.values[1:], 0.0, atol=1e-12)
 
@@ -473,7 +480,7 @@ class TestPoolForward:
 
     def test_row_count_mismatch_rejected(self):
         rng = np.random.default_rng(16)
-        spread = Edges(random_graph(rng, 4, 0.7)).spread
+        spread = Edges([random_graph(rng, 4, 0.7)]).spread
         z = ad.constant(rng.normal(size=(4, 2)))
         with pytest.raises(ValueError, match="one row per node"):
             pool_forward(z, ad.constant(np.zeros((5, 3))), spread)
@@ -486,15 +493,15 @@ class TestPoolForward:
     def test_segments_pool_each_graph_alone(self):
         rng = np.random.default_rng(17)
         graphs = [random_graph(rng, n, 0.5) for n in (4, 1, 6)]
-        adjacency, offsets = union_of(graphs)
+        edges = Edges(graphs)
+        offsets = edges.node_offsets
         z, logits = rng.normal(size=(11, 2)), rng.normal(size=(11, 3))
-        x1, a1, s = pool_forward(ad.constant(z), ad.constant(logits),
-                                 Edges(adjacency, offsets).spread, offsets)
+        x1, a1, s = pool_forward(ad.constant(z), ad.constant(logits), edges.spread, offsets)
         assert x1.shape == (9, 2) and a1.shape == (9, 3) and s.shape == (11, 3)
         for g, a in enumerate(graphs):
             rows = slice(offsets[g], offsets[g + 1])
             x_g, a_g, _ = pool_forward(ad.constant(z[rows]), ad.constant(logits[rows]),
-                                       Edges(a).spread)
+                                       Edges([a]).spread)
             block = slice(3 * g, 3 * g + 3)
             np.testing.assert_allclose(x1.values[block], x_g.values, rtol=1e-14, atol=1e-15)
             np.testing.assert_allclose(a1.values[block], a_g.values, rtol=1e-14, atol=1e-15)
@@ -511,7 +518,7 @@ class TestPoolForward:
 
         def f(_):
             x = ad.constant(x_vals)
-            x1, a1, s = pool_forward(embed(x), assign(x), Edges(a_vals).spread)
+            x1, a1, s = pool_forward(embed(x), assign(x), Edges([a_vals]).spread)
             return ad.add(
                 ad.sum_all(ad.multiply(x1, ad.constant(cx))),
                 ad.sum_all(ad.multiply(a1, ad.constant(ca))),

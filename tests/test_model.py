@@ -5,14 +5,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from simpool import autodiff as ad
-from simpool.data import load_tu_dataset, make_batches
+from simpool.data import Graph, PaddedBatch, load_tu_dataset, make_batches
 from simpool.layers import Edges, pool_forward
 from simpool.model import (
     LOSS_TERMS,
     ConfigError,
-    GraphUnion,
     PRESETS,
     SimPoolModel,
     load_checkpoint,
@@ -37,8 +37,8 @@ def tiny_model(assign_inputs="structural", seed=0, num_classes=3, feature_dim=3)
 
 
 def forward_one(model, a, x, label, mapped=None):
-    """``forward_graph`` on the union of one graph."""
-    return model.forward_graph(GraphUnion.single(a, x, label, mapped))
+    """``forward_graph`` on a batch of one graph."""
+    return model.forward_graph(PaddedBatch.of([Graph(sp.csr_matrix(a), x, label)]), mapped)
 
 
 def graph_inputs(rng, n, d, k):
@@ -86,6 +86,14 @@ class TestPresets:
         assert out.assign_argmax[1].shape == (16,)
         for name, p in model.parameters().items():
             assert p.grad is not None and np.all(np.isfinite(p.grad)), name
+
+    @pytest.mark.parametrize("size", ("gmn_units", "embed_units", "clusters_1", "clusters_2",
+                                      "gcn1_units", "s1_hidden", "gcn2_units"))
+    def test_sizes_below_one_rejected(self, size):
+        preset = resolve_preset("enzymes", 1 / 32)
+        for value in (0, -1):
+            with pytest.raises(ValueError, match=f"{size} must be >= 1"):
+                replace(preset, **{size: value})
 
     def test_scale_must_be_positive_and_finite(self):
         for scale in (0.0, -1.0, float("nan"), float("inf")):
@@ -325,7 +333,7 @@ class TestStageZeroOnEdges:
         (batch,) = make_batches(ds, 6)
         model.forward_batch(batch, preprocess_dataset(ds, model.sim))
         assert len(built) == 1
-        assert built[0][0].shape == (batch.node_counts().sum(),) * 2
+        assert [block.shape[0] for block in built[0][0]] == batch.node_counts().tolist()
 
 
 class TestEndToEndGradients:
@@ -365,7 +373,7 @@ class TestPermutationBehaviour:
                 ],
                 axis=1,
             )
-            edges = Edges(a_in)
+            edges = Edges([a_in])
             x1, a1, _ = pool_forward(
                 model.z_stack(edges, ad.constant(x_in)), model.s_stack(edges, ad.constant(stats)),
                 edges.spread,
@@ -453,3 +461,15 @@ class TestCheckpoint:
             path.write_bytes(damaged)
             with pytest.raises(ConfigError, match=message):
                 load_checkpoint(path, tiny_model())
+
+    def test_undecodable_parameter_name_rejected(self, tmp_path):
+        model = tiny_model(seed=1)
+        path = tmp_path / "model.spm"
+        save_checkpoint(path, model)
+        raw = bytearray(path.read_bytes())
+        first_name = 4 + 16 + 8  # magic, version and count, the name's length
+        assert raw[first_name:first_name + 2] == b"z."
+        raw[first_name] = 0xFF  # never a byte of UTF-8
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ConfigError, match="offset 28 is not UTF-8"):
+            load_checkpoint(path, tiny_model())

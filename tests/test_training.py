@@ -8,13 +8,14 @@ import pytest
 from simpool import autodiff as ad
 from simpool import training
 from simpool.autodiff import NumericError
-from simpool.model import ConfigError, resolve_preset
-from simpool.similarity import SimilarityConfig
+from simpool.model import ConfigError, SimPoolModel, resolve_preset
+from simpool.similarity import SimilarityConfig, preprocess_dataset
 from simpool.training import (
     STATS_HEADER,
     Adam,
     TrainConfig,
     cross_validate,
+    evaluate_accuracy,
     fold_aggregate,
     stats_from_csv,
     stats_to_csv,
@@ -22,6 +23,7 @@ from simpool.training import (
 )
 
 from conftest import separable_dataset
+from oracles import forward_graph_loop
 
 
 def small_config(epochs=2, learning_rate=1e-4, **overrides):
@@ -162,6 +164,34 @@ class TestTrainRun:
                            learning_rate=3e-3)
         stats, _ = train_run(cfg, ds, fold=0)
         assert stats.max_val_acc >= 0.7, [e.val_acc for e in stats.epochs]
+
+
+class TestEvaluateAccuracy:
+    # untrained seeds whose predictions differ between graphs, so the count depends
+    # on which graph each probability row belongs to
+    @pytest.mark.parametrize("assign_inputs,seed", (("structural", 2), ("node", 0), ("both", 9)))
+    def test_packed_batches_count_like_single_graphs(self, tmp_path, assign_inputs, seed):
+        ds = separable_dataset(tmp_path, count=12)
+        preset = resolve_preset("enzymes", 1 / 32)
+        model = SimPoolModel(preset, ds.feature_dim, ds.num_classes, assign_inputs, seed=seed)
+        mapped = preprocess_dataset(ds, preset.sim)
+        indices = np.array([7, 0, 3, 10, 5, 11, 2, 8, 1, 9, 4, 6])
+        with ad.no_grad():
+            predicted = [forward_graph_loop(model, ds.graphs[i].adjacency.toarray(),
+                                            ds.graphs[i].node_features, ds.graphs[i].label,
+                                            mapped[i]).probs.argmax() for i in indices]
+        assert len(set(predicted)) == 2
+        expected = np.mean(np.array(predicted) == ds.labels()[indices])
+        for batch_size in (1, 3, indices.size):
+            assert evaluate_accuracy(model, ds, indices, mapped, batch_size) == expected
+
+    def test_positions_outside_the_dataset_rejected(self, tmp_path):
+        ds = separable_dataset(tmp_path, count=2)
+        model = SimPoolModel(resolve_preset("enzymes", 1 / 32), ds.feature_dim, ds.num_classes,
+                             "node", seed=0)
+        for indices, bad in (([-1], -1), ([0, 5], 5)):
+            with pytest.raises(ValueError, match=rf"position {bad} outside \[0, 2\)"):
+                evaluate_accuracy(model, ds, indices)
 
 
 class TestStatsCsv:
