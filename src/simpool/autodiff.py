@@ -12,21 +12,20 @@ Where the union must stay per graph, ``matmul`` takes ``segments``: the
 product of a block-diagonal left operand, given as its blocks side by
 side, with the stacked right operand, one row block per graph.
 
-Gather and scatter indices are constants: no gradient ever flows into an
-index argument, only into the values. ``scatter_rows`` is the transpose of
-``gather_rows``: it sums input rows into the output rows they index. Its
-forward pass and the backward passes of ``gather`` and ``gather_rows`` run
-on ``_scatter_add``, one sparse incidence product that adds in index order.
+Gather indices are constants: no gradient ever flows into an index
+argument, only into the values. Every sum of rows by an index is a
+product with ``incidence(idx, rows)``, the rows x E CSC matrix with a 1
+at (idx[e], e), which adds into each row in order of e: the backward
+passes of ``gather`` and ``gather_rows``, the sums of ``edge_aggregate``,
+and, through ``sparse_matmul``, the model's sum pool.
 
 ``sparse_matmul`` multiplies by a constant sparse matrix: stage-0
-pooling's A·S on the union's adjacency, with no edge rows.
+pooling's A·S on the union's adjacency, or a sum by index on an
+``incidence``, with no edge rows.
 
-``edge_aggregate`` is GMN message passing as one op. Its forward and
-backward sums are products with the constant CSR incidence matrices of
-``layers.Edges``, whose rows list their edges in edge order, so they add
-in the same order as ``_scatter_add``. The op keeps only its node-row
-inputs on the tape and recomputes the edge rows in its backward pass, in
-runs of whole graphs of bounded size.
+``edge_aggregate`` is GMN message passing as one op. The op keeps only
+its node-row inputs on the tape and recomputes the edge rows in its
+backward pass, in runs of whole graphs of bounded size.
 """
 
 from __future__ import annotations
@@ -52,7 +51,6 @@ __all__ = [
     "concat_columns",
     "gather",
     "gather_rows",
-    "scatter_rows",
     "sparse_matmul",
     "edge_aggregate",
     "row_softmax",
@@ -233,17 +231,19 @@ def _record(op_name: str, out: Tensor, parents: Sequence[Tensor], backward) -> T
     return out
 
 
-def _scatter_add(x: np.ndarray, idx: np.ndarray, rows: int) -> np.ndarray:
-    """Sum row e of ``x`` into row ``idx[e]`` of a (rows, width) zero array.
+def incidence(idx, rows: int) -> sp.csc_matrix:
+    """The rows x E CSC matrix with a 1 at (idx[e], e), for E = len(idx).
 
-    The product of the rows x E incidence matrix, stored as CSC with one
-    entry per column, with ``x``. It adds into each output row in order of
-    e, so its sums are bit-identical to a loop over e, and it needs no
-    index array of E x width entries.
+    Its product with an E x m array sums row e into row idx[e]. Each
+    column holds one entry, so the product adds into every row in order of
+    e, bit-identical to a loop over e, and needs no E x m index array. An
+    index outside [0, rows) raises ``IndexError``: scipy would store it
+    unchecked, and a product with it writes outside the output.
     """
-    edges = idx.size
-    incidence = sp.csc_matrix((np.ones(edges), idx, np.arange(edges + 1)), shape=(rows, edges))
-    return incidence @ x
+    idx = np.asarray(idx, dtype=np.intp).reshape(-1)
+    if idx.size and (idx.min() < 0 or idx.max() >= rows):
+        raise IndexError(f"incidence index outside [0, {rows})")
+    return sp.csc_matrix((np.ones(idx.size), idx, np.arange(idx.size + 1)), shape=(rows, idx.size))
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +432,7 @@ def gather(a: Tensor, row_idx: np.ndarray, col_idx: np.ndarray) -> Tensor:
 
     def backward(g):
         flat = row_idx.reshape(-1) * m + col_idx.reshape(-1)
-        return ((a, _scatter_add(g.reshape(-1, 1), flat, n * m).reshape(n, m)),)
+        return ((a, (incidence(flat, n * m) @ g.reshape(-1, 1)).reshape(n, m)),)
 
     return _record("gather", out, (a,), backward)
 
@@ -445,24 +445,9 @@ def gather_rows(a: Tensor, idx: np.ndarray) -> Tensor:
     out = Tensor._raw(np.take(a.values, idx, axis=0))
 
     def backward(g):
-        return ((a, _scatter_add(g, idx, a.shape[0])),)
+        return ((a, incidence(idx, a.shape[0]) @ g),)
 
     return _record("gather_rows", out, (a,), backward)
-
-
-def scatter_rows(a: Tensor, idx: np.ndarray, rows: int) -> Tensor:
-    """out[idx[e]] += a[e] into a (rows, m) tensor; indices are constants."""
-    idx = np.asarray(idx, dtype=np.intp).reshape(-1)
-    if idx.size != a.shape[0]:
-        raise ValueError(f"scatter_rows needs one index per row, got {idx.size} for {a.shape[0]}")
-    if idx.size and (idx.min() < 0 or idx.max() >= rows):
-        raise IndexError("scatter_rows index out of bounds")
-    out = Tensor._raw(_scatter_add(a.values, idx, rows))
-
-    def backward(g):
-        return ((a, np.take(g, idx, axis=0)),)
-
-    return _record("scatter_rows", out, (a,), backward)
 
 
 def sparse_matmul(matrix, a: Tensor) -> Tensor:
@@ -471,6 +456,8 @@ def sparse_matmul(matrix, a: Tensor) -> Tensor:
     A CSR row sums its stored entries in index order, so with a 0/1
     ``layers.Edges.adjacency`` this adds in the order of a gather of each
     edge's receiver row and a scatter into its sender, with no edge rows.
+    With an ``incidence(idx, rows)`` it sums row e of ``a`` into row
+    idx[e], and its gradient gathers g's rows by ``idx``.
     """
     if matrix.shape[1] != a.shape[0]:
         raise ValueError(f"sparse_matmul shape mismatch: {matrix.shape} @ {a.shape}")
@@ -515,15 +502,6 @@ def _edge_runs(edges, width: int) -> list[tuple[int, int, int, int]]:
     return [(nodes[lo], nodes[hi], starts[lo], starts[hi]) for lo, hi in zip(cuts[:-1], cuts[1:])]
 
 
-def _incidence_rows(incidence, n0: int, n1: int, e0: int, e1: int):
-    """Rows n0:n1 of a node x edge CSR incidence whose entries lie in columns e0:e1."""
-    if n1 - n0 == incidence.shape[0]:
-        return incidence
-    p0, p1 = incidence.indptr[n0], incidence.indptr[n1]
-    return sp.csr_matrix((incidence.data[p0:p1], incidence.indices[p0:p1] - e0,
-                          incidence.indptr[n0:n1 + 1] - p0), shape=(n1 - n0, e1 - e0))
-
-
 def edge_aggregate(p_recv: Tensor, p_send: Tensor, bias: Tensor, edges, activation: str) -> Tensor:
     """out[i] = sum over edges e into i of act(p_recv[i] + p_send[senders[e]] + bias).
 
@@ -532,13 +510,15 @@ def edge_aggregate(p_recv: Tensor, p_send: Tensor, bias: Tensor, edges, activati
     n x E incidences, and its offsets cut nodes and edges into graphs.
     Both passes run over runs of whole graphs (``_edge_runs``), so the
     E x m pre-activations exist one run at a time and only while a pass
-    runs; the tape keeps the n x m inputs. The forward pass sums the
-    activated edge rows through the run's rows of the receiver incidence.
-    The backward pass recomputes ``pre`` to form g_pre = act'(pre) *
-    g[receivers]; the input gradients are the incidences' rows times g_pre,
-    and the bias gradient is the column sum of the ``p_recv`` gradient,
-    which sums every edge once whatever the runs are. Every node's sums
-    add in edge order, so outputs and gradients do not depend on the runs.
+    runs; the tape keeps the n x m inputs. A run that covers the union
+    sums through the union's incidences; any other run through the
+    ``incidence`` of its own edges and nodes. The forward pass sums the
+    activated edge rows by receiver. The backward pass recomputes ``pre``
+    to form g_pre = act'(pre) * g[receivers]; the input gradients sum g_pre
+    by receiver and by sender, and the bias gradient is the column sum of
+    the ``p_recv`` gradient, which sums every edge once whatever the runs
+    are. Every node's sums add in edge order, so outputs and gradients do
+    not depend on the runs.
     """
     if activation not in _EDGE_ACTIVATIONS:
         raise ValueError(f"unknown activation {activation!r}")
@@ -556,10 +536,15 @@ def edge_aggregate(p_recv: Tensor, p_send: Tensor, bias: Tensor, edges, activati
         pre += bv
         return pre
 
+    def run_incidence(end: str, n0: int, n1: int, e0: int, e1: int):
+        """The incidence of the run's edges by their ``end``, "receiver" or "sender"."""
+        if n1 - n0 == n:
+            return getattr(edges, f"{end}_incidence")
+        return incidence(getattr(edges, f"{end}s")[e0:e1] - n0, n1 - n0)
+
     out = np.empty((n, m))
     for n0, n1, e0, e1 in runs:
-        out[n0:n1] = _incidence_rows(edges.receiver_incidence, n0, n1, e0, e1) @ act(
-            pre_activations(e0, e1))
+        out[n0:n1] = run_incidence("receiver", n0, n1, e0, e1) @ act(pre_activations(e0, e1))
     out = Tensor._raw(out)
 
     def backward(g):
@@ -571,9 +556,9 @@ def edge_aggregate(p_recv: Tensor, p_send: Tensor, bias: Tensor, edges, activati
             g_pre = np.take(g, edges.receivers[e0:e1], axis=0)
             act_grad(g_pre, pre)
             del pre
-            g_recv[n0:n1] = _incidence_rows(edges.receiver_incidence, n0, n1, e0, e1) @ g_pre
+            g_recv[n0:n1] = run_incidence("receiver", n0, n1, e0, e1) @ g_pre
             if g_send is not None:
-                g_send[n0:n1] = _incidence_rows(edges.sender_incidence, n0, n1, e0, e1) @ g_pre
+                g_send[n0:n1] = run_incidence("sender", n0, n1, e0, e1) @ g_pre
         grads = []
         if p_recv.requires_grad:
             grads.append((p_recv, g_recv))

@@ -25,6 +25,7 @@ __all__ = [
     "DatasetFormatError",
     "DatasetIntegrityError",
     "load_tu_dataset",
+    "batch_positions",
     "make_batches",
     "kfold_split",
     "dataset_hash",
@@ -43,9 +44,12 @@ class DatasetIntegrityError(ValueError):
 
 @dataclass(frozen=True)
 class Graph:
-    """One labelled graph: sparse adjacency plus dense node features.
+    """One labelled undirected graph: sparse adjacency plus dense node features.
 
-    Every stored adjacency entry is 0 or 1: a graph is its structure.
+    Every stored adjacency entry is 0 or 1, and the adjacency is symmetric
+    (a stored zero is no edge): a graph is its undirected structure. The
+    model's stage 1 relies on this, since tanh(S^T A S) is symmetric only
+    when A is.
     """
 
     adjacency: sp.csr_matrix
@@ -60,6 +64,13 @@ class Graph:
             raise ValueError("graph must have at least one node")
         if np.any((self.adjacency.data != 0) & (self.adjacency.data != 1)):
             raise ValueError("adjacency entries must be 0 or 1")
+        # A is symmetric exactly when its edge keys i n + j and j n + i sort to the
+        # same list; per graph this costs a third to a fifth of a scipy A != A.T
+        edge = self.adjacency.data != 0
+        i = np.repeat(np.arange(n), np.diff(self.adjacency.indptr))[edge]
+        j = self.adjacency.indices[edge]
+        if not np.array_equal(np.sort(i * n + j), np.sort(j * n + i)):
+            raise ValueError("adjacency must be symmetric: a graph is undirected")
         if self.node_features.shape[0] != n:
             raise ValueError("feature rows must match node count")
 
@@ -274,13 +285,13 @@ def load_tu_dataset(root_path, name: str) -> Dataset:
 # batching and splits
 # ---------------------------------------------------------------------------
 
-def make_batches(
+def batch_positions(
     ds: Dataset,
     batch_size: int,
     shuffle_seed: int | None = None,
     subset: np.ndarray | None = None,
-) -> list[PaddedBatch]:
-    """Partition a dataset (or a subset of its positions) into batches of disjoint unions."""
+) -> list[np.ndarray]:
+    """The dataset positions of each batch of ``make_batches``, in batch order."""
     if batch_size < 1:
         raise ValueError("batch size must be >= 1")
     if len(ds) == 0:
@@ -294,10 +305,18 @@ def make_batches(
     if shuffle_seed is not None:
         rng = np.random.default_rng(shuffle_seed)
         positions = positions[rng.permutation(positions.size)]
-    return [
-        PaddedBatch.of([ds.graphs[i] for i in chunk], chunk)
-        for chunk in np.split(positions, np.arange(batch_size, positions.size, batch_size))
-    ]
+    return np.split(positions, np.arange(batch_size, positions.size, batch_size))
+
+
+def make_batches(
+    ds: Dataset,
+    batch_size: int,
+    shuffle_seed: int | None = None,
+    subset: np.ndarray | None = None,
+) -> list[PaddedBatch]:
+    """Partition a dataset (or a subset of its positions) into batches of disjoint unions."""
+    return [PaddedBatch.of([ds.graphs[i] for i in chunk], chunk)
+            for chunk in batch_positions(ds, batch_size, shuffle_seed, subset)]
 
 
 def kfold_split(ds: Dataset, folds: int, seed: int) -> list[tuple[np.ndarray, np.ndarray]]:

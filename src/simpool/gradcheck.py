@@ -175,7 +175,8 @@ def _check_packed_batch(rng, n):
         h = prop(x, edges)
         x1, a1, s = pool_forward(h, assign(h), edges.spread, segments)
         z1 = ad.multiply(gcn(x1, a1), symmetric_similarity_on_tape(a1))
-        pooled = ad.scatter_rows(z1, np.repeat(np.arange(len(graphs)), a1.shape[1]), len(graphs))
+        pooled = ad.sparse_matmul(
+            ad.incidence(np.repeat(np.arange(len(graphs)), a1.shape[1]), len(graphs)), z1)
         task = cross_entropy(ad.row_softmax(pooled), labels)
         return ad.add(task, ad.add(loss_le(s, segments), loss_lc(s, segments)))
 

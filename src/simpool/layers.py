@@ -4,7 +4,7 @@ Every layer reads a batch of graphs as one disjoint union: node rows are
 stacked, and a coarsened graph is a stack of square blocks, one per
 graph. Parameters are named so checkpoints stay stable. Stage 0 reads the
 union as one ``Edges`` list, with no n x n tensor: GMN propagation sums
-its messages through the edge list's CSR incidence matrices in one
+its messages through the edge list's ``ad.incidence`` matrices in one
 ``ad.edge_aggregate`` op, which keeps no edge rows on the tape, and
 stage-0 pooling takes A·S as one sparse product. Pooling and the
 GCN keep graphs apart through ``ad.matmul``'s segments, and the losses are
@@ -48,17 +48,6 @@ def glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
-def _incidence(edge_order: np.ndarray, nodes: np.ndarray, node_count: int):
-    """The node_count x E CSR matrix with 1 at (nodes[e], e), listed in ``edge_order``.
-
-    ``edge_order`` lists the edges sorted by node, each node's edges in
-    edge order, so a product with it sums every row in edge order.
-    """
-    indptr = np.zeros(node_count + 1, dtype=np.intp)
-    np.cumsum(np.bincount(nodes, minlength=node_count), out=indptr[1:])
-    return sp.csr_matrix((np.ones(nodes.size), edge_order, indptr), shape=(node_count, nodes.size))
-
-
 class Edges:
     """The directed edges of a disjoint union of graphs, A[senders[e], receivers[e]] = 1.
 
@@ -69,12 +58,11 @@ class Edges:
     Stage 0 reads structure only, so every nonzero entry must be 1. The
     edges come in row-major order, so ``senders`` is sorted and graph g's
     edges are the range ``edge_offsets[g]:edge_offsets[g + 1]``. For
-    ``ad.edge_aggregate`` the list also holds the node x edge CSR
-    incidence matrices: ``receiver_incidence`` (1 at (receivers[e], e)),
-    which the forward pass needs and which is built with the list, and
+    ``ad.edge_aggregate`` the list also holds the node x edge
+    ``ad.incidence`` matrices: ``receiver_incidence`` (1 at (receivers[e],
+    e)), which the forward pass needs and which is built with the list, and
     ``sender_incidence``, which only a backward pass needs and which is
-    built on first use. Each row lists its edges in edge order, so the
-    products add in the same order as a scatter over the edges.
+    built on first use. Their products add in edge order.
     """
 
     def __init__(self, blocks):
@@ -96,12 +84,11 @@ class Edges:
         self.receivers = a.indices.astype(np.intp)
         self.node_offsets = offsets
         self.edge_offsets = a.indptr[offsets].astype(np.intp)
-        self.receiver_incidence = _incidence(
-            np.argsort(self.receivers, kind="stable"), self.receivers, n)
+        self.receiver_incidence = ad.incidence(self.receivers, n)
 
     @cached_property
     def sender_incidence(self):
-        return _incidence(np.arange(self.senders.size), self.senders, self.node_count)
+        return ad.incidence(self.senders, self.node_count)
 
     def spread(self, x: ad.Tensor) -> ad.Tensor:
         """A @ x: row i sums x[receivers[e]] over the edges e that i sends, in edge order."""

@@ -280,7 +280,8 @@ class SimPoolModel:
                                   lambda s: ad.matmul(ad.transpose(a1), s, blocks1), blocks1)
         z2 = self.gcn2(x2, a2)
         # global sum pool: each graph's c rows summed into one
-        pooled = ad.scatter_rows(z2, np.repeat(np.arange(batch.size), a2.shape[1]), batch.size)
+        pooled = ad.sparse_matmul(
+            ad.incidence(np.repeat(np.arange(batch.size), a2.shape[1]), batch.size), z2)
         probs = ad.row_softmax(self.classifier(pooled))
         terms = (cross_entropy(probs, batch.labels), loss_le(s0, segments), loss_le(s1, blocks1),
                  loss_lc(s0, segments), loss_lc(s1, blocks1))

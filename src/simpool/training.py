@@ -8,7 +8,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import NumericError
-from .data import Dataset, kfold_split, make_batches
+from .data import Dataset, batch_positions, kfold_split, make_batches
 from .model import ASSIGN_INPUTS, LOSS_TERMS, ConfigError, ModelPreset, SimPoolModel
 from .similarity import preprocess_dataset
 
@@ -156,7 +156,8 @@ def evaluate_accuracy(model: SimPoolModel, ds: Dataset, indices, mapped=None,
     correct = 0
     total = 0
     with ad.no_grad():
-        for batch in make_batches(ds, batch_size, subset=np.asarray(indices)):
+        for chunk in batch_positions(ds, batch_size, subset=np.asarray(indices)):
+            (batch,) = make_batches(ds, batch_size, subset=chunk)
             fwd = model.forward_batch(batch, mapped)
             correct += int((fwd.probs.argmax(axis=1) == batch.labels).sum())
             total += batch.size
@@ -192,14 +193,13 @@ def train_run(cfg: TrainConfig, ds: Dataset, fold: int = 0, mapped=None,
     stats = RunStats()
 
     for epoch in range(preset.epochs):
-        batches = make_batches(
-            ds, cfg.batch_size, shuffle_seed=cfg.seed * 1_000_003 + epoch, subset=train_idx
-        )
         loss_sums = dict.fromkeys(LOSS_TERMS, 0.0)
         correct = 0
         used = (np.zeros(preset.clusters_1, bool), np.zeros(preset.clusters_2, bool))
         diverged = False
-        for batch in batches:
+        # each batch is built when its step starts: one carries a padded B x N x N copy
+        for chunk in batch_positions(ds, cfg.batch_size, cfg.seed * 1_000_003 + epoch, train_idx):
+            (batch,) = make_batches(ds, cfg.batch_size, subset=chunk)
             with ad.Tape() as tape:
                 fwd = model.forward_batch(batch, mapped)
                 total = fwd.total(preset.w_e, preset.w_c)

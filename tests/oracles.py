@@ -10,7 +10,8 @@ them. ``decode_index`` reads the source node back out of one
 ``index_map`` entry. ``forward_graph_loop`` is the model's forward pass
 one graph at a time, with dense per-graph stage-1 formulas, the reference
 for the packed batch; ``scatter_add_bincount`` is the flat-index
-``np.bincount`` scatter, the reference for ``autodiff._scatter_add``.
+``np.bincount`` scatter, the reference for a product with
+``autodiff.incidence``.
 """
 
 import os
@@ -155,7 +156,8 @@ def edge_aggregate_chain(p_recv, p_send, bias, edges, activation: str) -> ad.Ten
     """
     pre = ad.add(ad.add(ad.gather_rows(p_recv, edges.receivers),
                         ad.gather_rows(p_send, edges.senders)), bias)
-    return ad.scatter_rows(ACTIVATIONS[activation](pre), edges.receivers, edges.node_count)
+    return ad.sparse_matmul(ad.incidence(edges.receivers, edges.node_count),
+                            ACTIVATIONS[activation](pre))
 
 
 def tu_graphs_one_by_one(root, name: str) -> list[tuple[sp.csr_matrix, np.ndarray, int]]:

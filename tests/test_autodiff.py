@@ -59,7 +59,7 @@ class TestForwardValues:
         for rows, edges, width in ((7, 40, 3), (2, 300, 5), (5, 0, 3), (1, 9, 1), (60, 500, 17)):
             idx = rng.integers(0, rows, size=edges).astype(np.intp)
             x = rng.normal(size=(edges, width)) * 10.0 ** rng.integers(-8, 8, size=(edges, width))
-            got = ad._scatter_add(x, idx, rows)
+            got = ad.incidence(idx, rows) @ x
             assert got.shape == (rows, width)
             assert got.tobytes() == scatter_add_bincount(x, idx, rows).tobytes()
 
@@ -85,32 +85,34 @@ class TestForwardValues:
             ad.gather(a, np.array([0]), np.array([0]))
 
     def test_scatter_rows_sums_into_indexed_rows(self):
+        # rows are scattered by a product with their incidence
         x = ad.constant([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
-        out = ad.scatter_rows(x, np.array([2, 0, 2]), 4)
+        out = ad.sparse_matmul(ad.incidence(np.array([2, 0, 2]), 4), x)
         np.testing.assert_array_equal(out.values, [[3, 4], [0, 0], [6, 8], [0, 0]])
-        empty = ad.scatter_rows(ad.constant(np.zeros((0, 2))), np.zeros(0, dtype=int), 3)
+        empty = ad.sparse_matmul(ad.incidence(np.zeros(0, dtype=int), 3),
+                                 ad.constant(np.zeros((0, 2))))
         np.testing.assert_array_equal(empty.values, np.zeros((3, 2)))
 
     def test_scatter_rows_is_transpose_of_gather_rows(self):
-        # <gather_rows(y, idx), x> == <y, scatter_rows(x, idx)>
+        # <gather_rows(y, idx), x> == <y, incidence(idx) @ x>
         rng = np.random.default_rng(12)
         idx = rng.integers(0, 6, size=40)
         x = rng.normal(size=(40, 5))
         y = rng.normal(size=(6, 5))
         lhs = (ad.gather_rows(ad.constant(y), idx).values * x).sum()
-        rhs = (y * ad.scatter_rows(ad.constant(x), idx, 6).values).sum()
+        rhs = (y * ad.sparse_matmul(ad.incidence(idx, 6), ad.constant(x)).values).sum()
         np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
 
     def test_scatter_rows_validation(self):
         x = ad.constant(np.ones((3, 2)))
         with pytest.raises(IndexError):
-            ad.scatter_rows(x, np.array([0, 1, 3]), 3)
+            ad.incidence(np.array([0, 1, 3]), 3)
         with pytest.raises(IndexError):
-            ad.scatter_rows(x, np.array([0, -1, 2]), 3)
+            ad.incidence(np.array([0, -1, 2]), 3)
         with pytest.raises(ValueError):
-            ad.scatter_rows(x, np.array([0, 1]), 3)
+            ad.sparse_matmul(ad.incidence(np.array([0, 1]), 3), x)
         with pytest.raises(ValueError):
-            ad.scatter_rows(ad.constant(np.ones((2, 2, 2))), np.array([0, 1]), 3)
+            ad.sparse_matmul(ad.incidence(np.array([0, 1]), 3), ad.constant(np.ones((2, 2, 2))))
 
 
 def _run_primitive_case(name, builder, rng):
@@ -160,8 +162,12 @@ PRIMITIVE_CASES = {
     "gather": lambda x: scalarize(
         ad.gather(x, np.array([[0, 1], [3, 3]]), np.array([[2, 0], [1, 1]]))
     ),
-    "scatter_rows": lambda x: scalarize(
-        ad.multiply(ad.scatter_rows(x, np.array([2, 0, 2, 4]), 5),
+    "gather_rows": lambda x: scalarize(
+        ad.multiply(ad.gather_rows(x, np.array([3, 0, 3, 1, 3])),
+                    ad.constant(np.arange(15.0).reshape(5, 3) - 7.0))
+    ),
+    "sparse_matmul_incidence": lambda x: scalarize(
+        ad.multiply(ad.sparse_matmul(ad.incidence(np.array([2, 0, 2, 4]), 5), x),
                     ad.constant(np.arange(15.0).reshape(5, 3) - 7.0))
     ),
     "sparse_matmul": lambda x: scalarize(ad.multiply(
@@ -181,6 +187,15 @@ PRIMITIVE_CASES = {
     "col_sum": lambda x: scalarize(ad.multiply(ad.col_sum(x), ad.constant(np.array([[1.0, -2.0, 3.0]])))),
     **{f"edge_aggregate_{act}": edge_aggregate_case(act) for act in ACTIVATIONS},
 }
+
+
+def test_every_primitive_has_a_gradient_case():
+    """Each tape primitive in ``ad.__all__`` has a case named after it or ``<name>_...``."""
+    not_primitives = {"Tensor", "Tape", "NumericError", "no_grad", "constant", "parameter",
+                      "grad_check"}
+    missing = [name for name in ad.__all__ if name not in not_primitives
+               and not any(key == name or key.startswith(f"{name}_") for key in PRIMITIVE_CASES)]
+    assert missing == []
 
 
 @pytest.mark.parametrize("name", sorted(PRIMITIVE_CASES))

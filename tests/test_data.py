@@ -148,13 +148,25 @@ class TestGraph:
     def test_adjacency_is_square_and_0_or_1(self):
         features = np.ones((4, 1))
         a = sp.csr_matrix(ring_graph(4))
-        a.data[0] = 0.0  # a stored zero is no edge
+        a.data[0] = 0.0  # a stored zero is no edge: (0, 1) and its mirror (1, 0) go
+        a.data[a.indptr[1]] = 0.0
         assert Graph(adjacency=a, node_features=features, label=0).node_count == 4
         a.data[0] = 1.5
         with pytest.raises(ValueError, match="0 or 1"):
             Graph(adjacency=a, node_features=features, label=0)
         with pytest.raises(ValueError, match="square"):
             Graph(adjacency=sp.csr_matrix((4, 3)), node_features=features, label=0)
+
+    def test_directed_adjacency_rejected(self):
+        # stage 1 reads each coarse block as symmetric, which holds only for a symmetric A
+        features = np.ones((4, 1))
+        directed = ring_graph(4)
+        directed[1, 0] = 0.0  # keep 0 -> 1, drop 1 -> 0
+        stored_zero = sp.csr_matrix(ring_graph(4))
+        stored_zero.data[stored_zero.indptr[1]] = 0.0  # 1 -> 0 stored, but no edge
+        for a in (sp.csr_matrix(directed), stored_zero):
+            with pytest.raises(ValueError, match="symmetric"):
+                Graph(adjacency=a, node_features=features, label=0)
 
 
 class TestLoaderOracle:

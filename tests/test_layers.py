@@ -69,8 +69,8 @@ class TestEdges:
             edges = Edges([graph_of_kind(rng, n, kind)])
             values, c = rng.normal(size=(n, 3)), ad.constant(rng.normal(size=(n, 3)))
             results = []
-            for spread in (edges.spread, lambda x: ad.scatter_rows(
-                    ad.gather_rows(x, edges.receivers), edges.senders, n)):
+            for spread in (edges.spread, lambda x: ad.sparse_matmul(
+                    ad.incidence(edges.senders, n), ad.gather_rows(x, edges.receivers))):
                 x = ad.parameter(values)
                 with ad.Tape() as tape:
                     out = spread(x)

@@ -341,9 +341,10 @@ class TestEndToEndGradients:
         rng = np.random.default_rng(6)
         model = tiny_model(seed=3)
         a, x, mapped = graph_inputs(rng, 7, 3, model.sim.k)
+        batch = PaddedBatch.of([Graph(sp.csr_matrix(a), x, 1)])  # built once, not per forward
 
         def total(_):
-            return forward_one(model, a, x, mapped=mapped, label=1).total(1.0, 1.0)
+            return model.forward_graph(batch, mapped).total(1.0, 1.0)
 
         for name, p in model.parameters().items():
             err = ad.grad_check(total, p)

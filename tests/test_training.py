@@ -1,13 +1,16 @@
 """Tests for the optimiser, the training loop, and run statistics."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from simpool import autodiff as ad
 from simpool import training
 from simpool.autodiff import NumericError
+from simpool.data import Dataset, Graph, make_batches
 from simpool.model import ConfigError, SimPoolModel, resolve_preset
 from simpool.similarity import SimilarityConfig, preprocess_dataset
 from simpool.training import (
@@ -22,7 +25,7 @@ from simpool.training import (
     train_run,
 )
 
-from conftest import separable_dataset
+from conftest import ring_graph, separable_dataset
 from oracles import forward_graph_loop
 
 
@@ -157,6 +160,21 @@ class TestTrainRun:
         assert model.sim.k == 25
         assert model.parameters()["s0.enc.node_mlp.w"].shape[0] == 25
         assert cfg.to_dict()["preset"]["sim"]["k"] == 25
+
+    def test_an_epoch_holds_a_few_batches_not_all(self):
+        # 40 300-node rings in batches of 2: each batch pads 2 x 300 x 300 floats, and
+        # fold 0's 18 training and 2 validation batches pad 20 times that
+        a = sp.csr_matrix(ring_graph(300))
+        ds = Dataset("RINGS", tuple(Graph(a, np.ones((300, 1)), i % 2) for i in range(40)), 2)
+        cfg = small_config(epochs=1, assign_inputs="node", batch_size=2, folds=10)
+        one_batch = make_batches(ds, 2, subset=[0, 1])[0].adjacency.nbytes
+        tracemalloc.start()
+        try:
+            train_run(cfg, ds, fold=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * one_batch, peak / one_batch
 
     def test_learns_separable_task(self, tmp_path):
         ds = separable_dataset(tmp_path, count=40, seed=5)
