@@ -23,9 +23,11 @@ and, through ``sparse_matmul``, the model's sum pool.
 pooling's A·S on the union's adjacency, or a sum by index on an
 ``incidence``, with no edge rows.
 
-``edge_aggregate`` is GMN message passing as one op. The op keeps only
-its node-row inputs on the tape and recomputes the edge rows in its
-backward pass, in runs of whole graphs of bounded size.
+``edge_aggregate`` is relu or tanh GMN message passing as one op. The op
+keeps only its node-row inputs on the tape and recomputes the edge rows in
+its backward pass, in runs of whole graphs of bounded size. A linear
+message needs no edge rows at all: ``layers.GmnPropagation`` folds it into
+node-row products and one ``sparse_matmul`` by the transposed adjacency.
 """
 
 from __future__ import annotations
@@ -478,7 +480,6 @@ def _tanh_grad_in_place(g: np.ndarray, pre: np.ndarray) -> None:
 _EDGE_ACTIVATIONS = {
     "relu": (lambda x: np.maximum(x, 0.0, out=x), lambda g, pre: np.multiply(g, pre > 0.0, out=g)),
     "tanh": (lambda x: np.tanh(x, out=x), _tanh_grad_in_place),
-    "linear": (lambda x: x, lambda g, pre: g),
 }
 
 
@@ -505,6 +506,8 @@ def _edge_runs(edges, width: int) -> list[tuple[int, int, int, int]]:
 def edge_aggregate(p_recv: Tensor, p_send: Tensor, bias: Tensor, edges, activation: str) -> Tensor:
     """out[i] = sum over edges e into i of act(p_recv[i] + p_send[senders[e]] + bias).
 
+    ``activation`` is "relu" or "tanh"; a linear message sum has a cheaper
+    form without edge rows (``layers.GmnPropagation``), so it is not served.
     ``edges`` is a ``layers.Edges``: its ``receivers`` and ``senders`` list
     the edges, ``receiver_incidence`` and ``sender_incidence`` are its
     n x E incidences, and its offsets cut nodes and edges into graphs.

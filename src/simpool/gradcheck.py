@@ -160,19 +160,24 @@ def _check_full_model(rng, n):
 
 
 def _check_packed_batch(rng, n):
-    """Stage 0 to the losses on a disjoint union of three graphs, one edgeless."""
+    """Stage 0 to the losses on a disjoint union of three graphs, one edgeless.
+
+    A linear propagation follows the tanh one, so the edgeless graph's
+    zero in-degree rows pass through its fold.
+    """
     sizes = [n, int(rng.integers(3, 11)), int(rng.integers(3, 11))]
     graphs = [_random_graph(rng, sizes[0]), _random_graph(rng, sizes[1]), np.zeros((sizes[2],) * 2)]
     edges = Edges(graphs)
     segments = edges.node_offsets
     prop = GmnPropagation(rng, 3, 3, 3, "tanh", "prop")
+    fold = GmnPropagation(rng, 3, 4, 3, "linear", "fold")
     assign = Dense(rng, 3, 2, "linear", "assign")
     gcn = GcnLayer(rng, 3, 2, "tanh", "gcn")
     x = ad.constant(rng.uniform(-2, 2, size=(segments[-1], 3)))
     labels = rng.integers(0, 2, size=len(graphs))
 
     def forward():
-        h = prop(x, edges)
+        h = fold(prop(x, edges), edges)
         x1, a1, s = pool_forward(h, assign(h), edges.spread, segments)
         z1 = ad.multiply(gcn(x1, a1), symmetric_similarity_on_tape(a1))
         pooled = ad.sparse_matmul(
@@ -180,7 +185,8 @@ def _check_packed_batch(rng, n):
         task = cross_entropy(ad.row_softmax(pooled), labels)
         return ad.add(task, ad.add(loss_le(s, segments), loss_lc(s, segments)))
 
-    return _check_params(forward, {**prop.parameters(), **assign.parameters(), **gcn.parameters()})
+    params = {**prop.parameters(), **fold.parameters(), **assign.parameters(), **gcn.parameters()}
+    return _check_params(forward, params)
 
 
 SUITE_CHECKS = {

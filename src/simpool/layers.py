@@ -3,9 +3,11 @@
 Every layer reads a batch of graphs as one disjoint union: node rows are
 stacked, and a coarsened graph is a stack of square blocks, one per
 graph. Parameters are named so checkpoints stay stable. Stage 0 reads the
-union as one ``Edges`` list, with no n x n tensor: GMN propagation sums
-its messages through the edge list's ``ad.incidence`` matrices in one
-``ad.edge_aggregate`` op, which keeps no edge rows on the tape, and
+union as one ``Edges`` list, with no n x n tensor: a relu or tanh GMN
+propagation sums its messages through the edge list's ``ad.incidence``
+matrices in one ``ad.edge_aggregate`` op, which keeps no edge rows on the
+tape; a linear one is one linear map of the node rows, with the in-degree
+column and one sparse product by A^T in place of the edge pass; and
 stage-0 pooling takes A·S as one sparse product. Pooling and the
 GCN keep graphs apart through ``ad.matmul``'s segments, and the losses are
 means over graphs.
@@ -57,12 +59,15 @@ class Edges:
     ``node_offsets``, read off the block sizes, cut its nodes into graphs.
     Stage 0 reads structure only, so every nonzero entry must be 1. The
     edges come in row-major order, so ``senders`` is sorted and graph g's
-    edges are the range ``edge_offsets[g]:edge_offsets[g + 1]``. For
-    ``ad.edge_aggregate`` the list also holds the node x edge
+    edges are the range ``edge_offsets[g]:edge_offsets[g + 1]``.
+    ``in_degree`` is the n x 1 column of each node's incoming edge count,
+    the column sums of ``adjacency``; in a directed block it differs from
+    the out-degree. ``spread`` and ``receive`` multiply node rows by A and
+    by A^T. For ``ad.edge_aggregate`` the list also holds the node x edge
     ``ad.incidence`` matrices: ``receiver_incidence`` (1 at (receivers[e],
     e)), which the forward pass needs and which is built with the list, and
     ``sender_incidence``, which only a backward pass needs and which is
-    built on first use. Their products add in edge order.
+    built on first use. All these products add in edge order.
     """
 
     def __init__(self, blocks):
@@ -84,6 +89,7 @@ class Edges:
         self.receivers = a.indices.astype(np.intp)
         self.node_offsets = offsets
         self.edge_offsets = a.indptr[offsets].astype(np.intp)
+        self.in_degree = np.bincount(self.receivers, minlength=n).astype(np.float64).reshape(-1, 1)
         self.receiver_incidence = ad.incidence(self.receivers, n)
 
     @cached_property
@@ -93,6 +99,10 @@ class Edges:
     def spread(self, x: ad.Tensor) -> ad.Tensor:
         """A @ x: row i sums x[receivers[e]] over the edges e that i sends, in edge order."""
         return ad.sparse_matmul(self.adjacency, x)
+
+    def receive(self, x: ad.Tensor) -> ad.Tensor:
+        """A^T @ x: row i sums x[senders[e]] over the edges e that i receives, in edge order."""
+        return ad.sparse_matmul(self.adjacency.T, x)
 
 
 class Dense:
@@ -195,12 +205,29 @@ class GmnPropagation:
     For every edge j -> i, A[j, i] = 1, a message f_message(concat(h_i, h_j))
     is produced and summed into receiver i; the new state is
     f_node(concat(h_i, aggregate_i)). A node that receives no message
-    has an aggregate of exactly zero. The layer is two matmuls on the n
-    node rows, h @ W_recv and h @ W_send, then ``ad.edge_aggregate``, which
-    forms each message (h @ W_recv)[i] + (h @ W_send)[j] + b on the fly and
-    sums it through the receiver incidence, then f_node. The E x m message
-    rows are never kept: the op's backward pass recomputes them, so the
-    tape holds O(n) rows per layer.
+    has an aggregate of exactly zero. Message and node function share the
+    activation.
+
+    A relu or tanh layer is two matmuls on the n node rows, h @ W_recv and
+    h @ W_send, then ``ad.edge_aggregate``, which forms each message
+    (h @ W_recv)[i] + (h @ W_send)[j] + b on the fly and sums it through
+    the receiver incidence, then f_node. The E x m message rows are never
+    kept: the op's backward pass recomputes them, so the tape holds O(n)
+    rows per layer.
+
+    A linear layer is one linear map of h. With W_top and W_bot the first
+    d and the last m rows of f_node's weight, and d_in the in-degree column,
+
+        out = h W_top + d_in * (h (W_recv W_bot) + b_msg W_bot)
+              + A^T (h (W_send W_bot)) + b_node,
+
+    so it runs no edge pass and every node-row product is output wide. With
+    d = m = u it costs 3 n u out + 2 u^2 out multiply-adds against
+    n (2 u^2 + 2 u out) unfolded: the fold is cheaper when
+    n > 2 u out / (2 u - out), which is n > 341 for ``enzymes``' z.prop1,
+    n > 8 for its s0.prop1 and n > 2,048 for ``dd``'s z.prop1 at paper
+    width. A 20-graph batch holds about 650-840 ENZYMES or 5,700 DD nodes,
+    so the fold is always taken.
     """
 
     def __init__(self, rng, in_dim: int, message_dim: int, out_dim: int,
@@ -212,10 +239,18 @@ class GmnPropagation:
         n = edges.node_count
         if h.shape[0] != n:
             raise ValueError(f"{h.shape[0]} node states for a graph of {n} nodes")
-        msg = self.f_message
-        aggregate = ad.edge_aggregate(ad.matmul(h, msg.w_recv), ad.matmul(h, msg.w_send),
-                                      msg.bias, edges, msg.activation)
-        return self.f_node(ad.concat_columns([h, aggregate]))
+        msg, node = self.f_message, self.f_node
+        if msg.activation != "linear":
+            aggregate = ad.edge_aggregate(ad.matmul(h, msg.w_recv), ad.matmul(h, msg.w_send),
+                                          msg.bias, edges, msg.activation)
+            return node(ad.concat_columns([h, aggregate]))
+        d = msg.w_recv.shape[0]
+        w_top = ad.gather_rows(node.weight, np.arange(d))
+        w_bot = ad.gather_rows(node.weight, np.arange(d, node.in_dim))
+        own = ad.add(ad.matmul(h, ad.matmul(msg.w_recv, w_bot)), ad.matmul(msg.bias, w_bot))
+        out = ad.add(ad.matmul(h, w_top), ad.multiply(ad.constant(edges.in_degree), own))
+        out = ad.add(out, edges.receive(ad.matmul(h, ad.matmul(msg.w_send, w_bot))))
+        return ad.add(out, node.bias)
 
     def parameters(self) -> dict[str, ad.Tensor]:
         return {**self.f_message.parameters(), **self.f_node.parameters()}

@@ -1,16 +1,18 @@
 """Reference implementations that the production paths must reproduce.
 
-The similarity oracles are the textbook O(n^2)-memory formulas behind the
-sparse path in ``simpool.similarity``; the GMN oracle loops over edges one
-message at a time, and ``edge_aggregate_chain`` is ``ad.edge_aggregate``
-spelt out as the tape ops it fuses. ``tu_graphs_one_by_one`` builds a TU
-dataset's graphs one sparse matrix at a time, the reference for the
-loader's row ranges of one block-diagonal matrix. Tests compare against
-them. ``decode_index`` reads the source node back out of one
+The similarity oracles are the textbook O(n^2)-memory formulas behind
+the sparse path in ``simpool.similarity``; the GMN oracle loops over
+edges one message at a time, ``edge_aggregate_chain`` is
+``ad.edge_aggregate`` spelt out as the tape ops it fuses, and
+``gmn_propagation_chain`` is the propagation layer with that chain in
+place of its fused op or its linear fold. ``tu_graphs_one_by_one``
+builds a TU dataset's graphs one sparse matrix at a time, the reference
+for the loader's row ranges of one block-diagonal matrix. Tests compare
+against them. ``decode_index`` reads the source node back out of one
 ``index_map`` entry. ``forward_graph_loop`` is the model's forward pass
-one graph at a time, with dense per-graph stage-1 formulas, the reference
-for the packed batch; ``scatter_add_bincount`` is the flat-index
-``np.bincount`` scatter, the reference for a product with
+one graph at a time, with dense per-graph stage-1 formulas, the
+reference for the packed batch; ``scatter_add_bincount`` is the
+flat-index ``np.bincount`` scatter, the reference for a product with
 ``autodiff.incidence``.
 """
 
@@ -158,6 +160,14 @@ def edge_aggregate_chain(p_recv, p_send, bias, edges, activation: str) -> ad.Ten
                         ad.gather_rows(p_send, edges.senders)), bias)
     return ad.sparse_matmul(ad.incidence(edges.receivers, edges.node_count),
                             ACTIVATIONS[activation](pre))
+
+
+def gmn_propagation_chain(prop, h: ad.Tensor, edges) -> ad.Tensor:
+    """``GmnPropagation`` unfolded on the tape: ``edge_aggregate_chain``, concat, f_node."""
+    msg = prop.f_message
+    aggregate = edge_aggregate_chain(ad.matmul(h, msg.w_recv), ad.matmul(h, msg.w_send),
+                                     msg.bias, edges, msg.activation)
+    return prop.f_node(ad.concat_columns([h, aggregate]))
 
 
 def tu_graphs_one_by_one(root, name: str) -> list[tuple[sp.csr_matrix, np.ndarray, int]]:

@@ -7,7 +7,7 @@ import pytest
 import scipy.sparse as sp
 
 from simpool import autodiff as ad
-from simpool.layers import ACTIVATIONS, Edges
+from simpool.layers import Edges
 
 from oracles import scatter_add_bincount
 
@@ -185,7 +185,7 @@ PRIMITIVE_CASES = {
     "sum_all": lambda x: ad.sum_all(x),
     "row_sum": lambda x: scalarize(ad.multiply(ad.row_sum(x), ad.constant(np.array([[1.0], [2.0], [3.0], [4.0]])))),
     "col_sum": lambda x: scalarize(ad.multiply(ad.col_sum(x), ad.constant(np.array([[1.0, -2.0, 3.0]])))),
-    **{f"edge_aggregate_{act}": edge_aggregate_case(act) for act in ACTIVATIONS},
+    **{f"edge_aggregate_{act}": edge_aggregate_case(act) for act in ("relu", "tanh")},
 }
 
 

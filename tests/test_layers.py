@@ -8,7 +8,6 @@ import scipy.sparse as sp
 
 from simpool import autodiff as ad
 from simpool.layers import (
-    ACTIVATIONS,
     Dense,
     Edges,
     GcnLayer,
@@ -23,7 +22,7 @@ from simpool.layers import (
 )
 
 from conftest import random_graph, ring_graph
-from oracles import edge_aggregate_chain, gmn_message, gmn_propagation_loop
+from oracles import edge_aggregate_chain, gmn_message, gmn_propagation_chain, gmn_propagation_loop
 
 
 def scalarize_with(rng, out):
@@ -32,6 +31,8 @@ def scalarize_with(rng, out):
 
 
 GRAPH_KINDS = ("weighted", "directed", "isolated", "edgeless")
+# ``ad.edge_aggregate`` serves these; a linear propagation runs without it
+EDGE_ACTIVATIONS = ("relu", "tanh")
 
 
 def graph_of_kind(rng, n, kind):
@@ -77,6 +78,27 @@ class TestEdges:
                     tape.backward(ad.sum_all(ad.multiply(out, c)))
                 results.append((out.values.tobytes(), x.grad.tobytes()))
             assert results[0] == results[1]
+
+    @pytest.mark.parametrize("kind", GRAPH_KINDS)
+    def test_receive_and_in_degree_match_the_edge_chain(self, kind):
+        # A^T x adds in edge order, like a gather by sender and a sum by receiver
+        rng = np.random.default_rng(51)
+        for n in (1, 5, 11, 23):
+            a = graph_of_kind(rng, n, kind)
+            edges = Edges([a])
+            np.testing.assert_array_equal(edges.in_degree, a.sum(axis=0).reshape(-1, 1))
+            values, c = rng.normal(size=(n, 3)), ad.constant(rng.normal(size=(n, 3)))
+            results = []
+            for receive in (edges.receive, lambda x: ad.sparse_matmul(
+                    ad.incidence(edges.receivers, n), ad.gather_rows(x, edges.senders))):
+                x = ad.parameter(values)
+                with ad.Tape() as tape:
+                    out = receive(x)
+                    tape.backward(ad.sum_all(ad.multiply(out, c)))
+                results.append((out.values.tobytes(), x.grad.tobytes()))
+            assert results[0] == results[1]
+            np.testing.assert_allclose(edges.receive(ad.constant(values)).values, a.T @ values,
+                                       rtol=1e-12, atol=1e-12)
 
     def test_non_unit_entry_rejected(self):
         a = ring_graph(4)
@@ -141,7 +163,7 @@ class TestEdgeAggregate:
         grads.append(np.zeros((1, m)) if bias.grad is None else bias.grad)
         return out.values, grads
 
-    @pytest.mark.parametrize("activation", sorted(ACTIVATIONS))
+    @pytest.mark.parametrize("activation", EDGE_ACTIVATIONS)
     @pytest.mark.parametrize("kind", GRAPH_KINDS)
     def test_bytes_match_the_op_chain(self, kind, activation):
         # the incidence products add in edge order, like the chain's bincount scatter
@@ -161,7 +183,7 @@ class TestEdgeAggregate:
     def test_nodes_without_incoming_edges_get_zero_rows(self, kind):
         rng = np.random.default_rng(41)
         a = graph_of_kind(rng, 9, kind)
-        for activation in sorted(ACTIVATIONS):
+        for activation in EDGE_ACTIVATIONS:
             out, grads = self.run(ad.edge_aggregate, rng, a, activation)
             silent = a.sum(axis=0) == 0
             assert silent.any()
@@ -176,7 +198,7 @@ class TestEdgeAggregate:
                               ad.constant(np.zeros((1, 3))), edges, "relu")
         assert "sender_incidence" not in vars(edges)
 
-    @pytest.mark.parametrize("activation", sorted(ACTIVATIONS))
+    @pytest.mark.parametrize("activation", EDGE_ACTIVATIONS)
     def test_backward_holds_at_most_two_edge_arrays(self, activation):
         # the recomputed pre-activations and g_pre are E x m; the rest is O(n x m + E)
         rng = np.random.default_rng(44)
@@ -194,7 +216,7 @@ class TestEdgeAggregate:
                 tracemalloc.stop()
         assert peak < 2.5 * edges.senders.size * m * 8
 
-    @pytest.mark.parametrize("activation", sorted(ACTIVATIONS))
+    @pytest.mark.parametrize("activation", EDGE_ACTIVATIONS)
     def test_edge_runs_do_not_change_any_byte(self, activation, monkeypatch):
         # six graphs; with a budget of 20 edge rows the 30-node one is a run of its own
         rng = np.random.default_rng(46)
@@ -226,8 +248,9 @@ class TestEdgeAggregate:
     def test_validation(self):
         edges = Edges([ring_graph(4)])
         rows, bias = ad.constant(np.ones((4, 3))), ad.constant(np.zeros((1, 3)))
-        with pytest.raises(ValueError, match="unknown activation"):
-            ad.edge_aggregate(rows, rows, bias, edges, "sigmoid")
+        for activation in ("sigmoid", "linear"):
+            with pytest.raises(ValueError, match="unknown activation"):
+                ad.edge_aggregate(rows, rows, bias, edges, activation)
         with pytest.raises(ValueError, match="shape mismatch"):
             ad.edge_aggregate(ad.constant(np.ones((5, 3))), rows, bias, edges, "relu")
         with pytest.raises(ValueError, match="shape mismatch"):
@@ -287,35 +310,66 @@ class TestGmnPropagation:
         np.testing.assert_allclose(out, expected, atol=1e-14)
 
     def test_matches_per_edge_loop_oracle(self):
-        # the loop sums message(h_i, h_j) over every edge a[j, i] = 1
+        # the loop sums message(h_i, h_j) over every edge a[j, i] = 1; a directed
+        # graph tells the linear fold's A^T product from one by A
         rng = np.random.default_rng(22)
-        prop = GmnPropagation(rng, 3, 4, 5, "tanh", "prop")
-        for kind in GRAPH_KINDS:
-            for n in (1, 2, 5, 11):
-                a = graph_of_kind(rng, n, kind)
-                h = rng.normal(size=(n, 3))
-                out = prop(ad.constant(h), Edges([a])).values
-                expected = gmn_propagation_loop(prop, h, a)
-                np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-12, err_msg=kind)
+        for activation in ("relu", "tanh", "linear"):
+            prop = GmnPropagation(rng, 3, 4, 5, activation, "prop")
+            for kind in GRAPH_KINDS:
+                for n in (1, 2, 5, 11):
+                    a = graph_of_kind(rng, n, kind)
+                    h = rng.normal(size=(n, 3))
+                    out = prop(ad.constant(h), Edges([a])).values
+                    expected = gmn_propagation_loop(prop, h, a)
+                    np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-12,
+                                               err_msg=f"{activation}, {kind}")
+
+    @pytest.mark.parametrize("kind", GRAPH_KINDS)
+    def test_linear_fold_matches_the_unfolded_layer(self, kind):
+        # output and every gradient of the folded layer against edge rows on the tape
+        rng = np.random.default_rng(25)
+        for n in (1, 2, 5, 11, 23):
+            edges = Edges([graph_of_kind(rng, n, kind)])
+            prop = GmnPropagation(rng, 3, 4, 5, "linear", "prop")
+            h = ad.parameter(rng.normal(size=(n, 3)))
+            c = ad.constant(rng.normal(size=(n, 5)))
+            tensors = [h, *prop.parameters().values()]
+            results = []
+            for layer in (prop, lambda x, e: gmn_propagation_chain(prop, x, e)):
+                for t in tensors:
+                    t.zero_grad()
+                with ad.Tape() as tape:
+                    out = layer(h, edges)
+                    tape.backward(ad.sum_all(ad.multiply(out, c)))
+                results.append([out.values] + [t.grad.copy() for t in tensors])
+            for got, want in zip(*results):
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
     def test_tape_holds_no_edge_rows(self, monkeypatch):
-        # message passing keeps node rows only; its E x m edge rows are recomputed
+        # message passing keeps node rows only: a relu layer recomputes its E x m
+        # edge rows, and a linear one folds its messages into products that are
+        # output wide, here 5 columns for a message width of 8
         rng = np.random.default_rng(24)
         a = random_graph(rng, 12, 0.5)
         edges = Edges([a])
-        assert edges.senders.size not in (0, 12)
-        prop = GmnPropagation(rng, 3, 8, 5, "relu", "prop")
-        shapes = []
+        assert edges.senders.size > 12
+        shapes = {"relu": [], "linear": []}
         original = ad._record
 
         def record(op_name, out, parents, backward):
-            shapes.append((op_name, out.shape))
+            current.append((op_name, out.shape))
             return original(op_name, out, parents, backward)
 
         monkeypatch.setattr(ad, "_record", record)
-        with ad.Tape():
-            prop(ad.parameter(rng.normal(size=(12, 3))), edges)
-        assert shapes and all(rows == 12 for _, (rows, _) in shapes), shapes
+        for activation, current in shapes.items():
+            prop = GmnPropagation(rng, 3, 8, 5, activation, "prop")
+            with ad.Tape():
+                prop(ad.parameter(rng.normal(size=(12, 3))), edges)
+        relu, linear = shapes["relu"], shapes["linear"]
+        assert relu and all(rows == 12 for _, (rows, _) in relu), relu
+        assert linear and all(rows != edges.senders.size for _, (rows, _) in linear), linear
+        assert all(shape != (12, 8) for _, shape in linear), linear
+        assert "edge_aggregate" not in {op for op, _ in linear}
 
     def test_split_message_weights_are_the_dense_draw(self):
         # the two halves and the bias are what one Dense(2d, m) draws from the same seed

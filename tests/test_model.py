@@ -420,6 +420,26 @@ class TestPermutationBehaviour:
                 payload_new = mapped_p[new_row, t] * (n + 1) - decoded_new
                 np.testing.assert_allclose(payload_new, payload_old, atol=1e-9)
 
+    def test_node_mode_invariant_under_relabelling(self):
+        # without the index features nothing reads node order: relabelling every
+        # graph of a batch moves its probabilities only by rounding
+        rng = np.random.default_rng(11)
+        model = tiny_model("node", seed=3, num_classes=4)
+        shapes = [(7, 0.5), (1, 0.0), (12, 0.3), (5, 0.0), (9, 0.6)]
+        graphs = [(random_graph(rng, n, p), rng.normal(size=(n, 3))) for n, p in shapes]
+
+        def probs(relabel):
+            batch = []
+            for a, x in graphs:
+                perm = relabel(a.shape[0])
+                batch.append(Graph(sp.csr_matrix(a[np.ix_(perm, perm)]), x[perm], 0))
+            with ad.no_grad():
+                return model.forward_graph(PaddedBatch.of(batch)).probs
+
+        base = probs(np.arange)
+        for _ in range(5):
+            np.testing.assert_allclose(probs(rng.permutation), base, rtol=1e-12, atol=1e-12)
+
 
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
