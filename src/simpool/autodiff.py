@@ -1,11 +1,18 @@
 """Minimal dense reverse-mode automatic differentiation kernel.
 
-Tensors are float64 numpy arrays tracked on an explicit tape. Operations
+Tensors are numpy arrays tracked on an explicit tape. Operations
 record their backward closure in creation order, which is already a
 topological order, so ``Tape.backward`` is a single reverse sweep that
 visits each recorded node exactly once and releases it. Every tensor is
 2-D: scalars and vectors are stored as 1 x 1 and n x 1, so no operation
 checks ranks.
+
+Every tensor holds the tape dtype, float32 unless a ``precision(np.float64)``
+block is open. ``Tensor`` casts what it is given, ``incidence`` builds in
+the dtype, and every other op allocates in its operands' dtype, so nothing
+on the tape changes precision; ``matmul`` and ``sparse_matmul`` reject
+operands of two dtypes. Finite differences need float64: ``grad_check``
+takes only float64 input.
 
 A batch of graphs is one disjoint union, so the ops see it as one graph.
 Where the union must stay per graph, ``matmul`` takes ``segments``: the
@@ -73,13 +80,46 @@ class NumericError(ArithmeticError):
     """Raised when a computation produces or receives non-finite values."""
 
 
+# the dtype every tensor holds and every op computes in; only ``precision`` changes it
+_DTYPE: type = np.float32
+
+
+class precision:
+    """Context manager that makes new tensors and incidences ``dtype`` until it exits.
+
+    ``dtype`` is np.float32, the default, or np.float64. Tensors made
+    before the block keep their dtype, so a model and the batches it reads
+    are built under the same setting.
+    """
+
+    def __init__(self, dtype):
+        if dtype not in (np.float32, np.float64):
+            raise ValueError(f"the tape computes in float32 or float64, not {dtype!r}")
+        self.dtype = np.dtype(dtype).type
+
+    def __enter__(self):
+        global _DTYPE
+        self._outer = _DTYPE
+        _DTYPE = self.dtype
+        return self
+
+    def __exit__(self, *exc):
+        global _DTYPE
+        _DTYPE = self._outer
+
+
+def tape_dtype() -> type:
+    """The dtype tensors and incidences are built in: np.float32 outside every ``precision``."""
+    return _DTYPE
+
+
 class Tensor:
-    """A float64 array participating in reverse-mode differentiation."""
+    """A 2-D array in the tape dtype participating in reverse-mode differentiation."""
 
     __slots__ = ("values", "requires_grad", "grad", "_grad_buffer", "_op_output", "__weakref__")
 
     def __init__(self, values, requires_grad: bool = False):
-        arr = np.asarray(values, dtype=np.float64)
+        arr = np.asarray(values, dtype=_DTYPE)
         if arr.ndim == 0:
             arr = arr.reshape(1, 1)
         elif arr.ndim == 1:
@@ -94,7 +134,7 @@ class Tensor:
 
     @classmethod
     def _raw(cls, arr: np.ndarray) -> Tensor:
-        """Fast construction for op outputs (already float64 and 2-D)."""
+        """Fast construction for op outputs (already 2-D, in their operands' dtype)."""
         t = object.__new__(cls)
         t.values = arr
         t.requires_grad = False
@@ -121,15 +161,17 @@ class Tensor:
         to the next: copy it to keep it past a ``zero_grad``. A fresh copy
         per pass would be a long-lived allocation made while the sweep's
         arrays fill the heap, and would keep the allocator from returning
-        the memory freed around it.
+        the memory freed around it. The buffer takes ``g``'s dtype, which
+        is the tensor's own on a tape that never changes precision.
         """
         if self.grad is not None:
             self.grad += g
             return
-        if self._grad_buffer is None or self._grad_buffer.shape != g.shape:
-            self._grad_buffer = np.empty(g.shape)
-        np.copyto(self._grad_buffer, g)
-        self.grad = self._grad_buffer
+        buffer = self._grad_buffer
+        if buffer is None or buffer.shape != g.shape or buffer.dtype != g.dtype:
+            buffer = self._grad_buffer = np.empty(g.shape, dtype=g.dtype)
+        np.copyto(buffer, g)
+        self.grad = buffer
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -233,8 +275,15 @@ def _record(op_name: str, out: Tensor, parents: Sequence[Tensor], backward) -> T
     return out
 
 
+def _check_dtypes(name: str, a, b) -> None:
+    """Reject a product of two dtypes: numpy would promote it, and the tape with it."""
+    if a.dtype != b.dtype:
+        raise TypeError(f"{name} of {a.dtype} and {b.dtype}: build the model and its "
+                        "batches under one ad.precision")
+
+
 def incidence(idx, rows: int) -> sp.csc_matrix:
-    """The rows x E CSC matrix with a 1 at (idx[e], e), for E = len(idx).
+    """The rows x E CSC matrix with a 1 at (idx[e], e), for E = len(idx), in the tape dtype.
 
     Its product with an E x m array sums row e into row idx[e]. Each
     column holds one entry, so the product adds into every row in order of
@@ -245,7 +294,8 @@ def incidence(idx, rows: int) -> sp.csc_matrix:
     idx = np.asarray(idx, dtype=np.intp).reshape(-1)
     if idx.size and (idx.min() < 0 or idx.max() >= rows):
         raise IndexError(f"incidence index outside [0, {rows})")
-    return sp.csc_matrix((np.ones(idx.size), idx, np.arange(idx.size + 1)), shape=(rows, idx.size))
+    return sp.csc_matrix((np.ones(idx.size, dtype=_DTYPE), idx, np.arange(idx.size + 1)),
+                         shape=(rows, idx.size))
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +315,7 @@ def matmul(a: Tensor, b: Tensor, segments: np.ndarray | None = None) -> Tensor:
     av, bv = a.values, b.values
     if av.shape[1] != bv.shape[0]:
         raise ValueError(f"matmul shape mismatch: {av.shape} @ {bv.shape}")
+    _check_dtypes("matmul", av, bv)
     if segments is None:
         out = Tensor._raw(av @ bv)
 
@@ -305,7 +356,7 @@ def matmul(a: Tensor, b: Tensor, segments: np.ndarray | None = None) -> Tensor:
             for x, y, o in zip(lefts, rights, outs):
                 np.matmul(x, y, out=o)
 
-    out = np.empty((count * r, m))
+    out = np.empty((count * r, m), dtype=av.dtype)
     products(blocks(av, True), blocks(bv, False), out.reshape(count, r, m))
     out = Tensor._raw(out)
 
@@ -313,11 +364,11 @@ def matmul(a: Tensor, b: Tensor, segments: np.ndarray | None = None) -> Tensor:
         grads = []
         g_blocks = g.reshape(count, r, m)
         if a.requires_grad:
-            ga = np.empty(av.shape)
+            ga = np.empty(av.shape, dtype=av.dtype)
             products(g_blocks, transposed(blocks(bv, False)), blocks(ga, True))
             grads.append((a, ga))
         if b.requires_grad:
-            gb = np.empty(bv.shape)
+            gb = np.empty(bv.shape, dtype=bv.dtype)
             products(transposed(blocks(av, True)), g_blocks, blocks(gb, False))
             grads.append((b, gb))
         return grads
@@ -463,6 +514,7 @@ def sparse_matmul(matrix, a: Tensor) -> Tensor:
     """
     if matrix.shape[1] != a.shape[0]:
         raise ValueError(f"sparse_matmul shape mismatch: {matrix.shape} @ {a.shape}")
+    _check_dtypes("sparse_matmul", matrix, a.values)
     out = Tensor._raw(matrix @ a.values)
 
     def backward(g):
@@ -483,17 +535,18 @@ _EDGE_ACTIVATIONS = {
 }
 
 
-# bytes of E x m float64 edge rows that one run of ``edge_aggregate`` holds
+# bytes of E x m edge rows that one run of ``edge_aggregate`` holds, in any dtype
 EDGE_CHUNK_BYTES = 1 << 20
 
 
-def _edge_runs(edges, width: int) -> list[tuple[int, int, int, int]]:
+def _edge_runs(edges, width: int, itemsize: int) -> list[tuple[int, int, int, int]]:
     """(first node, end node, first edge, end edge) of runs of whole graphs.
 
-    Each run's edge rows of ``width`` float64 fit ``EDGE_CHUNK_BYTES``; a
-    graph larger than that is a run of its own.
+    Each run's edge rows of ``width`` entries of ``itemsize`` bytes fit
+    ``EDGE_CHUNK_BYTES``, so a float32 run holds twice the edges of a
+    float64 one; a graph larger than that is a run of its own.
     """
-    budget = EDGE_CHUNK_BYTES // (8 * max(width, 1))
+    budget = EDGE_CHUNK_BYTES // (itemsize * max(width, 1))
     nodes, starts = edges.node_offsets, edges.edge_offsets
     cuts = [0]
     for g in range(1, len(starts) - 1):
@@ -531,7 +584,7 @@ def edge_aggregate(p_recv: Tensor, p_send: Tensor, bias: Tensor, edges, activati
         raise ValueError(f"edge_aggregate shape mismatch: {p_recv.shape}, {p_send.shape}, "
                          f"{bias.shape} for {n} nodes")
     rv, sv, bv = p_recv.values, p_send.values, bias.values
-    runs = _edge_runs(edges, m)
+    runs = _edge_runs(edges, m, rv.itemsize)
 
     def pre_activations(e0: int, e1: int) -> np.ndarray:
         pre = np.take(rv, edges.receivers[e0:e1], axis=0)
@@ -545,14 +598,14 @@ def edge_aggregate(p_recv: Tensor, p_send: Tensor, bias: Tensor, edges, activati
             return getattr(edges, f"{end}_incidence")
         return incidence(getattr(edges, f"{end}s")[e0:e1] - n0, n1 - n0)
 
-    out = np.empty((n, m))
+    out = np.empty((n, m), dtype=rv.dtype)
     for n0, n1, e0, e1 in runs:
         out[n0:n1] = run_incidence("receiver", n0, n1, e0, e1) @ act(pre_activations(e0, e1))
     out = Tensor._raw(out)
 
     def backward(g):
-        g_recv = np.empty((n, m))
-        g_send = np.empty((n, m)) if p_send.requires_grad else None
+        g_recv = np.empty((n, m), dtype=rv.dtype)
+        g_send = np.empty((n, m), dtype=rv.dtype) if p_send.requires_grad else None
         for n0, n1, e0, e1 in runs:
             # pre first: its gather temporaries are freed before the E x m g_pre exists
             pre = pre_activations(e0, e1)
@@ -575,9 +628,18 @@ def edge_aggregate(p_recv: Tensor, p_send: Tensor, bias: Tensor, edges, activati
 
 
 def row_softmax(a: Tensor) -> Tensor:
+    """Softmax of each row, with subnormal probabilities flushed to zero.
+
+    A probability below the dtype's smallest normal number is zero to its
+    precision. Kept, it would make the gradient it scales subnormal too,
+    and every product that gradient reaches runs several times slower: a
+    saturated float32 classifier took a DD step at paper width from 4.5
+    to 16 s. Flushing it makes its gradient exactly zero.
+    """
     shifted = a.values - a.values.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     s = e / e.sum(axis=1, keepdims=True)
+    s[s < np.finfo(s.dtype).tiny] = 0.0
     out = Tensor._raw(s)
 
     def backward(g):
@@ -695,9 +757,14 @@ def grad_check(
     """Compare analytic and central-difference gradients of a scalar function.
 
     Returns max_i |analytic_i - numeric_i| / max(1, |analytic_i|, |numeric_i|).
+    ``x`` must be float64, made under ``precision(np.float64)``, and ``f``
+    must build its other tensors under the same setting: a float32 central
+    difference at these epsilons is mostly rounding.
     """
     if not 1e-7 <= epsilon <= 1e-3:
         raise ValueError("epsilon must lie in [1e-7, 1e-3]")
+    if x.values.dtype != np.float64:
+        raise ValueError(f"grad_check takes a float64 input, not {x.values.dtype}")
     x.requires_grad = True
     x.zero_grad()
     with Tape() as tape:

@@ -3,7 +3,8 @@
 Each check draws seeded random graphs (|V| <= 10), builds the component
 with fresh random parameters, and compares analytic gradients of a scalar
 projection of the output against central differences, parameter
-coordinate by coordinate.
+coordinate by coordinate. The suite runs in float64, whatever the
+tape's setting outside it: its tolerance is far below float32 rounding.
 
 ReLU networks are piecewise linear: occasionally a pre-activation lies
 within epsilon of its kink and the epsilon-wide secant spans two linear
@@ -207,17 +208,18 @@ def run_suite(
     checks: list[str] | None = None,
     progress=None,
 ) -> list[CheckResult]:
-    """Run the finite-difference suite; one result per component."""
+    """Run the finite-difference suite in float64; one result per component."""
     results = []
     for name, check in SUITE_CHECKS.items():
         if checks is not None and name not in checks:
             continue
         start = time.perf_counter()
         worst = 0.0
-        for g in range(graphs_per_check):
-            rng = np.random.default_rng(seed * 100_003 + g)
-            n = int(rng.integers(3, 11))
-            worst = max(worst, check(rng, n))
+        with ad.precision(np.float64):
+            for g in range(graphs_per_check):
+                rng = np.random.default_rng(seed * 100_003 + g)
+                n = int(rng.integers(3, 11))
+                worst = max(worst, check(rng, n))
         results.append(
             CheckResult(
                 name=name,

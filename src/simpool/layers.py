@@ -67,7 +67,11 @@ class Edges:
     ``ad.incidence`` matrices: ``receiver_incidence`` (1 at (receivers[e],
     e)), which the forward pass needs and which is built with the list, and
     ``sender_incidence``, which only a backward pass needs and which is
-    built on first use. All these products add in edge order.
+    built on first use. All these products add in edge order. The
+    adjacency, ``in_degree`` and the incidences hold ``ad.tape_dtype()`` as
+    it was when the list was built, so the list serves a model built under
+    the same ``ad.precision``; their entries are small integers, exact in
+    float32.
     """
 
     def __init__(self, blocks):
@@ -84,17 +88,19 @@ class Edges:
         a.eliminate_zeros()
         if np.any(a.data != 1.0):
             raise ValueError("stage 0 takes a 0/1 adjacency: an edge entry is not 1")
-        self.adjacency = a
+        dtype = ad.tape_dtype()
+        self.adjacency = a.astype(dtype, copy=False)
         self.senders = np.repeat(np.arange(n), np.diff(a.indptr))
         self.receivers = a.indices.astype(np.intp)
         self.node_offsets = offsets
         self.edge_offsets = a.indptr[offsets].astype(np.intp)
-        self.in_degree = np.bincount(self.receivers, minlength=n).astype(np.float64).reshape(-1, 1)
+        self.in_degree = np.bincount(self.receivers, minlength=n).astype(dtype).reshape(-1, 1)
         self.receiver_incidence = ad.incidence(self.receivers, n)
 
     @cached_property
     def sender_incidence(self):
-        return ad.incidence(self.senders, self.node_count)
+        with ad.precision(self.adjacency.dtype.type):
+            return ad.incidence(self.senders, self.node_count)
 
     def spread(self, x: ad.Tensor) -> ad.Tensor:
         """A @ x: row i sums x[receivers[e]] over the edges e that i sends, in edge order."""

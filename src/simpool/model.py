@@ -162,7 +162,7 @@ LOSS_TERMS = ("task_loss", "le_0", "le_1", "lc_0", "lc_1")
 class Forward:
     """One forward pass over a graph or a batch of graphs."""
 
-    probs: np.ndarray  # one row per graph, rows sum to 1
+    probs: np.ndarray  # one float64 row per graph, rows sum to 1
     losses: dict[str, ad.Tensor]  # 1 x 1 per name in LOSS_TERMS; batch means
     assign_argmax: tuple[np.ndarray, np.ndarray]  # stage-0 and stage-1 cluster of every row
 
@@ -282,11 +282,12 @@ class SimPoolModel:
         # global sum pool: each graph's c rows summed into one
         pooled = ad.sparse_matmul(
             ad.incidence(np.repeat(np.arange(batch.size), a2.shape[1]), batch.size), z2)
-        probs = ad.row_softmax(self.classifier(pooled))
+        logits = self.classifier(pooled)
+        probs = ad.row_softmax(logits)
         terms = (cross_entropy(probs, batch.labels), loss_le(s0, segments), loss_le(s1, blocks1),
                  loss_lc(s0, segments), loss_lc(s1, blocks1))
         return Forward(
-            probs=probs.values,
+            probs=_row_softmax_float64(logits.values),
             losses=dict(zip(LOSS_TERMS, terms)),
             assign_argmax=(np.argmax(s0.values, axis=1), np.argmax(s1.values, axis=1)),
         )
@@ -299,12 +300,24 @@ class SimPoolModel:
         return self.forward_graph(batch, mapped)
 
 
+def _row_softmax_float64(logits: np.ndarray) -> np.ndarray:
+    """The softmax of each row of ``logits``, in float64 and off the tape.
+
+    A float32 row sums to 1 only to about 1e-7. With float64 logits this
+    is ``ad.row_softmax`` byte for byte, except that the tape flushes
+    probabilities below 2.2e-308 to zero.
+    """
+    x = logits.astype(np.float64)
+    e = np.exp(x - x.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
 # ---------------------------------------------------------------------------
 # checkpoints
 # ---------------------------------------------------------------------------
 
 def save_checkpoint(path, model: SimPoolModel) -> None:
-    """Versioned binary container of named parameter tensors."""
+    """Versioned binary container of named parameter tensors, stored as ``<f8`` in any precision."""
     path = os.fspath(path)
     params = model.parameters()
     tmp = f"{path}.tmp.{os.getpid()}"
@@ -323,7 +336,7 @@ def save_checkpoint(path, model: SimPoolModel) -> None:
 
 
 def load_checkpoint(path, model: SimPoolModel) -> None:
-    """Restore parameters in place; names and shapes must match exactly."""
+    """Restore parameters in place, in the model's dtype; names and shapes must match exactly."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if raw[:4] != CHECKPOINT_MAGIC:

@@ -107,7 +107,12 @@ BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 
 class Adam:
-    """Adam over named parameter tensors; missing gradients count as zero."""
+    """Adam over named parameter tensors; missing gradients count as zero.
+
+    The moments ``m`` and ``v`` take their parameter's dtype. A step runs
+    in place through two scratch rows, each the size of the largest
+    parameter, and makes no per-parameter temporaries.
+    """
 
     def __init__(self, params: dict[str, ad.Tensor], lr: float):
         self.params = params
@@ -115,23 +120,36 @@ class Adam:
         self.t = 0
         self.m = {k: np.zeros_like(p.values) for k, p in params.items()}
         self.v = {k: np.zeros_like(p.values) for k, p in params.items()}
+        values = [p.values for p in params.values()]
+        self._scratch = np.empty((2, max((x.size for x in values), default=0)),
+                                 dtype=np.result_type(np.float32, *values))
 
     def step(self) -> None:
-        """Update every parameter, or none when any gradient is non-finite."""
+        """Update every parameter, or none when any gradient is non-finite.
+
+        Each update is the textbook m_hat / (sqrt(v_hat) + eps) formula
+        with its operations in the textbook order, so it matches that
+        formula byte for byte in either dtype.
+        """
         for name, p in self.params.items():
             if p.grad is not None and not np.all(np.isfinite(p.grad)):
                 raise NumericError(f"non-finite gradient for parameter {name}")
         self.t += 1
+        bias1, bias2 = 1.0 - BETA1**self.t, 1.0 - BETA2**self.t
         for name, p in self.params.items():
-            grad = p.grad if p.grad is not None else np.zeros_like(p.values)
             m, v = self.m[name], self.v[name]
+            a, b = (row[:m.size].reshape(m.shape) for row in self._scratch)
+            grad = p.grad
+            if grad is None:
+                grad = b
+                grad.fill(0.0)
             m *= BETA1
-            m += (1.0 - BETA1) * grad
+            m += np.multiply(grad, 1.0 - BETA1, out=a)
             v *= BETA2
-            v += (1.0 - BETA2) * (grad * grad)
-            m_hat = m / (1.0 - BETA1**self.t)
-            v_hat = v / (1.0 - BETA2**self.t)
-            p.values -= self.lr * m_hat / (np.sqrt(v_hat) + EPS)
+            v += np.multiply(np.multiply(grad, grad, out=a), 1.0 - BETA2, out=a)
+            step = np.multiply(np.divide(m, bias1, out=a), self.lr, out=a)
+            step /= np.add(np.sqrt(np.divide(v, bias2, out=b), out=b), EPS, out=b)
+            p.values -= step
 
     def zero_grad(self) -> None:
         for p in self.params.values():

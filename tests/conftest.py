@@ -1,11 +1,23 @@
-"""Shared fixtures: synthetic TU-format datasets, tiny graph factories, and
-a backward-pass fault for negative controls."""
+"""Shared fixtures: float64 tapes, synthetic TU-format datasets, tiny graph
+factories, and a backward-pass fault for negative controls."""
 
 import numpy as np
 import pytest
 
 from simpool import autodiff as ad
 from simpool.data import load_tu_dataset
+
+
+@pytest.fixture(autouse=True)
+def float64_tape():
+    """Run every test on a float64 tape.
+
+    The oracles compare at 1e-12 and finite differences need float64, so
+    tests build their tensors, models and batches in float64; a test of
+    float32 training opens ``ad.precision(np.float32)`` itself.
+    """
+    with ad.precision(np.float64):
+        yield
 
 
 def write_tu_dataset(root, name, graphs, graph_labels, node_labels=None):

@@ -13,7 +13,9 @@ against them. ``decode_index`` reads the source node back out of one
 one graph at a time, with dense per-graph stage-1 formulas, the
 reference for the packed batch; ``scatter_add_bincount`` is the
 flat-index ``np.bincount`` scatter, the reference for a product with
-``autodiff.incidence``.
+``autodiff.incidence``. ``adam_step_formula`` is ``training.Adam.step``
+written as the textbook formula with a temporary per operation, the
+reference for the in-place step.
 """
 
 import os
@@ -27,6 +29,7 @@ from simpool.data import _read_int_rows
 from simpool.layers import ACTIVATIONS, Edges
 from simpool.model import LOSS_TERMS, Forward
 from simpool.similarity import SimilarityConfig, SimilarityFeatures
+from simpool.training import BETA1, BETA2, EPS
 
 
 def _normalize_gram(gram: np.ndarray, norms_sq: np.ndarray) -> np.ndarray:
@@ -292,3 +295,16 @@ def forward_graph_loop(model, adjacency, features, label: int, mapped=None) -> F
         losses=dict(zip(LOSS_TERMS, terms)),
         assign_argmax=(np.argmax(s0.values, axis=1), np.argmax(s1.values, axis=1)),
     )
+
+
+def adam_step_formula(params, m, v, t: int, lr: float) -> None:
+    """One Adam step at count ``t``; the moments ``m`` and ``v``, by name, update in place."""
+    for name, p in params.items():
+        grad = p.grad if p.grad is not None else np.zeros_like(p.values)
+        m[name] *= BETA1
+        m[name] += (1.0 - BETA1) * grad
+        v[name] *= BETA2
+        v[name] += (1.0 - BETA2) * (grad * grad)
+        m_hat = m[name] / (1.0 - BETA1**t)
+        v_hat = v[name] / (1.0 - BETA2**t)
+        p.values -= lr * m_hat / (np.sqrt(v_hat) + EPS)

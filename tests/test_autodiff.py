@@ -123,18 +123,22 @@ def _run_primitive_case(name, builder, rng):
 
 
 # four nodes: a self-loop, a node with two incoming edges, node 3 receives none
-EDGES = Edges([np.array([[0.0, 1.0, 0.0, 0.0],
-                         [1.0, 0.0, 1.0, 0.0],
-                         [0.0, 1.0, 1.0, 0.0],
-                         [1.0, 0.0, 0.0, 0.0]])])
+EDGE_BLOCK = np.array([[0.0, 1.0, 0.0, 0.0],
+                       [1.0, 0.0, 1.0, 0.0],
+                       [0.0, 1.0, 1.0, 0.0],
+                       [1.0, 0.0, 0.0, 0.0]])
 
 
 def edge_aggregate_case(activation):
-    c = ad.constant(np.arange(12.0).reshape(4, 3) / 6.0 - 1.0)
-    d = ad.constant(np.arange(12.0).reshape(4, 3) - 5.0)
-    return lambda x: scalarize(ad.multiply(
-        ad.edge_aggregate(x, ad.multiply(x, c), ad.col_sum(ad.scalar_multiply(x, 0.3)),
-                          EDGES, activation), d))
+    def case(x):
+        # built per call, so in the precision of the calling test
+        c = ad.constant(np.arange(12.0).reshape(4, 3) / 6.0 - 1.0)
+        d = ad.constant(np.arange(12.0).reshape(4, 3) - 5.0)
+        out = ad.edge_aggregate(x, ad.multiply(x, c), ad.col_sum(ad.scalar_multiply(x, 0.3)),
+                                Edges([EDGE_BLOCK]), activation)
+        return scalarize(ad.multiply(out, d))
+
+    return case
 
 
 PRIMITIVE_CASES = {
@@ -226,6 +230,56 @@ def test_backward_does_not_write_into_its_gradient(name, monkeypatch):
     with ad.Tape() as tape:
         tape.backward(PRIMITIVE_CASES[name](x))
     assert x.grad is not None and np.all(np.isfinite(x.grad))
+
+
+class TestPrecision:
+    def test_only_float32_and_float64_are_accepted(self):
+        for dtype in (np.float16, np.int64, "float32", None):
+            with pytest.raises(ValueError, match="float32 or float64"):
+                ad.precision(dtype)
+
+    def test_tensors_and_incidences_follow_the_setting_until_exit(self):
+        assert ad.tape_dtype() is np.float64
+        with ad.precision(np.float32):
+            assert ad.tape_dtype() is np.float32
+            assert ad.constant(np.arange(3.0)).values.dtype == np.float32
+            assert ad.incidence(np.array([1, 0]), 2).dtype == np.float32
+            with ad.precision(np.float64):
+                assert ad.parameter([[1.0]]).values.dtype == np.float64
+            assert ad.tape_dtype() is np.float32
+        assert ad.tape_dtype() is np.float64
+
+    def test_products_of_two_dtypes_are_rejected(self):
+        wide = ad.parameter(np.ones((2, 2)))
+        with ad.precision(np.float32):
+            narrow = ad.parameter(np.ones((2, 2)))
+            sum_by_index = ad.incidence(np.array([0, 1]), 2)
+        for left, right in ((wide, narrow), (narrow, wide)):
+            with pytest.raises(TypeError, match="float32"):
+                ad.matmul(left, right)
+            with pytest.raises(TypeError, match="float32"):
+                ad.matmul(left, right, np.array([0, 1, 2]))
+        with pytest.raises(TypeError, match="float32"):
+            ad.sparse_matmul(sum_by_index, wide)
+        with pytest.raises(TypeError, match="float32"):
+            ad.sparse_matmul(sp.csr_matrix(np.eye(2)), narrow)
+
+    def test_row_softmax_flushes_subnormal_probabilities(self):
+        # exp(-100) = 3.7e-44 is subnormal in float32 and normal in float64
+        for dtype, small in ((np.float32, 0.0), (np.float64, np.exp(-100.0))):
+            with ad.precision(dtype):
+                x = ad.parameter([[0.0, -100.0, -800.0]])
+                with ad.Tape() as tape:
+                    s = ad.row_softmax(x)
+                    tape.backward(ad.sum_all(ad.multiply(s, ad.constant([[1.0, 2.0, 3.0]]))))
+            assert s.values.tolist() == [[1.0, small, 0.0]]
+            assert x.grad[0, 2] == 0.0 and (x.grad[0, 1] == 0.0) == (small == 0.0)
+
+    def test_grad_check_takes_only_float64(self):
+        with ad.precision(np.float32):
+            x = ad.parameter(np.ones((2, 2)))
+            with pytest.raises(ValueError, match="float64"):
+                ad.grad_check(ad.sum_all, x)
 
 
 class TestGradCheck:

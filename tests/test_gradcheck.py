@@ -1,5 +1,8 @@
 """Tier-1 smoke run of the finite-difference suite."""
 
+import numpy as np
+
+from simpool import autodiff as ad
 from simpool import gradcheck
 
 
@@ -12,3 +15,11 @@ def test_suite_passes_except_full_model():
         assert r.graphs == 20
         assert r.tolerance == gradcheck.TOLERANCE
         assert r.passed, f"{r.name}: {r.max_error:.2e} >= {r.tolerance:.0e}"
+
+
+def test_suite_runs_in_float64_whatever_the_setting():
+    checks = ["gcn", "loss_lc"]
+    pinned = gradcheck.run_suite(graphs_per_check=2, checks=checks)
+    with ad.precision(np.float32):
+        inside = gradcheck.run_suite(graphs_per_check=2, checks=checks)
+    assert [r.max_error for r in inside] == [r.max_error for r in pinned]

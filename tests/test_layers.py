@@ -201,20 +201,24 @@ class TestEdgeAggregate:
     @pytest.mark.parametrize("activation", EDGE_ACTIVATIONS)
     def test_backward_holds_at_most_two_edge_arrays(self, activation):
         # the recomputed pre-activations and g_pre are E x m; the rest is O(n x m + E)
-        rng = np.random.default_rng(44)
         n, m = 300, 64
-        edges = Edges([graph_of_kind(rng, n, "directed")])
-        p_recv, p_send = (ad.parameter(rng.normal(size=(n, m))) for _ in range(2))
-        bias = ad.parameter(np.zeros((1, m)))
-        with ad.Tape() as tape:
-            loss = ad.sum_all(ad.edge_aggregate(p_recv, p_send, bias, edges, activation))
-            tracemalloc.start()
-            try:
-                tape.backward(loss)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-        assert peak < 2.5 * edges.senders.size * m * 8
+        for dtype in (np.float64, np.float32):
+            rng = np.random.default_rng(44)
+            with ad.precision(dtype):
+                edges = Edges([graph_of_kind(rng, n, "directed")])
+                p_recv, p_send = (ad.parameter(rng.normal(size=(n, m))) for _ in range(2))
+                bias = ad.parameter(np.zeros((1, m)))
+                with ad.Tape() as tape:
+                    loss = ad.sum_all(ad.edge_aggregate(p_recv, p_send, bias, edges, activation))
+                    tracemalloc.start()
+                    try:
+                        tape.backward(loss)
+                        peak = tracemalloc.get_traced_memory()[1]
+                    finally:
+                        tracemalloc.stop()
+            assert p_recv.grad.dtype == dtype
+            # counted in bytes: float32 edge arrays must take half the room
+            assert peak < 2.5 * edges.senders.size * m * np.dtype(dtype).itemsize
 
     @pytest.mark.parametrize("activation", EDGE_ACTIVATIONS)
     def test_edge_runs_do_not_change_any_byte(self, activation, monkeypatch):
@@ -237,7 +241,7 @@ class TestEdgeAggregate:
             with ad.Tape() as tape:
                 out = ad.edge_aggregate(p_recv, p_send, bias, edges, activation)
                 tape.backward(ad.sum_all(ad.multiply(out, c)))
-            runs = [run[:2] for run in ad._edge_runs(edges, m)]
+            runs = [run[:2] for run in ad._edge_runs(edges, m, p_recv.values.itemsize)]
             results.append((runs, [t.tobytes() for t in
                                    (out.values, p_recv.grad, p_send.grad, bias.grad)]))
         (one, whole), (many, chunked) = results

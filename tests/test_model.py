@@ -11,6 +11,7 @@ from simpool import autodiff as ad
 from simpool.data import Graph, PaddedBatch, load_tu_dataset, make_batches
 from simpool.layers import Edges, pool_forward
 from simpool.model import (
+    ASSIGN_INPUTS,
     LOSS_TERMS,
     ConfigError,
     PRESETS,
@@ -217,6 +218,21 @@ class TestForward:
         out = forward_one(model, a, x, mapped=mapped, label=2)
         assert out.total(0.0, 0.0).item() == out.losses["task_loss"].item()
         assert all(out.losses[k].shape == (1, 1) for k in LOSS_TERMS)
+
+
+class TestPrecision:
+    @pytest.mark.parametrize("assign_inputs", ASSIGN_INPUTS)
+    def test_float32_forward_matches_float64(self, tmp_path, assign_inputs):
+        ds = separable_dataset(tmp_path, count=8)
+        probs = []
+        for dtype in (np.float64, np.float32):
+            with ad.precision(dtype):
+                model = tiny_model(assign_inputs, num_classes=2, feature_dim=ds.feature_dim)
+                (batch,) = make_batches(ds, 8)
+                probs.append(model.forward_batch(batch, preprocess_dataset(ds, model.sim)).probs)
+        assert probs[1].dtype == np.float64
+        np.testing.assert_allclose(probs[1], probs[0], rtol=0, atol=1e-5)
+        assert not np.array_equal(probs[1], probs[0])
 
 
 class TestBatchMatchesGraphs:
@@ -456,6 +472,29 @@ class TestCheckpoint:
         load_checkpoint(path, fresh)
         after = forward_one(fresh, a, x, mapped=mapped, label=0).probs
         assert np.array_equal(after, before)
+
+    def test_float64_checkpoint_loads_into_a_float32_model(self, tmp_path):
+        rng = np.random.default_rng(9)
+        model = tiny_model(seed=1)
+        a, x, mapped = graph_inputs(rng, 6, 3, model.sim.k)
+        wide, narrow = tmp_path / "float64.spm", tmp_path / "float32.spm"
+        save_checkpoint(wide, model)
+        with ad.precision(np.float32):
+            fresh = tiny_model(seed=2)
+            load_checkpoint(wide, fresh)
+            probs = forward_one(fresh, a, x, mapped=mapped, label=0).probs
+            save_checkpoint(narrow, fresh)
+        wide_values = {name: p.values for name, p in model.parameters().items()}
+        for name, p in fresh.parameters().items():
+            assert p.values.dtype == np.float32
+            assert p.values.tobytes() == wide_values[name].astype(np.float32).tobytes()
+        np.testing.assert_allclose(probs, forward_one(model, a, x, mapped=mapped, label=0).probs,
+                                   rtol=0, atol=1e-5)
+        # the same names and shapes in the same number of bytes: entries stay <f8
+        assert narrow.stat().st_size == wide.stat().st_size
+        load_checkpoint(narrow, model)
+        for name, p in fresh.parameters().items():
+            assert wide_values[name].tobytes() == p.values.astype(np.float64).tobytes()
 
     def test_incompatible_model_rejected(self, tmp_path):
         model = tiny_model(seed=1)

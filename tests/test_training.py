@@ -26,7 +26,7 @@ from simpool.training import (
 )
 
 from conftest import ring_graph, separable_dataset
-from oracles import forward_graph_loop
+from oracles import adam_step_formula, forward_graph_loop
 
 
 def small_config(epochs=2, learning_rate=1e-4, **overrides):
@@ -97,6 +97,67 @@ class TestAdam:
         np.testing.assert_array_equal(first.values, [[1.0, 2.0]])
         np.testing.assert_array_equal(opt.m["first"], 0.0)
         assert opt.t == 0
+
+    @pytest.mark.parametrize("dtype", (np.float64, np.float32))
+    def test_in_place_step_matches_the_formula_bytes(self, dtype):
+        # "unused" never gets a gradient; the small ones reuse the scratch "big" needs
+        shapes = {"w": (7, 5), "big": (40, 9), "b": (1, 5), "unused": (3, 2)}
+        rng = np.random.default_rng(12)
+        start = {k: rng.normal(size=shape) for k, shape in shapes.items()}
+        with ad.precision(dtype):
+            params = {k: ad.parameter(x.copy()) for k, x in start.items()}
+            reference = {k: ad.parameter(x.copy()) for k, x in start.items()}
+        opt = Adam(params, lr=0.01)
+        m = {k: np.zeros_like(p.values) for k, p in reference.items()}
+        v = {k: np.zeros_like(p.values) for k, p in reference.items()}
+        for t in (1, 2, 3):
+            for k, shape in shapes.items():
+                g = None if k == "unused" else rng.normal(size=shape).astype(dtype)
+                params[k].grad = reference[k].grad = g
+            opt.step()
+            adam_step_formula(reference, m, v, t, 0.01)
+        for k in shapes:
+            assert params[k].values.dtype == opt.m[k].dtype == opt.v[k].dtype == dtype
+            assert params[k].values.tobytes() == reference[k].values.tobytes()
+            assert opt.m[k].tobytes() == m[k].tobytes()
+            assert opt.v[k].tobytes() == v[k].tobytes()
+
+
+class TestFloat32Training:
+    @pytest.mark.parametrize("assign_inputs", ("structural", "both"))
+    def test_one_step_keeps_every_array_float32(self, tmp_path, monkeypatch, assign_inputs):
+        """One float32 step on a three-graph union: no op output, gradient or
+        moment is promoted to float64, and only the probabilities are float64."""
+        ds = separable_dataset(tmp_path, count=3)
+        outputs = []
+        original = ad._record
+
+        def record(op_name, out, parents, backward):
+            outputs.append((op_name, out.values.dtype))
+            return original(op_name, out, parents, backward)
+
+        monkeypatch.setattr(ad, "_record", record)
+        cfg = small_config(assign_inputs=assign_inputs)
+        with ad.precision(np.float32):
+            model = SimPoolModel(cfg.preset, feature_dim=ds.feature_dim,
+                                 num_classes=ds.num_classes, assign_inputs=assign_inputs)
+            optimiser = Adam(model.parameters(), 1e-3)
+            (batch,) = make_batches(ds, 3)
+            with ad.Tape() as tape:
+                fwd = model.forward_batch(batch, preprocess_dataset(ds, model.sim))
+                tape.backward(fwd.total(1.0, 1.0))
+            optimiser.step()
+        f32 = np.dtype(np.float32)
+        edges = batch.edges
+        assert edges.adjacency.dtype == edges.in_degree.dtype == f32
+        assert edges.receiver_incidence.dtype == edges.sender_incidence.dtype == f32
+        assert len(outputs) > 100
+        assert [op for op, dtype in outputs if dtype != f32] == []
+        for name, p in model.parameters().items():
+            assert p.values.dtype == p.grad.dtype == f32, name
+            assert optimiser.m[name].dtype == optimiser.v[name].dtype == f32, name
+        assert fwd.probs.dtype == np.float64
+        np.testing.assert_allclose(fwd.probs.sum(axis=1), 1.0, rtol=0, atol=1e-12)
 
 
 class TestTrainRun:
