@@ -24,6 +24,7 @@ from . import autodiff as ad
 
 __all__ = [
     "Edges",
+    "block_diagonal",
     "Dense",
     "MLP",
     "GmnEncoder",
@@ -50,13 +51,35 @@ def glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
+def block_diagonal(blocks) -> tuple[sp.csr_matrix, np.ndarray]:
+    """The disjoint union of square ``blocks`` as one canonical float64 CSR, and its node offsets.
+
+    Each block (dense or sparse, at least one node) keeps its entries,
+    shifted to its own row and column range; block g owns nodes
+    ``offsets[g]:offsets[g + 1]``. Duplicates are summed and stored zeros
+    dropped, so the union is canonical whatever the blocks are.
+    """
+    blocks = [sp.csr_matrix(b, dtype=np.float64) for b in blocks]
+    if not blocks or any(b.shape[0] != b.shape[1] or b.shape[0] < 1 for b in blocks):
+        raise ValueError("a union takes one or more square blocks with at least one node each")
+    offsets = np.cumsum([0] + [b.shape[0] for b in blocks])
+    stored = np.cumsum([0] + [b.nnz for b in blocks])
+    n = int(offsets[-1])
+    indptr = np.concatenate([[0]] + [b.indptr[1:] + p for b, p in zip(blocks, stored)])
+    indices = np.concatenate([b.indices + lo for b, lo in zip(blocks, offsets)])
+    a = sp.csr_matrix((np.concatenate([b.data for b in blocks]), indices, indptr), shape=(n, n))
+    a.sum_duplicates()
+    a.eliminate_zeros()
+    return a, offsets
+
+
 class Edges:
     """The directed edges of a disjoint union of graphs, A[senders[e], receivers[e]] = 1.
 
     ``blocks`` holds each graph's square adjacency (dense or sparse, at
     least one node; one graph is ``Edges([a])``). The union's matrix
-    ``adjacency`` is their block diagonal as canonical CSR, and
-    ``node_offsets``, read off the block sizes, cut its nodes into graphs.
+    ``adjacency`` is their ``block_diagonal``, and ``node_offsets``, read
+    off the block sizes, cut its nodes into graphs.
     Stage 0 reads structure only, so every nonzero entry must be 1. The
     edges come in row-major order, so ``senders`` is sorted and graph g's
     edges are the range ``edge_offsets[g]:edge_offsets[g + 1]``.
@@ -75,17 +98,8 @@ class Edges:
     """
 
     def __init__(self, blocks):
-        blocks = [sp.csr_matrix(b, dtype=np.float64) for b in blocks]
-        if not blocks or any(b.shape[0] != b.shape[1] or b.shape[0] < 1 for b in blocks):
-            raise ValueError("edges take one or more square blocks with at least one node each")
-        offsets = np.cumsum([0] + [b.shape[0] for b in blocks])
-        stored = np.cumsum([0] + [b.nnz for b in blocks])
+        a, offsets = block_diagonal(blocks)
         n = self.node_count = int(offsets[-1])
-        indptr = np.concatenate([[0]] + [b.indptr[1:] + p for b, p in zip(blocks, stored)])
-        indices = np.concatenate([b.indices + lo for b, lo in zip(blocks, offsets)])
-        a = sp.csr_matrix((np.concatenate([b.data for b in blocks]), indices, indptr), shape=(n, n))
-        a.sum_duplicates()
-        a.eliminate_zeros()
         if np.any(a.data != 1.0):
             raise ValueError("stage 0 takes a 0/1 adjacency: an edge entry is not 1")
         dtype = ad.tape_dtype()

@@ -27,6 +27,7 @@ together.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass, replace
@@ -351,8 +352,10 @@ def load_checkpoint(path, model: SimPoolModel) -> None:
         (name_len,) = reader.unpack("<q")
         name = reader.text(name_len)
         (ndim,) = reader.unpack("<q")
-        shape = tuple(reader.array("<i8", ndim))
-        size = int(np.prod(shape)) if ndim else 1
+        shape = tuple(int(d) for d in reader.array("<i8", ndim))
+        if any(d < 0 for d in shape):
+            raise ConfigError(f"checkpoint tensor {name} has negative shape {shape}")
+        size = math.prod(shape)
         loaded[name] = reader.array("<f8", size).reshape(shape)
     reader.finish()
     params = model.parameters()

@@ -6,6 +6,9 @@ columns of (A + lambda*I)^p. For asymmetric adjacency the rows of
 matrix, so only node pairs that share a nonzero row or column of Ahat^p
 are ever stored. The index mapping encodes each node's top-k most
 similar neighbours into a fixed-width, differentiable feature matrix.
+A dataset is preprocessed in runs of consecutive graphs, each run one
+block-diagonal union with one Gram product and one top-k pass; a union's
+Gram is block diagonal, so each graph gets the features it gets alone.
 
 Exactness: for integer-valued adjacency (0/1 edges, integer lambda) every
 Gram accumulation is exact in float64, so the result is bit-identical to
@@ -20,7 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import autodiff as ad
-from .layers import block_offsets
+from .layers import block_diagonal, block_offsets
 
 __all__ = [
     "SimilarityConfig",
@@ -138,7 +141,7 @@ def similarity_sparse(
 
 
 def compute_features(a, cfg: SimilarityConfig) -> SimilarityFeatures:
-    """Similarity features of one graph's adjacency (dense or sparse)."""
+    """Similarity features of an adjacency (dense or sparse): one graph or a disjoint union."""
     return similarity_sparse(a, cfg)
 
 
@@ -146,16 +149,20 @@ def compute_features(a, cfg: SimilarityConfig) -> SimilarityFeatures:
 # index mapping
 # ---------------------------------------------------------------------------
 
-def index_map(features, cfg: SimilarityConfig) -> SimilarityFeatures:
+def index_map(features, cfg: SimilarityConfig, offsets=None) -> SimilarityFeatures:
     """Encode each node's top-k similarities as (alpha*C + j) / (|V| + 1).
 
-    ``j`` is the 1-based column index of the selected similarity, so every
+    ``offsets`` cut the n rows into graphs of a disjoint union, graph g
+    owning rows and columns ``offsets[g]:offsets[g + 1]``; they must rise
+    from 0 to n, and the default is one graph. ``j`` is the 1-based column
+    of the selected similarity within its row's graph and ``|V|`` that
+    graph's node count, so every row encodes as it would alone, every
     nonzero output lands in (0, 1 - (1-alpha)/(|V|+1)] and decodes back to
     the source node index. Each row keeps its k largest nonzero entries in
     descending order, ties going to the smaller column index; rows with
     fewer than k nonzero entries are zero-padded. Similarities must be
     non-negative, so that the ranking over stored entries is the ranking
-    over the whole row.
+    over the whole row, and must not cross graphs.
     """
     matrix = features.dense if isinstance(features, SimilarityFeatures) else features
     if matrix is None:
@@ -166,17 +173,30 @@ def index_map(features, cfg: SimilarityConfig) -> SimilarityFeatures:
         raise ValueError("index_map expects a square similarity matrix")
     if c.nnz and c.data.min() < 0:
         raise ValueError("index_map expects non-negative similarities")
+    offsets = np.array([0, n] if offsets is None else offsets, dtype=np.int64)
+    if offsets.ndim != 1 or offsets.size < 2 or offsets[0] != 0 or offsets[-1] != n \
+            or np.any(np.diff(offsets) < 0):
+        raise ValueError(f"graph offsets must rise from 0 to {n}, got {offsets.tolist()}")
+    sizes = np.diff(offsets)
+    graph = np.repeat(np.arange(sizes.size), sizes)
 
-    rows = np.repeat(np.arange(n), np.diff(c.indptr))
+    # the stored nonzeros row by row; indptr counts them up to each row's start
     stored = c.data != 0
-    rows, cols, vals = rows[stored], c.indices[stored], c.data[stored]
+    indptr = np.concatenate([[0], np.cumsum(stored)])[c.indptr]
+    rows = np.repeat(np.arange(n), np.diff(indptr))
+    cols, vals = c.indices[stored], c.data[stored]
+    owner = graph[rows]
+    if np.any((cols < offsets[owner]) | (cols >= offsets[owner + 1])):
+        raise ValueError("index_map expects no similarity between nodes of different graphs")
     order = np.lexsort((cols, -vals, rows))
     rows, cols, vals = rows[order], cols[order], vals[order]
-    rank = np.arange(rows.size) - np.searchsorted(rows, rows)
+    rank = np.arange(rows.size) - indptr[rows]
     top = rank < cfg.k
+    rows, cols, vals, rank = rows[top], cols[top], vals[top], rank[top]
 
+    owner = graph[rows]
     mapped = np.zeros((n, cfg.k), dtype=np.float64)
-    mapped[rows[top], rank[top]] = (cfg.alpha * vals[top] + (cols[top] + 1)) / (n + 1)
+    mapped[rows, rank] = (cfg.alpha * vals + (cols - offsets[owner] + 1)) / (sizes[owner] + 1)
     return SimilarityFeatures(source_node_count=n, dense=c, mapped=mapped)
 
 
@@ -214,10 +234,46 @@ def symmetric_similarity_on_tape(a: ad.Tensor, p: int = 1, lam: float = 0.0) -> 
 # preprocessing
 # ---------------------------------------------------------------------------
 
+# A run's Gram multiply-adds, the sum of its graphs' squared degrees. Its
+# temporaries peak near 60 bytes per multiply-add, about 2 MB a run, which
+# keeps ENZYMES' set-up under the training step's peak RSS; one union of the
+# whole DD dataset raised preprocessing's peak RSS by 270 MB
+GRAM_RUN_MULTIPLY_ADDS = 1 << 15
+
+
+def _graph_runs(graphs) -> list[tuple[int, int]]:
+    """(first, end) positions of runs of consecutive graphs.
+
+    Each run's sum of squared adjacency row degrees, the multiply-adds of
+    its Gram, fits ``GRAM_RUN_MULTIPLY_ADDS``; a graph larger than that is
+    a run of its own.
+    """
+    cuts, total = [0], 0
+    for g, graph in enumerate(graphs):
+        degree = np.diff(graph.adjacency.indptr).astype(np.int64)
+        cost = int(degree @ degree)
+        if g > cuts[-1] and total + cost > GRAM_RUN_MULTIPLY_ADDS:
+            cuts.append(g)
+            total = 0
+        total += cost
+    cuts.append(len(graphs))
+    return list(zip(cuts[:-1], cuts[1:])) if graphs else []
+
+
 def preprocess_dataset(dataset, cfg: SimilarityConfig) -> list[np.ndarray]:
-    """Mapped structural features for every graph in a dataset."""
+    """Mapped structural features for every graph in a dataset, in dataset order.
+
+    The graphs go in runs of whole graphs (``_graph_runs``). Each run is
+    one ``layers.block_diagonal`` union with one ``compute_features`` and
+    one ``index_map`` call over the run's graph offsets; the union's Gram
+    is block diagonal, so every graph's cosines and top-k encoding are
+    the ones it gets alone, byte for byte. Graph g's entry is a view of
+    its rows of its run's n x k array.
+    """
+    graphs = dataset.graphs
     mapped = []
-    for graph in dataset.graphs:
-        feats = compute_features(graph.adjacency, cfg)
-        mapped.append(index_map(feats, cfg).mapped)
+    for first, end in _graph_runs(graphs):
+        union, offsets = block_diagonal([g.adjacency for g in graphs[first:end]])
+        run = index_map(compute_features(union, cfg), cfg, offsets).mapped
+        mapped.extend(run[lo:hi] for lo, hi in zip(offsets[:-1], offsets[1:]))
     return mapped

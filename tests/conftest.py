@@ -107,6 +107,22 @@ def separable_dataset(tmp_path, count=60, seed=5):
     return load_tu_dataset(root, "SEP")
 
 
+def mixed_dataset(tmp_path):
+    """Five graphs of five sizes, three features; the 7-node graph is a
+    6-ring plus an isolated node, and the 4-node one has no edges."""
+    rng = np.random.default_rng(15)
+    ring = np.zeros((7, 7))
+    for i in range(6):
+        ring[i, (i + 1) % 6] = ring[(i + 1) % 6, i] = 1.0
+    graphs = [random_graph(rng, n, 0.5) for n in (5, 9, 12)] + [ring, np.zeros((4, 4))]
+    node_labels = rng.integers(1, 4, size=sum(g.shape[0] for g in graphs))
+    root = write_tu_dataset(tmp_path / "MIX", "MIX", graphs, [1, 2, 3, 2, 1], node_labels)
+    ds = load_tu_dataset(root, "MIX")
+    assert ds.graphs[3].adjacency.toarray()[6].sum() == 0 and ds.graphs[4].adjacency.nnz == 0
+    assert ds.feature_dim == 3
+    return ds
+
+
 @pytest.fixture
 def corrupt_backward(monkeypatch):
     """Return ``corrupt(op, scale)``: scale the gradient entering every

@@ -9,9 +9,12 @@ place of its fused op or its linear fold. ``tu_graphs_one_by_one``
 builds a TU dataset's graphs one sparse matrix at a time, the reference
 for the loader's row ranges of one block-diagonal matrix. Tests compare
 against them. ``decode_index`` reads the source node back out of one
-``index_map`` entry. ``forward_graph_loop`` is the model's forward pass
-one graph at a time, with dense per-graph stage-1 formulas, the
-reference for the packed batch; ``scatter_add_bincount`` is the
+``index_map`` entry. ``preprocess_graph_loop`` computes a dataset's
+mapped features one graph at a time, the reference for the runs of
+disjoint unions in ``similarity.preprocess_dataset``.
+``forward_graph_loop`` is the model's forward pass one graph at a time,
+with dense per-graph stage-1 formulas, the reference for the packed
+batch; ``scatter_add_bincount`` is the
 flat-index ``np.bincount`` scatter, the reference for a product with
 ``autodiff.incidence``. ``adam_step_formula`` is ``training.Adam.step``
 written as the textbook formula with a temporary per operation, the
@@ -28,7 +31,7 @@ from simpool import autodiff as ad
 from simpool.data import _read_int_rows
 from simpool.layers import ACTIVATIONS, Edges
 from simpool.model import LOSS_TERMS, Forward
-from simpool.similarity import SimilarityConfig, SimilarityFeatures
+from simpool.similarity import SimilarityConfig, SimilarityFeatures, compute_features, index_map
 from simpool.training import BETA1, BETA2, EPS
 
 
@@ -103,6 +106,11 @@ def index_map_dense(dense: np.ndarray, cfg: SimilarityConfig) -> np.ndarray:
     mapped = np.zeros((n, cfg.k), dtype=np.float64)
     mapped[:, : core.shape[1]] = core
     return mapped
+
+
+def preprocess_graph_loop(dataset, cfg: SimilarityConfig) -> list[np.ndarray]:
+    """Mapped structural features for every graph, one graph's features at a time."""
+    return [index_map(compute_features(g.adjacency, cfg), cfg).mapped for g in dataset.graphs]
 
 
 def decode_index(value: float, node_count: int, alpha: float | None = None) -> int:

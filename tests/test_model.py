@@ -1,6 +1,7 @@
 """Tests for the assembled pooling model, presets, and checkpoints."""
 
 import hashlib
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 import scipy.sparse as sp
 
 from simpool import autodiff as ad
-from simpool.data import Graph, PaddedBatch, load_tu_dataset, make_batches
+from simpool.data import Graph, PaddedBatch, make_batches
 from simpool.layers import Edges, pool_forward
 from simpool.model import (
     ASSIGN_INPUTS,
@@ -22,7 +23,7 @@ from simpool.model import (
 )
 from simpool.similarity import SimilarityConfig, index_map, preprocess_dataset
 
-from conftest import random_graph, separable_dataset, write_tu_dataset
+from conftest import mixed_dataset, random_graph, separable_dataset
 from oracles import decode_index, forward_graph_loop, similarity_dense_symmetric
 
 
@@ -238,17 +239,7 @@ class TestPrecision:
 class TestBatchMatchesGraphs:
     @staticmethod
     def mixed_dataset(tmp_path):
-        # five sizes; the 7-node graph is a 6-ring plus an isolated node, the 4-node one has no edges
-        rng = np.random.default_rng(15)
-        ring = np.zeros((7, 7))
-        for i in range(6):
-            ring[i, (i + 1) % 6] = ring[(i + 1) % 6, i] = 1.0
-        graphs = [random_graph(rng, n, 0.5) for n in (5, 9, 12)] + [ring, np.zeros((4, 4))]
-        node_labels = rng.integers(1, 4, size=sum(g.shape[0] for g in graphs))
-        root = write_tu_dataset(tmp_path / "MIX", "MIX", graphs, [1, 2, 3, 2, 1], node_labels)
-        ds = load_tu_dataset(root, "MIX")
-        assert ds.graphs[3].adjacency.toarray()[6].sum() == 0 and ds.graphs[4].adjacency.nnz == 0
-        assert ds.feature_dim == 3
+        ds = mixed_dataset(tmp_path)
         (batch,) = make_batches(ds, 5, shuffle_seed=1)
         return ds, batch
 
@@ -521,6 +512,22 @@ class TestCheckpoint:
             path.write_bytes(damaged)
             with pytest.raises(ConfigError, match=message):
                 load_checkpoint(path, tiny_model())
+
+    def test_negated_shape_rejected(self, tmp_path):
+        model = tiny_model(seed=1)
+        path = tmp_path / "model.spm"
+        save_checkpoint(path, model)
+        raw = bytearray(path.read_bytes())
+        name, tensor = next(iter(model.parameters().items()))
+        at = 4 + 16 + 8 + len(name.encode())  # magic, version and count, the name's length, the name
+        assert struct.unpack_from("<q", raw, at)[0] == tensor.values.ndim == 2
+        shape = struct.unpack_from("<2q", raw, at + 8)
+        assert shape == tensor.values.shape
+        # (3, 8) written as (-3, -8) keeps the entry count, so only the shape check can catch it
+        struct.pack_into("<2q", raw, at + 8, -shape[0], -shape[1])
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ConfigError, match=f"tensor {name} has negative shape"):
+            load_checkpoint(path, tiny_model())
 
     def test_undecodable_parameter_name_rejected(self, tmp_path):
         model = tiny_model(seed=1)

@@ -1,21 +1,29 @@
 """Tests for structural similarity features and the index mapping."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from conftest import mixed_dataset
 from oracles import (
     decode_index,
     index_map_dense,
+    preprocess_graph_loop,
     rank_cols,
     similarity_dense_asymmetric,
     similarity_dense_symmetric,
 )
 from simpool import autodiff as ad
+from simpool import similarity
+from simpool.data import Dataset, Graph
+from simpool.model import resolve_preset
 from simpool.similarity import (
     SimilarityConfig,
     compute_features,
     index_map,
+    preprocess_dataset,
     similarity_sparse,
     symmetric_similarity_on_tape,
 )
@@ -277,6 +285,29 @@ class TestIndexMap:
         with pytest.raises(ValueError, match="non-negative"):
             index_map(dense, SimilarityConfig(k=2))
 
+    def test_offsets_encode_each_graph_as_alone(self):
+        rng = np.random.default_rng(12)
+        blocks = [random_symmetric(rng, n) for n in (4, 1, 7)]
+        cfg = SimilarityConfig(alpha=0.3, k=3, lam=1.0)
+        alone = [similarity_dense_symmetric(b, cfg).dense for b in blocks]
+        offsets = [0, 4, 5, 12]
+        mapped = index_map(sp.block_diag(alone), cfg, offsets).mapped
+        for lo, hi, c in zip(offsets[:-1], offsets[1:], alone):
+            assert mapped[lo:hi].tobytes() == index_map(c, cfg).mapped.tobytes()
+
+    @pytest.mark.parametrize("offsets", ([1, 5], [0, 4], [0, 3, 2, 5], [[0, 5]], [5]))
+    def test_offsets_must_rise_from_zero_to_n(self, offsets):
+        with pytest.raises(ValueError, match="graph offsets must rise from 0 to 5"):
+            index_map(np.eye(5), SimilarityConfig(k=2), offsets)
+
+    def test_similarity_across_graphs_rejected(self):
+        dense = np.eye(4)
+        dense[1, 2] = 0.5  # row 1 is in graph 0 (nodes 0-1), column 2 in graph 1
+        with pytest.raises(ValueError, match="between nodes of different graphs"):
+            index_map(dense, SimilarityConfig(k=2), [0, 2, 4])
+        mapped = index_map(dense, SimilarityConfig(k=2), [0, 3, 4]).mapped
+        assert mapped[1, 1] == (0.5 + 3) / 4
+
     def test_nonzero_range_bound(self):
         rng = np.random.default_rng(8)
         for _ in range(50):
@@ -306,6 +337,66 @@ class TestIndexMap:
         mapped = index_map(feats, SimilarityConfig(k=6, lam=1.0)).mapped
         assert mapped.shape == (3, 6)
         assert np.all(mapped[:, 3:] == 0.0)
+
+
+class TestPreprocessDataset:
+    @staticmethod
+    def dataset(tmp_path):
+        """A one-node graph, the mixed dataset, a 21-node star whose 20 leaves tie, a 5-node star."""
+        star = np.zeros((21, 21))
+        star[0, 1:] = star[1:, 0] = 1.0
+        extra = [Graph(sp.csr_matrix(a), np.ones((a.shape[0], 3)), 0)
+                 for a in (np.zeros((1, 1)), star, star[:5, :5])]
+        mixed = mixed_dataset(tmp_path)
+        return Dataset("MIXED", (extra[0],) + mixed.graphs + tuple(extra[1:]), mixed.num_classes)
+
+    @pytest.mark.parametrize("runs", ("graph_per_run", "one_run"))
+    @pytest.mark.parametrize("cfg", (resolve_preset("enzymes").sim,
+                                     SimilarityConfig(p=2, lam=0.5, alpha=0.3)),
+                             ids=("enzymes", "p2"))
+    def test_matches_the_graph_loop_bytes(self, tmp_path, monkeypatch, cfg, runs):
+        ds = self.dataset(tmp_path)
+        per_graph = runs == "graph_per_run"
+        monkeypatch.setattr(similarity, "GRAM_RUN_MULTIPLY_ADDS", 0 if per_graph else 1 << 62)
+        assert len(similarity._graph_runs(ds.graphs)) == (len(ds) if per_graph else 1)
+        star = ds.graphs[-2]
+        assert np.count_nonzero(compute_features(star.adjacency, cfg).dense[1].toarray()) > cfg.k
+        mapped, oracle = preprocess_dataset(ds, cfg), preprocess_graph_loop(ds, cfg)
+        assert len(mapped) == len(oracle) == len(ds)
+        for got, want in zip(mapped, oracle):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_runs_cut_between_whole_graphs(self):
+        # a complete graph on 20 nodes costs 20 * 19^2 Gram multiply-adds
+        graphs = [Graph(sp.csr_matrix(np.ones((20, 20)) - np.eye(20)), np.ones((20, 1)), 0)] * 9
+        per_run = similarity.GRAM_RUN_MULTIPLY_ADDS // (20 * 19**2)
+        assert 1 < per_run < 9
+        runs = similarity._graph_runs(graphs)
+        assert runs[0] == (0, per_run) and runs[-1][1] == 9
+        assert all(a[1] == b[0] for a, b in zip(runs[:-1], runs[1:]))
+        assert similarity._graph_runs(graphs[:0]) == []
+
+    def test_peak_memory_is_a_few_runs_not_the_dataset(self):
+        # 120 equal complete graphs: each run's Gram temporaries are per-run, only
+        # the n x k outputs add up over the dataset
+        clique = sp.csr_matrix(np.ones((20, 20)) - np.eye(20))
+        ds = Dataset("CLIQUES", tuple(Graph(clique, np.ones((20, 1)), 0) for _ in range(120)), 1)
+        cfg = resolve_preset("enzymes").sim
+        runs = similarity._graph_runs(ds.graphs)
+        assert len(runs) >= 20
+
+        def peak(dataset):
+            tracemalloc.start()
+            try:
+                out = preprocess_dataset(dataset, cfg)
+                return tracemalloc.get_traced_memory()[1], out
+            finally:
+                tracemalloc.stop()
+
+        one_run, _ = peak(Dataset("ONE", ds.graphs[slice(*runs[0])], 1))
+        whole, mapped = peak(ds)
+        outputs = sum(m.nbytes for m in mapped)  # the views tile their runs' arrays
+        assert whole < 3 * one_run + outputs, (whole / one_run, outputs / one_run)
 
 
 class TestDecodeIndex:
