@@ -8,9 +8,9 @@ immutable; adjacency is kept as CSR, features dense.
 from __future__ import annotations
 
 import hashlib
-import io
 import os
 import struct
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -164,22 +164,56 @@ class PaddedBatch:
 # TU-format loading
 # ---------------------------------------------------------------------------
 
+def _field_count(raw: bytes, per_line: int) -> int | None:
+    """The number of whitespace-separated fields in ``raw``.
+
+    None when a non-blank line holds another number than ``per_line``.
+    The text goes in blocks of whole lines of about 64 KiB, so that its
+    byte masks stay small and short-lived.
+    """
+    total, lo = 0, 0
+    while lo < len(raw):
+        hi = raw.find(b"\n", lo + (1 << 16)) + 1 or len(raw)
+        byte = np.frombuffer(raw, dtype=np.uint8, count=hi - lo, offset=lo)
+        field_start, line_end = byte > ord(" "), byte == ord("\n")
+        field_start[1:] &= ~field_start[:-1]  # a solid byte after a blank one starts a field
+        # field starts and line ends in text order: count the starts before each end
+        events = line_end[field_start | line_end]
+        fields = np.diff(np.flatnonzero(events), prepend=-1, append=events.size) - 1
+        if np.any((fields != 0) & (fields != per_line)):
+            return None
+        total, lo = total + int(fields.sum()), hi
+    return total
+
+
 def _read_int_rows(path: str, expected_cols: int) -> np.ndarray:
-    """Parse whitespace/comma separated integer rows; blank lines are skipped."""
+    """Parse whitespace/comma separated integer rows; blank lines are skipped.
+
+    One C pass parses the whole text. Its values stand only if every
+    non-blank line holds ``expected_cols`` fields, the pass read the text
+    to its end and no value sits at an int64 limit (the pass clamps an
+    overflow there); otherwise the line scan names the offending line.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read().replace(",", " ")
-    if not text.strip():
+        raw = fh.read().replace(",", " ").encode()
+    count = _field_count(raw, expected_cols)
+    if count == 0:
         return np.zeros((0, expected_cols), dtype=np.int64)
-    error = None
-    try:
-        rows = np.loadtxt(io.StringIO(text), dtype=np.int64, ndmin=2, comments=None)
-        if rows.shape[1] == expected_cols:
-            return rows
-    except ValueError as exc:
-        error = exc
+    values = None
+    if count is not None:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # older numpy only warns about a short parse
+            try:
+                values = np.fromstring(raw, dtype=np.int64, sep=" ")
+            except (ValueError, DeprecationWarning):
+                pass
+    limit = np.iinfo(np.int64)
+    if (values is not None and values.size == count
+            and limit.min < values.min() and values.max() < limit.max):
+        return values.reshape(-1, expected_cols)
     # malformed: name the first offending line
     name = os.path.basename(path)
-    for lineno, line in enumerate(text.split("\n"), 1):
+    for lineno, line in enumerate(raw.decode().split("\n"), 1):
         parts = line.split()
         if parts and len(parts) != expected_cols:
             raise DatasetFormatError(
@@ -189,7 +223,7 @@ def _read_int_rows(path: str, expected_cols: int) -> np.ndarray:
             list(map(int, parts))
         except ValueError as exc:
             raise DatasetFormatError(f"{name}:{lineno}: non-integer field") from exc
-    raise DatasetFormatError(f"{name}: {error}") from error
+    raise DatasetFormatError(f"{name}: fields must be decimal integers inside the int64 range")
 
 
 def load_tu_dataset(root_path, name: str) -> Dataset:
@@ -405,11 +439,12 @@ def _serialize_dataset(ds: Dataset, write) -> None:
     write(name_bytes)
     write(struct.pack("<q", ds.feature_dim))
     for g in ds.graphs:
-        coo = g.adjacency.tocoo()
-        write(struct.pack("<qqq", g.node_count, g.label, coo.nnz))
-        write(np.ascontiguousarray(coo.row, dtype="<i8"))
-        write(np.ascontiguousarray(coo.col, dtype="<i8"))
-        write(np.ascontiguousarray(coo.data, dtype="<f8"))
+        # the CSR's stored entries in storage order, as (row, col, value) columns
+        a = g.adjacency
+        write(struct.pack("<qqq", g.node_count, g.label, a.nnz))
+        write(np.repeat(np.arange(g.node_count, dtype="<i8"), np.diff(a.indptr)))
+        write(np.ascontiguousarray(a.indices, dtype="<i8"))
+        write(np.ascontiguousarray(a.data, dtype="<f8"))
         write(np.ascontiguousarray(g.node_features, dtype="<f8"))
 
 

@@ -4,11 +4,13 @@ The similarity between two nodes is the cosine of the corresponding
 columns of (A + lambda*I)^p. For asymmetric adjacency the rows of
 [Ahat | Ahat^T] are compared instead. Both come from one sparse Gram
 matrix, so only node pairs that share a nonzero row or column of Ahat^p
-are ever stored. The index mapping encodes each node's top-k most
-similar neighbours into a fixed-width, differentiable feature matrix.
-A dataset is preprocessed in runs of consecutive graphs, each run one
-block-diagonal union with one Gram product and one top-k pass; a union's
-Gram is block diagonal, so each graph gets the features it gets alone.
+are ever stored, and the cosines are the Gram's values rescaled in its
+own CSR layout. The index mapping encodes each node's top-k most similar
+neighbours into a fixed-width, differentiable feature matrix, ranking
+each row among its own stored entries. A dataset is preprocessed in runs
+of consecutive graphs, each run one block-diagonal union with one Gram
+product and one top-k pass; a union's Gram is block diagonal, so each
+graph gets the features it gets alone.
 
 Exactness: for integer-valued adjacency (0/1 edges, integer lambda) every
 Gram accumulation is exact in float64, so the result is bit-identical to
@@ -83,10 +85,12 @@ def similarity_sparse(
 ):
     """Cosine similarity from the sparse Gram matrix of Ahat^p.
 
-    The Gram is Ahat^T Ahat, plus Ahat Ahat^T when ``a`` is not symmetric,
-    so only pairs sharing a nonzero row of Ahat^p (or, for asymmetric
-    input, a nonzero column) can have nonzero cosine; everything the
-    sparse products do not reach is an exact (structural) zero.
+    The Gram is Ahat^T Ahat, formed as Ahat Ahat when ``a`` is symmetric,
+    and Ahat Ahat^T + Ahat^T Ahat when it is not, so only pairs sharing a
+    nonzero row of Ahat^p (or, for asymmetric input, a nonzero column) can
+    have nonzero cosine; everything the sparse products do not reach is
+    an exact (structural) zero. The cosines are a CSR on the Gram's own
+    ``indptr`` and ``indices``, so a row's columns may come unsorted.
     Exactly parallel columns (Cauchy-Schwarz equality, an exact predicate
     for integer-valued input) get unit similarity, so diagonals and
     duplicated neighbourhoods come out as exactly 1. Zero-norm columns
@@ -103,41 +107,37 @@ def similarity_sparse(
         a.eliminate_zeros()
 
     n = a.shape[0]
-    base = (a + cfg.lam * sp.identity(n, format="csr")).tocsr()
-    base.eliminate_zeros()
+    base = a if cfg.lam == 0 else a + cfg.lam * sp.identity(n, format="csr")
     ahat = base
     for _ in range(cfg.p - 1):
         ahat = ahat @ base
     # Ahat^T Ahat accumulates one d x d outer product per row of degree d
     row_degree = np.diff(ahat.indptr).astype(np.int64)
-    gram = ahat.T @ ahat
     stats = SparseStats(node_count=n, edge_count=int(a.nnz),
                         multiply_adds=int((row_degree**2).sum()))
     # canonical CSR with no stored zeros: equal arrays mean equal matrices
     at = a.T.tocsr()
-    if not (np.array_equal(a.indptr, at.indptr) and np.array_equal(a.indices, at.indices)
+    if (np.array_equal(a.indptr, at.indptr) and np.array_equal(a.indices, at.indices)
             and np.array_equal(a.data, at.data)):
-        gram = gram + ahat @ ahat.T
+        gram = ahat @ ahat
+    else:
+        gram = ahat @ ahat.T + ahat.T @ ahat
         col_degree = np.bincount(ahat.indices, minlength=n).astype(np.int64)
         stats.multiply_adds += int((col_degree**2).sum())
 
     norms_sq = gram.diagonal()
     norms = np.sqrt(norms_sq)
-    gram_coo = gram.tocoo()
-    i, j, g = gram_coo.row, gram_coo.col, gram_coo.data
+    per_row, j, g = np.diff(gram.indptr), gram.indices, gram.data
     stats.pair_count = len(g)
     with np.errstate(divide="ignore", invalid="ignore"):
-        c = g / (norms[i] * norms[j])
-    parallel = (g * g == norms_sq[i] * norms_sq[j]) & (g != 0)
+        c = g / (np.repeat(norms, per_row) * norms[j])
+    parallel = (g * g == np.repeat(norms_sq, per_row) * norms_sq[j]) & (g != 0)
     c[parallel] = np.sign(g[parallel])
-    c = np.clip(c, -1.0, 1.0)
-    dense = sp.csr_matrix((c, (i, j)), shape=(n, n))
+    dense = sp.csr_matrix((np.clip(c, -1.0, 1.0, out=c), j, gram.indptr), shape=(n, n))
     dense.eliminate_zeros()
 
     features = SimilarityFeatures(source_node_count=n, dense=dense)
-    if return_stats:
-        return features, stats
-    return features
+    return (features, stats) if return_stats else features
 
 
 def compute_features(a, cfg: SimilarityConfig) -> SimilarityFeatures:
@@ -162,7 +162,8 @@ def index_map(features, cfg: SimilarityConfig, offsets=None) -> SimilarityFeatur
     descending order, ties going to the smaller column index; rows with
     fewer than k nonzero entries are zero-padded. Similarities must be
     non-negative, so that the ranking over stored entries is the ranking
-    over the whole row, and must not cross graphs.
+    over the whole row, and must not cross graphs. Rows are ranked among
+    their own entries, one sort per row length, whatever their column order.
     """
     matrix = features.dense if isinstance(features, SimilarityFeatures) else features
     if matrix is None:
@@ -178,25 +179,25 @@ def index_map(features, cfg: SimilarityConfig, offsets=None) -> SimilarityFeatur
             or np.any(np.diff(offsets) < 0):
         raise ValueError(f"graph offsets must rise from 0 to {n}, got {offsets.tolist()}")
     sizes = np.diff(offsets)
-    graph = np.repeat(np.arange(sizes.size), sizes)
 
-    # the stored nonzeros row by row; indptr counts them up to each row's start
-    stored = c.data != 0
-    indptr = np.concatenate([[0], np.cumsum(stored)])[c.indptr]
-    rows = np.repeat(np.arange(n), np.diff(indptr))
-    cols, vals = c.indices[stored], c.data[stored]
-    owner = graph[rows]
-    if np.any((cols < offsets[owner]) | (cols >= offsets[owner + 1])):
+    if not c.data.all():  # a stored zero is no similarity; the caller's matrix keeps its layout
+        c = c.copy()
+        c.eliminate_zeros()
+    indptr, cols, vals = c.indptr, c.indices, c.data
+    length = np.diff(indptr)
+    owner = np.repeat(np.repeat(np.arange(sizes.size), sizes), length)  # each entry's graph
+    local, size = cols - offsets[owner], sizes[owner]
+    if np.any((local < 0) | (local >= size)):
         raise ValueError("index_map expects no similarity between nodes of different graphs")
-    order = np.lexsort((cols, -vals, rows))
-    rows, cols, vals = rows[order], cols[order], vals[order]
-    rank = np.arange(rows.size) - indptr[rows]
-    top = rank < cfg.k
-    rows, cols, vals, rank = rows[top], cols[top], vals[top], rank[top]
+    code = (cfg.alpha * vals + (local + 1)) / (size + 1)
 
-    owner = graph[rows]
     mapped = np.zeros((n, cfg.k), dtype=np.float64)
-    mapped[rows, rank] = (cfg.alpha * vals + (cols - offsets[owner] + 1)) / (sizes[owner] + 1)
+    for width in np.unique(length[length > 0]):
+        rows = np.flatnonzero(length == width)
+        start = indptr[rows, None]
+        entries = start + np.arange(width)  # rows x width: one row's entries per line
+        order = np.lexsort((cols[entries], -vals[entries]), axis=1)[:, :cfg.k]
+        mapped[rows, :order.shape[1]] = code[start + order]
     return SimilarityFeatures(source_node_count=n, dense=c, mapped=mapped)
 
 
@@ -234,10 +235,9 @@ def symmetric_similarity_on_tape(a: ad.Tensor, p: int = 1, lam: float = 0.0) -> 
 # preprocessing
 # ---------------------------------------------------------------------------
 
-# A run's Gram multiply-adds, the sum of its graphs' squared degrees. Its
-# temporaries peak near 60 bytes per multiply-add, about 2 MB a run, which
-# keeps ENZYMES' set-up under the training step's peak RSS; one union of the
-# whole DD dataset raised preprocessing's peak RSS by 270 MB
+# A run's Gram multiply-adds, the sum of its graphs' squared degrees. Its temporaries
+# peak near 40 bytes per multiply-add, 1.2 MB a run, under ENZYMES' training peak RSS,
+# which runs of 2^16 already raise; a union of the whole DD dataset added 270 MB
 GRAM_RUN_MULTIPLY_ADDS = 1 << 15
 
 

@@ -8,6 +8,7 @@ from simpool.data import (
     DatasetFormatError,
     DatasetIntegrityError,
     Graph,
+    _read_int_rows,
     dataset_hash,
     kfold_split,
     load_tu_dataset,
@@ -138,6 +139,49 @@ class TestLoader:
             (root / "NI_graph_indicator.txt").write_text(f"1\n\n{bad}\n")
             with pytest.raises(DatasetFormatError, match=r"NI_graph_indicator\.txt:3: non-integer field"):
                 load_tu_dataset(root, "NI")
+
+    def test_field_count_is_checked_line_by_line(self, tmp_path):
+        # 3 + 1 fields add up to two 2-field rows; line 1 is still the wrong one
+        root = tmp_path / "BAL"
+        root.mkdir()
+        (root / "BAL_A.txt").write_text("1 2 3\n4\n")
+        (root / "BAL_graph_indicator.txt").write_text("1\n1\n1\n1\n")
+        (root / "BAL_graph_labels.txt").write_text("1\n")
+        with pytest.raises(DatasetFormatError, match=r"BAL_A\.txt:1: expected 2 fields, got 3"):
+            load_tu_dataset(root, "BAL")
+
+    def test_file_of_many_blocks_parses_whole(self, tmp_path):
+        # about 600 KB of lines with uneven spacing, read block by block
+        rng = np.random.default_rng(21)
+        rows = rng.integers(-10**9, 10**9, size=(30000, 2))
+        lines = [f"{a},{' ' * int(s)}{b}" for (a, b), s in zip(rows, rng.integers(0, 4, 30000))]
+        path = tmp_path / "MANY_A.txt"
+        path.write_text("\n".join(lines) + "\n")
+        assert path.stat().st_size > 4 * (1 << 16)
+        assert np.array_equal(_read_int_rows(str(path), 2), rows)
+        lines[25000] += " 7"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DatasetFormatError, match=r"MANY_A\.txt:25001: expected 2 fields, got 3"):
+            _read_int_rows(str(path), 2)
+
+    def test_values_outside_int64_rejected(self, tmp_path):
+        root = tmp_path / "BIG"
+        root.mkdir()
+        (root / "BIG_A.txt").write_text("1, 2\n")
+        (root / "BIG_graph_indicator.txt").write_text("1\n1\n")
+        (root / "BIG_graph_labels.txt").write_text(f"{2**63}\n")
+        with pytest.raises(DatasetFormatError, match=r"BIG_graph_labels\.txt: .*int64"):
+            load_tu_dataset(root, "BIG")
+
+    def test_crlf_files_load_as_their_lf_copies(self, tmp_path):
+        graphs = [ring_graph(4), ring_graph(6)]
+        lf = write_tu_dataset(tmp_path / "LF", "LE", graphs, [1, 2], [1, 2, 1, 2] + [3] * 6)
+        crlf = tmp_path / "CRLF"
+        crlf.mkdir()
+        for path in lf.iterdir():
+            (crlf / path.name).write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        assert b"\r\n" in (crlf / "LE_A.txt").read_bytes()
+        assert dataset_hash(load_tu_dataset(crlf, "LE")) == dataset_hash(load_tu_dataset(lf, "LE"))
 
     def test_every_loaded_adjacency_symmetric(self, toy_dataset):
         for g in toy_dataset.graphs:

@@ -280,6 +280,36 @@ class TestIndexMap:
             oracle = index_map_dense(feats.dense, cfg)
             assert mapped.tobytes() == oracle.tobytes(), f"trial {trial}"
 
+    def test_unions_match_dense_oracle_bytes(self):
+        # few distinct values, so long rows tie past k; per-row densities spread the
+        # row lengths; every row lists its entries in random order among stored zeros
+        rng = np.random.default_rng(20)
+        seen = {"lengths": set(), "ties_past_k": 0, "short": 0, "zeros": 0, "unsorted": 0}
+        for trial in range(60):
+            sizes = rng.integers(1, 40, size=int(rng.integers(1, 6)))
+            blocks = [rng.choice([0.25, 0.5, 1.0], size=(n, n))
+                      * (rng.random((n, n)) < rng.random((n, 1))) for n in sizes]
+            k = int(sizes.max()) + 2 if trial % 5 == 0 else int(rng.integers(1, 12))
+            cfg = SimilarityConfig(alpha=float(rng.choice([0.0, 0.4, 1.0])), k=k)
+            union = sp.block_diag(blocks).toarray()
+            within = sp.block_diag([np.ones((n, n)) for n in sizes]).toarray() > 0
+            rows, cols = np.nonzero((union != 0) | (within & (rng.random(union.shape) < 0.1)))
+            order = np.lexsort((rng.random(rows.size), rows))
+            rows, cols = rows[order], cols[order]
+            indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=union.shape[0]))])
+            raw = sp.csr_matrix((union[rows, cols], cols, indptr), shape=union.shape)
+            offsets = np.concatenate([[0], np.cumsum(sizes)])
+            mapped = index_map(raw, cfg, offsets).mapped
+            for lo, hi, block in zip(offsets[:-1], offsets[1:], blocks):
+                assert mapped[lo:hi].tobytes() == index_map_dense(block, cfg).tobytes(), trial
+            length = np.count_nonzero(union, axis=1)
+            seen["lengths"] |= set(length.tolist())
+            seen["ties_past_k"] += int(np.any(np.count_nonzero(union == 1.0, axis=1) > k))
+            seen["short"] += int(np.any((length > 0) & (length < k)))
+            seen["zeros"] += int(raw.nnz > np.count_nonzero(union))
+            seen["unsorted"] += int(not raw.has_sorted_indices)
+        assert len(seen.pop("lengths")) > 30 and min(seen.values()) > 0, seen
+
     def test_negative_similarities_rejected(self):
         dense = np.array([[1.0, -0.5], [-0.5, 1.0]])
         with pytest.raises(ValueError, match="non-negative"):
