@@ -2,7 +2,10 @@
 
 Datasets arrive as TU-style text files (1-based edge list, graph
 indicator, graph labels, optional node labels). Loaded graphs are
-immutable; adjacency is kept as CSR, features dense.
+immutable; adjacency is kept as CSR, features dense: one-hot node labels
+in float32, which holds 0 and 1 exactly and is the training tape's dtype,
+and the degree scalar in float64, whose ratios float32 would round. The
+content hash reads every feature as float64 whatever its storage dtype.
 """
 
 from __future__ import annotations
@@ -49,7 +52,9 @@ class Graph:
     Every stored adjacency entry is 0 or 1, and the adjacency is symmetric
     (a stored zero is no edge): a graph is its undirected structure. The
     model's stage 1 relies on this, since tanh(S^T A S) is symmetric only
-    when A is.
+    when A is. ``node_features`` is n x d, one row per node, in any float
+    dtype: the tape casts it to its own. ``load_tu_dataset`` gives one-hot
+    rows in float32 and degree scalars in float64.
     """
 
     adjacency: sp.csr_matrix
@@ -71,8 +76,11 @@ class Graph:
         j = self.adjacency.indices[edge]
         if not np.array_equal(np.sort(i * n + j), np.sort(j * n + i)):
             raise ValueError("adjacency must be symmetric: a graph is undirected")
-        if self.node_features.shape[0] != n:
-            raise ValueError("feature rows must match node count")
+        if self.node_features.ndim != 2 or self.node_features.shape[0] != n:
+            raise ValueError(
+                f"node_features must be {n} x d, one row per node; got shape "
+                f"{self.node_features.shape}"
+            )
 
     @property
     def node_count(self) -> int:
@@ -194,8 +202,8 @@ def _read_int_rows(path: str, expected_cols: int) -> np.ndarray:
     to its end and no value sits at an int64 limit (the pass clamps an
     overflow there); otherwise the line scan names the offending line.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = fh.read().replace(",", " ").encode()
+    with open(path, "rb") as fh:
+        raw = fh.read().replace(b",", b" ")
     count = _field_count(raw, expected_cols)
     if count == 0:
         return np.zeros((0, expected_cols), dtype=np.int64)
@@ -213,7 +221,7 @@ def _read_int_rows(path: str, expected_cols: int) -> np.ndarray:
         return values.reshape(-1, expected_cols)
     # malformed: name the first offending line
     name = os.path.basename(path)
-    for lineno, line in enumerate(raw.decode().split("\n"), 1):
+    for lineno, line in enumerate(raw.split(b"\n"), 1):
         parts = line.split()
         if parts and len(parts) != expected_cols:
             raise DatasetFormatError(
@@ -231,8 +239,13 @@ def load_tu_dataset(root_path, name: str) -> Dataset:
 
     Node features are one-hot node labels when `<name>_node_labels.txt`
     exists, otherwise a single degree scalar normalised by the dataset's
-    maximum degree. Adjacency is 0/1 and symmetrised; class labels are
-    remapped to a contiguous range.
+    maximum degree. One-hot rows are float32: 0 and 1 are exact there, a
+    float32 tape reads them without a copy and a float64 one up-casts them
+    exactly, at half the memory of float64 (DD's 89 labels make them most
+    of the loaded dataset). Degree scalars stay float64, since float32
+    would round their ratios. Every graph's features are a view of rows of
+    one array. Adjacency is 0/1 and symmetrised; class labels are remapped
+    to a contiguous range.
     """
     root = os.fspath(root_path)
 
@@ -287,7 +300,7 @@ def load_tu_dataset(root_path, name: str) -> Dataset:
     degrees = np.diff(adj.indptr)
     if node_labels is not None:
         label_values, label_pos = np.unique(node_labels, return_inverse=True)
-        features = np.zeros((num_nodes, len(label_values)))
+        features = np.zeros((num_nodes, len(label_values)), dtype=np.float32)
         features[np.arange(num_nodes), label_pos] = 1.0
     else:
         features = (degrees / max(degrees.max(), 1.0)).reshape(num_nodes, 1)
@@ -432,12 +445,20 @@ class ByteReader:
 
 
 def _serialize_dataset(ds: Dataset, write) -> None:
-    """Pass the canonical serialization to ``write`` one piece at a time."""
+    """Pass the canonical serialization to ``write`` one piece at a time.
+
+    ``write`` must consume each piece before it returns: every graph's
+    features pass through one buffer sized for the largest graph, not a
+    fresh copy per graph.
+    """
     write(DATASET_MAGIC)
     name_bytes = ds.name.encode("utf-8")
     write(struct.pack("<qqqq", 1, len(name_bytes), ds.num_classes, len(ds)))
     write(name_bytes)
     write(struct.pack("<q", ds.feature_dim))
+    # features serialize as <f8 whatever their storage dtype, so float32 one-hot
+    # rows hash as their float64 values did
+    buffer = np.empty(max((g.node_features.size for g in ds.graphs), default=0), dtype="<f8")
     for g in ds.graphs:
         # the CSR's stored entries in storage order, as (row, col, value) columns
         a = g.adjacency
@@ -445,7 +466,9 @@ def _serialize_dataset(ds: Dataset, write) -> None:
         write(np.repeat(np.arange(g.node_count, dtype="<i8"), np.diff(a.indptr)))
         write(np.ascontiguousarray(a.indices, dtype="<i8"))
         write(np.ascontiguousarray(a.data, dtype="<f8"))
-        write(np.ascontiguousarray(g.node_features, dtype="<f8"))
+        rows = buffer[:g.node_features.size].reshape(g.node_features.shape)
+        np.copyto(rows, g.node_features)
+        write(rows)
 
 
 def dataset_hash(ds: Dataset) -> str:

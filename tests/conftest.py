@@ -1,6 +1,8 @@
 """Shared fixtures: float64 tapes, synthetic TU-format datasets, tiny graph
 factories, and a backward-pass fault for negative controls."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -121,6 +123,23 @@ def mixed_dataset(tmp_path):
     assert ds.graphs[3].adjacency.toarray()[6].sum() == 0 and ds.graphs[4].adjacency.nnz == 0
     assert ds.feature_dim == 3
     return ds
+
+
+def many_label_dataset(tmp_path):
+    """Three random graphs whose nodes carry 62 distinct labels of 89."""
+    rng = np.random.default_rng(22)
+    graphs = [random_graph(rng, n, 0.3) for n in (30, 12, 50)]
+    node_labels = rng.integers(1, 90, size=sum(g.shape[0] for g in graphs))
+    root = write_tu_dataset(tmp_path / "MANY", "MANY", graphs, [1, 2, 1], node_labels)
+    ds = load_tu_dataset(root, "MANY")
+    assert ds.feature_dim == np.unique(node_labels).size == 62
+    return ds
+
+
+def float64_features(ds):
+    """``ds`` with every graph's node features replaced by a float64 copy."""
+    return replace(ds, graphs=tuple(
+        replace(g, node_features=g.node_features.astype(np.float64)) for g in ds.graphs))
 
 
 @pytest.fixture

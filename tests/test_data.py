@@ -1,5 +1,7 @@
 """Tests for dataset loading, batching, folds, and the content hash."""
 
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -15,7 +17,7 @@ from simpool.data import (
     make_batches,
 )
 
-from conftest import ring_graph, write_tu_dataset
+from conftest import float64_features, many_label_dataset, ring_graph, write_tu_dataset
 from oracles import tu_graphs_one_by_one
 
 
@@ -49,12 +51,17 @@ class TestLoader:
         assert is_symmetric(ds.graphs[0])
         assert ds.graphs[0].adjacency.nnz == 4
 
-    def test_node_labels_become_onehot(self, toy_dataset):
-        ds = toy_dataset
-        assert ds.metadata["feature_kind"] == "node_label_onehot"
-        feats = np.vstack([g.node_features for g in ds.graphs])
-        assert set(np.unique(feats)) <= {0.0, 1.0}
-        np.testing.assert_array_equal(feats.sum(axis=1), np.ones(len(feats)))
+    def test_node_labels_become_onehot(self, toy_dataset, tmp_path):
+        # float32 holds 0 and 1 exactly; every graph's rows are a view of one array
+        for ds in (toy_dataset, many_label_dataset(tmp_path)):
+            assert ds.metadata["feature_kind"] == "node_label_onehot"
+            rows = [g.node_features for g in ds.graphs]
+            base = rows[0].base
+            assert base is not None and base.shape == (sum(map(len, rows)), ds.feature_dim)
+            assert all(f.base is base and f.dtype == np.float32 for f in rows)
+            feats = np.vstack(rows)
+            assert set(np.unique(feats)) <= {0.0, 1.0}
+            np.testing.assert_array_equal(feats.sum(axis=1), np.ones(len(feats)))
 
     def test_degree_features_without_node_labels(self, tmp_path):
         graphs = [ring_graph(5), ring_graph(7)]
@@ -64,6 +71,7 @@ class TestLoader:
         assert ds.feature_dim == 1
         # every ring node has degree 2 == dataset max degree
         for g in ds.graphs:
+            assert g.node_features.dtype == np.float64  # float32 would round degree ratios
             np.testing.assert_array_equal(g.node_features, np.ones((g.node_count, 1)))
 
     def test_labels_remapped_contiguous(self, tmp_path):
@@ -140,6 +148,16 @@ class TestLoader:
             with pytest.raises(DatasetFormatError, match=r"NI_graph_indicator\.txt:3: non-integer field"):
                 load_tu_dataset(root, "NI")
 
+    def test_non_utf8_byte_names_file_and_line(self, tmp_path):
+        root = write_tu_dataset(tmp_path / "B", "B", [ring_graph(3)], [1], [1, 2, 1])
+        (root / "B_graph_indicator.txt").write_bytes(b"1\n1\n\xff\n")
+        with pytest.raises(DatasetFormatError, match=r"B_graph_indicator\.txt:3: non-integer field"):
+            load_tu_dataset(root, "B")
+        (root / "B_graph_indicator.txt").write_bytes(b"1\n1\n1\n")
+        (root / "B_node_labels.txt").write_bytes(b"1\n\xe92\n1\n")
+        with pytest.raises(DatasetFormatError, match=r"B_node_labels\.txt:2: non-integer field"):
+            load_tu_dataset(root, "B")
+
     def test_field_count_is_checked_line_by_line(self, tmp_path):
         # 3 + 1 fields add up to two 2-field rows; line 1 is still the wrong one
         root = tmp_path / "BAL"
@@ -210,6 +228,12 @@ class TestGraph:
         stored_zero.data[stored_zero.indptr[1]] = 0.0  # 1 -> 0 stored, but no edge
         for a in (sp.csr_matrix(directed), stored_zero):
             with pytest.raises(ValueError, match="symmetric"):
+                Graph(adjacency=a, node_features=features, label=0)
+
+    def test_features_must_be_one_row_per_node(self):
+        a = sp.csr_matrix(ring_graph(2))
+        for features in (np.ones(2), np.ones((3, 1)), np.ones((2, 1, 1))):
+            with pytest.raises(ValueError, match=re.escape(f"got shape {features.shape}")):
                 Graph(adjacency=a, node_features=features, label=0)
 
 
@@ -348,6 +372,12 @@ class TestCache:
         assert dataset_hash(load_tu_dataset(other, "TOY")) != dataset_hash(
             load_tu_dataset(longer, "TOY")
         )
+
+    def test_hash_reads_float32_onehot_as_its_float64_copy(self, toy_dataset, tmp_path):
+        for ds in (toy_dataset, many_label_dataset(tmp_path)):
+            copy = float64_features(ds)
+            assert copy.graphs[0].node_features.dtype == np.float64
+            assert dataset_hash(copy) == dataset_hash(ds) == ds.metadata["content_hash"]
 
     def test_hash_pinned_for_toy_dataset(self, toy_dataset):
         # any change to the serialization changes every stored hash

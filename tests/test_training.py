@@ -25,7 +25,7 @@ from simpool.training import (
     train_run,
 )
 
-from conftest import ring_graph, separable_dataset
+from conftest import float64_features, ring_graph, separable_dataset
 from oracles import adam_step_formula, forward_graph_loop
 
 
@@ -158,6 +158,26 @@ class TestFloat32Training:
             assert optimiser.m[name].dtype == optimiser.v[name].dtype == f32, name
         assert fwd.probs.dtype == np.float64
         np.testing.assert_allclose(fwd.probs.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("dtype", (np.float32, np.float64))
+    def test_float32_features_step_as_their_float64_copies(self, toy_dataset, dtype):
+        """Loaded float32 one-hot rows give the step of float64 copies, byte for byte."""
+        assert toy_dataset.graphs[0].node_features.dtype == np.float32
+        cfg = small_config(assign_inputs="both")
+        steps = []
+        for ds in (toy_dataset, float64_features(toy_dataset)):
+            with ad.precision(dtype):
+                model = SimPoolModel(cfg.preset, feature_dim=ds.feature_dim,
+                                     num_classes=ds.num_classes, assign_inputs="both")
+                optimiser = Adam(model.parameters(), 1e-3)
+                (batch,) = make_batches(ds, len(ds))
+                with ad.Tape() as tape:
+                    fwd = model.forward_batch(batch, preprocess_dataset(ds, model.sim))
+                    tape.backward(fwd.total(1.0, 1.0))
+                optimiser.step()
+            steps.append(([loss.values.tobytes() for loss in fwd.losses.values()],
+                          {k: p.values.tobytes() for k, p in model.parameters().items()}))
+        assert steps[0] == steps[1]
 
 
 class TestTrainRun:
