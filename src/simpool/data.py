@@ -3,9 +3,10 @@
 Datasets arrive as TU-style text files (1-based edge list, graph
 indicator, graph labels, optional node labels). Loaded graphs are
 immutable; adjacency is kept as CSR, features dense: one-hot node labels
-in float32, which holds 0 and 1 exactly and is the training tape's dtype,
-and the degree scalar in float64, whose ratios float32 would round. The
-content hash reads every feature as float64 whatever its storage dtype.
+as bool, one byte per entry (the tape casts 0 and 1 exactly to its own
+dtype), and the degree scalar in float64, whose ratios float32 would
+round. The content hash reads every feature as float64 whatever its
+storage dtype.
 """
 
 from __future__ import annotations
@@ -52,9 +53,11 @@ class Graph:
     Every stored adjacency entry is 0 or 1, and the adjacency is symmetric
     (a stored zero is no edge): a graph is its undirected structure. The
     model's stage 1 relies on this, since tanh(S^T A S) is symmetric only
-    when A is. ``node_features`` is n x d, one row per node, in any float
-    dtype: the tape casts it to its own. ``load_tu_dataset`` gives one-hot
-    rows in float32 and degree scalars in float64.
+    when A is. The adjacency is a scipy sparse matrix or array in CSR
+    format, whose row order the content hash reads. ``node_features`` is
+    n x d, one row per node, in a float or bool dtype: the tape casts it to
+    its own. ``load_tu_dataset`` gives one-hot rows as bool and degree
+    scalars in float64.
     """
 
     adjacency: sp.csr_matrix
@@ -62,6 +65,12 @@ class Graph:
     label: int
 
     def __post_init__(self):
+        if not (sp.issparse(self.adjacency) and self.adjacency.format == "csr"):
+            kind = type(self.adjacency).__name__
+            kind = (f"{kind} in {self.adjacency.format.upper()} format"
+                    if sp.issparse(self.adjacency) else f"dense {kind}")
+            raise TypeError(f"adjacency must be a scipy sparse matrix or array in CSR "
+                            f"format, got {kind}")
         n, cols = self.adjacency.shape
         if n != cols:
             raise ValueError(f"adjacency must be square, got {self.adjacency.shape}")
@@ -239,13 +248,13 @@ def load_tu_dataset(root_path, name: str) -> Dataset:
 
     Node features are one-hot node labels when `<name>_node_labels.txt`
     exists, otherwise a single degree scalar normalised by the dataset's
-    maximum degree. One-hot rows are float32: 0 and 1 are exact there, a
-    float32 tape reads them without a copy and a float64 one up-casts them
-    exactly, at half the memory of float64 (DD's 89 labels make them most
-    of the loaded dataset). Degree scalars stay float64, since float32
-    would round their ratios. Every graph's features are a view of rows of
-    one array. Adjacency is 0/1 and symmetrised; class labels are remapped
-    to a contiguous range.
+    maximum degree. One-hot rows are bool, one byte per entry: either tape
+    dtype casts 0 and 1 exactly, and DD's 89 labels make them most of the
+    loaded dataset, at a quarter of float32's memory and an eighth of
+    float64's. Degree scalars stay float64, since float32 would round their
+    ratios. Every graph's features are a view of rows of one array.
+    Adjacency is 0/1 and symmetrised; class labels are remapped to a
+    contiguous range.
     """
     root = os.fspath(root_path)
 
@@ -300,8 +309,8 @@ def load_tu_dataset(root_path, name: str) -> Dataset:
     degrees = np.diff(adj.indptr)
     if node_labels is not None:
         label_values, label_pos = np.unique(node_labels, return_inverse=True)
-        features = np.zeros((num_nodes, len(label_values)), dtype=np.float32)
-        features[np.arange(num_nodes), label_pos] = 1.0
+        features = np.zeros((num_nodes, len(label_values)), dtype=bool)
+        features[np.arange(num_nodes), label_pos] = True
     else:
         features = (degrees / max(degrees.max(), 1.0)).reshape(num_nodes, 1)
     class_values, classes = np.unique(graph_labels_raw, return_inverse=True)
@@ -338,14 +347,24 @@ def batch_positions(
     shuffle_seed: int | None = None,
     subset: np.ndarray | None = None,
 ) -> list[np.ndarray]:
-    """The dataset positions of each batch of ``make_batches``, in batch order."""
+    """The dataset positions of each batch of ``make_batches``, in batch order.
+
+    ``subset`` lists dataset positions as a 1-D integer array (or a list of
+    ints); a boolean mask or a float array raises ``ValueError`` rather than
+    being read as positions 0 and 1 or truncated.
+    """
     if batch_size < 1:
         raise ValueError("batch size must be >= 1")
     if len(ds) == 0:
         raise ValueError("cannot batch an empty dataset")
-    positions = np.arange(len(ds)) if subset is None else np.asarray(subset, dtype=np.int64)
+    positions = np.arange(len(ds)) if subset is None else np.asarray(subset)
+    if positions.ndim != 1:
+        raise ValueError(f"subset must be 1-D dataset positions, got shape {positions.shape}")
     if positions.size == 0:
         raise ValueError("cannot batch an empty index subset")
+    if positions.dtype.kind not in "iu":
+        raise ValueError(f"subset must hold integer dataset positions, got dtype {positions.dtype}")
+    positions = positions.astype(np.int64, copy=False)
     outside = (positions < 0) | (positions >= len(ds))
     if outside.any():
         raise ValueError(f"subset position {positions[outside][0]} outside [0, {len(ds)})")
@@ -456,7 +475,7 @@ def _serialize_dataset(ds: Dataset, write) -> None:
     write(struct.pack("<qqqq", 1, len(name_bytes), ds.num_classes, len(ds)))
     write(name_bytes)
     write(struct.pack("<q", ds.feature_dim))
-    # features serialize as <f8 whatever their storage dtype, so float32 one-hot
+    # features serialize as <f8 whatever their storage dtype, so bool one-hot
     # rows hash as their float64 values did
     buffer = np.empty(max((g.node_features.size for g in ds.graphs), default=0), dtype="<f8")
     for g in ds.graphs:

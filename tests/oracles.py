@@ -187,7 +187,7 @@ def tu_graphs_one_by_one(root, name: str) -> list[tuple[sp.csr_matrix, np.ndarra
     Each graph's edges make a COO matrix, then a CSR with duplicate
     listings collapsed to 1, then its maximum with its transpose; node
     degrees are the row sums of those matrices. Features and labels follow
-    ``load_tu_dataset``'s rules: one-hot rows in float32, degree scalars in
+    ``load_tu_dataset``'s rules: one-hot rows as bool, degree scalars in
     float64.
     """
     def read(suffix: str, cols: int = 1) -> np.ndarray:
@@ -222,8 +222,8 @@ def tu_graphs_one_by_one(root, name: str) -> list[tuple[sp.csr_matrix, np.ndarra
     for g, n in enumerate(counts):
         lo = offsets[g]
         if node_labels is not None:
-            feats = np.zeros((n, len(label_values)), dtype=np.float32)
-            feats[np.arange(n), np.searchsorted(label_values, node_labels[lo:lo + n])] = 1.0
+            feats = np.zeros((n, len(label_values)), dtype=bool)
+            feats[np.arange(n), np.searchsorted(label_values, node_labels[lo:lo + n])] = True
         else:
             feats = (degrees[lo:lo + n] / max(degrees.max(), 1.0)).reshape(n, 1)
         out.append((adjacencies[g], feats, class_of[int(graph_labels[g])]))

@@ -11,6 +11,7 @@ from simpool.data import (
     DatasetIntegrityError,
     Graph,
     _read_int_rows,
+    batch_positions,
     dataset_hash,
     kfold_split,
     load_tu_dataset,
@@ -52,13 +53,13 @@ class TestLoader:
         assert ds.graphs[0].adjacency.nnz == 4
 
     def test_node_labels_become_onehot(self, toy_dataset, tmp_path):
-        # float32 holds 0 and 1 exactly; every graph's rows are a view of one array
+        # one byte per entry; every graph's rows are a view of one array
         for ds in (toy_dataset, many_label_dataset(tmp_path)):
             assert ds.metadata["feature_kind"] == "node_label_onehot"
             rows = [g.node_features for g in ds.graphs]
             base = rows[0].base
             assert base is not None and base.shape == (sum(map(len, rows)), ds.feature_dim)
-            assert all(f.base is base and f.dtype == np.float32 for f in rows)
+            assert all(f.base is base and f.dtype == np.bool_ for f in rows)
             feats = np.vstack(rows)
             assert set(np.unique(feats)) <= {0.0, 1.0}
             np.testing.assert_array_equal(feats.sum(axis=1), np.ones(len(feats)))
@@ -230,6 +231,20 @@ class TestGraph:
             with pytest.raises(ValueError, match="symmetric"):
                 Graph(adjacency=a, node_features=features, label=0)
 
+    def test_adjacency_must_be_csr(self):
+        # the content hash and the symmetry check read CSR rows: a COO matrix has no
+        # indptr, a CSC one would be read by columns, a dense array's .data is its buffer
+        features = np.ones((4, 1))
+        ring = ring_graph(4)
+        for a, kind in ((sp.coo_matrix(ring), "coo_matrix in COO format"),
+                        (sp.csc_matrix(ring), "csc_matrix in CSC format"),
+                        (sp.csc_array(ring), "csc_array in CSC format"),
+                        (ring, "dense ndarray")):
+            with pytest.raises(TypeError, match=f"CSR format, got {kind}$"):
+                Graph(adjacency=a, node_features=features, label=0)
+        for a in (sp.csr_matrix(ring), sp.csr_array(ring)):
+            assert Graph(adjacency=a, node_features=features, label=0).node_count == 4
+
     def test_features_must_be_one_row_per_node(self):
         a = sp.csr_matrix(ring_graph(2))
         for features in (np.ones(2), np.ones((3, 1)), np.ones((2, 1, 1))):
@@ -304,6 +319,22 @@ class TestBatches:
         with pytest.raises(ValueError):
             make_batches(toy_dataset, batch_size=0)
 
+    def test_subset_must_be_integer_positions(self, toy_dataset):
+        # read as positions, a mask would pick graphs 0 and 1 and a float array truncate
+        for subset, dtype in ((np.array([True, False, True, True]), "bool"),
+                              (np.array([0.7, 2.9]), "float64"),
+                              ([1.0, 2.0], "float64")):
+            with pytest.raises(ValueError, match=f"integer dataset positions, got dtype {dtype}"):
+                make_batches(toy_dataset, batch_size=2, subset=subset)
+            with pytest.raises(ValueError, match=f"got dtype {dtype}"):
+                batch_positions(toy_dataset, 2, subset=subset)
+        with pytest.raises(ValueError, match=r"1-D dataset positions, got shape \(2, 1\)"):
+            batch_positions(toy_dataset, 2, subset=np.array([[0], [1]]))
+        for subset in ([3, 1, 4], np.array([3, 1, 4], dtype=np.uint8)):
+            chunks = batch_positions(toy_dataset, 2, subset=subset)
+            assert [c.tolist() for c in chunks] == [[3, 1], [4]]
+            assert all(c.dtype == np.int64 for c in chunks)
+
     def test_subset_positions_must_lie_in_the_dataset(self, toy_dataset):
         # a negative position would wrap to the end, and one past the end used to raise IndexError
         for subset, bad in (([-1], -1), ([3, 10, 12], 10), ([0, 1, 2, 9, -4], -4)):
@@ -373,7 +404,7 @@ class TestCache:
             load_tu_dataset(longer, "TOY")
         )
 
-    def test_hash_reads_float32_onehot_as_its_float64_copy(self, toy_dataset, tmp_path):
+    def test_hash_reads_bool_onehot_as_its_float64_copy(self, toy_dataset, tmp_path):
         for ds in (toy_dataset, many_label_dataset(tmp_path)):
             copy = float64_features(ds)
             assert copy.graphs[0].node_features.dtype == np.float64

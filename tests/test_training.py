@@ -161,8 +161,8 @@ class TestFloat32Training:
 
     @pytest.mark.parametrize("dtype", (np.float32, np.float64))
     def test_float32_features_step_as_their_float64_copies(self, toy_dataset, dtype):
-        """Loaded float32 one-hot rows give the step of float64 copies, byte for byte."""
-        assert toy_dataset.graphs[0].node_features.dtype == np.float32
+        """Loaded bool one-hot rows give the step of float64 copies, byte for byte."""
+        assert toy_dataset.graphs[0].node_features.dtype == np.bool_
         cfg = small_config(assign_inputs="both")
         steps = []
         for ds in (toy_dataset, float64_features(toy_dataset)):
