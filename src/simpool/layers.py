@@ -59,7 +59,7 @@ def block_diagonal(blocks) -> tuple[sp.csr_matrix, np.ndarray]:
     ``offsets[g]:offsets[g + 1]``. Duplicates are summed and stored zeros
     dropped, so the union is canonical whatever the blocks are.
     """
-    blocks = [sp.csr_matrix(b, dtype=np.float64) for b in blocks]
+    blocks = [b if sp.issparse(b) and b.format == "csr" else sp.csr_matrix(b) for b in blocks]
     if not blocks or any(b.shape[0] != b.shape[1] or b.shape[0] < 1 for b in blocks):
         raise ValueError("a union takes one or more square blocks with at least one node each")
     offsets = np.cumsum([0] + [b.shape[0] for b in blocks])
@@ -67,7 +67,8 @@ def block_diagonal(blocks) -> tuple[sp.csr_matrix, np.ndarray]:
     n = int(offsets[-1])
     indptr = np.concatenate([[0]] + [b.indptr[1:] + p for b, p in zip(blocks, stored)])
     indices = np.concatenate([b.indices + lo for b, lo in zip(blocks, offsets)])
-    a = sp.csr_matrix((np.concatenate([b.data for b in blocks]), indices, indptr), shape=(n, n))
+    data = np.concatenate([b.data for b in blocks]).astype(np.float64, copy=False)
+    a = sp.csr_matrix((data, indices, indptr), shape=(n, n))
     a.sum_duplicates()
     a.eliminate_zeros()
     return a, offsets

@@ -98,12 +98,15 @@ class ModelPreset:
                      "s1_hidden", "gcn2_units"):
             if getattr(self, size) < 1:
                 raise ValueError(f"{size} must be >= 1, got {getattr(self, size)}")
-        if self.learning_rate <= 0:
-            raise ValueError("learning rate must be positive")
+        if not 0 < self.learning_rate < math.inf:  # also false for nan
+            raise ValueError(f"learning_rate must be positive and finite, "
+                             f"got {self.learning_rate!r}")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if self.w_e < 0 or self.w_c < 0:
-            raise ValueError("loss weights must be non-negative")
+        for weight in ("w_e", "w_c"):
+            value = getattr(self, weight)
+            if not 0 <= value < math.inf:
+                raise ValueError(f"{weight} must be non-negative and finite, got {value!r}")
 
 
 PRESETS: dict[str, ModelPreset] = {
@@ -253,6 +256,13 @@ class SimPoolModel:
             raise ConfigError(
                 f"mapped similarity shape {mapped.shape} != ({x.shape[0]}, {self.sim.k})"
             )
+        tape = np.dtype(ad.tape_dtype())
+        if mapped.dtype.kind == "f" and mapped.dtype.itemsize < tape.itemsize:
+            # rounded at preprocessing: widening would not restore the lost bits
+            raise ConfigError(
+                f"mapped similarity rows are {mapped.dtype}, narrower than the {tape} tape; "
+                "preprocess them under the model's ad.precision"
+            )
         structural = ad.constant(mapped)
         if self.assign_inputs == "structural":
             return structural
@@ -267,7 +277,12 @@ class SimPoolModel:
         return ad.concat_columns([structural, x1])
 
     def forward_graph(self, batch: PaddedBatch, mapped: np.ndarray | None = None) -> Forward:
-        """One forward pass over a batch's disjoint union; ``mapped`` stacks its structural rows."""
+        """One forward pass over a batch's disjoint union; ``mapped`` stacks its structural rows.
+
+        ``mapped`` may be in the tape dtype, as ``preprocess_dataset`` run
+        under the same ``ad.precision`` returns it, or wider, and is then
+        cast; a narrower float raises ``ConfigError``.
+        """
         edges = batch.edges
         segments = edges.node_offsets
         x = ad.constant(batch.features)
@@ -294,7 +309,11 @@ class SimPoolModel:
         )
 
     def forward_batch(self, batch: PaddedBatch, mapped_by_index=None) -> Forward:
-        """``forward_graph`` with ``mapped_by_index[i]``, graph i's structural rows, stacked."""
+        """``forward_graph`` with ``mapped_by_index[i]``, graph i's structural rows, stacked.
+
+        The rows take the dtypes ``forward_graph`` takes; concatenating
+        rows already in the tape dtype leaves ``ad.constant`` no copy.
+        """
         mapped = None
         if mapped_by_index is not None:
             mapped = np.concatenate([mapped_by_index[int(i)] for i in batch.indices])

@@ -12,6 +12,14 @@ of consecutive graphs, each run one block-diagonal union with one Gram
 product and one top-k pass; a union's Gram is block diagonal, so each
 graph gets the features it gets alone.
 
+Dtypes: the Gram, the cosines and ``index_map`` compute in float64, and
+``compute_features`` and ``index_map`` return float64. Only
+``preprocess_dataset`` narrows: it stores each run's mapped rows in
+``ad.tape_dtype()`` as it is when it runs, the rule ``layers.Edges``
+follows for its adjacency. Training reads the rows in the tape dtype
+anyway, so rounding them once here gives the bytes ``ad.constant`` would
+give on every step, and a float32 tape keeps half the bytes resident.
+
 Exactness: for integer-valued adjacency (0/1 edges, integer lambda) every
 Gram accumulation is exact in float64, so the result is bit-identical to
 the dense computation. Real-valued weights agree to rounding error only.
@@ -20,6 +28,7 @@ the dense computation. Real-valued weights agree to rounding error only.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 import scipy.sparse as sp
@@ -49,10 +58,14 @@ class SimilarityConfig:
     k: int = 12
 
     def __post_init__(self):
+        for name in ("p", "k"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.p < 1:
             raise ValueError("power p must be >= 1")
-        if self.lam < 0:
-            raise ValueError("self-connection weight lambda must be >= 0")
+        if not 0 <= self.lam < np.inf:  # also false for nan
+            raise ValueError(f"lam must be a finite self-connection weight >= 0, got {self.lam!r}")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must lie in [0, 1]")
         if self.k < 1:
@@ -267,13 +280,17 @@ def preprocess_dataset(dataset, cfg: SimilarityConfig) -> list[np.ndarray]:
     one ``layers.block_diagonal`` union with one ``compute_features`` and
     one ``index_map`` call over the run's graph offsets; the union's Gram
     is block diagonal, so every graph's cosines and top-k encoding are
-    the ones it gets alone, byte for byte. Graph g's entry is a view of
-    its rows of its run's n x k array.
+    the ones it gets alone, byte for byte. Each run's n x k array is
+    ``index_map``'s float64 output cast once to ``ad.tape_dtype()``, so
+    build the features under the ``ad.precision`` of the model that reads
+    them, as its batches' ``Edges`` are; under float64 they are
+    ``index_map``'s bytes. Graph g's entry is a view of its rows of its
+    run's array.
     """
     graphs = dataset.graphs
-    mapped = []
+    dtype, mapped = ad.tape_dtype(), []
     for first, end in _graph_runs(graphs):
         union, offsets = block_diagonal([g.adjacency for g in graphs[first:end]])
-        run = index_map(compute_features(union, cfg), cfg, offsets).mapped
+        run = index_map(compute_features(union, cfg), cfg, offsets).mapped.astype(dtype, copy=False)
         mapped.extend(run[lo:hi] for lo, hi in zip(offsets[:-1], offsets[1:]))
     return mapped

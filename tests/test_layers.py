@@ -15,6 +15,7 @@ from simpool.layers import (
     GmnMessage,
     GmnPropagation,
     MLP,
+    block_diagonal,
     cross_entropy,
     loss_lc,
     loss_le,
@@ -144,6 +145,41 @@ class TestEdges:
             for attr in ("indptr", "indices", "data"):
                 got, want = getattr(union, attr), getattr(reference, attr)
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), attr
+
+
+class TestBlockDiagonal:
+    def test_union_bytes_equal_the_canonical_sp_block_diag(self):
+        """CSR blocks are read as they are, other blocks converted; every block
+        kind gives the canonical float64 union of ``sp.block_diag``."""
+        rng = np.random.default_rng(50)
+        a, b, c = (graph_of_kind(rng, n, kind) for n, kind in
+                   ((5, "directed"), (1, "edgeless"), (4, "weighted")))
+        # duplicates (0, 1) and (1, 2), a stored zero at (0, 0), unsorted indices in row 1
+        raw = sp.csr_matrix(([2.0, 1.0, 0.0, 1.0, 0.5, 0.5, 3.0], [1, 1, 0, 2, 2, 0, 1],
+                             [0, 3, 6, 7]), shape=(3, 3))
+        assert not raw.has_canonical_format
+        kinds = {
+            "csr": sp.csr_matrix(a),
+            "csr_array": sp.csr_array(b),
+            "bool": sp.csr_matrix(c.astype(bool)),
+            "int": sp.csr_matrix(a.astype(np.int32) * 3),
+            "non_canonical": raw,
+            "dense": c,
+            "coo": sp.coo_matrix(a),
+        }
+        blocks = list(kinds.values())
+        for chosen in [blocks] + [[block] for block in blocks] + [blocks[::-1]]:
+            raw_before = raw.indices.tobytes(), raw.data.tobytes()
+            reference = sp.block_diag([sp.csr_matrix(x, dtype=np.float64) for x in chosen],
+                                      format="csr")
+            reference.sum_duplicates()
+            reference.eliminate_zeros()
+            union, offsets = block_diagonal(chosen)
+            assert offsets.tolist() == np.cumsum([0] + [x.shape[0] for x in chosen]).tolist()
+            for attr in ("indptr", "indices", "data"):
+                got, want = getattr(union, attr), getattr(reference, attr)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), attr
+            assert (raw.indices.tobytes(), raw.data.tobytes()) == raw_before
 
 
 class TestEdgeAggregate:

@@ -97,6 +97,13 @@ class TestPresets:
             with pytest.raises(ValueError, match=f"{size} must be >= 1"):
                 replace(preset, **{size: value})
 
+    @pytest.mark.parametrize("field", ("learning_rate", "w_e", "w_c"))
+    def test_rates_and_weights_must_be_finite(self, field):
+        preset = resolve_preset("enzymes", 1 / 32)
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=f"^{field} must be"):
+                replace(preset, **{field: value})
+
     def test_scale_must_be_positive_and_finite(self):
         for scale in (0.0, -1.0, float("nan"), float("inf")):
             with pytest.raises(ConfigError, match="scale"):
@@ -234,6 +241,18 @@ class TestPrecision:
         assert probs[1].dtype == np.float64
         np.testing.assert_allclose(probs[1], probs[0], rtol=0, atol=1e-5)
         assert not np.array_equal(probs[1], probs[0])
+
+    @pytest.mark.parametrize("assign_inputs", ("structural", "both"))
+    def test_structural_rows_narrower_than_the_tape_rejected(self, assign_inputs):
+        a, x, mapped = graph_inputs(np.random.default_rng(16), 7, 3, 12)
+        model = tiny_model(assign_inputs)
+        with pytest.raises(ConfigError, match="float32.*float64"):
+            forward_one(model, a, x, 0, mapped.astype(np.float32))
+        with ad.precision(np.float32):
+            model = tiny_model(assign_inputs)
+            wide, rounded = (forward_one(model, a, x, 0, rows).probs
+                             for rows in (mapped, mapped.astype(np.float32)))
+        assert wide.tobytes() == rounded.tobytes()
 
 
 class TestBatchMatchesGraphs:

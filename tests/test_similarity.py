@@ -385,16 +385,26 @@ class TestPreprocessDataset:
                                      SimilarityConfig(p=2, lam=0.5, alpha=0.3)),
                              ids=("enzymes", "p2"))
     def test_matches_the_graph_loop_bytes(self, tmp_path, monkeypatch, cfg, runs):
+        """Under either tape dtype the rows are the float64 loop's, rounded once
+        to it, and every graph's rows are a view of its run's array."""
         ds = self.dataset(tmp_path)
         per_graph = runs == "graph_per_run"
         monkeypatch.setattr(similarity, "GRAM_RUN_MULTIPLY_ADDS", 0 if per_graph else 1 << 62)
         assert len(similarity._graph_runs(ds.graphs)) == (len(ds) if per_graph else 1)
         star = ds.graphs[-2]
         assert np.count_nonzero(compute_features(star.adjacency, cfg).dense[1].toarray()) > cfg.k
-        mapped, oracle = preprocess_dataset(ds, cfg), preprocess_graph_loop(ds, cfg)
-        assert len(mapped) == len(oracle) == len(ds)
-        for got, want in zip(mapped, oracle):
-            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        oracle = preprocess_graph_loop(ds, cfg)
+        for dtype in (np.float64, np.float32):
+            with ad.precision(dtype):
+                mapped = preprocess_dataset(ds, cfg)
+            assert len(mapped) == len(oracle) == len(ds)
+            for got, want in zip(mapped, oracle):
+                assert want.dtype == np.float64 and got.dtype == dtype
+                assert got.shape == want.shape and got.tobytes() == want.astype(dtype).tobytes()
+            assert all(isinstance(m.base, np.ndarray) and m.base.dtype == dtype for m in mapped)
+            run_arrays = {id(m.base): m.base for m in mapped}.values()
+            assert len(run_arrays) == (len(ds) if per_graph else 1)
+            assert sum(run.nbytes for run in run_arrays) == sum(m.nbytes for m in mapped)
 
     def test_runs_cut_between_whole_graphs(self):
         # a complete graph on 20 nodes costs 20 * 19^2 Gram multiply-adds
@@ -509,6 +519,14 @@ class TestConfigValidation:
     def test_invalid_configs(self, kwargs):
         with pytest.raises(ValueError):
             SimilarityConfig(**kwargs)
+
+    def test_non_finite_or_non_integer_values_name_their_field(self):
+        # nan or inf lambda would map to nan rows, a float p or k fail later inside scipy
+        for field, value in (("lam", float("nan")), ("lam", float("inf")), ("p", 1.5),
+                             ("p", True), ("k", 2.5), ("k", True), ("k", "12")):
+            with pytest.raises(ValueError, match=f"^{field} must be"):
+                SimilarityConfig(**{field: value})
+        assert SimilarityConfig(p=np.int64(2), k=np.int32(3)).k == 3
 
     def test_compute_features_dispatch(self):
         rng = np.random.default_rng(16)

@@ -179,6 +179,32 @@ class TestFloat32Training:
                           {k: p.values.tobytes() for k, p in model.parameters().items()}))
         assert steps[0] == steps[1]
 
+    @pytest.mark.parametrize("assign_inputs", ("structural", "both"))
+    def test_float32_structural_rows_step_as_their_float64_source(self, toy_dataset,
+                                                                  assign_inputs):
+        """Rows stored in float32 at preprocessing give the float32 step of
+        the float64 rows, which the tape rounds to the same values."""
+        cfg = small_config(assign_inputs=assign_inputs)
+        wide = preprocess_dataset(toy_dataset, cfg.preset.sim)
+        with ad.precision(np.float32):
+            rounded = preprocess_dataset(toy_dataset, cfg.preset.sim)
+        assert wide[0].dtype == np.float64 and rounded[0].dtype == np.float32
+        steps = []
+        for mapped in (wide, rounded):
+            with ad.precision(np.float32):
+                model = SimPoolModel(cfg.preset, feature_dim=toy_dataset.feature_dim,
+                                     num_classes=toy_dataset.num_classes,
+                                     assign_inputs=assign_inputs)
+                optimiser = Adam(model.parameters(), 1e-3)
+                (batch,) = make_batches(toy_dataset, len(toy_dataset))
+                with ad.Tape() as tape:
+                    fwd = model.forward_batch(batch, mapped)
+                    tape.backward(fwd.total(1.0, 1.0))
+                optimiser.step()
+            steps.append(([loss.values.tobytes() for loss in fwd.losses.values()],
+                          {k: p.values.tobytes() for k, p in model.parameters().items()}))
+        assert steps[0] == steps[1]
+
 
 class TestTrainRun:
     def test_smoke_one_epoch(self, toy_dataset):
