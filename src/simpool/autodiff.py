@@ -34,7 +34,8 @@ pooling's A·S on the union's adjacency, or a sum by index on an
 keeps only its node-row inputs on the tape and recomputes the edge rows in
 its backward pass, in runs of whole graphs of bounded size. A linear
 message needs no edge rows at all: ``layers.GmnPropagation`` folds it into
-node-row products and one ``sparse_matmul`` by the transposed adjacency.
+node-row products and one ``sparse_matmul`` by the adjacency, which is its
+own transpose because graphs are undirected.
 """
 
 from __future__ import annotations
@@ -535,25 +536,24 @@ _EDGE_ACTIVATIONS = {
 }
 
 
+def cost_runs(costs, budget) -> list[tuple[int, int]]:
+    """(first, end) positions of runs of consecutive items whose ``costs`` fit ``budget``.
+
+    The cut is greedy: a run takes items while their summed cost fits,
+    and an item that costs more than ``budget`` alone is a run of its own.
+    """
+    cuts, total = [0], 0
+    for i, cost in enumerate(costs):
+        if i > cuts[-1] and total + cost > budget:
+            cuts.append(i)
+            total = 0
+        total += cost
+    cuts.append(len(costs))
+    return list(zip(cuts[:-1], cuts[1:])) if len(costs) else []
+
+
 # bytes of E x m edge rows that one run of ``edge_aggregate`` holds, in any dtype
 EDGE_CHUNK_BYTES = 1 << 20
-
-
-def _edge_runs(edges, width: int, itemsize: int) -> list[tuple[int, int, int, int]]:
-    """(first node, end node, first edge, end edge) of runs of whole graphs.
-
-    Each run's edge rows of ``width`` entries of ``itemsize`` bytes fit
-    ``EDGE_CHUNK_BYTES``, so a float32 run holds twice the edges of a
-    float64 one; a graph larger than that is a run of its own.
-    """
-    budget = EDGE_CHUNK_BYTES // (itemsize * max(width, 1))
-    nodes, starts = edges.node_offsets, edges.edge_offsets
-    cuts = [0]
-    for g in range(1, len(starts) - 1):
-        if starts[g + 1] - starts[cuts[-1]] > budget:
-            cuts.append(g)
-    cuts.append(len(starts) - 1)
-    return [(nodes[lo], nodes[hi], starts[lo], starts[hi]) for lo, hi in zip(cuts[:-1], cuts[1:])]
 
 
 def edge_aggregate(p_recv: Tensor, p_send: Tensor, bias: Tensor, edges, activation: str) -> Tensor:
@@ -564,17 +564,18 @@ def edge_aggregate(p_recv: Tensor, p_send: Tensor, bias: Tensor, edges, activati
     ``edges`` is a ``layers.Edges``: its ``receivers`` and ``senders`` list
     the edges, ``receiver_incidence`` and ``sender_incidence`` are its
     n x E incidences, and its offsets cut nodes and edges into graphs.
-    Both passes run over runs of whole graphs (``_edge_runs``), so the
-    E x m pre-activations exist one run at a time and only while a pass
-    runs; the tape keeps the n x m inputs. A run that covers the union
-    sums through the union's incidences; any other run through the
-    ``incidence`` of its own edges and nodes. The forward pass sums the
-    activated edge rows by receiver. The backward pass recomputes ``pre``
-    to form g_pre = act'(pre) * g[receivers]; the input gradients sum g_pre
-    by receiver and by sender, and the bias gradient is the column sum of
-    the ``p_recv`` gradient, which sums every edge once whatever the runs
-    are. Every node's sums add in edge order, so outputs and gradients do
-    not depend on the runs.
+    Both passes run over runs of whole graphs whose edge rows fit
+    ``EDGE_CHUNK_BYTES`` (``cost_runs``; a float32 run holds twice the
+    edges of a float64 one), so the E x m pre-activations exist one run
+    at a time and only while a pass runs; the tape keeps the n x m inputs.
+    A run that covers the union sums through the union's incidences; any
+    other run through the ``incidence`` of its own edges and nodes. The
+    forward pass sums the activated edge rows by receiver. The backward
+    pass recomputes ``pre`` to form g_pre = act'(pre) * g[receivers]; the
+    input gradients sum g_pre by receiver and by sender, and the bias
+    gradient is the column sum of the ``p_recv`` gradient, which sums every
+    edge once whatever the runs are. Every node's sums add in edge order,
+    so outputs and gradients do not depend on the runs.
     """
     if activation not in _EDGE_ACTIVATIONS:
         raise ValueError(f"unknown activation {activation!r}")
@@ -584,7 +585,10 @@ def edge_aggregate(p_recv: Tensor, p_send: Tensor, bias: Tensor, edges, activati
         raise ValueError(f"edge_aggregate shape mismatch: {p_recv.shape}, {p_send.shape}, "
                          f"{bias.shape} for {n} nodes")
     rv, sv, bv = p_recv.values, p_send.values, bias.values
-    runs = _edge_runs(edges, m, rv.itemsize)
+    nodes, starts = edges.node_offsets, edges.edge_offsets
+    row_bytes = max(m, 1) * rv.itemsize
+    runs = [(nodes[lo], nodes[hi], starts[lo], starts[hi])
+            for lo, hi in cost_runs((np.diff(starts) * row_bytes).tolist(), EDGE_CHUNK_BYTES)]
 
     def pre_activations(e0: int, e1: int) -> np.ndarray:
         pre = np.take(rv, edges.receivers[e0:e1], axis=0)

@@ -16,6 +16,7 @@ import os
 import struct
 import warnings
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 import scipy.sparse as sp
@@ -50,10 +51,12 @@ class DatasetIntegrityError(ValueError):
 class Graph:
     """One labelled undirected graph: sparse adjacency plus dense node features.
 
-    Every stored adjacency entry is 0 or 1, and the adjacency is symmetric
-    (a stored zero is no edge): a graph is its undirected structure. The
-    model's stage 1 relies on this, since tanh(S^T A S) is symmetric only
-    when A is. The adjacency is a scipy sparse matrix or array in CSR
+    Every stored adjacency entry is 0 or 1, no edge is stored twice, and
+    the adjacency is symmetric (a stored zero is no edge): a graph is its
+    undirected structure. Here is where that is checked, and the model
+    relies on it throughout: ``layers.Edges`` reads A as A^T, the
+    similarity Gram is Ahat Ahat, and stage 1's tanh(S^T A S) is symmetric
+    only when A is. The adjacency is a scipy sparse matrix or array in CSR
     format, whose row order the content hash reads. ``node_features`` is
     n x d, one row per node, in a float or bool dtype: the tape casts it to
     its own. ``load_tu_dataset`` gives one-hot rows as bool and degree
@@ -83,7 +86,10 @@ class Graph:
         edge = self.adjacency.data != 0
         i = np.repeat(np.arange(n), np.diff(self.adjacency.indptr))[edge]
         j = self.adjacency.indices[edge]
-        if not np.array_equal(np.sort(i * n + j), np.sort(j * n + i)):
+        keys = np.sort(i * n + j)
+        if (keys[1:] == keys[:-1]).any():  # equal neighbours: an edge stored twice
+            raise ValueError("adjacency stores an edge twice: each edge must be one entry")
+        if not (keys == np.sort(j * n + i)).all():
             raise ValueError("adjacency must be symmetric: a graph is undirected")
         if self.node_features.ndim != 2 or self.node_features.shape[0] != n:
             raise ValueError(
@@ -138,8 +144,8 @@ class PaddedBatch:
     the stacked node rows, and its ``node_offsets`` cut ``features``, the
     graphs' node rows in batch order, into graphs. ``adjacency`` and
     ``node_mask`` are the same graphs zero-padded to the largest one
-    (masked rows and columns are exactly zero); the model does not read
-    them. Build one with ``PaddedBatch.of``.
+    (masked rows and columns are exactly zero); the model, ``size`` and
+    ``node_counts`` do not read them. Build one with ``PaddedBatch.of``.
     """
 
     adjacency: np.ndarray  # B x N x N
@@ -171,10 +177,10 @@ class PaddedBatch:
 
     @property
     def size(self) -> int:
-        return self.adjacency.shape[0]
+        return self.labels.size
 
     def node_counts(self) -> np.ndarray:
-        return self.node_mask.sum(axis=1).astype(np.int64)
+        return np.diff(self.edges.node_offsets)
 
 
 # ---------------------------------------------------------------------------
@@ -353,8 +359,8 @@ def batch_positions(
     ints); a boolean mask or a float array raises ``ValueError`` rather than
     being read as positions 0 and 1 or truncated.
     """
-    if batch_size < 1:
-        raise ValueError("batch size must be >= 1")
+    if isinstance(batch_size, bool) or not isinstance(batch_size, Integral) or batch_size < 1:
+        raise ValueError(f"batch_size must be an integer >= 1, got {batch_size!r}")
     if len(ds) == 0:
         raise ValueError("cannot batch an empty dataset")
     positions = np.arange(len(ds)) if subset is None else np.asarray(subset)

@@ -164,7 +164,7 @@ def _check_packed_batch(rng, n):
     """Stage 0 to the losses on a disjoint union of three graphs, one edgeless.
 
     A linear propagation follows the tanh one, so the edgeless graph's
-    zero in-degree rows pass through its fold.
+    zero-degree rows pass through its fold.
     """
     sizes = [n, int(rng.integers(3, 11)), int(rng.integers(3, 11))]
     graphs = [_random_graph(rng, sizes[0]), _random_graph(rng, sizes[1]), np.zeros((sizes[2],) * 2)]

@@ -6,9 +6,10 @@ graph. Parameters are named so checkpoints stay stable. Stage 0 reads the
 union as one ``Edges`` list, with no n x n tensor: a relu or tanh GMN
 propagation sums its messages through the edge list's ``ad.incidence``
 matrices in one ``ad.edge_aggregate`` op, which keeps no edge rows on the
-tape; a linear one is one linear map of the node rows, with the in-degree
-column and one sparse product by A^T in place of the edge pass; and
-stage-0 pooling takes A·S as one sparse product. Pooling and the
+tape; a linear one is one linear map of the node rows, with the degree
+column and one sparse product by A in place of the edge pass; and
+stage-0 pooling takes A·S as one sparse product. Graphs are undirected
+(``data.Graph`` checks it), so A is its own transpose. Pooling and the
 GCN keep graphs apart through ``ad.matmul``'s segments, and the losses are
 means over graphs.
 """
@@ -75,7 +76,7 @@ def block_diagonal(blocks) -> tuple[sp.csr_matrix, np.ndarray]:
 
 
 class Edges:
-    """The directed edges of a disjoint union of graphs, A[senders[e], receivers[e]] = 1.
+    """The edges of a disjoint union of graphs, A[senders[e], receivers[e]] = 1.
 
     ``blocks`` holds each graph's square adjacency (dense or sparse, at
     least one node; one graph is ``Edges([a])``). The union's matrix
@@ -84,18 +85,19 @@ class Edges:
     Stage 0 reads structure only, so every nonzero entry must be 1. The
     edges come in row-major order, so ``senders`` is sorted and graph g's
     edges are the range ``edge_offsets[g]:edge_offsets[g + 1]``.
-    ``in_degree`` is the n x 1 column of each node's incoming edge count,
-    the column sums of ``adjacency``; in a directed block it differs from
-    the out-degree. ``spread`` and ``receive`` multiply node rows by A and
-    by A^T. For ``ad.edge_aggregate`` the list also holds the node x edge
-    ``ad.incidence`` matrices: ``receiver_incidence`` (1 at (receivers[e],
-    e)), which the forward pass needs and which is built with the list, and
-    ``sender_incidence``, which only a backward pass needs and which is
-    built on first use. All these products add in edge order. The
-    adjacency, ``in_degree`` and the incidences hold ``ad.tape_dtype()`` as
-    it was when the list was built, so the list serves a model built under
-    the same ``ad.precision``; their entries are small integers, exact in
-    float32.
+    Graphs are undirected: every block must be symmetric, which
+    ``data.Graph`` checks once per graph and the list does not check again.
+    So ``degree``, the n x 1 column of row lengths, counts each node's
+    edges in and out, and ``spread``, the product by A, is also the
+    product by A^T. For ``ad.edge_aggregate``, which serves any 0/1 block,
+    the list also holds the node x edge ``ad.incidence`` matrices:
+    ``receiver_incidence`` (1 at (receivers[e], e)), which the forward
+    pass needs and which is built with the list, and ``sender_incidence``,
+    which only a backward pass needs and which is built on first use. All
+    these products add in edge order. The adjacency, ``degree`` and the
+    incidences hold ``ad.tape_dtype()`` as it was when the list was built,
+    so the list serves a model built under the same ``ad.precision``;
+    their entries are small integers, exact in float32.
     """
 
     def __init__(self, blocks):
@@ -109,7 +111,7 @@ class Edges:
         self.receivers = a.indices.astype(np.intp)
         self.node_offsets = offsets
         self.edge_offsets = a.indptr[offsets].astype(np.intp)
-        self.in_degree = np.bincount(self.receivers, minlength=n).astype(dtype).reshape(-1, 1)
+        self.degree = np.diff(a.indptr).astype(dtype).reshape(-1, 1)
         self.receiver_incidence = ad.incidence(self.receivers, n)
 
     @cached_property
@@ -120,10 +122,6 @@ class Edges:
     def spread(self, x: ad.Tensor) -> ad.Tensor:
         """A @ x: row i sums x[receivers[e]] over the edges e that i sends, in edge order."""
         return ad.sparse_matmul(self.adjacency, x)
-
-    def receive(self, x: ad.Tensor) -> ad.Tensor:
-        """A^T @ x: row i sums x[senders[e]] over the edges e that i receives, in edge order."""
-        return ad.sparse_matmul(self.adjacency.T, x)
 
 
 class Dense:
@@ -224,7 +222,8 @@ class GmnPropagation:
     """Message passing over a graph's ``Edges``.
 
     For every edge j -> i, A[j, i] = 1, a message f_message(concat(h_i, h_j))
-    is produced and summed into receiver i; the new state is
+    is produced and summed into receiver i; graphs are undirected, so an
+    edge carries one message each way. The new state is
     f_node(concat(h_i, aggregate_i)). A node that receives no message
     has an aggregate of exactly zero. Message and node function share the
     activation.
@@ -237,18 +236,19 @@ class GmnPropagation:
     rows per layer.
 
     A linear layer is one linear map of h. With W_top and W_bot the first
-    d and the last m rows of f_node's weight, and d_in the in-degree column,
+    d and the last m rows of f_node's weight, and deg the degree column,
 
-        out = h W_top + d_in * (h (W_recv W_bot) + b_msg W_bot)
+        out = h W_top + deg * (h (W_recv W_bot) + b_msg W_bot)
               + A^T (h (W_send W_bot)) + b_node,
 
-    so it runs no edge pass and every node-row product is output wide. With
-    d = m = u it costs 3 n u out + 2 u^2 out multiply-adds against
-    n (2 u^2 + 2 u out) unfolded: the fold is cheaper when
-    n > 2 u out / (2 u - out), which is n > 341 for ``enzymes``' z.prop1,
-    n > 8 for its s0.prop1 and n > 2,048 for ``dd``'s z.prop1 at paper
-    width. A 20-graph batch holds about 650-840 ENZYMES or 5,700 DD nodes,
-    so the fold is always taken.
+    where A^T = A (``Edges``), so ``edges.spread`` forms the sender sum,
+    adding each node's neighbours in ascending order as A^T would. The
+    fold runs no edge pass and every node-row product is output wide. With d = m = u it costs
+    3 n u out + 2 u^2 out multiply-adds against n (2 u^2 + 2 u out)
+    unfolded: the fold is cheaper when n > 2 u out / (2 u - out), which is
+    n > 341 for ``enzymes``' z.prop1, n > 8 for its s0.prop1 and
+    n > 2,048 for ``dd``'s z.prop1 at paper width. A 20-graph batch holds
+    about 650-840 ENZYMES or 5,700 DD nodes, so the fold is always taken.
     """
 
     def __init__(self, rng, in_dim: int, message_dim: int, out_dim: int,
@@ -269,8 +269,8 @@ class GmnPropagation:
         w_top = ad.gather_rows(node.weight, np.arange(d))
         w_bot = ad.gather_rows(node.weight, np.arange(d, node.in_dim))
         own = ad.add(ad.matmul(h, ad.matmul(msg.w_recv, w_bot)), ad.matmul(msg.bias, w_bot))
-        out = ad.add(ad.matmul(h, w_top), ad.multiply(ad.constant(edges.in_degree), own))
-        out = ad.add(out, edges.receive(ad.matmul(h, ad.matmul(msg.w_send, w_bot))))
+        out = ad.add(ad.matmul(h, w_top), ad.multiply(ad.constant(edges.degree), own))
+        out = ad.add(out, edges.spread(ad.matmul(h, ad.matmul(msg.w_send, w_bot))))
         return ad.add(out, node.bias)
 
     def parameters(self) -> dict[str, ad.Tensor]:

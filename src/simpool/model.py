@@ -31,6 +31,7 @@ import math
 import os
 import struct
 from dataclasses import dataclass, replace
+from numbers import Integral
 
 import numpy as np
 
@@ -95,14 +96,15 @@ class ModelPreset:
 
     def __post_init__(self):
         for size in ("gmn_units", "embed_units", "clusters_1", "clusters_2", "gcn1_units",
-                     "s1_hidden", "gcn2_units"):
-            if getattr(self, size) < 1:
-                raise ValueError(f"{size} must be >= 1, got {getattr(self, size)}")
+                     "s1_hidden", "gcn2_units", "epochs"):
+            value = getattr(self, size)
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise ValueError(f"{size} must be an integer, got {value!r}")
+            if value < 1:
+                raise ValueError(f"{size} must be >= 1, got {value}")
         if not 0 < self.learning_rate < math.inf:  # also false for nan
             raise ValueError(f"learning_rate must be positive and finite, "
                              f"got {self.learning_rate!r}")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
         for weight in ("w_e", "w_c"):
             value = getattr(self, weight)
             if not 0 <= value < math.inf:

@@ -1,12 +1,12 @@
 """Structural similarity features computed from adjacency matrices.
 
 The similarity between two nodes is the cosine of the corresponding
-columns of (A + lambda*I)^p. For asymmetric adjacency the rows of
-[Ahat | Ahat^T] are compared instead. Both come from one sparse Gram
-matrix, so only node pairs that share a nonzero row or column of Ahat^p
-are ever stored, and the cosines are the Gram's values rescaled in its
-own CSR layout. The index mapping encodes each node's top-k most similar
-neighbours into a fixed-width, differentiable feature matrix, ranking
+columns of (A + lambda*I)^p. Graphs are undirected (``data.Graph``
+checks it), so A and Ahat^p are symmetric and the cosines come from one
+sparse Gram matrix, Ahat Ahat: only node pairs that share a nonzero row
+of Ahat^p are ever stored, and the cosines are the Gram's values
+rescaled in its own CSR layout. The index mapping encodes each node's
+top-k most similar neighbours into a fixed-width, differentiable feature matrix, ranking
 each row among its own stored entries. A dataset is preprocessed in runs
 of consecutive graphs, each run one block-diagonal union with one Gram
 product and one top-k pass; a union's Gram is block diagonal, so each
@@ -96,14 +96,15 @@ def similarity_sparse(
     cfg: SimilarityConfig,
     return_stats: bool = False,
 ):
-    """Cosine similarity from the sparse Gram matrix of Ahat^p.
+    """Cosine similarity of the columns of Ahat^p, from its sparse Gram matrix.
 
-    The Gram is Ahat^T Ahat, formed as Ahat Ahat when ``a`` is symmetric,
-    and Ahat Ahat^T + Ahat^T Ahat when it is not, so only pairs sharing a
-    nonzero row of Ahat^p (or, for asymmetric input, a nonzero column) can
-    have nonzero cosine; everything the sparse products do not reach is
-    an exact (structural) zero. The cosines are a CSR on the Gram's own
-    ``indptr`` and ``indices``, so a row's columns may come unsorted.
+    ``a`` is an undirected graph's adjacency, as ``data.Graph`` checks: an
+    input that is not symmetric once canonical raises ``ValueError``. So
+    the Gram Ahat^T Ahat is Ahat Ahat, and only pairs sharing a nonzero
+    row of Ahat^p can have nonzero cosine; everything the sparse product
+    does not reach is an exact (structural) zero. The cosines are a CSR on
+    the Gram's own ``indptr`` and ``indices``, so a row's columns may come
+    unsorted.
     Exactly parallel columns (Cauchy-Schwarz equality, an exact predicate
     for integer-valued input) get unit similarity, so diagonals and
     duplicated neighbourhoods come out as exactly 1. Zero-norm columns
@@ -118,6 +119,12 @@ def similarity_sparse(
         a = a.copy()  # the caller's matrix keeps its layout
         a.sum_duplicates()
         a.eliminate_zeros()
+    # canonical CSR with no stored zeros: equal arrays mean equal matrices
+    at = a.T.tocsr()
+    if not (np.array_equal(a.indptr, at.indptr) and np.array_equal(a.indices, at.indices)
+            and np.array_equal(a.data, at.data)):
+        raise ValueError("adjacency must be symmetric: structural similarity is defined "
+                         "on undirected graphs")
 
     n = a.shape[0]
     base = a if cfg.lam == 0 else a + cfg.lam * sp.identity(n, format="csr")
@@ -128,15 +135,7 @@ def similarity_sparse(
     row_degree = np.diff(ahat.indptr).astype(np.int64)
     stats = SparseStats(node_count=n, edge_count=int(a.nnz),
                         multiply_adds=int((row_degree**2).sum()))
-    # canonical CSR with no stored zeros: equal arrays mean equal matrices
-    at = a.T.tocsr()
-    if (np.array_equal(a.indptr, at.indptr) and np.array_equal(a.indices, at.indices)
-            and np.array_equal(a.data, at.data)):
-        gram = ahat @ ahat
-    else:
-        gram = ahat @ ahat.T + ahat.T @ ahat
-        col_degree = np.bincount(ahat.indices, minlength=n).astype(np.int64)
-        stats.multiply_adds += int((col_degree**2).sum())
+    gram = ahat @ ahat
 
     norms_sq = gram.diagonal()
     norms = np.sqrt(norms_sq)
@@ -154,7 +153,7 @@ def similarity_sparse(
 
 
 def compute_features(a, cfg: SimilarityConfig) -> SimilarityFeatures:
-    """Similarity features of an adjacency (dense or sparse): one graph or a disjoint union."""
+    """Similarity features of an undirected adjacency (dense or sparse): one graph or a union."""
     return similarity_sparse(a, cfg)
 
 
@@ -254,29 +253,11 @@ def symmetric_similarity_on_tape(a: ad.Tensor, p: int = 1, lam: float = 0.0) -> 
 GRAM_RUN_MULTIPLY_ADDS = 1 << 15
 
 
-def _graph_runs(graphs) -> list[tuple[int, int]]:
-    """(first, end) positions of runs of consecutive graphs.
-
-    Each run's sum of squared adjacency row degrees, the multiply-adds of
-    its Gram, fits ``GRAM_RUN_MULTIPLY_ADDS``; a graph larger than that is
-    a run of its own.
-    """
-    cuts, total = [0], 0
-    for g, graph in enumerate(graphs):
-        degree = np.diff(graph.adjacency.indptr).astype(np.int64)
-        cost = int(degree @ degree)
-        if g > cuts[-1] and total + cost > GRAM_RUN_MULTIPLY_ADDS:
-            cuts.append(g)
-            total = 0
-        total += cost
-    cuts.append(len(graphs))
-    return list(zip(cuts[:-1], cuts[1:])) if graphs else []
-
-
 def preprocess_dataset(dataset, cfg: SimilarityConfig) -> list[np.ndarray]:
     """Mapped structural features for every graph in a dataset, in dataset order.
 
-    The graphs go in runs of whole graphs (``_graph_runs``). Each run is
+    The graphs go in ``ad.cost_runs`` of whole graphs, each costing its
+    Gram's multiply-adds, the sum of its squared row degrees. Each run is
     one ``layers.block_diagonal`` union with one ``compute_features`` and
     one ``index_map`` call over the run's graph offsets; the union's Gram
     is block diagonal, so every graph's cosines and top-k encoding are
@@ -288,8 +269,10 @@ def preprocess_dataset(dataset, cfg: SimilarityConfig) -> list[np.ndarray]:
     run's array.
     """
     graphs = dataset.graphs
+    degrees = (np.diff(g.adjacency.indptr).astype(np.int64) for g in graphs)
+    costs = [int(d @ d) for d in degrees]
     dtype, mapped = ad.tape_dtype(), []
-    for first, end in _graph_runs(graphs):
+    for first, end in ad.cost_runs(costs, GRAM_RUN_MULTIPLY_ADDS):
         union, offsets = block_diagonal([g.adjacency for g in graphs[first:end]])
         run = index_map(compute_features(union, cfg), cfg, offsets).mapped.astype(dtype, copy=False)
         mapped.extend(run[lo:hi] for lo, hi in zip(offsets[:-1], offsets[1:]))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import asdict, astuple, dataclass, field, fields
+from numbers import Integral
 
 import numpy as np
 
@@ -42,8 +43,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.assign_inputs not in ASSIGN_INPUTS:
             raise ConfigError(f"unknown assignment input mode {self.assign_inputs!r}")
-        if self.batch_size < 1:
-            raise ValueError("batch size must be >= 1")
+        for name, least in (("batch_size", 1), ("folds", 2)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -292,8 +295,6 @@ def fold_aggregate(maxima) -> tuple[float, float]:
 
 def cross_validate(cfg: TrainConfig, ds: Dataset, mapped=None, progress=None) -> CrossValResult:
     """Run every fold and aggregate the per-fold maximum accuracies."""
-    if cfg.folds < 2:
-        raise ValueError("cross-validation needs at least 2 folds")
     mapped = _mapped_features_for(cfg, ds, mapped)
     fold_stats = []
     for fold in range(cfg.folds):

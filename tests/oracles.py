@@ -5,7 +5,11 @@ the sparse path in ``simpool.similarity``; the GMN oracle loops over
 edges one message at a time, ``edge_aggregate_chain`` is
 ``ad.edge_aggregate`` spelt out as the tape ops it fuses, and
 ``gmn_propagation_chain`` is the propagation layer with that chain in
-place of its fused op or its linear fold. ``tu_graphs_one_by_one``
+place of its fused op or its linear fold, and
+``gmn_linear_fold_transposed`` is the linear fold as it read a directed
+block, by the in-degree and A^T. ``graph_runs`` and ``edge_runs`` are the
+two run splitters that ``autodiff.cost_runs`` replaced, one per caller.
+``tu_graphs_one_by_one``
 builds a TU dataset's graphs one sparse matrix at a time, the reference
 for the loader's row ranges of one block-diagonal matrix. Tests compare
 against them. ``decode_index`` reads the source node back out of one
@@ -28,6 +32,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from simpool import autodiff as ad
+from simpool import similarity
 from simpool.data import _read_int_rows
 from simpool.layers import ACTIVATIONS, Edges
 from simpool.model import LOSS_TERMS, Forward
@@ -66,20 +71,9 @@ def similarity_dense_symmetric(a, cfg: SimilarityConfig) -> SimilarityFeatures:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"adjacency must be square, got {a.shape}")
     if not np.array_equal(a, a.T):
-        raise ValueError("adjacency is not symmetric; use the asymmetric variant")
+        raise ValueError("adjacency is not symmetric: a graph is undirected")
     ahat = _power(a, cfg.lam, cfg.p)
     gram = ahat.T @ ahat
-    dense = _normalize_gram(gram, np.diagonal(gram).copy())
-    return SimilarityFeatures(source_node_count=a.shape[0], dense=dense)
-
-
-def similarity_dense_asymmetric(a, cfg: SimilarityConfig) -> SimilarityFeatures:
-    """Cosine similarity between rows of [Ahat | Ahat^T] for any square A."""
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"adjacency must be square, got {a.shape}")
-    ahat = _power(a, cfg.lam, cfg.p)
-    gram = ahat @ ahat.T + ahat.T @ ahat
     dense = _normalize_gram(gram, np.diagonal(gram).copy())
     return SimilarityFeatures(source_node_count=a.shape[0], dense=dense)
 
@@ -111,6 +105,42 @@ def index_map_dense(dense: np.ndarray, cfg: SimilarityConfig) -> np.ndarray:
 def preprocess_graph_loop(dataset, cfg: SimilarityConfig) -> list[np.ndarray]:
     """Mapped structural features for every graph, one graph's features at a time."""
     return [index_map(compute_features(g.adjacency, cfg), cfg).mapped for g in dataset.graphs]
+
+
+def graph_runs(graphs) -> list[tuple[int, int]]:
+    """(first, end) positions of runs of consecutive graphs.
+
+    Each run's sum of squared adjacency row degrees, the multiply-adds of
+    its Gram, fits ``similarity.GRAM_RUN_MULTIPLY_ADDS``; a graph larger
+    than that is a run of its own.
+    """
+    cuts, total = [0], 0
+    for g, graph in enumerate(graphs):
+        degree = np.diff(graph.adjacency.indptr).astype(np.int64)
+        cost = int(degree @ degree)
+        if g > cuts[-1] and total + cost > similarity.GRAM_RUN_MULTIPLY_ADDS:
+            cuts.append(g)
+            total = 0
+        total += cost
+    cuts.append(len(graphs))
+    return list(zip(cuts[:-1], cuts[1:])) if graphs else []
+
+
+def edge_runs(edges, width: int, itemsize: int) -> list[tuple[int, int, int, int]]:
+    """(first node, end node, first edge, end edge) of runs of whole graphs.
+
+    Each run's edge rows of ``width`` entries of ``itemsize`` bytes fit
+    ``autodiff.EDGE_CHUNK_BYTES``; a graph larger than that is a run of
+    its own.
+    """
+    budget = ad.EDGE_CHUNK_BYTES // (itemsize * max(width, 1))
+    nodes, starts = edges.node_offsets, edges.edge_offsets
+    cuts = [0]
+    for g in range(1, len(starts) - 1):
+        if starts[g + 1] - starts[cuts[-1]] > budget:
+            cuts.append(g)
+    cuts.append(len(starts) - 1)
+    return [(nodes[lo], nodes[hi], starts[lo], starts[hi]) for lo, hi in zip(cuts[:-1], cuts[1:])]
 
 
 def decode_index(value: float, node_count: int, alpha: float | None = None) -> int:
@@ -171,6 +201,25 @@ def edge_aggregate_chain(p_recv, p_send, bias, edges, activation: str) -> ad.Ten
                         ad.gather_rows(p_send, edges.senders)), bias)
     return ad.sparse_matmul(ad.incidence(edges.receivers, edges.node_count),
                             ACTIVATIONS[activation](pre))
+
+
+def gmn_linear_fold_transposed(prop, h: ad.Tensor, edges) -> ad.Tensor:
+    """A linear ``GmnPropagation`` folded with the in-degree column and a product by A^T.
+
+    The in-degree is the ``np.bincount`` of the receivers, the column sums
+    of A, and the sender sum is ``sparse_matmul`` by the transposed
+    adjacency: the fold as it reads a directed block.
+    """
+    msg, node = prop.f_message, prop.f_node
+    d = msg.w_recv.shape[0]
+    in_degree = np.bincount(edges.receivers, minlength=edges.node_count).reshape(-1, 1)
+    w_top = ad.gather_rows(node.weight, np.arange(d))
+    w_bot = ad.gather_rows(node.weight, np.arange(d, node.in_dim))
+    own = ad.add(ad.matmul(h, ad.matmul(msg.w_recv, w_bot)), ad.matmul(msg.bias, w_bot))
+    out = ad.add(ad.matmul(h, w_top), ad.multiply(ad.constant(in_degree), own))
+    out = ad.add(out, ad.sparse_matmul(edges.adjacency.T,
+                                       ad.matmul(h, ad.matmul(msg.w_send, w_bot))))
+    return ad.add(out, node.bias)
 
 
 def gmn_propagation_chain(prop, h: ad.Tensor, edges) -> ad.Tensor:

@@ -1,5 +1,8 @@
 """Tests for the reverse-mode autodiff kernel."""
 
+import importlib
+import os
+import sys
 import weakref
 
 import numpy as np
@@ -7,9 +10,12 @@ import pytest
 import scipy.sparse as sp
 
 from simpool import autodiff as ad
+from simpool import similarity
+from simpool.data import Dataset, Graph
 from simpool.layers import Edges
+from simpool.similarity import SimilarityConfig, preprocess_dataset
 
-from oracles import scatter_add_bincount
+from oracles import edge_runs, graph_runs, scatter_add_bincount
 
 
 def scalarize(t):
@@ -471,3 +477,103 @@ class TestTapeSemantics:
         x = ad.parameter(np.full((2, 2), 0.3))
         err = ad.grad_check(lambda t: ad.sum_all(ad.tanh(t)), x)
         assert err > 1e-4
+
+
+class _Stop(Exception):
+    """Ends a call at its first ``ad.cost_runs``."""
+
+
+def runs_asked_for(monkeypatch, call):
+    """The runs ``call()`` gets from its first ``ad.cost_runs``; the call ends there."""
+    asked, real = [], ad.cost_runs
+
+    def spy(costs, budget):
+        asked.append(real(costs, budget))
+        raise _Stop
+
+    monkeypatch.setattr(ad, "cost_runs", spy)
+    with pytest.raises(_Stop):
+        call()
+    monkeypatch.setattr(ad, "cost_runs", real)
+    return asked[0]
+
+
+@pytest.fixture(scope="module")
+def dd_blocks():
+    """Every graph of the benchmark's seed-0 DD-like data as a symmetric 0/1 CSR block."""
+    bench = os.path.join(os.path.dirname(__file__), os.pardir, "bench")
+    sys.path.insert(0, bench)
+    try:
+        tugen = importlib.import_module("tugen")
+    finally:
+        sys.path.remove(bench)
+    data = tugen.generate(tugen.SPECS["dd"], seed=0)
+    offsets = np.concatenate([[0], np.cumsum(data.node_counts)])
+    pairs = np.concatenate([data.edges, data.edges[:, ::-1]])
+    union = sp.csr_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])),
+                          shape=(offsets[-1],) * 2)
+    p = union.indptr
+    return [sp.csr_matrix((union.data[p[lo]:p[hi]], union.indices[p[lo]:p[hi]] - lo,
+                           p[lo:hi + 1] - p[lo]), shape=(hi - lo,) * 2)
+            for lo, hi in zip(offsets[:-1], offsets[1:])]
+
+
+def seeded_blocks(rng):
+    """Symmetric graphs of 1 to 30 nodes, one of 80 nodes among them, some edgeless."""
+    sizes = rng.integers(1, 31, size=40)
+    sizes[17] = 80
+    blocks = []
+    for g, n in enumerate(sizes):
+        a = np.triu(rng.random((n, n)) < rng.uniform(0.05, 0.5), 1) & bool(g % 7)
+        blocks.append(sp.csr_matrix((a | a.T).astype(np.float64)))
+    return blocks
+
+
+class TestCostRuns:
+    """``cost_runs`` cuts as the two splitters it replaced, one per caller."""
+
+    def test_greedy_runs_by_hand(self):
+        assert ad.cost_runs([3, 4, 10, 0, 2, 1], 7) == [(0, 2), (2, 3), (3, 6)]
+        assert ad.cost_runs([8, 8], 7) == [(0, 1), (1, 2)]  # over budget: a run of its own
+        assert ad.cost_runs([0, 0, 0], 0) == [(0, 3)]
+        assert ad.cost_runs([], 7) == []
+
+    @staticmethod
+    def edge_aggregate_runs(monkeypatch, edges, width):
+        rows = ad.constant(np.zeros((edges.node_count, width)))
+        bias = ad.constant(np.zeros((1, width)))
+        runs = runs_asked_for(monkeypatch,
+                              lambda: ad.edge_aggregate(rows, rows, bias, edges, "relu"))
+        nodes, starts = edges.node_offsets, edges.edge_offsets
+        return [(nodes[lo], nodes[hi], starts[lo], starts[hi]) for lo, hi in runs]
+
+    def test_edge_aggregate_runs_are_the_old_splitter(self, monkeypatch, dd_blocks):
+        # the seeded graphs under a budget of 40 float64 rows of 4, and DD in
+        # batches of 20 under the real budget, in rows of 4, 64 and 0 entries
+        dd = dd_blocks
+        batches = [(seeded_blocks(np.random.default_rng(52)), 40 * 4 * 8)]
+        batches += [(dd[lo:lo + 20], ad.EDGE_CHUNK_BYTES) for lo in range(0, len(dd), 20)]
+        shared = oversized = 0
+        for blocks, budget in batches:
+            monkeypatch.setattr(ad, "EDGE_CHUNK_BYTES", budget)
+            for dtype, width in ((np.float64, 4), (np.float32, 64), (np.float64, 0)):
+                with ad.precision(dtype):
+                    edges = Edges(blocks)
+                    want = edge_runs(edges, width, np.dtype(dtype).itemsize)
+                    assert self.edge_aggregate_runs(monkeypatch, edges, width) == want
+                graphs = [np.searchsorted(edges.node_offsets, run[:2]) for run in want]
+                shared += sum(hi - lo > 1 for lo, hi in graphs)
+                row_bytes = max(width, 1) * np.dtype(dtype).itemsize
+                oversized += sum((e1 - e0) * row_bytes > budget for _, _, e0, e1 in want)
+        assert shared > 0 and oversized > 0
+
+    def test_preprocess_runs_are_the_old_splitter(self, monkeypatch, dd_blocks):
+        seeded = seeded_blocks(np.random.default_rng(53))
+        cfg = SimilarityConfig()
+        for blocks, budget in ((seeded, 2000), (dd_blocks, similarity.GRAM_RUN_MULTIPLY_ADDS)):
+            monkeypatch.setattr(similarity, "GRAM_RUN_MULTIPLY_ADDS", budget)
+            features = np.ones((max(b.shape[0] for b in blocks), 1))
+            ds = Dataset("RUNS", tuple(Graph(b, features[:b.shape[0]], 0) for b in blocks), 1)
+            want = graph_runs(ds.graphs)
+            assert 1 < len(want) < len(ds)
+            assert runs_asked_for(monkeypatch, lambda: preprocess_dataset(ds, cfg)) == want

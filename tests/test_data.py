@@ -1,5 +1,6 @@
 """Tests for dataset loading, batching, folds, and the content hash."""
 
+import dataclasses
 import re
 
 import numpy as np
@@ -18,7 +19,13 @@ from simpool.data import (
     make_batches,
 )
 
-from conftest import float64_features, many_label_dataset, ring_graph, write_tu_dataset
+from conftest import (
+    float64_features,
+    many_label_dataset,
+    mixed_dataset,
+    ring_graph,
+    write_tu_dataset,
+)
 from oracles import tu_graphs_one_by_one
 
 
@@ -231,6 +238,17 @@ class TestGraph:
             with pytest.raises(ValueError, match="symmetric"):
                 Graph(adjacency=a, node_features=features, label=0)
 
+    def test_edge_stored_twice_rejected(self):
+        # (0, 1) and (1, 0) each stored twice would read as 2.0 and fail only in a batch
+        features = np.ones((2, 1))
+        twice = sp.csr_matrix(([1.0, 1.0, 1.0, 1.0], [1, 1, 0, 0], [0, 2, 4]), shape=(2, 2))
+        assert twice.toarray()[0, 1] == 2.0
+        with pytest.raises(ValueError, match="stores an edge twice"):
+            Graph(adjacency=twice, node_features=features, label=0)
+        # a stored zero beside the edge is no second entry
+        zero_and_one = sp.csr_matrix(([0.0, 1.0, 1.0], [1, 1, 0], [0, 2, 3]), shape=(2, 2))
+        assert Graph(adjacency=zero_and_one, node_features=features, label=0).node_count == 2
+
     def test_adjacency_must_be_csr(self):
         # the content hash and the symmetry check read CSR rows: a COO matrix has no
         # indptr, a CSC one would be read by columns, a dense array's .data is its buffer
@@ -318,6 +336,25 @@ class TestBatches:
     def test_batch_size_validation(self, toy_dataset):
         with pytest.raises(ValueError):
             make_batches(toy_dataset, batch_size=0)
+
+    def test_batch_size_must_be_an_integer(self, toy_dataset):
+        # True made batches of one, 2.5 failed later as a slice index
+        for value in (True, 2.5, float("nan"), "2", 0):
+            with pytest.raises(ValueError, match="^batch_size must be an integer >= 1"):
+                batch_positions(toy_dataset, value)
+        assert len(batch_positions(toy_dataset, np.int64(5))) == 2
+
+    def test_sizes_read_the_union_not_the_padding(self, tmp_path):
+        # an edgeless graph and an isolated node count as nodes, and neither
+        # size nor node_counts reads the padded arrays
+        ds = mixed_dataset(tmp_path)
+        batch = make_batches(ds, batch_size=len(ds))[0]
+        counts = [g.node_count for g in ds.graphs]
+        assert batch.size == len(ds)
+        assert batch.node_counts().tolist() == counts and batch.node_counts().dtype == np.int64
+        hollow = dataclasses.replace(batch, adjacency=np.zeros((0, 0, 0)),
+                                     node_mask=np.zeros((0, 0)))
+        assert hollow.size == len(ds) and hollow.node_counts().tolist() == counts
 
     def test_subset_must_be_integer_positions(self, toy_dataset):
         # read as positions, a mask would pick graphs 0 and 1 and a float array truncate

@@ -7,6 +7,7 @@ import pytest
 import scipy.sparse as sp
 
 from simpool import autodiff as ad
+from simpool.data import Graph, PaddedBatch
 from simpool.layers import (
     Dense,
     Edges,
@@ -22,8 +23,15 @@ from simpool.layers import (
     pool_forward,
 )
 
-from conftest import random_graph, ring_graph
-from oracles import edge_aggregate_chain, gmn_message, gmn_propagation_chain, gmn_propagation_loop
+from conftest import mixed_dataset, random_graph, ring_graph
+from oracles import (
+    edge_aggregate_chain,
+    edge_runs,
+    gmn_linear_fold_transposed,
+    gmn_message,
+    gmn_propagation_chain,
+    gmn_propagation_loop,
+)
 
 
 def scalarize_with(rng, out):
@@ -31,19 +39,23 @@ def scalarize_with(rng, out):
     return ad.sum_all(ad.multiply(out, c))
 
 
-GRAPH_KINDS = ("weighted", "directed", "isolated", "edgeless")
+# undirected graphs, the only ones ``data.Graph`` admits
+GRAPH_KINDS = ("symmetric", "isolated", "edgeless")
+# ``ad.edge_aggregate`` reads the two ends of an edge apart, so it is also
+# tested on directed blocks
+EDGE_AGGREGATE_KINDS = GRAPH_KINDS + ("directed",)
 # ``ad.edge_aggregate`` serves these; a linear propagation runs without it
 EDGE_ACTIVATIONS = ("relu", "tanh")
 
 
 def graph_of_kind(rng, n, kind):
-    """A dense (n, n) 0/1 adjacency: symmetric for "weighted", directed with
-    self-loops allowed, directed with isolated nodes, or without edges."""
+    """A dense (n, n) 0/1 adjacency: "symmetric", symmetric with isolated
+    nodes, without edges, or "directed" with self-loops allowed."""
     a = (rng.random((n, n)) < 0.4).astype(np.float64)
-    if kind == "weighted":
+    if kind != "directed":
         a = np.triu(a, 1)
         a = a + a.T
-    elif kind == "isolated":
+    if kind == "isolated":
         a[::3, :] = 0.0
         a[:, ::3] = 0.0
     elif kind == "edgeless":
@@ -81,25 +93,26 @@ class TestEdges:
             assert results[0] == results[1]
 
     @pytest.mark.parametrize("kind", GRAPH_KINDS)
-    def test_receive_and_in_degree_match_the_edge_chain(self, kind):
-        # A^T x adds in edge order, like a gather by sender and a sum by receiver
+    def test_degree_and_spread_match_the_transposed_edge_chain(self, kind):
+        # on an undirected graph A x is A^T x: spread adds in the order of a
+        # gather by sender and a sum by receiver, and the degree counts both ends
         rng = np.random.default_rng(51)
         for n in (1, 5, 11, 23):
             a = graph_of_kind(rng, n, kind)
             edges = Edges([a])
-            np.testing.assert_array_equal(edges.in_degree, a.sum(axis=0).reshape(-1, 1))
+            assert edges.degree.dtype == np.float64 and edges.degree.shape == (n, 1)
+            np.testing.assert_array_equal(edges.degree, a.sum(axis=1).reshape(-1, 1))
+            np.testing.assert_array_equal(edges.degree, a.sum(axis=0).reshape(-1, 1))
             values, c = rng.normal(size=(n, 3)), ad.constant(rng.normal(size=(n, 3)))
             results = []
-            for receive in (edges.receive, lambda x: ad.sparse_matmul(
+            for spread in (edges.spread, lambda x: ad.sparse_matmul(
                     ad.incidence(edges.receivers, n), ad.gather_rows(x, edges.senders))):
                 x = ad.parameter(values)
                 with ad.Tape() as tape:
-                    out = receive(x)
+                    out = spread(x)
                     tape.backward(ad.sum_all(ad.multiply(out, c)))
                 results.append((out.values.tobytes(), x.grad.tobytes()))
             assert results[0] == results[1]
-            np.testing.assert_allclose(edges.receive(ad.constant(values)).values, a.T @ values,
-                                       rtol=1e-12, atol=1e-12)
 
     def test_non_unit_entry_rejected(self):
         a = ring_graph(4)
@@ -110,7 +123,7 @@ class TestEdges:
     def test_union_lists_each_graph_as_an_edge_range(self):
         rng = np.random.default_rng(45)
         graphs = [graph_of_kind(rng, n, kind) for n, kind in
-                  ((4, "directed"), (1, "edgeless"), (6, "isolated"), (5, "weighted"))]
+                  ((4, "symmetric"), (1, "edgeless"), (6, "isolated"), (5, "symmetric"))]
         edges = Edges(graphs)
         offsets = edges.node_offsets
         np.testing.assert_array_equal(offsets, [0, 4, 5, 11, 16])
@@ -132,8 +145,8 @@ class TestEdges:
     def test_union_equals_the_canonical_sp_block_diag(self, sparse):
         rng = np.random.default_rng(49)
         graphs = [graph_of_kind(rng, n, kind) for n, kind in
-                  ((4, "directed"), (1, "edgeless"), (6, "isolated"), (3, "edgeless"),
-                   (5, "directed"), (2, "isolated"))]
+                  ((4, "symmetric"), (1, "edgeless"), (6, "isolated"), (3, "edgeless"),
+                   (5, "symmetric"), (2, "isolated"))]
         for blocks in (graphs, graphs[1:2], graphs[3:4], graphs[:3]):
             if sparse:  # a stored zero and a self-loop listed as two halves canonicalise away
                 blocks = [sp.csr_matrix(b) for b in blocks] + [sp.csr_matrix(
@@ -153,7 +166,7 @@ class TestBlockDiagonal:
         kind gives the canonical float64 union of ``sp.block_diag``."""
         rng = np.random.default_rng(50)
         a, b, c = (graph_of_kind(rng, n, kind) for n, kind in
-                   ((5, "directed"), (1, "edgeless"), (4, "weighted")))
+                   ((5, "symmetric"), (1, "edgeless"), (4, "isolated")))
         # duplicates (0, 1) and (1, 2), a stored zero at (0, 0), unsorted indices in row 1
         raw = sp.csr_matrix(([2.0, 1.0, 0.0, 1.0, 0.5, 0.5, 3.0], [1, 1, 0, 2, 2, 0, 1],
                              [0, 3, 6, 7]), shape=(3, 3))
@@ -200,7 +213,7 @@ class TestEdgeAggregate:
         return out.values, grads
 
     @pytest.mark.parametrize("activation", EDGE_ACTIVATIONS)
-    @pytest.mark.parametrize("kind", GRAPH_KINDS)
+    @pytest.mark.parametrize("kind", EDGE_AGGREGATE_KINDS)
     def test_bytes_match_the_op_chain(self, kind, activation):
         # the incidence products add in edge order, like the chain's bincount scatter
         for n in (1, 2, 5, 11, 23):
@@ -261,8 +274,8 @@ class TestEdgeAggregate:
         # six graphs; with a budget of 20 edge rows the 30-node one is a run of its own
         rng = np.random.default_rng(46)
         graphs = [graph_of_kind(rng, n, kind) for n, kind in
-                  ((5, "directed"), (3, "edgeless"), (30, "weighted"), (7, "isolated"),
-                   (4, "directed"), (9, "weighted"))]
+                  ((5, "directed"), (3, "edgeless"), (30, "symmetric"), (7, "isolated"),
+                   (4, "directed"), (9, "symmetric"))]
         edges = Edges(graphs)
         offsets = edges.node_offsets
         assert edges.edge_offsets[3] - edges.edge_offsets[2] > 20
@@ -277,7 +290,7 @@ class TestEdgeAggregate:
             with ad.Tape() as tape:
                 out = ad.edge_aggregate(p_recv, p_send, bias, edges, activation)
                 tape.backward(ad.sum_all(ad.multiply(out, c)))
-            runs = [run[:2] for run in ad._edge_runs(edges, m, p_recv.values.itemsize)]
+            runs = [run[:2] for run in edge_runs(edges, m, p_recv.values.itemsize)]
             results.append((runs, [t.tobytes() for t in
                                    (out.values, p_recv.grad, p_send.grad, bias.grad)]))
         (one, whole), (many, chunked) = results
@@ -338,20 +351,21 @@ class TestGmnPropagation:
         np.testing.assert_array_equal(out, expected)
 
     def test_single_edge_aggregate_is_sole_message(self):
+        # one edge between nodes 0 and 1 carries one message each way; node 2 gets none
         rng = np.random.default_rng(4)
         prop = GmnPropagation(rng, 2, 3, 2, "linear", "prop")
-        h = rng.normal(size=(2, 2))
-        a = np.zeros((2, 2))
-        a[0, 1] = 1.0  # message 0 -> 1 only
+        h = rng.normal(size=(3, 2))
+        a = np.zeros((3, 3))
+        a[0, 1] = a[1, 0] = 1.0
         out = prop(ad.constant(h), Edges([a])).values
-        agg = np.zeros((2, 3))
+        agg = np.zeros((3, 3))
+        agg[0] = gmn_message(prop.f_message, h[0], h[1])
         agg[1] = gmn_message(prop.f_message, h[1], h[0])
         expected = prop.f_node(ad.constant(np.concatenate([h, agg], axis=1))).values
         np.testing.assert_allclose(out, expected, atol=1e-14)
 
     def test_matches_per_edge_loop_oracle(self):
-        # the loop sums message(h_i, h_j) over every edge a[j, i] = 1; a directed
-        # graph tells the linear fold's A^T product from one by A
+        # the loop sums message(h_i, h_j) over every edge a[j, i] = 1
         rng = np.random.default_rng(22)
         for activation in ("relu", "tanh", "linear"):
             prop = GmnPropagation(rng, 3, 4, 5, activation, "prop")
@@ -384,6 +398,34 @@ class TestGmnPropagation:
                 results.append([out.values] + [t.grad.copy() for t in tensors])
             for got, want in zip(*results):
                 np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("dtype", (np.float64, np.float32))
+    def test_linear_fold_bytes_match_the_transposed_fold(self, tmp_path, dtype):
+        # on batches of Graphs, the degree column and the product by A give the
+        # bytes of the in-degree column and the product by A^T, in both passes
+        rng = np.random.default_rng(26)
+        graphs = mixed_dataset(tmp_path).graphs + tuple(
+            Graph(sp.csr_matrix(graph_of_kind(rng, n, "symmetric")), np.ones((n, 3)), 0)
+            for n in (30, 64))
+        with ad.precision(dtype):
+            for chosen in (graphs, graphs[3:4], graphs[::-1]):
+                edges = PaddedBatch.of(chosen).edges
+                n = edges.node_count
+                prop = GmnPropagation(rng, 3, 4, 5, "linear", "prop")
+                h = ad.parameter(rng.normal(size=(n, 3)))
+                c = ad.constant(rng.normal(size=(n, 5)))
+                tensors = [h, *prop.parameters().values()]
+                results = []
+                for layer in (prop, lambda x, e: gmn_linear_fold_transposed(prop, x, e)):
+                    for t in tensors:
+                        t.zero_grad()
+                    with ad.Tape() as tape:
+                        out = layer(h, edges)
+                        tape.backward(ad.sum_all(ad.multiply(out, c)))
+                    results.append([out.values] + [t.grad for t in tensors])
+                for got, want in zip(*results):
+                    assert got.dtype == want.dtype == dtype
+                    assert got.tobytes() == want.tobytes()
 
     def test_tape_holds_no_edge_rows(self, monkeypatch):
         # message passing keeps node rows only: a relu layer recomputes its E x m

@@ -97,6 +97,16 @@ class TestPresets:
             with pytest.raises(ValueError, match=f"{size} must be >= 1"):
                 replace(preset, **{size: value})
 
+    @pytest.mark.parametrize("field", ("gmn_units", "embed_units", "clusters_1", "clusters_2",
+                                       "gcn1_units", "s1_hidden", "gcn2_units", "epochs"))
+    def test_integer_fields_reject_floats_bools_and_nan(self, field):
+        # 2.5 units failed later in SimPoolModel with a bare TypeError, nan epochs passed
+        preset = resolve_preset("enzymes", 1 / 32)
+        for value in (2.5, 2.0, True, float("nan"), "2"):
+            with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+                replace(preset, **{field: value})
+        assert getattr(replace(preset, **{field: np.int64(3)}), field) == 3
+
     @pytest.mark.parametrize("field", ("learning_rate", "w_e", "w_c"))
     def test_rates_and_weights_must_be_finite(self, field):
         preset = resolve_preset("enzymes", 1 / 32)

@@ -11,8 +11,8 @@ from oracles import (
     decode_index,
     index_map_dense,
     preprocess_graph_loop,
+    graph_runs,
     rank_cols,
-    similarity_dense_asymmetric,
     similarity_dense_symmetric,
 )
 from simpool import autodiff as ad
@@ -87,28 +87,6 @@ class TestDenseSymmetric:
             assert c.min() >= 0.0 and c.max() <= 1.0
 
 
-class TestDenseAsymmetric:
-    def test_reduces_to_symmetric_on_symmetric_input(self):
-        rng = np.random.default_rng(1)
-        cfg = SimilarityConfig(p=1, lam=1.0)
-        for _ in range(50):
-            a = random_symmetric(rng, 10)
-            sym = similarity_dense_symmetric(a, cfg).dense
-            asym = similarity_dense_asymmetric(a, cfg).dense
-            np.testing.assert_allclose(asym, sym, atol=1e-12)
-
-    def test_single_directed_edge(self):
-        a = np.zeros((2, 2))
-        a[0, 1] = 1.0
-        c = similarity_dense_asymmetric(a, SimilarityConfig(p=1, lam=1.0)).dense
-        np.testing.assert_allclose(c[0, 1], 2.0 / 3.0, rtol=1e-12)
-        np.testing.assert_array_equal(np.diagonal(c), np.ones(2))
-
-    def test_zero_matrix_gives_identity(self):
-        c = similarity_dense_asymmetric(np.zeros((4, 4)), SimilarityConfig(p=1, lam=1.0)).dense
-        np.testing.assert_array_equal(c, np.eye(4))
-
-
 class TestPermutationCovariance:
     def test_similarity_permutes_with_adjacency(self):
         rng = np.random.default_rng(2)
@@ -125,43 +103,36 @@ class TestPermutationCovariance:
 
 class TestSparsePath:
     def test_matches_dense_exactly(self):
-        # directed input takes the asymmetric Gram, symmetric input the symmetric one
         rng = np.random.default_rng(3)
         for p in (1, 2, 3):
-            for directed in (False, True):
-                oracle = similarity_dense_asymmetric if directed else similarity_dense_symmetric
-                for trial in range(100):
-                    cfg = SimilarityConfig(p=p, lam=float(trial % 3))
-                    n = int(rng.integers(2, 65))
-                    a = random_sparse_graph(rng, n, mean_degree=min(6, n - 1))
-                    if directed:
-                        a = np.triu(a)  # keep one direction of every edge
-                    dense = oracle(a, cfg).dense
-                    sparse = similarity_sparse(sp.coo_matrix(a), cfg).dense.toarray()
-                    assert np.array_equal(dense, sparse), f"{cfg} trial {trial} differs"
+            for trial in range(100):
+                cfg = SimilarityConfig(p=p, lam=float(trial % 3))
+                n = int(rng.integers(2, 65))
+                a = random_sparse_graph(rng, n, mean_degree=min(6, n - 1))
+                dense = similarity_dense_symmetric(a, cfg).dense
+                sparse = similarity_sparse(sp.coo_matrix(a), cfg).dense.toarray()
+                assert np.array_equal(dense, sparse), f"{cfg} trial {trial} differs"
 
-    def test_directed_input_with_default_config_is_the_asymmetric_oracle(self):
+    def test_directed_input_rejected(self):
+        # graphs are undirected: an asymmetric input, dense or sparse, is named
         rng = np.random.default_rng(17)
-        for trial in range(50):
+        for trial in range(20):
             n = int(rng.integers(2, 40))
             a = (rng.random((n, n)) < 0.2).astype(np.float64)  # self-loops allowed
             a[0, 1], a[1, 0] = 1.0, 0.0  # never symmetric
-            dense = similarity_dense_asymmetric(a, SimilarityConfig()).dense
-            sparse = similarity_sparse(sp.csr_matrix(a), SimilarityConfig()).dense.toarray()
-            assert np.array_equal(dense, sparse), f"trial {trial} differs"
+            for adjacency in (a, sp.csr_matrix(a), sp.coo_matrix(a)):
+                for compute in (similarity_sparse, compute_features):
+                    with pytest.raises(ValueError, match="must be symmetric"):
+                        compute(adjacency, SimilarityConfig(p=1 + trial % 2))
 
     def test_symmetry_is_read_off_the_canonical_matrix(self):
-        # duplicate listings, unsorted indices and stored zeros do not decide the Gram
+        # duplicate listings, unsorted indices and stored zeros do not make a
+        # symmetric input look directed
         rng = np.random.default_rng(18)
         cfg = SimilarityConfig()
         for trial in range(30):
             n = int(rng.integers(3, 30))
-            directed = trial % 2 == 1
             a = random_sparse_graph(rng, n, mean_degree=min(4, n - 1))
-            if directed:
-                a = np.triu(a)
-                a[0, 1], a[1, 0] = 1.0, 0.0
-            oracle = similarity_dense_asymmetric if directed else similarity_dense_symmetric
             coo = sp.coo_matrix(a)
             order = rng.permutation(coo.nnz)
             # every entry listed twice as halves, in shuffled order, plus a stored zero
@@ -174,7 +145,8 @@ class TestSparsePath:
             assert not raw.has_canonical_format
             before = [arr.copy() for arr in (raw.indptr, raw.indices, raw.data)]
             got, stats = similarity_sparse(raw, cfg, return_stats=True)
-            assert np.array_equal(got.dense.toarray(), oracle(a, cfg).dense), trial
+            want = similarity_dense_symmetric(a, cfg).dense
+            assert np.array_equal(got.dense.toarray(), want), trial
             _, canonical = similarity_sparse(sp.csr_matrix(a), cfg, return_stats=True)
             assert stats.multiply_adds == canonical.multiply_adds
             for arr, kept in zip((raw.indptr, raw.indices, raw.data), before):
@@ -390,7 +362,7 @@ class TestPreprocessDataset:
         ds = self.dataset(tmp_path)
         per_graph = runs == "graph_per_run"
         monkeypatch.setattr(similarity, "GRAM_RUN_MULTIPLY_ADDS", 0 if per_graph else 1 << 62)
-        assert len(similarity._graph_runs(ds.graphs)) == (len(ds) if per_graph else 1)
+        assert len(graph_runs(ds.graphs)) == (len(ds) if per_graph else 1)
         star = ds.graphs[-2]
         assert np.count_nonzero(compute_features(star.adjacency, cfg).dense[1].toarray()) > cfg.k
         oracle = preprocess_graph_loop(ds, cfg)
@@ -411,10 +383,10 @@ class TestPreprocessDataset:
         graphs = [Graph(sp.csr_matrix(np.ones((20, 20)) - np.eye(20)), np.ones((20, 1)), 0)] * 9
         per_run = similarity.GRAM_RUN_MULTIPLY_ADDS // (20 * 19**2)
         assert 1 < per_run < 9
-        runs = similarity._graph_runs(graphs)
+        runs = graph_runs(graphs)
         assert runs[0] == (0, per_run) and runs[-1][1] == 9
         assert all(a[1] == b[0] for a, b in zip(runs[:-1], runs[1:]))
-        assert similarity._graph_runs(graphs[:0]) == []
+        assert graph_runs(graphs[:0]) == []
 
     def test_peak_memory_is_a_few_runs_not_the_dataset(self):
         # 120 equal complete graphs: each run's Gram temporaries are per-run, only
@@ -422,7 +394,7 @@ class TestPreprocessDataset:
         clique = sp.csr_matrix(np.ones((20, 20)) - np.eye(20))
         ds = Dataset("CLIQUES", tuple(Graph(clique, np.ones((20, 1)), 0) for _ in range(120)), 1)
         cfg = resolve_preset("enzymes").sim
-        runs = similarity._graph_runs(ds.graphs)
+        runs = graph_runs(ds.graphs)
         assert len(runs) >= 20
 
         def peak(dataset):
@@ -532,6 +504,6 @@ class TestConfigValidation:
         rng = np.random.default_rng(16)
         a = random_sparse_graph(rng, 10, 3)
         for cfg in (SimilarityConfig(p=1, lam=1.0), SimilarityConfig(p=2, lam=1.0)):
-            for adjacency in (sp.csr_matrix(a), a, np.triu(a)):
+            for adjacency in (sp.csr_matrix(a), a):
                 feats = compute_features(adjacency, cfg)
                 assert sp.issparse(feats.dense) and feats.dense.format == "csr"

@@ -149,7 +149,7 @@ class TestFloat32Training:
             optimiser.step()
         f32 = np.dtype(np.float32)
         edges = batch.edges
-        assert edges.adjacency.dtype == edges.in_degree.dtype == f32
+        assert edges.adjacency.dtype == edges.degree.dtype == f32
         assert edges.receiver_incidence.dtype == edges.sender_incidence.dtype == f32
         assert len(outputs) > 100
         assert [op for op, dtype in outputs if dtype != f32] == []
@@ -385,3 +385,12 @@ class TestCrossValidate:
             TrainConfig(preset, batch_size=0)
         with pytest.raises(ValueError):
             cross_validate(small_config(folds=1), None)
+
+    def test_batch_size_and_folds_must_be_integers(self):
+        # 2.5 failed later as a slice index or in kfold_split, one fold only in train_run
+        for field, least, values in (("batch_size", 1, (2.5, True, float("nan"), 0)),
+                                     ("folds", 2, (2.5, True, float("nan"), 1, 0))):
+            for value in values:
+                with pytest.raises(ValueError, match=f"^{field} must be an integer >= {least}"):
+                    small_config(**{field: value})
+        assert small_config(batch_size=np.int64(4), folds=np.int32(3)).folds == 3
