@@ -26,6 +26,7 @@ from .layers import Edges
 __all__ = [
     "Graph",
     "Dataset",
+    "Batch",
     "PaddedBatch",
     "DatasetFormatError",
     "DatasetIntegrityError",
@@ -137,39 +138,25 @@ class Dataset:
 
 
 @dataclass(frozen=True)
-class PaddedBatch:
-    """A batch of graphs as one disjoint union, with a padded dense copy.
+class Batch:
+    """A batch of graphs as one disjoint union: what the model reads.
 
-    The model reads the union: ``edges`` lists every graph's edges over
-    the stacked node rows, and its ``node_offsets`` cut ``features``, the
-    graphs' node rows in batch order, into graphs. ``adjacency`` and
-    ``node_mask`` are the same graphs zero-padded to the largest one
-    (masked rows and columns are exactly zero); the model, ``size`` and
-    ``node_counts`` do not read them. Build one with ``PaddedBatch.of``.
+    ``edges`` lists every graph's edges over the stacked node rows, and its
+    ``node_offsets`` cut ``features``, the graphs' node rows in batch
+    order, into graphs. Build one with ``Batch.of``.
     """
 
-    adjacency: np.ndarray  # B x N x N
     features: np.ndarray  # (sum of node counts) x d, the graphs' node rows stacked
-    node_mask: np.ndarray  # B x N, leading ones
     labels: np.ndarray  # B
     indices: np.ndarray  # B source positions in the dataset
     edges: Edges  # the union's edge list
 
     @classmethod
-    def of(cls, graphs, indices=None) -> PaddedBatch:
-        """The batch of ``graphs``; ``indices`` are their dataset positions (default 0..B-1)."""
+    def of(cls, graphs, indices=None) -> Batch:
+        """The union of ``graphs``; ``indices`` are their dataset positions (default 0..B-1)."""
         b = len(graphs)
-        n_max = max(g.node_count for g in graphs)
-        adjacency = np.zeros((b, n_max, n_max))
-        mask = np.zeros((b, n_max))
-        for slot, g in enumerate(graphs):
-            n = g.node_count
-            adjacency[slot, :n, :n] = g.adjacency.toarray()
-            mask[slot, :n] = 1.0
         return cls(
-            adjacency=adjacency,
             features=np.concatenate([g.node_features for g in graphs]),
-            node_mask=mask,
             labels=np.array([g.label for g in graphs], dtype=np.int64),
             indices=np.arange(b) if indices is None else np.array(indices, dtype=np.int64),
             edges=Edges([g.adjacency for g in graphs]),
@@ -181,6 +168,35 @@ class PaddedBatch:
 
     def node_counts(self) -> np.ndarray:
         return np.diff(self.edges.node_offsets)
+
+
+@dataclass(frozen=True)
+class PaddedBatch(Batch):
+    """A ``Batch`` with a dense copy of its graphs, zero-padded to the largest one.
+
+    ``adjacency`` is B x N x N float64 and ``node_mask`` B x N; masked rows
+    and columns are exactly zero. Nothing in the package reads them: their
+    only readers are the benchmark's batch hook
+    (``bench/spans.py::_make_batches_hook``) and its capped-memory test,
+    which needs the padded allocation to fail. The benchmark change that
+    deletes the padded batch (ROADMAP item 1) deletes this subclass.
+    """
+
+    adjacency: np.ndarray  # B x N x N
+    node_mask: np.ndarray  # B x N, leading ones
+
+    @classmethod
+    def of(cls, graphs, indices=None) -> PaddedBatch:
+        """``Batch.of(graphs, indices)`` with the padded copy added."""
+        union = Batch.of(graphs, indices)
+        n_max = max(g.node_count for g in graphs)
+        adjacency = np.zeros((len(graphs), n_max, n_max))
+        mask = np.zeros((len(graphs), n_max))
+        for slot, g in enumerate(graphs):
+            n = g.node_count
+            adjacency[slot, :n, :n] = g.adjacency.toarray()
+            mask[slot, :n] = 1.0
+        return cls(**vars(union), adjacency=adjacency, node_mask=mask)
 
 
 # ---------------------------------------------------------------------------
@@ -347,6 +363,15 @@ def load_tu_dataset(root_path, name: str) -> Dataset:
 # batching and splits
 # ---------------------------------------------------------------------------
 
+def require_integer(name: str, value, least: int) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is an integer >= ``least``.
+
+    A bool is not an integer here, nor is a float with an integral value.
+    """
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 def batch_positions(
     ds: Dataset,
     batch_size: int,
@@ -359,8 +384,7 @@ def batch_positions(
     ints); a boolean mask or a float array raises ``ValueError`` rather than
     being read as positions 0 and 1 or truncated.
     """
-    if isinstance(batch_size, bool) or not isinstance(batch_size, Integral) or batch_size < 1:
-        raise ValueError(f"batch_size must be an integer >= 1, got {batch_size!r}")
+    require_integer("batch_size", batch_size, 1)
     if len(ds) == 0:
         raise ValueError("cannot batch an empty dataset")
     positions = np.arange(len(ds)) if subset is None else np.asarray(subset)
@@ -386,7 +410,14 @@ def make_batches(
     shuffle_seed: int | None = None,
     subset: np.ndarray | None = None,
 ) -> list[PaddedBatch]:
-    """Partition a dataset (or a subset of its positions) into batches of disjoint unions."""
+    """Partition a dataset (or a subset of its positions) into padded batches.
+
+    Training, evaluation and the gradient checks build plain ``Batch``es
+    from ``batch_positions``. The padded batches this returns are read
+    only by the benchmark: its batch hook (``bench/spans.py::_make_batches_hook``)
+    and its capped-memory test. The benchmark change that deletes
+    ``PaddedBatch`` (ROADMAP item 1) makes this return ``Batch``.
+    """
     return [PaddedBatch.of([ds.graphs[i] for i in chunk], chunk)
             for chunk in batch_positions(ds, batch_size, shuffle_seed, subset)]
 
@@ -398,8 +429,8 @@ def kfold_split(ds: Dataset, folds: int, seed: int) -> list[tuple[np.ndarray, np
     histogram across folds (items are dealt to folds round-robin with a
     pointer that carries over between classes).
     """
-    if folds < 2:
-        raise ValueError("need at least 2 folds")
+    require_integer("folds", folds, 2)
+    require_integer("seed", seed, 0)
     if folds > len(ds):
         raise ValueError(f"cannot split {len(ds)} graphs into {folds} folds")
     rng = np.random.default_rng(seed)

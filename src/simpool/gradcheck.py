@@ -23,7 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import autodiff as ad
-from .data import Graph, PaddedBatch
+from .data import Batch, Graph
 from .layers import (
     Dense,
     Edges,
@@ -152,7 +152,7 @@ def _check_full_model(rng, n):
     mapped = index_map(compute_features(a, model.sim), model.sim).mapped
     label = int(rng.integers(0, 6))
 
-    batch = PaddedBatch.of([Graph(sp.csr_matrix(a), x, label)])
+    batch = Batch.of([Graph(sp.csr_matrix(a), x, label)])
 
     def forward():
         return model.forward_graph(batch, mapped).total(1.0, 1.0)

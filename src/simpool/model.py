@@ -1,6 +1,6 @@
 """Hierarchical pooling model: two coarsening stages plus a classifier.
 
-The model reads a batch of graphs as one ``PaddedBatch``, their disjoint
+The model reads a batch of graphs as one ``data.Batch``, their disjoint
 union: one ``Edges`` list over the stacked node rows, cut into graphs by
 its node offsets. A single graph is a batch of one. Stage 0 runs two GMN
 stacks of the same shape on the whole union: a relu encoder, a relu
@@ -36,7 +36,7 @@ from numbers import Integral
 import numpy as np
 
 from . import autodiff as ad
-from .data import ByteReader, PaddedBatch
+from .data import Batch, ByteReader, require_integer
 from .layers import (
     Dense,
     Edges,
@@ -206,6 +206,7 @@ class SimPoolModel:
     ):
         if assign_inputs not in ASSIGN_INPUTS:
             raise ConfigError(f"unknown assignment input mode {assign_inputs!r}")
+        require_integer("seed", seed, 0)
         self.preset = preset
         self.sim = preset.sim
         self.assign_inputs = assign_inputs
@@ -278,7 +279,7 @@ class SimPoolModel:
             return structural
         return ad.concat_columns([structural, x1])
 
-    def forward_graph(self, batch: PaddedBatch, mapped: np.ndarray | None = None) -> Forward:
+    def forward_graph(self, batch: Batch, mapped: np.ndarray | None = None) -> Forward:
         """One forward pass over a batch's disjoint union; ``mapped`` stacks its structural rows.
 
         ``mapped`` may be in the tape dtype, as ``preprocess_dataset`` run
@@ -310,7 +311,7 @@ class SimPoolModel:
             assign_argmax=(np.argmax(s0.values, axis=1), np.argmax(s1.values, axis=1)),
         )
 
-    def forward_batch(self, batch: PaddedBatch, mapped_by_index=None) -> Forward:
+    def forward_batch(self, batch: Batch, mapped_by_index=None) -> Forward:
         """``forward_graph`` with ``mapped_by_index[i]``, graph i's structural rows, stacked.
 
         The rows take the dtypes ``forward_graph`` takes; concatenating

@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import asdict, astuple, dataclass, field, fields
-from numbers import Integral
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import NumericError
-from .data import Dataset, batch_positions, kfold_split, make_batches
+from .data import Batch, Dataset, batch_positions, kfold_split, require_integer
 from .model import ASSIGN_INPUTS, LOSS_TERMS, ConfigError, ModelPreset, SimPoolModel
 from .similarity import preprocess_dataset
 
@@ -43,10 +42,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.assign_inputs not in ASSIGN_INPUTS:
             raise ConfigError(f"unknown assignment input mode {self.assign_inputs!r}")
-        for name, least in (("batch_size", 1), ("folds", 2)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
-                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+        for name, least in (("batch_size", 1), ("folds", 2), ("seed", 0)):
+            require_integer(name, getattr(self, name), least)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -178,7 +175,7 @@ def evaluate_accuracy(model: SimPoolModel, ds: Dataset, indices, mapped=None,
     total = 0
     with ad.no_grad():
         for chunk in batch_positions(ds, batch_size, subset=np.asarray(indices)):
-            (batch,) = make_batches(ds, batch_size, subset=chunk)
+            batch = Batch.of([ds.graphs[i] for i in chunk], chunk)
             fwd = model.forward_batch(batch, mapped)
             correct += int((fwd.probs.argmax(axis=1) == batch.labels).sum())
             total += batch.size
@@ -218,9 +215,9 @@ def train_run(cfg: TrainConfig, ds: Dataset, fold: int = 0, mapped=None,
         correct = 0
         used = (np.zeros(preset.clusters_1, bool), np.zeros(preset.clusters_2, bool))
         diverged = False
-        # each batch is built when its step starts: one carries a padded B x N x N copy
+        # each batch is built when its step starts, so an epoch holds one union at a time
         for chunk in batch_positions(ds, cfg.batch_size, cfg.seed * 1_000_003 + epoch, train_idx):
-            (batch,) = make_batches(ds, cfg.batch_size, subset=chunk)
+            batch = Batch.of([ds.graphs[i] for i in chunk], chunk)
             with ad.Tape() as tape:
                 fwd = model.forward_batch(batch, mapped)
                 total = fwd.total(preset.w_e, preset.w_c)

@@ -8,9 +8,11 @@ import pytest
 import scipy.sparse as sp
 
 from simpool.data import (
+    Batch,
     DatasetFormatError,
     DatasetIntegrityError,
     Graph,
+    PaddedBatch,
     _read_int_rows,
     batch_positions,
     dataset_hash,
@@ -356,6 +358,28 @@ class TestBatches:
                                      node_mask=np.zeros((0, 0)))
         assert hollow.size == len(ds) and hollow.node_counts().tolist() == counts
 
+    def test_padded_batch_is_the_union_plus_its_padding(self, tmp_path):
+        # make_batches' padded batch holds the bytes Batch.of builds, and a plain
+        # Batch carries no padded copy
+        ds = mixed_dataset(tmp_path)
+        positions = [3, 0, 4]
+        graphs = [ds.graphs[i] for i in positions]
+        union = Batch.of(graphs, positions)
+        (padded,) = make_batches(ds, batch_size=3, subset=positions)
+        assert type(union) is Batch and type(padded) is PaddedBatch
+        assert not hasattr(union, "adjacency") and not hasattr(union, "node_mask")
+        for name in ("features", "labels", "indices"):
+            got, want = getattr(padded, name), getattr(union, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+        for name in ("node_offsets", "senders", "receivers", "degree"):
+            assert getattr(padded.edges, name).tobytes() == getattr(union.edges, name).tobytes()
+        assert padded.adjacency.shape == (3, 7, 7) and padded.node_mask.shape == (3, 7)
+        for slot, g in enumerate(graphs):
+            n = g.node_count
+            np.testing.assert_array_equal(padded.adjacency[slot, :n, :n], g.adjacency.toarray())
+            np.testing.assert_array_equal(padded.node_mask[slot], np.arange(7) < n)
+        assert padded.adjacency.sum() == sum(g.adjacency.sum() for g in graphs)
+
     def test_subset_must_be_integer_positions(self, toy_dataset):
         # read as positions, a mask would pick graphs 0 and 1 and a float array truncate
         for subset, dtype in ((np.array([True, False, True, True]), "bool"),
@@ -419,6 +443,13 @@ class TestKFold:
     def test_too_many_folds_rejected(self, toy_dataset):
         with pytest.raises(ValueError):
             kfold_split(toy_dataset, folds=11, seed=0)
+
+    def test_folds_and_seed_must_be_integers(self, toy_dataset):
+        for folds, seed, field in ((2.5, 0, "folds"), (True, 0, "folds"), (1, 0, "folds"),
+                                   (2, 2.5, "seed"), (2, -1, "seed"), (2, True, "seed")):
+            with pytest.raises(ValueError, match=f"^{field} must be an integer >= "):
+                kfold_split(toy_dataset, folds=folds, seed=seed)
+        assert len(kfold_split(toy_dataset, folds=np.int64(2), seed=np.uint8(3))) == 2
 
     def test_deterministic(self, toy_dataset):
         s1 = kfold_split(toy_dataset, folds=5, seed=42)

@@ -123,6 +123,13 @@ class TestPresets:
         with pytest.raises(ConfigError, match="bogus"):
             tiny_model(assign_inputs="bogus")
 
+    def test_seed_must_be_a_non_negative_integer(self):
+        # -1 and 2.5 used to fail in default_rng with a bare error, True seeded as 1
+        for value in (2.5, -1, True, float("nan"), "0"):
+            with pytest.raises(ValueError, match="^seed must be an integer >= 0"):
+                tiny_model(seed=value)
+        assert tiny_model(seed=np.int64(4)).parameters()
+
     def test_aliases(self):
         # there are none: only the table's own keys resolve
         for name in PRESETS:

@@ -1,6 +1,7 @@
 """Tests for the optimiser, the training loop, and run statistics."""
 
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +11,7 @@ import scipy.sparse as sp
 from simpool import autodiff as ad
 from simpool import training
 from simpool.autodiff import NumericError
-from simpool.data import Dataset, Graph, make_batches
+from simpool.data import Batch, Dataset, Graph, PaddedBatch, make_batches
 from simpool.model import ConfigError, SimPoolModel, resolve_preset
 from simpool.similarity import SimilarityConfig, preprocess_dataset
 from simpool.training import (
@@ -268,20 +269,59 @@ class TestTrainRun:
         assert model.parameters()["s0.enc.node_mlp.w"].shape[0] == 25
         assert cfg.to_dict()["preset"]["sim"]["k"] == 25
 
-    def test_an_epoch_holds_a_few_batches_not_all(self):
-        # 40 300-node rings in batches of 2: each batch pads 2 x 300 x 300 floats, and
-        # fold 0's 18 training and 2 validation batches pad 20 times that
+    def test_an_epoch_holds_a_few_batches_not_all(self, monkeypatch):
+        # 40 300-node rings in batches of 2: fold 0 has 18 training and 2 validation
+        # batches; each must be released before the next few are built
         a = sp.csr_matrix(ring_graph(300))
         ds = Dataset("RINGS", tuple(Graph(a, np.ones((300, 1)), i % 2) for i in range(40)), 2)
         cfg = small_config(epochs=1, assign_inputs="node", batch_size=2, folds=10)
-        one_batch = make_batches(ds, 2, subset=[0, 1])[0].adjacency.nbytes
+        live, built, most = [0], [0], [0]
+
+        def released():
+            live[0] -= 1
+
+        # PaddedBatch too, so that a loop built on make_batches is counted as well
+        for kind in (Batch, PaddedBatch):
+            def of(cls, *args, build=kind.of, **kwargs):
+                batch = build(*args, **kwargs)
+                live[0] += 1
+                built[0] += 1
+                most[0] = max(most[0], live[0])
+                weakref.finalize(batch, released)
+                return batch
+
+            monkeypatch.setattr(kind, "of", classmethod(of))
+        train_run(cfg, ds, fold=0)
+        assert built[0] >= 20
+        assert most[0] <= 3, most[0]
+
+    def test_training_and_evaluation_never_pad(self, toy_dataset, monkeypatch):
+        def of(cls, *args, **kwargs):
+            raise AssertionError("a padded batch was built")
+
+        monkeypatch.setattr(PaddedBatch, "of", classmethod(of))
+        cfg = small_config(epochs=1, folds=2)
+        stats, model = train_run(cfg, toy_dataset, fold=0)
+        assert len(stats.epochs) == 1
+        assert len(cross_validate(cfg, toy_dataset).fold_stats) == 2
+        mapped = preprocess_dataset(toy_dataset, cfg.preset.sim)
+        assert 0.0 <= evaluate_accuracy(model, toy_dataset, np.arange(10), mapped, 3) <= 1.0
+
+    def test_an_epoch_over_a_large_graph_stays_below_one_padded_copy(self):
+        # a 3,000-node ring among small ones: one padded copy of it alone is
+        # 3000^2 float64 = 72 MB, and its union is O(nodes + edges)
+        n = 3000
+        graphs = [Graph(sp.csr_matrix(ring_graph(n)), np.ones((n, 1)), 0)]
+        graphs += [Graph(sp.csr_matrix(ring_graph(8)), np.ones((8, 1)), i % 2) for i in range(5)]
+        ds = Dataset("BIG_RING", tuple(graphs), 2)
+        cfg = small_config(epochs=1, assign_inputs="node", batch_size=2, folds=2)
         tracemalloc.start()
         try:
             train_run(cfg, ds, fold=0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 6 * one_batch, peak / one_batch
+        assert peak < n * n * 8, peak / (n * n * 8)
 
     def test_learns_separable_task(self, tmp_path):
         ds = separable_dataset(tmp_path, count=40, seed=5)
@@ -394,3 +434,11 @@ class TestCrossValidate:
                 with pytest.raises(ValueError, match=f"^{field} must be an integer >= {least}"):
                     small_config(**{field: value})
         assert small_config(batch_size=np.int64(4), folds=np.int32(3)).folds == 3
+
+    def test_seed_must_be_a_non_negative_integer(self):
+        # 2.5 and -1 used to construct and fail in kfold_split's default_rng with a
+        # bare TypeError or ValueError; True seeded as 1
+        for value in (2.5, -1, True, float("nan"), "0"):
+            with pytest.raises(ValueError, match="^seed must be an integer >= 0"):
+                small_config(seed=value)
+        assert small_config(seed=np.int64(4)).seed == 4
