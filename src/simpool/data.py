@@ -1,12 +1,24 @@
-"""Graph-classification datasets: loading, validation, batching, splits.
+"""Graph-classification datasets: one store of arrays, and the graphs and batches cut from it.
 
 Datasets arrive as TU-style text files (1-based edge list, graph
-indicator, graph labels, optional node labels). Loaded graphs are
-immutable; adjacency is kept as CSR, features dense: one-hot node labels
-as bool, one byte per entry (the tape casts 0 and 1 exactly to its own
-dtype), and the degree scalar in float64, whose ratios float32 would
-round. The content hash reads every feature as float64 whatever its
-storage dtype.
+indicator, graph labels, optional node labels). A ``Dataset`` is one
+store of arrays, checked once when it is built:
+
+- ``indptr`` and int32 ``indices``: the CSR pattern of the whole
+  dataset's adjacency, symmetric and block diagonal over its graphs. It
+  has no ``data`` array: every stored position is an edge of weight 1.
+- ``node_offsets``: graph g owns nodes ``node_offsets[g]:node_offsets[g + 1]``.
+- ``graph_labels``: one int64 class per graph.
+- ``node_features``: the node-label column in the smallest unsigned
+  dtype, read as one-hot bool rows (the tape casts 0 and 1 exactly to its
+  own dtype); or rows: the degree scalar in float64, whose ratios float32
+  would round, or whatever rows the dataset was built from.
+
+A graph (``Graph``) and a batch (``Batch``) are cut from the store when
+they are asked for, through ``Dataset.union`` and ``Dataset.node_rows``,
+and trust its checks. The content hash serialises every graph as its own
+CSR with float64 ones and float64 feature rows, whatever the store's
+dtypes.
 """
 
 from __future__ import annotations
@@ -15,12 +27,13 @@ import hashlib
 import os
 import struct
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from numbers import Integral
 
 import numpy as np
 import scipy.sparse as sp
 
+from . import autodiff as ad
 from .layers import Edges
 
 __all__ = [
@@ -48,93 +61,201 @@ class DatasetIntegrityError(ValueError):
     """Dataset files are present but internally inconsistent."""
 
 
-@dataclass(frozen=True)
-class Graph:
-    """One labelled undirected graph: sparse adjacency plus dense node features.
+def _checked_pattern(adjacency, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted CSR pattern of a square 0/1 ``adjacency``, checked to be undirected graphs.
 
-    Every stored adjacency entry is 0 or 1, no edge is stored twice, and
-    the adjacency is symmetric (a stored zero is no edge): a graph is its
-    undirected structure. Here is where that is checked, and the model
+    A stored zero is no edge. No edge may be stored twice, go one way only,
+    or join two of the graphs whose node ``counts`` cut the matrix.
+    """
+    if np.any((adjacency.data != 0) & (adjacency.data != 1)):
+        raise ValueError("adjacency entries must be 0 or 1")
+    if not adjacency.data.all():  # the caller's matrix keeps its stored zeros
+        adjacency = adjacency.copy()
+        adjacency.eliminate_zeros()
+    if not adjacency.has_sorted_indices:
+        adjacency = adjacency.sorted_indices()
+    indptr, indices = adjacency.indptr, adjacency.indices
+    # in sorted rows an edge stored twice is a neighbour equal to the one before it
+    twice = indices[1:] == indices[:-1]
+    starts = indptr[1:-1]
+    twice[starts[(0 < starts) & (starts < indices.size)] - 1] = False
+    if twice.any():
+        raise ValueError("adjacency stores an edge twice: each edge must be one entry")
+    # the pattern read by columns is A^T; converted to rows, it comes sorted
+    n = indptr.size - 1
+    transpose = sp.csc_matrix((np.ones(indices.size, dtype=bool), indices, indptr),
+                              shape=(n, n)).tocsr()
+    if not (np.array_equal(transpose.indptr, indptr)
+            and np.array_equal(transpose.indices, indices)):
+        raise ValueError("adjacency must be symmetric: a graph is undirected")
+    graph_of = np.repeat(np.arange(counts.size, dtype=np.int32), counts)
+    crosses = np.repeat(graph_of, np.diff(indptr)) != graph_of[indices]
+    if crosses.any():
+        entry = int(np.argmax(crosses))
+        row = int(np.searchsorted(indptr, entry, side="right")) - 1
+        raise DatasetIntegrityError(f"edge ({row}, {indices[entry]}) crosses graph "
+                                    f"boundaries (nodes counted from 0)")
+    return indptr, indices
+
+
+class Dataset:
+    """Labelled undirected graphs sharing a feature space, as one store of arrays.
+
+    ``adjacency`` is the N x N matrix of every graph, a scipy sparse matrix
+    or array in CSR format, and ``node_offsets`` (0 to N, at least one node
+    per graph) cut it into graphs. Every stored entry is 0 or 1, and a
+    stored zero is no edge. No edge is stored twice, joins two graphs or
+    goes one way only: a graph is its undirected structure. The model
     relies on it throughout: ``layers.Edges`` reads A as A^T, the
     similarity Gram is Ahat Ahat, and stage 1's tanh(S^T A S) is symmetric
-    only when A is. The adjacency is a scipy sparse matrix or array in CSR
-    format, whose row order the content hash reads. ``node_features`` is
-    n x d, one row per node, in a float or bool dtype: the tape casts it to
-    its own. ``load_tu_dataset`` gives one-hot rows as bool and degree
-    scalars in float64.
+    only when A is. ``node_features`` holds N x d rows in a float or bool
+    dtype, or a column of N unsigned node labels, which read as one-hot
+    bool rows as wide as the largest label plus one. ``labels`` holds one
+    class in [0, num_classes) per graph.
+
+    All of this is checked here, once, on the whole matrix. The store
+    keeps a copy of the matrix's pattern (``indptr`` and int32 ``indices``,
+    no ``data``), the offsets, the labels as int64 ``graph_labels`` and the
+    features as given, and everything cut from it trusts them.
     """
 
-    adjacency: sp.csr_matrix
-    node_features: np.ndarray
-    label: int
-
-    def __post_init__(self):
-        if not (sp.issparse(self.adjacency) and self.adjacency.format == "csr"):
-            kind = type(self.adjacency).__name__
-            kind = (f"{kind} in {self.adjacency.format.upper()} format"
-                    if sp.issparse(self.adjacency) else f"dense {kind}")
+    def __init__(self, name: str, adjacency, node_offsets, node_features, labels,
+                 num_classes: int, metadata: dict | None = None):
+        if not (sp.issparse(adjacency) and adjacency.format == "csr"):
+            kind = type(adjacency).__name__
+            kind = (f"{kind} in {adjacency.format.upper()} format"
+                    if sp.issparse(adjacency) else f"dense {kind}")
             raise TypeError(f"adjacency must be a scipy sparse matrix or array in CSR "
                             f"format, got {kind}")
-        n, cols = self.adjacency.shape
+        n, cols = adjacency.shape
         if n != cols:
-            raise ValueError(f"adjacency must be square, got {self.adjacency.shape}")
-        if n < 1:
+            raise ValueError(f"adjacency must be square, got {adjacency.shape}")
+        offsets = np.asarray(node_offsets, dtype=np.int64)
+        if offsets.ndim != 1 or offsets.size < 1 or offsets[0] != 0 or offsets[-1] != n:
+            raise ValueError(f"node offsets must rise from 0 to {n}, got {offsets.tolist()}")
+        counts = np.diff(offsets)
+        if np.any(counts < 1):
             raise ValueError("graph must have at least one node")
-        if np.any((self.adjacency.data != 0) & (self.adjacency.data != 1)):
-            raise ValueError("adjacency entries must be 0 or 1")
-        # A is symmetric exactly when its edge keys i n + j and j n + i sort to the
-        # same list; per graph this costs a third to a fifth of a scipy A != A.T
-        edge = self.adjacency.data != 0
-        i = np.repeat(np.arange(n), np.diff(self.adjacency.indptr))[edge]
-        j = self.adjacency.indices[edge]
-        keys = np.sort(i * n + j)
-        if (keys[1:] == keys[:-1]).any():  # equal neighbours: an edge stored twice
-            raise ValueError("adjacency stores an edge twice: each edge must be one entry")
-        if not (keys == np.sort(j * n + i)).all():
-            raise ValueError("adjacency must be symmetric: a graph is undirected")
-        if self.node_features.ndim != 2 or self.node_features.shape[0] != n:
+        indptr, indices = _checked_pattern(adjacency, counts)
+        features = np.asarray(node_features)
+        if not (features.ndim == 2 and features.shape[0] == n
+                or features.ndim == 1 and features.size == n and features.dtype.kind == "u"):
             raise ValueError(
-                f"node_features must be {n} x d, one row per node; got shape "
-                f"{self.node_features.shape}"
+                f"node_features must be {n} x d, one row per node, or a column of {n} "
+                f"unsigned node labels; got shape {features.shape}"
             )
+        if num_classes < 1:
+            raise ValueError("dataset needs at least one class")
+        labels = np.asarray(labels, dtype=np.int64).reshape(-1)
+        if labels.size != counts.size:
+            raise ValueError(f"{counts.size} graphs need one label each, got {labels.size}")
+        outside = (labels < 0) | (labels >= num_classes)
+        if outside.any():
+            raise DatasetIntegrityError(f"label {labels[outside][0]} outside [0, {num_classes})")
+
+        self.name = name
+        # copies: a pattern that scipy cut from a longer array would keep all of it alive
+        self.indptr = indptr.copy()
+        self.indices = indices.astype(np.int32)
+        self.node_offsets = offsets
+        self.graph_labels = labels
+        self.node_features = features
+        self.feature_dim = (features.shape[1] if features.ndim == 2
+                            else int(features.max()) + 1 if n else 0)
+        self.num_classes = int(num_classes)
+        self.metadata = {} if metadata is None else metadata
+
+    def __len__(self) -> int:
+        return self.graph_labels.size
+
+    @property
+    def graphs(self) -> tuple[Graph, ...]:
+        """One ``Graph`` view per graph, each building its arrays whenever they are read."""
+        return tuple(Graph(self, i) for i in range(len(self)))
+
+    def labels(self) -> np.ndarray:
+        return self.graph_labels.copy()
+
+    def _node_ranges(self, positions) -> list[tuple[int, int]]:
+        """The [lo, hi) node range of each run of consecutive graphs in ``positions``."""
+        p = np.asarray(positions).reshape(-1)
+        if p.size == 0 or p.min() < 0 or p.max() >= len(self):
+            raise IndexError(f"graph positions must be one or more of [0, {len(self)})")
+        cuts = np.flatnonzero(np.diff(p) != 1) + 1
+        first, end = p[np.r_[0, cuts]], p[np.r_[cuts - 1, p.size - 1]] + 1
+        return list(zip(self.node_offsets[first].tolist(), self.node_offsets[end].tolist()))
+
+    def union(self, positions, dtype=np.float64) -> tuple[sp.csr_matrix, np.ndarray]:
+        """The disjoint union of the graphs at ``positions``, in that order, and its node offsets.
+
+        The union is a square CSR with a one in ``dtype`` at each edge. Each
+        run of consecutive positions is one slice of the store, shifted to
+        its place: consecutive positions cut one slice, and any others join
+        their slices in one concatenation. This is the one constructor of
+        every matrix cut from the store, and it trusts the store's checks:
+        scipy checks only the arrays' lengths and dtypes, and the matrix is
+        marked canonical, so nothing sorts or sums it again.
+        """
+        indptr, indices, nodes, stored = [], [], 0, 0
+        for k, (lo, hi) in enumerate(self._node_ranges(positions)):
+            p0, p1 = int(self.indptr[lo]), int(self.indptr[hi])
+            indptr.append(self.indptr[lo + (k > 0):hi + 1] - (p0 - stored))
+            indices.append(self.indices[p0:p1] - (lo - nodes))
+            nodes, stored = nodes + hi - lo, stored + p1 - p0
+        union = sp.csr_matrix((np.ones(stored, dtype=dtype), np.concatenate(indices),
+                               np.concatenate(indptr)), shape=(nodes, nodes))
+        union.has_canonical_format = True
+        p = np.asarray(positions)
+        counts = self.node_offsets[p + 1] - self.node_offsets[p]
+        return union, np.concatenate([[0], np.cumsum(counts)])
+
+    def node_rows(self, positions) -> np.ndarray:
+        """The node feature rows of the graphs at ``positions``, stacked in that order.
+
+        A new array: one-hot bool rows built from the label column, or a
+        copy of the stored rows.
+        """
+        parts = [self.node_features[lo:hi] for lo, hi in self._node_ranges(positions)]
+        stacked = np.concatenate(parts)
+        if stacked.ndim == 2:
+            return stacked
+        onehot = np.zeros((stacked.size, self.feature_dim), dtype=bool)
+        onehot[np.arange(stacked.size), stacked] = True
+        return onehot
+
+
+class Graph:
+    """Graph ``position`` of a ``Dataset``: a view that holds no arrays.
+
+    ``adjacency`` is the graph's own CSR, rows and columns counted from its
+    first node, with a float64 one at each edge; ``node_features`` its
+    rows as ``Dataset.node_rows`` gives them (one-hot bool rows from a
+    label column); ``label`` its class. Each is built from the store every
+    time it is read, and checked nowhere: the store was checked when it was
+    built. So a loop over ``Dataset.graphs`` holds one graph's arrays at a
+    time, not a copy of the dataset.
+    """
+
+    def __init__(self, dataset: Dataset, position: int):
+        self.dataset = dataset
+        self.position = position
+
+    @property
+    def adjacency(self) -> sp.csr_matrix:
+        return self.dataset.union([self.position])[0]
+
+    @property
+    def node_features(self) -> np.ndarray:
+        return self.dataset.node_rows([self.position])
+
+    @property
+    def label(self) -> int:
+        return int(self.dataset.graph_labels[self.position])
 
     @property
     def node_count(self) -> int:
-        return self.adjacency.shape[0]
-
-    @property
-    def feature_dim(self) -> int:
-        return self.node_features.shape[1]
-
-
-@dataclass(frozen=True)
-class Dataset:
-    """Ordered collection of graphs sharing a feature space."""
-
-    name: str
-    graphs: tuple[Graph, ...]
-    num_classes: int
-    metadata: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.num_classes < 1:
-            raise ValueError("dataset needs at least one class")
-        dims = {g.feature_dim for g in self.graphs}
-        if len(dims) > 1:
-            raise DatasetIntegrityError(f"inconsistent feature dims {sorted(dims)}")
-        for g in self.graphs:
-            if not 0 <= g.label < self.num_classes:
-                raise DatasetIntegrityError(f"label {g.label} outside [0, {self.num_classes})")
-
-    def __len__(self) -> int:
-        return len(self.graphs)
-
-    @property
-    def feature_dim(self) -> int:
-        return self.graphs[0].feature_dim if self.graphs else 0
-
-    def labels(self) -> np.ndarray:
-        return np.array([g.label for g in self.graphs], dtype=np.int64)
+        offsets = self.dataset.node_offsets
+        return int(offsets[self.position + 1] - offsets[self.position])
 
 
 @dataclass(frozen=True)
@@ -143,7 +264,8 @@ class Batch:
 
     ``edges`` lists every graph's edges over the stacked node rows, and its
     ``node_offsets`` cut ``features``, the graphs' node rows in batch
-    order, into graphs. Build one with ``Batch.of``.
+    order (one-hot bool rows built once per batch from a label column),
+    into graphs. ``Batch.of`` cuts one from a dataset's store.
     """
 
     features: np.ndarray  # (sum of node counts) x d, the graphs' node rows stacked
@@ -152,14 +274,15 @@ class Batch:
     edges: Edges  # the union's edge list
 
     @classmethod
-    def of(cls, graphs, indices=None) -> Batch:
-        """The union of ``graphs``; ``indices`` are their dataset positions (default 0..B-1)."""
-        b = len(graphs)
+    def of(cls, dataset: Dataset, positions) -> Batch:
+        """The union of the graphs at dataset ``positions``, its edges in ``ad.tape_dtype()``."""
+        positions = np.array(positions, dtype=np.int64)
+        adjacency, offsets = dataset.union(positions, ad.tape_dtype())
         return cls(
-            features=np.concatenate([g.node_features for g in graphs]),
-            labels=np.array([g.label for g in graphs], dtype=np.int64),
-            indices=np.arange(b) if indices is None else np.array(indices, dtype=np.int64),
-            edges=Edges([g.adjacency for g in graphs]),
+            features=dataset.node_rows(positions),
+            labels=dataset.graph_labels[positions],
+            indices=positions,
+            edges=Edges(adjacency, offsets),
         )
 
     @property
@@ -186,16 +309,16 @@ class PaddedBatch(Batch):
     node_mask: np.ndarray  # B x N, leading ones
 
     @classmethod
-    def of(cls, graphs, indices=None) -> PaddedBatch:
-        """``Batch.of(graphs, indices)`` with the padded copy added."""
-        union = Batch.of(graphs, indices)
-        n_max = max(g.node_count for g in graphs)
-        adjacency = np.zeros((len(graphs), n_max, n_max))
-        mask = np.zeros((len(graphs), n_max))
-        for slot, g in enumerate(graphs):
-            n = g.node_count
-            adjacency[slot, :n, :n] = g.adjacency.toarray()
-            mask[slot, :n] = 1.0
+    def of(cls, dataset: Dataset, positions) -> PaddedBatch:
+        """``Batch.of(dataset, positions)`` with the padded copy, written from its edge list."""
+        union = Batch.of(dataset, positions)
+        counts, edges = union.node_counts(), union.edges
+        slot = np.repeat(np.arange(counts.size), counts)
+        local = np.arange(edges.node_count) - np.repeat(edges.node_offsets[:-1], counts)
+        adjacency = np.zeros((counts.size, counts.max(), counts.max()))
+        mask = np.zeros((counts.size, counts.max()))
+        adjacency[slot[edges.senders], local[edges.senders], local[edges.receivers]] = 1.0
+        mask[slot, local] = 1.0
         return cls(**vars(union), adjacency=adjacency, node_mask=mask)
 
 
@@ -266,16 +389,15 @@ def _read_int_rows(path: str, expected_cols: int) -> np.ndarray:
 
 
 def load_tu_dataset(root_path, name: str) -> Dataset:
-    """Load a TU-format dataset directory.
+    """Load a TU-format dataset directory into one ``Dataset`` store.
 
-    Node features are one-hot node labels when `<name>_node_labels.txt`
-    exists, otherwise a single degree scalar normalised by the dataset's
-    maximum degree. One-hot rows are bool, one byte per entry: either tape
-    dtype casts 0 and 1 exactly, and DD's 89 labels make them most of the
-    loaded dataset, at a quarter of float32's memory and an eighth of
-    float64's. Degree scalars stay float64, since float32 would round their
-    ratios. Every graph's features are a view of rows of one array.
-    Adjacency is 0/1 and symmetrised; class labels are remapped to a
+    Node features are the node-label column when `<name>_node_labels.txt`
+    exists: each node's label, as its position among the sorted distinct
+    labels, in the smallest unsigned dtype (one byte per node for DD's 89
+    labels), read as one-hot rows. Otherwise they are a single degree
+    scalar normalised by the dataset's maximum degree, in float64, since
+    float32 would round its ratios. Edges listed twice or in one direction
+    only become one symmetric 0/1 pattern; class labels are remapped to a
     contiguous range.
     """
     root = os.fspath(root_path)
@@ -302,59 +424,35 @@ def load_tu_dataset(root_path, name: str) -> Dataset:
         )
     if np.any(np.diff(indicator) < 0) or len(np.unique(indicator)) != num_graphs:
         raise DatasetIntegrityError("graph indicator must be sorted and contiguous")
-
     # node id ranges per graph (TU ids are 1-based and globally consecutive)
-    counts = np.bincount(indicator, minlength=num_graphs + 1)[1:]
-    offsets = np.concatenate([[0], np.cumsum(counts)]).tolist()
+    offsets = np.concatenate([[0], np.cumsum(np.bincount(indicator)[1:])])
 
-    src, dst = edges.T - 1
     if edges.size and (edges.min() < 1 or edges.max() > num_nodes):
         raise DatasetIntegrityError("edge endpoint outside the node id range")
-    crosses = indicator[src] != indicator[dst]
-    if crosses.any():
-        bad = int(np.argmax(crosses))
-        raise DatasetIntegrityError(
-            f"edge ({edges[bad, 0]}, {edges[bad, 1]}) crosses graph boundaries"
-        )
-
     node_labels = None
     if os.path.isfile(path_of("node_labels")):
         node_labels = _read_int_rows(path_of("node_labels"), 1).reshape(-1)
         if node_labels.shape[0] != num_nodes:
             raise DatasetIntegrityError("node label count differs from node count")
 
-    # no edge crosses graphs, so the dataset is one block-diagonal matrix:
-    # build it once and cut each graph out as a row range
-    adj = sp.coo_matrix((np.ones(src.size), (src, dst)), shape=(num_nodes, num_nodes)).tocsr()
-    adj.data[:] = 1.0  # collapse duplicate listings
-    adj = adj.maximum(adj.T)  # symmetrise
-    degrees = np.diff(adj.indptr)
+    # one matrix for the whole file: bool entries sum duplicate listings to True,
+    # and the maximum with the transpose adds each edge's missing direction
+    src, dst = edges.T - 1
+    adj = sp.coo_matrix((np.ones(src.size, dtype=bool), (src, dst)),
+                        shape=(num_nodes, num_nodes)).tocsr()
+    adj = adj.maximum(adj.T)
     if node_labels is not None:
         label_values, label_pos = np.unique(node_labels, return_inverse=True)
-        features = np.zeros((num_nodes, len(label_values)), dtype=bool)
-        features[np.arange(num_nodes), label_pos] = True
+        features = label_pos.astype(np.min_scalar_type(label_values.size - 1))
     else:
+        degrees = np.diff(adj.indptr)
         features = (degrees / max(degrees.max(), 1.0)).reshape(num_nodes, 1)
     class_values, classes = np.unique(graph_labels_raw, return_inverse=True)
 
-    graphs = []
-    for lo, hi, label in zip(offsets[:-1], offsets[1:], classes.tolist()):
-        p0, p1 = adj.indptr[lo], adj.indptr[hi]
-        block = sp.csr_matrix(
-            (adj.data[p0:p1], adj.indices[p0:p1] - lo, adj.indptr[lo:hi + 1] - p0),
-            shape=(hi - lo, hi - lo),
-        )
-        graphs.append(Graph(adjacency=block, node_features=features[lo:hi], label=label))
-
-    ds = Dataset(
-        name=name,
-        graphs=tuple(graphs),
-        num_classes=len(class_values),
-        metadata={
-            "feature_kind": "node_label_onehot" if node_labels is not None else "degree_scalar",
-            "source": root,
-        },
-    )
+    ds = Dataset(name, adj, offsets, features, classes, len(class_values), metadata={
+        "feature_kind": "node_label_onehot" if node_labels is not None else "degree_scalar",
+        "source": root,
+    })
     ds.metadata["content_hash"] = dataset_hash(ds)
     return ds
 
@@ -418,7 +516,7 @@ def make_batches(
     and its capped-memory test. The benchmark change that deletes
     ``PaddedBatch`` (ROADMAP item 1) makes this return ``Batch``.
     """
-    return [PaddedBatch.of([ds.graphs[i] for i in chunk], chunk)
+    return [PaddedBatch.of(ds, chunk)
             for chunk in batch_positions(ds, batch_size, shuffle_seed, subset)]
 
 
@@ -503,27 +601,31 @@ class ByteReader:
 def _serialize_dataset(ds: Dataset, write) -> None:
     """Pass the canonical serialization to ``write`` one piece at a time.
 
-    ``write`` must consume each piece before it returns: every graph's
-    features pass through one buffer sized for the largest graph, not a
-    fresh copy per graph.
+    Each graph is written as its own CSR: the stored entries in storage
+    order as (row, col, value) columns, every value a float64 1, then its
+    feature rows as ``<f8`` whatever their storage (one-hot rows for a
+    label column), so the digest does not depend on the store's dtypes.
+    ``write`` must consume each piece before it returns: the rows pass
+    through one buffer sized for the largest graph.
     """
     write(DATASET_MAGIC)
     name_bytes = ds.name.encode("utf-8")
     write(struct.pack("<qqqq", 1, len(name_bytes), ds.num_classes, len(ds)))
     write(name_bytes)
     write(struct.pack("<q", ds.feature_dim))
-    # features serialize as <f8 whatever their storage dtype, so bool one-hot
-    # rows hash as their float64 values did
-    buffer = np.empty(max((g.node_features.size for g in ds.graphs), default=0), dtype="<f8")
-    for g in ds.graphs:
-        # the CSR's stored entries in storage order, as (row, col, value) columns
-        a = g.adjacency
-        write(struct.pack("<qqq", g.node_count, g.label, a.nnz))
-        write(np.repeat(np.arange(g.node_count, dtype="<i8"), np.diff(a.indptr)))
-        write(np.ascontiguousarray(a.indices, dtype="<i8"))
-        write(np.ascontiguousarray(a.data, dtype="<f8"))
-        rows = buffer[:g.node_features.size].reshape(g.node_features.shape)
-        np.copyto(rows, g.node_features)
+    bounds = ds.node_offsets.tolist()
+    stored = ds.indptr[ds.node_offsets].tolist()
+    counts, entries = np.diff(bounds), np.diff(stored)
+    buffer = np.empty(int(counts.max(initial=0)) * ds.feature_dim, dtype="<f8")
+    ones = np.ones(int(entries.max(initial=0)), dtype="<f8")
+    for g, label in enumerate(ds.graph_labels.tolist()):
+        lo, hi, p0, p1 = bounds[g], bounds[g + 1], stored[g], stored[g + 1]
+        write(struct.pack("<qqq", hi - lo, label, p1 - p0))
+        write(np.repeat(np.arange(hi - lo, dtype="<i8"), np.diff(ds.indptr[lo:hi + 1])))
+        write((ds.indices[p0:p1] - lo).astype("<i8"))
+        write(ones[:p1 - p0])
+        rows = buffer[:(hi - lo) * ds.feature_dim].reshape(hi - lo, ds.feature_dim)
+        np.copyto(rows, ds.node_rows([g]))
         write(rows)
 
 

@@ -23,7 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import autodiff as ad
-from .data import Batch, Graph
+from .data import Batch, Dataset
 from .layers import (
     Dense,
     Edges,
@@ -92,7 +92,7 @@ def _check_gmn_encoder(rng, n):
 def _check_gmn_propagation(rng, n):
     p1 = GmnPropagation(rng, 3, 4, 4, "relu", "p1")
     p2 = GmnPropagation(rng, 4, 4, 3, "linear", "p2")
-    edges = Edges([_random_graph(rng, n)])
+    edges = Edges.of([_random_graph(rng, n)])
     x = ad.constant(rng.uniform(-2, 2, size=(n, 3)))
     proj = rng.normal(size=(n, 3))
     forward = lambda: ad.sum_all(ad.multiply(p2(p1(x, edges), edges), ad.constant(proj)))
@@ -112,7 +112,7 @@ def _check_pooling(rng, n):
     clusters = 3
     embed = Dense(rng, 3, 4, "tanh", "embed")
     assign = Dense(rng, 3, clusters, "linear", "assign")
-    edges = Edges([_random_graph(rng, n)])
+    edges = Edges.of([_random_graph(rng, n)])
     x = ad.constant(rng.uniform(-2, 2, size=(n, 3)))
     proj_x = rng.normal(size=(clusters, 4))
     proj_a = rng.normal(size=(clusters, clusters))
@@ -152,7 +152,7 @@ def _check_full_model(rng, n):
     mapped = index_map(compute_features(a, model.sim), model.sim).mapped
     label = int(rng.integers(0, 6))
 
-    batch = Batch.of([Graph(sp.csr_matrix(a), x, label)])
+    batch = Batch.of(Dataset("gradcheck", sp.csr_matrix(a), [0, n], x, [label], 6), [0])
 
     def forward():
         return model.forward_graph(batch, mapped).total(1.0, 1.0)
@@ -168,7 +168,7 @@ def _check_packed_batch(rng, n):
     """
     sizes = [n, int(rng.integers(3, 11)), int(rng.integers(3, 11))]
     graphs = [_random_graph(rng, sizes[0]), _random_graph(rng, sizes[1]), np.zeros((sizes[2],) * 2)]
-    edges = Edges(graphs)
+    edges = Edges.of(graphs)
     segments = edges.node_offsets
     prop = GmnPropagation(rng, 3, 3, 3, "tanh", "prop")
     fold = GmnPropagation(rng, 3, 4, 3, "linear", "fold")

@@ -9,7 +9,7 @@ matrices in one ``ad.edge_aggregate`` op, which keeps no edge rows on the
 tape; a linear one is one linear map of the node rows, with the degree
 column and one sparse product by A in place of the edge pass; and
 stage-0 pooling takes A·S as one sparse product. Graphs are undirected
-(``data.Graph`` checks it), so A is its own transpose. Pooling and the
+(``data.Dataset`` checks it), so A is its own transpose. Pooling and the
 GCN keep graphs apart through ``ad.matmul``'s segments, and the losses are
 means over graphs.
 """
@@ -78,41 +78,51 @@ def block_diagonal(blocks) -> tuple[sp.csr_matrix, np.ndarray]:
 class Edges:
     """The edges of a disjoint union of graphs, A[senders[e], receivers[e]] = 1.
 
-    ``blocks`` holds each graph's square adjacency (dense or sparse, at
-    least one node; one graph is ``Edges([a])``). The union's matrix
-    ``adjacency`` is their ``block_diagonal``, and ``node_offsets``, read
-    off the block sizes, cut its nodes into graphs.
-    Stage 0 reads structure only, so every nonzero entry must be 1. The
-    edges come in row-major order, so ``senders`` is sorted and graph g's
-    edges are the range ``edge_offsets[g]:edge_offsets[g + 1]``.
+    ``adjacency`` is the union's square CSR in canonical form, with a one
+    at each edge, and ``node_offsets`` cut its nodes into graphs. The list
+    takes both as they are and checks neither: ``data.Batch.of`` cuts them
+    from a checked ``data.Dataset``, and ``Edges.of`` builds them from
+    blocks and checks those. The edges come in row-major order, so
+    ``senders`` is sorted and graph g's edges are the range
+    ``edge_offsets[g]:edge_offsets[g + 1]``.
     Graphs are undirected: every block must be symmetric, which
-    ``data.Graph`` checks once per graph and the list does not check again.
-    So ``degree``, the n x 1 column of row lengths, counts each node's
-    edges in and out, and ``spread``, the product by A, is also the
-    product by A^T. For ``ad.edge_aggregate``, which serves any 0/1 block,
-    the list also holds the node x edge ``ad.incidence`` matrices:
-    ``receiver_incidence`` (1 at (receivers[e], e)), which the forward
-    pass needs and which is built with the list, and ``sender_incidence``,
-    which only a backward pass needs and which is built on first use. All
-    these products add in edge order. The adjacency, ``degree`` and the
-    incidences hold ``ad.tape_dtype()`` as it was when the list was built,
-    so the list serves a model built under the same ``ad.precision``;
-    their entries are small integers, exact in float32.
+    ``data.Dataset`` checks once for the whole dataset. So ``degree``, the
+    n x 1 column of row lengths, counts each node's edges in and out, and
+    ``spread``, the product by A, is also the product by A^T. For
+    ``ad.edge_aggregate``, which serves any 0/1 block, the list also holds
+    the node x edge ``ad.incidence`` matrices: ``receiver_incidence`` (1 at
+    (receivers[e], e)), which the forward pass needs and which is built
+    with the list, and ``sender_incidence``, which only a backward pass
+    needs and which is built on first use. All these products add in edge
+    order. The adjacency, ``degree`` and the incidences hold
+    ``ad.tape_dtype()`` as it was when the list was built, so the list
+    serves a model built under the same ``ad.precision``; their entries are
+    small integers, exact in float32.
     """
 
-    def __init__(self, blocks):
-        a, offsets = block_diagonal(blocks)
-        n = self.node_count = int(offsets[-1])
-        if np.any(a.data != 1.0):
-            raise ValueError("stage 0 takes a 0/1 adjacency: an edge entry is not 1")
+    def __init__(self, adjacency: sp.csr_matrix, node_offsets: np.ndarray):
         dtype = ad.tape_dtype()
-        self.adjacency = a.astype(dtype, copy=False)
+        a = self.adjacency = adjacency.astype(dtype, copy=False)
+        n = self.node_count = a.shape[0]
         self.senders = np.repeat(np.arange(n), np.diff(a.indptr))
         self.receivers = a.indices.astype(np.intp)
-        self.node_offsets = offsets
-        self.edge_offsets = a.indptr[offsets].astype(np.intp)
+        self.node_offsets = node_offsets
+        self.edge_offsets = a.indptr[node_offsets].astype(np.intp)
         self.degree = np.diff(a.indptr).astype(dtype).reshape(-1, 1)
         self.receiver_incidence = ad.incidence(self.receivers, n)
+
+    @classmethod
+    def of(cls, blocks) -> Edges:
+        """The list of square ``blocks`` (dense or sparse, at least one node each).
+
+        One graph is ``Edges.of([a])``. The union is their
+        ``block_diagonal``, and stage 0 reads structure only, so every
+        nonzero entry must be 1.
+        """
+        a, offsets = block_diagonal(blocks)
+        if np.any(a.data != 1.0):
+            raise ValueError("stage 0 takes a 0/1 adjacency: an edge entry is not 1")
+        return cls(a, offsets)
 
     @cached_property
     def sender_incidence(self):

@@ -340,22 +340,35 @@ def _row_softmax_float64(logits: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def save_checkpoint(path, model: SimPoolModel) -> None:
-    """Versioned binary container of named parameter tensors, stored as ``<f8`` in any precision."""
+    """Versioned binary container of named parameter tensors, stored as ``<f8`` in any precision.
+
+    The container is written to ``<path>.tmp.<pid>``, flushed to disk, and
+    then replaces ``path`` in one step, so ``path`` holds the old or the new
+    checkpoint, never part of one. A write that raises removes the
+    temporary file.
+    """
     path = os.fspath(path)
     params = model.parameters()
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<qq", 1, len(params)))
-        for name, tensor in params.items():
-            encoded = name.encode("utf-8")
-            arr = np.ascontiguousarray(tensor.values, dtype="<f8")
-            fh.write(struct.pack("<q", len(encoded)))
-            fh.write(encoded)
-            fh.write(struct.pack("<q", arr.ndim))
-            fh.write(struct.pack(f"<{arr.ndim}q", *arr.shape))
-            fh.write(arr.tobytes())
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(CHECKPOINT_MAGIC)
+            fh.write(struct.pack("<qq", 1, len(params)))
+            for name, tensor in params.items():
+                encoded = name.encode("utf-8")
+                arr = np.ascontiguousarray(tensor.values, dtype="<f8")
+                fh.write(struct.pack("<q", len(encoded)))
+                fh.write(encoded)
+                fh.write(struct.pack("<q", arr.ndim))
+                fh.write(struct.pack(f"<{arr.ndim}q", *arr.shape))
+                fh.write(arr.tobytes())
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path, model: SimPoolModel) -> None:

@@ -1,7 +1,7 @@
 """Structural similarity features computed from adjacency matrices.
 
 The similarity between two nodes is the cosine of the corresponding
-columns of (A + lambda*I)^p. Graphs are undirected (``data.Graph``
+columns of (A + lambda*I)^p. Graphs are undirected (``data.Dataset``
 checks it), so A and Ahat^p are symmetric and the cosines come from one
 sparse Gram matrix, Ahat Ahat: only node pairs that share a nonzero row
 of Ahat^p are ever stored, and the cosines are the Gram's values
@@ -34,7 +34,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import autodiff as ad
-from .layers import block_diagonal, block_offsets
+from .layers import block_offsets
 
 __all__ = [
     "SimilarityConfig",
@@ -98,7 +98,7 @@ def similarity_sparse(
 ):
     """Cosine similarity of the columns of Ahat^p, from its sparse Gram matrix.
 
-    ``a`` is an undirected graph's adjacency, as ``data.Graph`` checks: an
+    ``a`` is an undirected graph's adjacency, as ``data.Dataset`` checks: an
     input that is not symmetric once canonical raises ``ValueError``. So
     the Gram Ahat^T Ahat is Ahat Ahat, and only pairs sharing a nonzero
     row of Ahat^p can have nonzero cosine; everything the sparse product
@@ -258,22 +258,22 @@ def preprocess_dataset(dataset, cfg: SimilarityConfig) -> list[np.ndarray]:
 
     The graphs go in ``ad.cost_runs`` of whole graphs, each costing its
     Gram's multiply-adds, the sum of its squared row degrees. Each run is
-    one ``layers.block_diagonal`` union with one ``compute_features`` and
-    one ``index_map`` call over the run's graph offsets; the union's Gram
-    is block diagonal, so every graph's cosines and top-k encoding are
-    the ones it gets alone, byte for byte. Each run's n x k array is
-    ``index_map``'s float64 output cast once to ``ad.tape_dtype()``, so
-    build the features under the ``ad.precision`` of the model that reads
-    them, as its batches' ``Edges`` are; under float64 they are
-    ``index_map``'s bytes. Graph g's entry is a view of its rows of its
-    run's array.
+    one ``Dataset.union``, a slice of the dataset's store, with one
+    ``compute_features`` and one ``index_map`` call over the run's graph
+    offsets; the union's Gram is block diagonal, so every graph's cosines
+    and top-k encoding are the ones it gets alone, byte for byte. Each
+    run's n x k array is ``index_map``'s float64 output cast once to
+    ``ad.tape_dtype()``, so build the features under the ``ad.precision``
+    of the model that reads them, as its batches' ``Edges`` are; under
+    float64 they are ``index_map``'s bytes. Graph g's entry is a view of
+    its rows of its run's array.
     """
-    graphs = dataset.graphs
-    degrees = (np.diff(g.adjacency.indptr).astype(np.int64) for g in graphs)
-    costs = [int(d @ d) for d in degrees]
+    degree = np.diff(dataset.indptr).astype(np.int64)
+    squares = np.concatenate([[0], np.cumsum(degree * degree)])
+    costs = np.diff(squares[dataset.node_offsets]).tolist()
     dtype, mapped = ad.tape_dtype(), []
     for first, end in ad.cost_runs(costs, GRAM_RUN_MULTIPLY_ADDS):
-        union, offsets = block_diagonal([g.adjacency for g in graphs[first:end]])
+        union, offsets = dataset.union(np.arange(first, end))
         run = index_map(compute_features(union, cfg), cfg, offsets).mapped.astype(dtype, copy=False)
         mapped.extend(run[lo:hi] for lo, hi in zip(offsets[:-1], offsets[1:]))
     return mapped

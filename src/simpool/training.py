@@ -175,7 +175,7 @@ def evaluate_accuracy(model: SimPoolModel, ds: Dataset, indices, mapped=None,
     total = 0
     with ad.no_grad():
         for chunk in batch_positions(ds, batch_size, subset=np.asarray(indices)):
-            batch = Batch.of([ds.graphs[i] for i in chunk], chunk)
+            batch = Batch.of(ds, chunk)
             fwd = model.forward_batch(batch, mapped)
             correct += int((fwd.probs.argmax(axis=1) == batch.labels).sum())
             total += batch.size
@@ -217,7 +217,7 @@ def train_run(cfg: TrainConfig, ds: Dataset, fold: int = 0, mapped=None,
         diverged = False
         # each batch is built when its step starts, so an epoch holds one union at a time
         for chunk in batch_positions(ds, cfg.batch_size, cfg.seed * 1_000_003 + epoch, train_idx):
-            batch = Batch.of([ds.graphs[i] for i in chunk], chunk)
+            batch = Batch.of(ds, chunk)
             with ad.Tape() as tape:
                 fwd = model.forward_batch(batch, mapped)
                 total = fwd.total(preset.w_e, preset.w_c)

@@ -1,13 +1,12 @@
 """Shared fixtures: float64 tapes, synthetic TU-format datasets, tiny graph
 factories, and a backward-pass fault for negative controls."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from simpool import autodiff as ad
-from simpool.data import load_tu_dataset
+from simpool.data import Batch, Dataset, load_tu_dataset
 
 
 @pytest.fixture(autouse=True)
@@ -136,10 +135,31 @@ def many_label_dataset(tmp_path):
     return ds
 
 
+def dataset_of(graphs, num_classes=None, name="GRAPHS"):
+    """A ``Dataset`` of ``graphs``, (adjacency, node feature rows, label) triples.
+
+    The adjacencies are dense or sparse; their block-diagonal union and the
+    stacked rows go through the one ``Dataset`` constructor and its checks.
+    ``num_classes`` defaults to the largest label plus one.
+    """
+    blocks, features, labels = zip(*graphs)
+    offsets = np.cumsum([0] + [b.shape[0] for b in blocks])
+    return Dataset(name, sp.block_diag([sp.csr_matrix(b) for b in blocks], format="csr"),
+                   offsets, np.concatenate(features), labels,
+                   max(labels) + 1 if num_classes is None else num_classes)
+
+
+def batch_of(graphs):
+    """The ``Batch`` of all of ``graphs``, triples as ``dataset_of`` takes them."""
+    return Batch.of(dataset_of(graphs), np.arange(len(graphs)))
+
+
 def float64_features(ds):
-    """``ds`` with every graph's node features replaced by a float64 copy."""
-    return replace(ds, graphs=tuple(
-        replace(g, node_features=g.node_features.astype(np.float64)) for g in ds.graphs))
+    """``ds`` rebuilt with its node features as float64 rows, one-hot rows for a label column."""
+    everything = np.arange(len(ds))
+    return Dataset(ds.name, ds.union(everything)[0], ds.node_offsets,
+                   ds.node_rows(everything).astype(np.float64), ds.graph_labels, ds.num_classes,
+                   metadata=dict(ds.metadata))
 
 
 @pytest.fixture

@@ -10,9 +10,10 @@ place of its fused op or its linear fold, and
 block, by the in-degree and A^T. ``graph_runs`` and ``edge_runs`` are the
 two run splitters that ``autodiff.cost_runs`` replaced, one per caller.
 ``tu_graphs_one_by_one``
-builds a TU dataset's graphs one sparse matrix at a time, the reference
-for the loader's row ranges of one block-diagonal matrix. Tests compare
-against them. ``decode_index`` reads the source node back out of one
+is the per-graph loader: it builds a TU dataset's graphs one sparse
+matrix and one feature array at a time, the reference for every graph
+view and batch union cut from the one ``data.Dataset`` store. Tests
+compare against them. ``decode_index`` reads the source node back out of one
 ``index_map`` entry. ``preprocess_graph_loop`` computes a dataset's
 mapped features one graph at a time, the reference for the runs of
 disjoint unions in ``similarity.preprocess_dataset``.
@@ -233,11 +234,11 @@ def gmn_propagation_chain(prop, h: ad.Tensor, edges) -> ad.Tensor:
 def tu_graphs_one_by_one(root, name: str) -> list[tuple[sp.csr_matrix, np.ndarray, int]]:
     """(adjacency, features, label) of each graph in valid TU files, built per graph.
 
-    Each graph's edges make a COO matrix, then a CSR with duplicate
+    Each graph's edges make a float64 COO matrix, then a CSR with duplicate
     listings collapsed to 1, then its maximum with its transpose; node
     degrees are the row sums of those matrices. Features and labels follow
-    ``load_tu_dataset``'s rules: one-hot rows as bool, degree scalars in
-    float64.
+    ``load_tu_dataset``'s rules as a graph reads them: one-hot rows as
+    bool, degree scalars in float64.
     """
     def read(suffix: str, cols: int = 1) -> np.ndarray:
         return _read_int_rows(os.path.join(root, f"{name}_{suffix}.txt"), cols).reshape(-1, cols)
@@ -332,7 +333,7 @@ def forward_graph_loop(model, adjacency, features, label: int, mapped=None) -> F
     pooling, the GCNs, the on-tape similarity, the sum pool and the five
     loss terms are dense formulas on this graph alone.
     """
-    edges = Edges([adjacency])
+    edges = Edges.of([adjacency])
     x = ad.constant(features)
     f0 = model._assign_features_0(x, mapped)
     x1, a1, s0 = _pool_dense(model.z_stack(edges, x), model.s_stack(edges, f0), edges.spread)

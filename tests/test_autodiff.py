@@ -11,10 +11,10 @@ import scipy.sparse as sp
 
 from simpool import autodiff as ad
 from simpool import similarity
-from simpool.data import Dataset, Graph
 from simpool.layers import Edges
 from simpool.similarity import SimilarityConfig, preprocess_dataset
 
+from conftest import dataset_of
 from oracles import edge_runs, graph_runs, scatter_add_bincount
 
 
@@ -141,7 +141,7 @@ def edge_aggregate_case(activation):
         c = ad.constant(np.arange(12.0).reshape(4, 3) / 6.0 - 1.0)
         d = ad.constant(np.arange(12.0).reshape(4, 3) - 5.0)
         out = ad.edge_aggregate(x, ad.multiply(x, c), ad.col_sum(ad.scalar_multiply(x, 0.3)),
-                                Edges([EDGE_BLOCK]), activation)
+                                Edges.of([EDGE_BLOCK]), activation)
         return scalarize(ad.multiply(out, d))
 
     return case
@@ -558,7 +558,7 @@ class TestCostRuns:
             monkeypatch.setattr(ad, "EDGE_CHUNK_BYTES", budget)
             for dtype, width in ((np.float64, 4), (np.float32, 64), (np.float64, 0)):
                 with ad.precision(dtype):
-                    edges = Edges(blocks)
+                    edges = Edges.of(blocks)
                     want = edge_runs(edges, width, np.dtype(dtype).itemsize)
                     assert self.edge_aggregate_runs(monkeypatch, edges, width) == want
                 graphs = [np.searchsorted(edges.node_offsets, run[:2]) for run in want]
@@ -573,7 +573,7 @@ class TestCostRuns:
         for blocks, budget in ((seeded, 2000), (dd_blocks, similarity.GRAM_RUN_MULTIPLY_ADDS)):
             monkeypatch.setattr(similarity, "GRAM_RUN_MULTIPLY_ADDS", budget)
             features = np.ones((max(b.shape[0] for b in blocks), 1))
-            ds = Dataset("RUNS", tuple(Graph(b, features[:b.shape[0]], 0) for b in blocks), 1)
+            ds = dataset_of([(b, features[:b.shape[0]], 0) for b in blocks], name="RUNS")
             want = graph_runs(ds.graphs)
             assert 1 < len(want) < len(ds)
             assert runs_asked_for(monkeypatch, lambda: preprocess_dataset(ds, cfg)) == want

@@ -2,6 +2,7 @@
 
 import dataclasses
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,9 +10,9 @@ import scipy.sparse as sp
 
 from simpool.data import (
     Batch,
+    Dataset,
     DatasetFormatError,
     DatasetIntegrityError,
-    Graph,
     PaddedBatch,
     _read_int_rows,
     batch_positions,
@@ -22,10 +23,13 @@ from simpool.data import (
 )
 
 from conftest import (
+    dataset_of,
     float64_features,
     many_label_dataset,
     mixed_dataset,
+    random_graph,
     ring_graph,
+    separable_dataset,
     write_tu_dataset,
 )
 from oracles import tu_graphs_one_by_one
@@ -62,16 +66,19 @@ class TestLoader:
         assert ds.graphs[0].adjacency.nnz == 4
 
     def test_node_labels_become_onehot(self, toy_dataset, tmp_path):
-        # one byte per entry; every graph's rows are a view of one array
+        # the store keeps one byte per node, the label's position; a graph reads
+        # its one-hot rows as bool, one byte per entry
         for ds in (toy_dataset, many_label_dataset(tmp_path)):
             assert ds.metadata["feature_kind"] == "node_label_onehot"
+            assert ds.node_features.dtype == np.uint8
+            assert ds.node_features.shape == (ds.node_offsets[-1],)
             rows = [g.node_features for g in ds.graphs]
-            base = rows[0].base
-            assert base is not None and base.shape == (sum(map(len, rows)), ds.feature_dim)
-            assert all(f.base is base and f.dtype == np.bool_ for f in rows)
+            assert all(f.dtype == np.bool_ and f.shape == (g.node_count, ds.feature_dim)
+                       for f, g in zip(rows, ds.graphs))
             feats = np.vstack(rows)
             assert set(np.unique(feats)) <= {0.0, 1.0}
             np.testing.assert_array_equal(feats.sum(axis=1), np.ones(len(feats)))
+            np.testing.assert_array_equal(feats.argmax(axis=1), ds.node_features)
 
     def test_degree_features_without_node_labels(self, tmp_path):
         graphs = [ring_graph(5), ring_graph(7)]
@@ -216,18 +223,29 @@ class TestLoader:
             assert is_symmetric(g)
 
 
+def one_graph(adjacency, features, label=0):
+    """A dataset of one graph, through the one ``Dataset`` constructor."""
+    return Dataset("ONE", adjacency, [0, adjacency.shape[0]], features, [label], label + 1)
+
+
 class TestGraph:
+    """The checks every graph passes once, when ``Dataset`` builds its store."""
+
     def test_adjacency_is_square_and_0_or_1(self):
         features = np.ones((4, 1))
         a = sp.csr_matrix(ring_graph(4))
         a.data[0] = 0.0  # a stored zero is no edge: (0, 1) and its mirror (1, 0) go
         a.data[a.indptr[1]] = 0.0
-        assert Graph(adjacency=a, node_features=features, label=0).node_count == 4
+        assert one_graph(a, features).graphs[0].node_count == 4
+        assert one_graph(a, features).indices.size == 6
         a.data[0] = 1.5
         with pytest.raises(ValueError, match="0 or 1"):
-            Graph(adjacency=a, node_features=features, label=0)
+            one_graph(a, features)
         with pytest.raises(ValueError, match="square"):
-            Graph(adjacency=sp.csr_matrix((4, 3)), node_features=features, label=0)
+            one_graph(sp.csr_matrix((4, 3)), features)
+        # every graph of the store has a node: an empty one is rejected
+        with pytest.raises(ValueError, match="at least one node"):
+            Dataset("E", sp.csr_matrix(ring_graph(4)), [0, 0, 4], features, [0, 0], 1)
 
     def test_directed_adjacency_rejected(self):
         # stage 1 reads each coarse block as symmetric, which holds only for a symmetric A
@@ -238,7 +256,11 @@ class TestGraph:
         stored_zero.data[stored_zero.indptr[1]] = 0.0  # 1 -> 0 stored, but no edge
         for a in (sp.csr_matrix(directed), stored_zero):
             with pytest.raises(ValueError, match="symmetric"):
-                Graph(adjacency=a, node_features=features, label=0)
+                one_graph(a, features)
+        # one asymmetric block among symmetric ones is found on the whole matrix
+        with pytest.raises(ValueError, match="symmetric"):
+            dataset_of([(ring_graph(3), np.ones((3, 1)), 0), (directed, features, 0),
+                        (ring_graph(5), np.ones((5, 1)), 0)])
 
     def test_edge_stored_twice_rejected(self):
         # (0, 1) and (1, 0) each stored twice would read as 2.0 and fail only in a batch
@@ -246,10 +268,10 @@ class TestGraph:
         twice = sp.csr_matrix(([1.0, 1.0, 1.0, 1.0], [1, 1, 0, 0], [0, 2, 4]), shape=(2, 2))
         assert twice.toarray()[0, 1] == 2.0
         with pytest.raises(ValueError, match="stores an edge twice"):
-            Graph(adjacency=twice, node_features=features, label=0)
+            one_graph(twice, features)
         # a stored zero beside the edge is no second entry
         zero_and_one = sp.csr_matrix(([0.0, 1.0, 1.0], [1, 1, 0], [0, 2, 3]), shape=(2, 2))
-        assert Graph(adjacency=zero_and_one, node_features=features, label=0).node_count == 2
+        assert one_graph(zero_and_one, features).graphs[0].node_count == 2
 
     def test_adjacency_must_be_csr(self):
         # the content hash and the symmetry check read CSR rows: a COO matrix has no
@@ -261,19 +283,58 @@ class TestGraph:
                         (sp.csc_array(ring), "csc_array in CSC format"),
                         (ring, "dense ndarray")):
             with pytest.raises(TypeError, match=f"CSR format, got {kind}$"):
-                Graph(adjacency=a, node_features=features, label=0)
+                one_graph(a, features)
         for a in (sp.csr_matrix(ring), sp.csr_array(ring)):
-            assert Graph(adjacency=a, node_features=features, label=0).node_count == 4
+            assert one_graph(a, features).graphs[0].node_count == 4
 
     def test_features_must_be_one_row_per_node(self):
         a = sp.csr_matrix(ring_graph(2))
-        for features in (np.ones(2), np.ones((3, 1)), np.ones((2, 1, 1))):
+        # a 1-D column holds node labels only in an unsigned dtype
+        for features in (np.ones(2), np.ones((3, 1)), np.ones((2, 1, 1)),
+                         np.ones(3, dtype=np.uint8)):
             with pytest.raises(ValueError, match=re.escape(f"got shape {features.shape}")):
-                Graph(adjacency=a, node_features=features, label=0)
+                one_graph(a, features)
+        column = one_graph(a, np.array([0, 2], dtype=np.uint8))
+        assert column.feature_dim == 3
+        assert column.graphs[0].node_features.tolist() == [[True, False, False],
+                                                           [False, False, True]]
+
+    def test_edge_between_graphs_rejected(self):
+        # the union of two rings plus an edge from node 2 of the first to node 3
+        a = sp.block_diag([ring_graph(3), ring_graph(4)], format="lil")
+        a[2, 3] = a[3, 2] = 1.0
+        with pytest.raises(DatasetIntegrityError, match=r"edge \(2, 3\) crosses graph"):
+            Dataset("X", a.tocsr(), [0, 3, 7], np.ones((7, 1)), [0, 0], 1)
+
+    def test_labels_one_per_graph_inside_the_classes(self):
+        a = sp.csr_matrix(ring_graph(3))
+        with pytest.raises(ValueError, match="at least one class"):
+            Dataset("L", a, [0, 3], np.ones((3, 1)), [0], 0)
+        with pytest.raises(DatasetIntegrityError, match=r"label 2 outside \[0, 2\)"):
+            Dataset("L", a, [0, 3], np.ones((3, 1)), [2], 2)
+        with pytest.raises(ValueError, match="1 graphs need one label each, got 2"):
+            Dataset("L", a, [0, 3], np.ones((3, 1)), [0, 1], 2)
+
+
+def per_graph_dataset(tmp_path, request, kind):
+    """The dataset named ``kind``, loaded from TU files under ``tmp_path``."""
+    if kind == "toy":
+        return request.getfixturevalue("toy_dataset")
+    return {"mixed": mixed_dataset, "many_labels": many_label_dataset,
+            "degree": lambda root: separable_dataset(root, count=9)}[kind](tmp_path)
+
+
+ORACLE_DATASETS = ("toy", "mixed", "many_labels", "degree")
+
+
+def assert_same_csr(got, want):
+    for attr in ("indptr", "indices", "data"):
+        a, b = getattr(got, attr), getattr(want, attr)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), attr
 
 
 class TestLoaderOracle:
-    """Row ranges of one block-diagonal CSR against graphs built one by one."""
+    """Graphs and batches cut from one store against graphs built one by one."""
 
     # graph 1: a duplicate listing, one-directional edges, a self-loop and an
     # isolated last node; graph 2 has no edges; the dataset's last node is isolated
@@ -292,13 +353,83 @@ class TestLoaderOracle:
         reference = tu_graphs_one_by_one(tmp_path, "ORC")
         assert len(ds) == len(reference) == 3
         for g, (adjacency, features, label) in zip(ds.graphs, reference):
-            for attr in ("indptr", "indices", "data"):
-                got, want = getattr(g.adjacency, attr), getattr(adjacency, attr)
-                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), attr
+            assert_same_csr(g.adjacency, adjacency)
             assert g.node_features.dtype == features.dtype
             assert g.node_features.shape == features.shape
             assert g.node_features.tobytes() == features.tobytes()
             assert g.label == label
+
+    @pytest.mark.parametrize("kind", ORACLE_DATASETS)
+    def test_every_view_matches_the_per_graph_loader(self, tmp_path, request, kind):
+        ds = per_graph_dataset(tmp_path, request, kind)
+        reference = tu_graphs_one_by_one(ds.metadata["source"], ds.name)
+        assert len(ds.graphs) == len(reference)
+        for i, (adjacency, features, label) in enumerate(reference):
+            g = ds.graphs[i]
+            assert_same_csr(g.adjacency, adjacency)
+            assert set(g.adjacency.data.tolist()) <= {1.0}
+            assert g.node_features.dtype == features.dtype
+            assert g.node_features.tobytes() == features.tobytes()
+            assert g.node_count == adjacency.shape[0] and g.label == label
+
+    @pytest.mark.parametrize("kind", ORACLE_DATASETS)
+    def test_every_batch_union_is_the_block_diag_of_its_graphs(self, tmp_path, request, kind):
+        ds = per_graph_dataset(tmp_path, request, kind)
+        reference = tu_graphs_one_by_one(ds.metadata["source"], ds.name)
+        rng = np.random.default_rng(30)
+        everything = np.arange(len(ds))
+        for positions in (everything, everything[1:3], everything[-1:], rng.permutation(len(ds)),
+                          np.array([len(ds) - 1, 0, 1, 2])):
+            batch = Batch.of(ds, positions)
+            want = sp.block_diag([reference[i][0] for i in positions], format="csr")
+            assert_same_csr(batch.edges.adjacency, want)
+            np.testing.assert_array_equal(
+                batch.edges.node_offsets,
+                np.cumsum([0] + [reference[i][0].shape[0] for i in positions]))
+            features = np.concatenate([reference[i][1] for i in positions])
+            assert batch.features.dtype == features.dtype
+            assert batch.features.tobytes() == features.tobytes()
+            assert batch.labels.tolist() == [reference[i][2] for i in positions]
+            assert batch.indices.tolist() == positions.tolist()
+
+
+class TestStoreMemory:
+    """200 node labels: one-hot rows would be most of the loaded dataset, and
+    below one byte per one-hot entry no n x d array fits."""
+
+    @staticmethod
+    def wide(tmp_path):
+        rng = np.random.default_rng(31)
+        graphs = [random_graph(rng, int(n), 0.1) for n in rng.integers(20, 60, size=40)]
+        nodes = sum(g.shape[0] for g in graphs)
+        root = write_tu_dataset(tmp_path / "WIDE", "WIDE", graphs, [1, 2] * 20,
+                                np.arange(nodes) % 200 + 1)
+        return root, nodes
+
+    def test_store_keeps_no_node_by_feature_array(self, tmp_path):
+        root, nodes = self.wide(tmp_path)
+        load_tu_dataset(root, "WIDE")  # first calls fill caches that would count as held
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            ds = load_tu_dataset(root, "WIDE")
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert ds.feature_dim == 200
+        assert held < nodes * ds.feature_dim
+
+    def test_a_loop_over_the_views_holds_one_graph_at_a_time(self, tmp_path):
+        root, nodes = self.wide(tmp_path)
+        ds = load_tu_dataset(root, "WIDE")
+        tracemalloc.start()
+        try:
+            for g in ds.graphs:
+                assert g.node_features.sum() == g.node_count and g.adjacency.nnz >= 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < nodes * ds.feature_dim / 2
 
 
 class TestBatches:
@@ -364,7 +495,7 @@ class TestBatches:
         ds = mixed_dataset(tmp_path)
         positions = [3, 0, 4]
         graphs = [ds.graphs[i] for i in positions]
-        union = Batch.of(graphs, positions)
+        union = Batch.of(ds, positions)
         (padded,) = make_batches(ds, batch_size=3, subset=positions)
         assert type(union) is Batch and type(padded) is PaddedBatch
         assert not hasattr(union, "adjacency") and not hasattr(union, "node_mask")

@@ -6,10 +6,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from simpool import autodiff as ad
-from simpool.data import Graph, PaddedBatch, make_batches
+from simpool import model as model_module
+from simpool.data import make_batches
 from simpool.layers import Edges, pool_forward
 from simpool.model import (
     ASSIGN_INPUTS,
@@ -23,7 +23,7 @@ from simpool.model import (
 )
 from simpool.similarity import SimilarityConfig, index_map, preprocess_dataset
 
-from conftest import mixed_dataset, random_graph, separable_dataset
+from conftest import batch_of, mixed_dataset, random_graph, separable_dataset
 from oracles import decode_index, forward_graph_loop, similarity_dense_symmetric
 
 
@@ -40,7 +40,7 @@ def tiny_model(assign_inputs="structural", seed=0, num_classes=3, feature_dim=3)
 
 def forward_one(model, a, x, label, mapped=None):
     """``forward_graph`` on a batch of one graph."""
-    return model.forward_graph(PaddedBatch.of([Graph(sp.csr_matrix(a), x, label)]), mapped)
+    return model.forward_graph(batch_of([(a, x, label)]), mapped)
 
 
 def graph_inputs(rng, n, d, k):
@@ -376,7 +376,9 @@ class TestStageZeroOnEdges:
         (batch,) = make_batches(ds, 6)
         model.forward_batch(batch, preprocess_dataset(ds, model.sim))
         assert len(built) == 1
-        assert [block.shape[0] for block in built[0][0]] == batch.node_counts().tolist()
+        adjacency, offsets = built[0]
+        assert np.diff(offsets).tolist() == batch.node_counts().tolist()
+        assert adjacency.shape == (offsets[-1],) * 2
 
 
 class TestEndToEndGradients:
@@ -384,7 +386,7 @@ class TestEndToEndGradients:
         rng = np.random.default_rng(6)
         model = tiny_model(seed=3)
         a, x, mapped = graph_inputs(rng, 7, 3, model.sim.k)
-        batch = PaddedBatch.of([Graph(sp.csr_matrix(a), x, 1)])  # built once, not per forward
+        batch = batch_of([(a, x, 1)])  # built once, not per forward
 
         def total(_):
             return model.forward_graph(batch, mapped).total(1.0, 1.0)
@@ -417,7 +419,7 @@ class TestPermutationBehaviour:
                 ],
                 axis=1,
             )
-            edges = Edges([a_in])
+            edges = Edges.of([a_in])
             x1, a1, _ = pool_forward(
                 model.z_stack(edges, ad.constant(x_in)), model.s_stack(edges, ad.constant(stats)),
                 edges.spread,
@@ -475,9 +477,9 @@ class TestPermutationBehaviour:
             batch = []
             for a, x in graphs:
                 perm = relabel(a.shape[0])
-                batch.append(Graph(sp.csr_matrix(a[np.ix_(perm, perm)]), x[perm], 0))
+                batch.append((a[np.ix_(perm, perm)], x[perm], 0))
             with ad.no_grad():
-                return model.forward_graph(PaddedBatch.of(batch)).probs
+                return model.forward_graph(batch_of(batch)).probs
 
         base = probs(np.arange)
         for _ in range(5):
@@ -499,6 +501,30 @@ class TestCheckpoint:
         load_checkpoint(path, fresh)
         after = forward_one(fresh, a, x, mapped=mapped, label=0).probs
         assert np.array_equal(after, before)
+
+    @pytest.mark.parametrize("failure", ("mid_write", "fsync"))
+    def test_failed_write_keeps_the_old_checkpoint_and_no_temporary(self, tmp_path,
+                                                                   monkeypatch, failure):
+        model = tiny_model(seed=1)
+        path = tmp_path / "model.spm"
+        save_checkpoint(path, model)
+        before = path.read_bytes()
+        other = tiny_model(seed=2)
+        if failure == "mid_write":
+            # a name that cannot be encoded raises after the header is written
+            params = {**other.parameters(), "\ud800": other.parameters()["z.enc.node_mlp.w"]}
+            monkeypatch.setattr(other, "parameters", lambda: params)
+            error = UnicodeEncodeError
+        else:
+            def fsync(fd):
+                raise OSError("no space left on device")
+
+            monkeypatch.setattr(model_module.os, "fsync", fsync)
+            error = OSError
+        with pytest.raises(error):
+            save_checkpoint(path, other)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.spm"]
 
     def test_float64_checkpoint_loads_into_a_float32_model(self, tmp_path):
         rng = np.random.default_rng(9)

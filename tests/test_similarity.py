@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import mixed_dataset
+from conftest import dataset_of, mixed_dataset
 from oracles import (
     decode_index,
     index_map_dense,
@@ -17,7 +17,6 @@ from oracles import (
 )
 from simpool import autodiff as ad
 from simpool import similarity
-from simpool.data import Dataset, Graph
 from simpool.model import resolve_preset
 from simpool.similarity import (
     SimilarityConfig,
@@ -347,10 +346,10 @@ class TestPreprocessDataset:
         """A one-node graph, the mixed dataset, a 21-node star whose 20 leaves tie, a 5-node star."""
         star = np.zeros((21, 21))
         star[0, 1:] = star[1:, 0] = 1.0
-        extra = [Graph(sp.csr_matrix(a), np.ones((a.shape[0], 3)), 0)
-                 for a in (np.zeros((1, 1)), star, star[:5, :5])]
+        extra = [(a, np.ones((a.shape[0], 3)), 0) for a in (np.zeros((1, 1)), star, star[:5, :5])]
         mixed = mixed_dataset(tmp_path)
-        return Dataset("MIXED", (extra[0],) + mixed.graphs + tuple(extra[1:]), mixed.num_classes)
+        graphs = [(g.adjacency, g.node_features, g.label) for g in mixed.graphs]
+        return dataset_of(extra[:1] + graphs + extra[1:], mixed.num_classes, "MIXED")
 
     @pytest.mark.parametrize("runs", ("graph_per_run", "one_run"))
     @pytest.mark.parametrize("cfg", (resolve_preset("enzymes").sim,
@@ -380,19 +379,19 @@ class TestPreprocessDataset:
 
     def test_runs_cut_between_whole_graphs(self):
         # a complete graph on 20 nodes costs 20 * 19^2 Gram multiply-adds
-        graphs = [Graph(sp.csr_matrix(np.ones((20, 20)) - np.eye(20)), np.ones((20, 1)), 0)] * 9
+        graphs = dataset_of([(np.ones((20, 20)) - np.eye(20), np.ones((20, 1)), 0)] * 9).graphs
         per_run = similarity.GRAM_RUN_MULTIPLY_ADDS // (20 * 19**2)
         assert 1 < per_run < 9
         runs = graph_runs(graphs)
         assert runs[0] == (0, per_run) and runs[-1][1] == 9
         assert all(a[1] == b[0] for a, b in zip(runs[:-1], runs[1:]))
-        assert graph_runs(graphs[:0]) == []
+        assert graph_runs([]) == []
 
     def test_peak_memory_is_a_few_runs_not_the_dataset(self):
         # 120 equal complete graphs: each run's Gram temporaries are per-run, only
         # the n x k outputs add up over the dataset
         clique = sp.csr_matrix(np.ones((20, 20)) - np.eye(20))
-        ds = Dataset("CLIQUES", tuple(Graph(clique, np.ones((20, 1)), 0) for _ in range(120)), 1)
+        ds = dataset_of([(clique, np.ones((20, 1)), 0)] * 120, name="CLIQUES")
         cfg = resolve_preset("enzymes").sim
         runs = graph_runs(ds.graphs)
         assert len(runs) >= 20
@@ -405,7 +404,8 @@ class TestPreprocessDataset:
             finally:
                 tracemalloc.stop()
 
-        one_run, _ = peak(Dataset("ONE", ds.graphs[slice(*runs[0])], 1))
+        assert runs[0][0] == 0
+        one_run, _ = peak(dataset_of([(clique, np.ones((20, 1)), 0)] * runs[0][1], name="ONE"))
         whole, mapped = peak(ds)
         outputs = sum(m.nbytes for m in mapped)  # the views tile their runs' arrays
         assert whole < 3 * one_run + outputs, (whole / one_run, outputs / one_run)

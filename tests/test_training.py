@@ -11,7 +11,7 @@ import scipy.sparse as sp
 from simpool import autodiff as ad
 from simpool import training
 from simpool.autodiff import NumericError
-from simpool.data import Batch, Dataset, Graph, PaddedBatch, make_batches
+from simpool.data import Batch, PaddedBatch, make_batches
 from simpool.model import ConfigError, SimPoolModel, resolve_preset
 from simpool.similarity import SimilarityConfig, preprocess_dataset
 from simpool.training import (
@@ -26,7 +26,7 @@ from simpool.training import (
     train_run,
 )
 
-from conftest import float64_features, ring_graph, separable_dataset
+from conftest import dataset_of, float64_features, ring_graph, separable_dataset
 from oracles import adam_step_formula, forward_graph_loop
 
 
@@ -273,7 +273,7 @@ class TestTrainRun:
         # 40 300-node rings in batches of 2: fold 0 has 18 training and 2 validation
         # batches; each must be released before the next few are built
         a = sp.csr_matrix(ring_graph(300))
-        ds = Dataset("RINGS", tuple(Graph(a, np.ones((300, 1)), i % 2) for i in range(40)), 2)
+        ds = dataset_of([(a, np.ones((300, 1)), i % 2) for i in range(40)], name="RINGS")
         cfg = small_config(epochs=1, assign_inputs="node", batch_size=2, folds=10)
         live, built, most = [0], [0], [0]
 
@@ -311,9 +311,9 @@ class TestTrainRun:
         # a 3,000-node ring among small ones: one padded copy of it alone is
         # 3000^2 float64 = 72 MB, and its union is O(nodes + edges)
         n = 3000
-        graphs = [Graph(sp.csr_matrix(ring_graph(n)), np.ones((n, 1)), 0)]
-        graphs += [Graph(sp.csr_matrix(ring_graph(8)), np.ones((8, 1)), i % 2) for i in range(5)]
-        ds = Dataset("BIG_RING", tuple(graphs), 2)
+        graphs = [(sp.csr_matrix(ring_graph(n)), np.ones((n, 1)), 0)]
+        graphs += [(sp.csr_matrix(ring_graph(8)), np.ones((8, 1)), i % 2) for i in range(5)]
+        ds = dataset_of(graphs, name="BIG_RING")
         cfg = small_config(epochs=1, assign_inputs="node", batch_size=2, folds=2)
         tracemalloc.start()
         try:
