@@ -16,8 +16,10 @@ store of arrays, checked once when it is built:
 
 A graph (``Graph``) and a batch (``Batch``) are cut from the store when
 they are asked for, through ``Dataset.union`` and ``Dataset.node_rows``,
-and trust its checks. The content hash serialises every graph as its own
-CSR with float64 ones and float64 feature rows, whatever the store's
+and trust its checks. The content hash (``dataset_hash``) is the sha256
+of the store itself: a header, then ``node_offsets``, ``graph_labels``,
+``indptr``, ``indices`` and the label column or rows, each whole in one
+fixed little-endian dtype, so that it does not depend on the storage
 dtypes.
 """
 
@@ -50,7 +52,7 @@ __all__ = [
     "dataset_hash",
 ]
 
-DATASET_MAGIC = b"SPG1"
+DATASET_MAGIC = b"SPG2"
 
 
 class DatasetFormatError(ValueError):
@@ -113,10 +115,12 @@ class Dataset:
     bool rows as wide as the largest label plus one. ``labels`` holds one
     class in [0, num_classes) per graph.
 
-    All of this is checked here, once, on the whole matrix. The store
-    keeps a copy of the matrix's pattern (``indptr`` and int32 ``indices``,
-    no ``data``), the offsets, the labels as int64 ``graph_labels`` and the
-    features as given, and everything cut from it trusts them.
+    All of this is checked here, once, on the whole matrix; the offsets,
+    the labels and ``num_classes`` must be integers, not floats or bools.
+    The store keeps its own copies of what it checked: the matrix's pattern
+    (``indptr`` and int32 ``indices``, no ``data``), the offsets, the
+    labels as int64 ``graph_labels`` and the features in their dtype, and
+    everything cut from it trusts them.
     """
 
     def __init__(self, name: str, adjacency, node_offsets, node_features, labels,
@@ -130,23 +134,22 @@ class Dataset:
         n, cols = adjacency.shape
         if n != cols:
             raise ValueError(f"adjacency must be square, got {adjacency.shape}")
-        offsets = np.asarray(node_offsets, dtype=np.int64)
+        offsets = integer_array("node_offsets", node_offsets).astype(np.int64)
         if offsets.ndim != 1 or offsets.size < 1 or offsets[0] != 0 or offsets[-1] != n:
             raise ValueError(f"node offsets must rise from 0 to {n}, got {offsets.tolist()}")
         counts = np.diff(offsets)
         if np.any(counts < 1):
             raise ValueError("graph must have at least one node")
         indptr, indices = _checked_pattern(adjacency, counts)
-        features = np.asarray(node_features)
+        features = np.array(node_features, order="C")
         if not (features.ndim == 2 and features.shape[0] == n
                 or features.ndim == 1 and features.size == n and features.dtype.kind == "u"):
             raise ValueError(
                 f"node_features must be {n} x d, one row per node, or a column of {n} "
                 f"unsigned node labels; got shape {features.shape}"
             )
-        if num_classes < 1:
-            raise ValueError("dataset needs at least one class")
-        labels = np.asarray(labels, dtype=np.int64).reshape(-1)
+        require_integer("num_classes", num_classes, 1)
+        labels = integer_array("labels", labels).astype(np.int64).reshape(-1)
         if labels.size != counts.size:
             raise ValueError(f"{counts.size} graphs need one label each, got {labels.size}")
         outside = (labels < 0) | (labels >= num_classes)
@@ -177,8 +180,11 @@ class Dataset:
         return self.graph_labels.copy()
 
     def _node_ranges(self, positions) -> list[tuple[int, int]]:
-        """The [lo, hi) node range of each run of consecutive graphs in ``positions``."""
-        p = np.asarray(positions).reshape(-1)
+        """The [lo, hi) node range of each run of consecutive graphs in ``positions``.
+
+        Every cut passes here, so every cut checks that its positions are integers.
+        """
+        p = integer_array("graph positions", positions).reshape(-1)
         if p.size == 0 or p.min() < 0 or p.max() >= len(self):
             raise IndexError(f"graph positions must be one or more of [0, {len(self)})")
         cuts = np.flatnonzero(np.diff(p) != 1) + 1
@@ -276,8 +282,8 @@ class Batch:
     @classmethod
     def of(cls, dataset: Dataset, positions) -> Batch:
         """The union of the graphs at dataset ``positions``, its edges in ``ad.tape_dtype()``."""
-        positions = np.array(positions, dtype=np.int64)
         adjacency, offsets = dataset.union(positions, ad.tape_dtype())
+        positions = np.array(positions, dtype=np.int64)  # integers: the union checked them
         return cls(
             features=dataset.node_rows(positions),
             labels=dataset.graph_labels[positions],
@@ -470,6 +476,18 @@ def require_integer(name: str, value, least: int) -> None:
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
+def integer_array(name: str, values, what: str = "integers") -> np.ndarray:
+    """``values`` as an array; ``ValueError`` naming ``name`` unless its dtype is an integer one.
+
+    ``require_integer`` for arrays, before any cast would turn a bool mask
+    into 0s and 1s or truncate floats. An empty array passes in any dtype.
+    """
+    array = np.asarray(values)
+    if array.size and array.dtype.kind not in "iu":
+        raise ValueError(f"{name} must hold {what}, got dtype {array.dtype}")
+    return array
+
+
 def batch_positions(
     ds: Dataset,
     batch_size: int,
@@ -485,13 +503,12 @@ def batch_positions(
     require_integer("batch_size", batch_size, 1)
     if len(ds) == 0:
         raise ValueError("cannot batch an empty dataset")
-    positions = np.arange(len(ds)) if subset is None else np.asarray(subset)
+    positions = (np.arange(len(ds)) if subset is None
+                 else integer_array("subset", subset, "integer dataset positions"))
     if positions.ndim != 1:
         raise ValueError(f"subset must be 1-D dataset positions, got shape {positions.shape}")
     if positions.size == 0:
         raise ValueError("cannot batch an empty index subset")
-    if positions.dtype.kind not in "iu":
-        raise ValueError(f"subset must hold integer dataset positions, got dtype {positions.dtype}")
     positions = positions.astype(np.int64, copy=False)
     outside = (positions < 0) | (positions >= len(ds))
     if outside.any():
@@ -598,39 +615,27 @@ class ByteReader:
             raise self.error(f"{extra} trailing bytes after the {self.what}")
 
 
-def _serialize_dataset(ds: Dataset, write) -> None:
-    """Pass the canonical serialization to ``write`` one piece at a time.
-
-    Each graph is written as its own CSR: the stored entries in storage
-    order as (row, col, value) columns, every value a float64 1, then its
-    feature rows as ``<f8`` whatever their storage (one-hot rows for a
-    label column), so the digest does not depend on the store's dtypes.
-    ``write`` must consume each piece before it returns: the rows pass
-    through one buffer sized for the largest graph.
-    """
-    write(DATASET_MAGIC)
-    name_bytes = ds.name.encode("utf-8")
-    write(struct.pack("<qqqq", 1, len(name_bytes), ds.num_classes, len(ds)))
-    write(name_bytes)
-    write(struct.pack("<q", ds.feature_dim))
-    bounds = ds.node_offsets.tolist()
-    stored = ds.indptr[ds.node_offsets].tolist()
-    counts, entries = np.diff(bounds), np.diff(stored)
-    buffer = np.empty(int(counts.max(initial=0)) * ds.feature_dim, dtype="<f8")
-    ones = np.ones(int(entries.max(initial=0)), dtype="<f8")
-    for g, label in enumerate(ds.graph_labels.tolist()):
-        lo, hi, p0, p1 = bounds[g], bounds[g + 1], stored[g], stored[g + 1]
-        write(struct.pack("<qqq", hi - lo, label, p1 - p0))
-        write(np.repeat(np.arange(hi - lo, dtype="<i8"), np.diff(ds.indptr[lo:hi + 1])))
-        write((ds.indices[p0:p1] - lo).astype("<i8"))
-        write(ones[:p1 - p0])
-        rows = buffer[:(hi - lo) * ds.feature_dim].reshape(hi - lo, ds.feature_dim)
-        np.copyto(rows, ds.node_rows([g]))
-        write(rows)
-
-
 def dataset_hash(ds: Dataset) -> str:
-    """Content hash over the canonical serialization."""
-    digest = hashlib.sha256()
-    _serialize_dataset(ds, digest.update)
+    """The sha256 of the store, in hex: the content hash a cached fold or checkpoint is checked against.
+
+    The digest reads ``DATASET_MAGIC`` (``SPG2``); a ``<qqqqq`` header of
+    the name's length in bytes, ``num_classes``, the graph count,
+    ``feature_dim``, and 1 for a node-label column or 0 for rows; the
+    UTF-8 name; then ``node_offsets``, ``graph_labels`` and ``indptr`` as
+    ``<i8``, ``indices`` as ``<i4``, and the label column as ``<u8`` or
+    the rows as ``<f8``. The counts in the header fix every array's length.
+    Each array goes to sha256 whole, in its fixed dtype, so that the
+    digest does not depend on the storage dtype: only an array stored in
+    another dtype (the label column, an int32 ``indptr``, bool rows) is
+    cast, and nothing is expanded to one-hot rows or cut per graph.
+    """
+    digest = hashlib.sha256(DATASET_MAGIC)
+    name = ds.name.encode("utf-8")
+    column = ds.node_features.ndim == 1
+    digest.update(struct.pack("<qqqqq", len(name), ds.num_classes, len(ds), ds.feature_dim,
+                              column))
+    digest.update(name)
+    for array, dtype in ((ds.node_offsets, "<i8"), (ds.graph_labels, "<i8"), (ds.indptr, "<i8"),
+                         (ds.indices, "<i4"), (ds.node_features, "<u8" if column else "<f8")):
+        digest.update(np.ascontiguousarray(array, dtype=dtype))
     return digest.hexdigest()

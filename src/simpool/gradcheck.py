@@ -1,7 +1,9 @@
 """Finite-difference verification of every differentiable component.
 
-Each check draws seeded random graphs (|V| <= 10), builds the component
-with fresh random parameters, and compares analytic gradients of a scalar
+Each check draws seeded random graphs (|V| <= 10) and builds them as a
+``data.Dataset``: ``Batch.of`` cuts the edge lists and batches that stage
+0 reads from it, as in training. It builds the component with fresh
+random parameters, and compares analytic gradients of a scalar
 projection of the output against central differences, parameter
 coordinate by coordinate. The suite runs in float64, whatever the
 tape's setting outside it: its tolerance is far below float32 rounding.
@@ -60,6 +62,14 @@ def _random_graph(rng, n: int) -> np.ndarray:
     return a + a.T
 
 
+def _edges(graphs) -> Edges:
+    """The edge list of dense 0/1 ``graphs``, cut from a dataset of them by ``Batch.of``."""
+    offsets = np.cumsum([0] + [len(a) for a in graphs])
+    ds = Dataset("gradcheck", sp.block_diag(graphs, format="csr"), offsets,
+                 np.zeros((offsets[-1], 1)), np.zeros(len(graphs), dtype=np.int64), 1)
+    return Batch.of(ds, np.arange(len(graphs))).edges
+
+
 EPSILON = 1e-5
 REFINEMENT_EPSILONS = (1e-6, 1e-7)
 TOLERANCE = 1e-4
@@ -92,7 +102,7 @@ def _check_gmn_encoder(rng, n):
 def _check_gmn_propagation(rng, n):
     p1 = GmnPropagation(rng, 3, 4, 4, "relu", "p1")
     p2 = GmnPropagation(rng, 4, 4, 3, "linear", "p2")
-    edges = Edges.of([_random_graph(rng, n)])
+    edges = _edges([_random_graph(rng, n)])
     x = ad.constant(rng.uniform(-2, 2, size=(n, 3)))
     proj = rng.normal(size=(n, 3))
     forward = lambda: ad.sum_all(ad.multiply(p2(p1(x, edges), edges), ad.constant(proj)))
@@ -112,7 +122,7 @@ def _check_pooling(rng, n):
     clusters = 3
     embed = Dense(rng, 3, 4, "tanh", "embed")
     assign = Dense(rng, 3, clusters, "linear", "assign")
-    edges = Edges.of([_random_graph(rng, n)])
+    edges = _edges([_random_graph(rng, n)])
     x = ad.constant(rng.uniform(-2, 2, size=(n, 3)))
     proj_x = rng.normal(size=(clusters, 4))
     proj_a = rng.normal(size=(clusters, clusters))
@@ -168,7 +178,7 @@ def _check_packed_batch(rng, n):
     """
     sizes = [n, int(rng.integers(3, 11)), int(rng.integers(3, 11))]
     graphs = [_random_graph(rng, sizes[0]), _random_graph(rng, sizes[1]), np.zeros((sizes[2],) * 2)]
-    edges = Edges.of(graphs)
+    edges = _edges(graphs)
     segments = edges.node_offsets
     prop = GmnPropagation(rng, 3, 3, 3, "tanh", "prop")
     fold = GmnPropagation(rng, 3, 4, 3, "linear", "fold")

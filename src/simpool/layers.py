@@ -3,7 +3,8 @@
 Every layer reads a batch of graphs as one disjoint union: node rows are
 stacked, and a coarsened graph is a stack of square blocks, one per
 graph. Parameters are named so checkpoints stay stable. Stage 0 reads the
-union as one ``Edges`` list, with no n x n tensor: a relu or tanh GMN
+union as one ``Edges`` list, cut from a dataset by ``data.Batch.of``,
+with no n x n tensor: a relu or tanh GMN
 propagation sums its messages through the edge list's ``ad.incidence``
 matrices in one ``ad.edge_aggregate`` op, which keeps no edge rows on the
 tape; a linear one is one linear map of the node rows, with the degree
@@ -25,7 +26,6 @@ from . import autodiff as ad
 
 __all__ = [
     "Edges",
-    "block_diagonal",
     "Dense",
     "MLP",
     "GmnEncoder",
@@ -52,39 +52,15 @@ def glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
-def block_diagonal(blocks) -> tuple[sp.csr_matrix, np.ndarray]:
-    """The disjoint union of square ``blocks`` as one canonical float64 CSR, and its node offsets.
-
-    Each block (dense or sparse, at least one node) keeps its entries,
-    shifted to its own row and column range; block g owns nodes
-    ``offsets[g]:offsets[g + 1]``. Duplicates are summed and stored zeros
-    dropped, so the union is canonical whatever the blocks are.
-    """
-    blocks = [b if sp.issparse(b) and b.format == "csr" else sp.csr_matrix(b) for b in blocks]
-    if not blocks or any(b.shape[0] != b.shape[1] or b.shape[0] < 1 for b in blocks):
-        raise ValueError("a union takes one or more square blocks with at least one node each")
-    offsets = np.cumsum([0] + [b.shape[0] for b in blocks])
-    stored = np.cumsum([0] + [b.nnz for b in blocks])
-    n = int(offsets[-1])
-    indptr = np.concatenate([[0]] + [b.indptr[1:] + p for b, p in zip(blocks, stored)])
-    indices = np.concatenate([b.indices + lo for b, lo in zip(blocks, offsets)])
-    data = np.concatenate([b.data for b in blocks]).astype(np.float64, copy=False)
-    a = sp.csr_matrix((data, indices, indptr), shape=(n, n))
-    a.sum_duplicates()
-    a.eliminate_zeros()
-    return a, offsets
-
-
 class Edges:
     """The edges of a disjoint union of graphs, A[senders[e], receivers[e]] = 1.
 
     ``adjacency`` is the union's square CSR in canonical form, with a one
     at each edge, and ``node_offsets`` cut its nodes into graphs. The list
     takes both as they are and checks neither: ``data.Batch.of`` cuts them
-    from a checked ``data.Dataset``, and ``Edges.of`` builds them from
-    blocks and checks those. The edges come in row-major order, so
-    ``senders`` is sorted and graph g's edges are the range
-    ``edge_offsets[g]:edge_offsets[g + 1]``.
+    from a checked ``data.Dataset``, the one way a union is built. The
+    edges come in row-major order, so ``senders`` is sorted and graph g's
+    edges are the range ``edge_offsets[g]:edge_offsets[g + 1]``.
     Graphs are undirected: every block must be symmetric, which
     ``data.Dataset`` checks once for the whole dataset. So ``degree``, the
     n x 1 column of row lengths, counts each node's edges in and out, and
@@ -110,19 +86,6 @@ class Edges:
         self.edge_offsets = a.indptr[node_offsets].astype(np.intp)
         self.degree = np.diff(a.indptr).astype(dtype).reshape(-1, 1)
         self.receiver_incidence = ad.incidence(self.receivers, n)
-
-    @classmethod
-    def of(cls, blocks) -> Edges:
-        """The list of square ``blocks`` (dense or sparse, at least one node each).
-
-        One graph is ``Edges.of([a])``. The union is their
-        ``block_diagonal``, and stage 0 reads structure only, so every
-        nonzero entry must be 1.
-        """
-        a, offsets = block_diagonal(blocks)
-        if np.any(a.data != 1.0):
-            raise ValueError("stage 0 takes a 0/1 adjacency: an edge entry is not 1")
-        return cls(a, offsets)
 
     @cached_property
     def sender_incidence(self):

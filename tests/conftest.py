@@ -7,6 +7,7 @@ import scipy.sparse as sp
 
 from simpool import autodiff as ad
 from simpool.data import Batch, Dataset, load_tu_dataset
+from simpool.layers import Edges
 
 
 @pytest.fixture(autouse=True)
@@ -152,6 +153,23 @@ def dataset_of(graphs, num_classes=None, name="GRAPHS"):
 def batch_of(graphs):
     """The ``Batch`` of all of ``graphs``, triples as ``dataset_of`` takes them."""
     return Batch.of(dataset_of(graphs), np.arange(len(graphs)))
+
+
+def union_edges(blocks):
+    """The ``Edges`` of undirected ``blocks`` as ``Batch.of`` cuts them from a dataset of them."""
+    return batch_of([(b, np.zeros((b.shape[0], 1)), 0) for b in blocks]).edges
+
+
+def raw_edges(blocks):
+    """``Edges`` over the block diagonal of square 0/1 ``blocks``, taken as they are.
+
+    No ``Dataset`` checks the blocks, so one may be directed: for
+    ``ad.edge_aggregate``, which serves any 0/1 block, and for oracles
+    that read one graph's matrix. Undirected unions go through
+    ``dataset_of`` and ``batch_of``, or ``union_edges``.
+    """
+    offsets = np.cumsum([0] + [b.shape[0] for b in blocks])
+    return Edges(sp.block_diag([sp.csr_matrix(b) for b in blocks], format="csr"), offsets)
 
 
 def float64_features(ds):

@@ -35,10 +35,12 @@ import scipy.sparse as sp
 from simpool import autodiff as ad
 from simpool import similarity
 from simpool.data import _read_int_rows
-from simpool.layers import ACTIVATIONS, Edges
+from simpool.layers import ACTIVATIONS
 from simpool.model import LOSS_TERMS, Forward
 from simpool.similarity import SimilarityConfig, SimilarityFeatures, compute_features, index_map
 from simpool.training import BETA1, BETA2, EPS
+
+from conftest import raw_edges
 
 
 def _normalize_gram(gram: np.ndarray, norms_sq: np.ndarray) -> np.ndarray:
@@ -333,7 +335,7 @@ def forward_graph_loop(model, adjacency, features, label: int, mapped=None) -> F
     pooling, the GCNs, the on-tape similarity, the sum pool and the five
     loss terms are dense formulas on this graph alone.
     """
-    edges = Edges.of([adjacency])
+    edges = raw_edges([adjacency])
     x = ad.constant(features)
     f0 = model._assign_features_0(x, mapped)
     x1, a1, s0 = _pool_dense(model.z_stack(edges, x), model.s_stack(edges, f0), edges.spread)

@@ -11,10 +11,9 @@ import scipy.sparse as sp
 
 from simpool import autodiff as ad
 from simpool import similarity
-from simpool.layers import Edges
 from simpool.similarity import SimilarityConfig, preprocess_dataset
 
-from conftest import dataset_of
+from conftest import dataset_of, raw_edges, union_edges
 from oracles import edge_runs, graph_runs, scatter_add_bincount
 
 
@@ -141,7 +140,7 @@ def edge_aggregate_case(activation):
         c = ad.constant(np.arange(12.0).reshape(4, 3) / 6.0 - 1.0)
         d = ad.constant(np.arange(12.0).reshape(4, 3) - 5.0)
         out = ad.edge_aggregate(x, ad.multiply(x, c), ad.col_sum(ad.scalar_multiply(x, 0.3)),
-                                Edges.of([EDGE_BLOCK]), activation)
+                                raw_edges([EDGE_BLOCK]), activation)
         return scalarize(ad.multiply(out, d))
 
     return case
@@ -558,7 +557,7 @@ class TestCostRuns:
             monkeypatch.setattr(ad, "EDGE_CHUNK_BYTES", budget)
             for dtype, width in ((np.float64, 4), (np.float32, 64), (np.float64, 0)):
                 with ad.precision(dtype):
-                    edges = Edges.of(blocks)
+                    edges = union_edges(blocks)
                     want = edge_runs(edges, width, np.dtype(dtype).itemsize)
                     assert self.edge_aggregate_runs(monkeypatch, edges, width) == want
                 graphs = [np.searchsorted(edges.node_offsets, run[:2]) for run in want]

@@ -13,6 +13,7 @@ from simpool.data import (
     Dataset,
     DatasetFormatError,
     DatasetIntegrityError,
+    Graph,
     PaddedBatch,
     _read_int_rows,
     batch_positions,
@@ -308,12 +309,63 @@ class TestGraph:
 
     def test_labels_one_per_graph_inside_the_classes(self):
         a = sp.csr_matrix(ring_graph(3))
-        with pytest.raises(ValueError, match="at least one class"):
+        with pytest.raises(ValueError, match="^num_classes must be an integer >= 1, got 0"):
             Dataset("L", a, [0, 3], np.ones((3, 1)), [0], 0)
         with pytest.raises(DatasetIntegrityError, match=r"label 2 outside \[0, 2\)"):
             Dataset("L", a, [0, 3], np.ones((3, 1)), [2], 2)
         with pytest.raises(ValueError, match="1 graphs need one label each, got 2"):
             Dataset("L", a, [0, 3], np.ones((3, 1)), [0, 1], 2)
+
+
+    def test_offsets_labels_and_classes_must_be_integers(self):
+        # read as integers, [0, 2.9] would cut graphs at node 2, [0.7] be class 0,
+        # 2.5 classes be 2 and True classes be 1
+        a = sp.csr_matrix(ring_graph(3))
+        rows = np.ones((3, 1))
+        for offsets, labels, classes, message in (
+                ([0, 2.9], [0], 1, "node_offsets must hold integers, got dtype float64"),
+                (np.array([0, 3], dtype=np.float32), [0], 1, "node_offsets must hold integers"),
+                ([0, 3], [0.7], 1, "labels must hold integers, got dtype float64"),
+                ([0, 3], np.array([True]), 2, "labels must hold integers, got dtype bool"),
+                ([0, 3], [0], 2.5, "num_classes must be an integer >= 1, got 2.5"),
+                ([0, 3], [0], True, "num_classes must be an integer >= 1, got True")):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+                Dataset("I", a, offsets, rows, labels, classes)
+        ds = Dataset("I", a, np.array([0, 3], dtype=np.uint8), rows, np.array([1], dtype=np.int8),
+                     np.int64(2))
+        assert ds.node_offsets.dtype == ds.graph_labels.dtype == np.int64
+        assert ds.labels().tolist() == [1] and ds.num_classes == 2
+
+    def test_positions_must_be_integers(self, toy_dataset):
+        # read as positions, a float list would be truncated and a bool mask pick graphs 0 and 1
+        for positions, dtype in (([1.9, 0.2], "float64"), (np.array([True, False]), "bool"),
+                                 ([1.0], "float64")):
+            message = f"^graph positions must hold integers, got dtype {dtype}$"
+            for cut in (lambda p: Batch.of(toy_dataset, p), toy_dataset.union,
+                        toy_dataset.node_rows):
+                with pytest.raises(ValueError, match=message):
+                    cut(positions)
+        with pytest.raises(ValueError, match="^graph positions must hold integers"):
+            Graph(toy_dataset, 1.0).adjacency
+        with pytest.raises(IndexError, match=r"one or more of \[0, 10\)"):
+            toy_dataset.union([])
+        batch = Batch.of(toy_dataset, np.array([3, 1], dtype=np.uint8))
+        assert batch.indices.tolist() == [3, 1] and batch.indices.dtype == np.int64
+
+    def test_store_keeps_its_own_copies(self):
+        # a caller's array written after the checks must not reach the store
+        a = sp.csr_matrix(ring_graph(3))
+        column, offsets, labels = np.array([0, 1, 2], dtype=np.uint8), np.array([0, 3]), np.array([1])
+        rows = np.ones((3, 2))
+        by_column = Dataset("OWN", a, offsets, column, labels, 2)
+        by_rows = Dataset("OWN", a, offsets, rows, labels, 2)
+        digests = dataset_hash(by_column), dataset_hash(by_rows)
+        column[1], offsets[1], labels[0], rows[0, 0] = 7, 2, 5, 9.0
+        assert by_column.feature_dim == 3 and by_column.node_offsets.tolist() == [0, 3]
+        assert by_column.labels().tolist() == [1]
+        assert (dataset_hash(by_column), dataset_hash(by_rows)) == digests
+        assert Batch.of(by_column, [0]).features.tolist() == np.eye(3, dtype=bool).tolist()
+        assert Batch.of(by_rows, [0]).features.tolist() == np.ones((3, 2)).tolist()
 
 
 def per_graph_dataset(tmp_path, request, kind):
@@ -603,14 +655,71 @@ class TestCache:
             load_tu_dataset(longer, "TOY")
         )
 
-    def test_hash_reads_bool_onehot_as_its_float64_copy(self, toy_dataset, tmp_path):
-        for ds in (toy_dataset, many_label_dataset(tmp_path)):
-            copy = float64_features(ds)
-            assert copy.graphs[0].node_features.dtype == np.float64
-            assert dataset_hash(copy) == dataset_hash(ds) == ds.metadata["content_hash"]
+    @staticmethod
+    def store(name="H", adjacency=None, offsets=(0, 4, 7), column=(0, 2, 1, 0, 0, 2, 2),
+              labels=(0, 1), column_dtype=np.uint8):
+        """Two graphs: a triangle and an isolated node, then a triangle."""
+        if adjacency is None:
+            adjacency = sp.block_diag([ring_graph(3), np.zeros((1, 1)), ring_graph(3)],
+                                      format="csr")
+        return Dataset(name, adjacency, np.array(offsets), np.array(column, dtype=column_dtype),
+                       np.array(labels), 2)
+
+    def test_hash_reads_no_storage_dtype(self, toy_dataset):
+        base = dataset_hash(self.store())
+        assert dataset_hash(self.store(column_dtype=np.uint16)) == base
+        wide = self.store()
+        assert wide.indptr.dtype == np.int32
+        wide.indptr = wide.indptr.astype(np.int64)
+        assert dataset_hash(wide) == base
+        # rows hash as float64, whatever their dtype; a column is not its one-hot rows
+        everything = np.arange(len(toy_dataset))
+        rows = toy_dataset.node_rows(everything)
+        assert rows.dtype == bool
+        digests = {dataset_hash(Dataset("TOY", toy_dataset.union(everything)[0],
+                                        toy_dataset.node_offsets, rows.astype(dtype),
+                                        toy_dataset.graph_labels, toy_dataset.num_classes))
+                   for dtype in (bool, np.float32, np.float64)}
+        assert len(digests) == 1
+        assert digests == {dataset_hash(float64_features(toy_dataset))}
+        assert dataset_hash(toy_dataset) not in digests
+
+    def test_hash_changes_with_every_part(self):
+        extra_edge = sp.block_diag([ring_graph(3), np.zeros((1, 1)), ring_graph(3)], format="lil")
+        extra_edge[0, 3] = extra_edge[3, 0] = 1.0
+        variants = {
+            "base": self.store(),
+            "edge": self.store(adjacency=extra_edge.tocsr()),
+            "node label": self.store(column=(0, 2, 1, 1, 0, 2, 2)),
+            "graph label": self.store(labels=(1, 1)),
+            "name": self.store(name="H2"),
+            "boundary": self.store(offsets=(0, 3, 7)),  # the isolated node joins graph 1
+        }
+        digests = {key: dataset_hash(ds) for key, ds in variants.items()}
+        assert len(set(digests.values())) == len(variants), digests
+
+    def test_hash_holds_no_node_by_feature_array(self):
+        # one 3,000-node graph with about 60 node labels; one-hot float64 rows
+        # of it would take 8 bytes per node and label
+        rng = np.random.default_rng(34)
+        n = 3000
+        upper = sp.random(n, n, density=0.002, random_state=rng, format="csr")
+        adjacency = (upper + upper.T).astype(bool).astype(np.float64)
+        column = rng.integers(0, 60, size=n).astype(np.uint8)
+        ds = Dataset("BIG", adjacency, [0, n], column, [0], 1)
+        assert ds.feature_dim == 60
+        dataset_hash(ds)  # first calls fill caches that would count as allocated
+        tracemalloc.start()
+        try:
+            digest = dataset_hash(ds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert digest == dataset_hash(ds)
+        assert peak < n * ds.feature_dim
 
     def test_hash_pinned_for_toy_dataset(self, toy_dataset):
         # any change to the serialization changes every stored hash
         assert dataset_hash(toy_dataset) == (
-            "13fa791a662e1e5af51adc785d087563c1a8c12f696d87e2c7a0fef22f335049"
+            "a828512cc8611f140de5e4860bda154458a460392e128b3f1085468127a06dca"
         )

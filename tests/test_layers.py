@@ -10,20 +10,18 @@ from simpool import autodiff as ad
 from simpool.data import Batch
 from simpool.layers import (
     Dense,
-    Edges,
     GcnLayer,
     GmnEncoder,
     GmnMessage,
     GmnPropagation,
     MLP,
-    block_diagonal,
     cross_entropy,
     loss_lc,
     loss_le,
     pool_forward,
 )
 
-from conftest import dataset_of, mixed_dataset, random_graph, ring_graph
+from conftest import dataset_of, mixed_dataset, random_graph, raw_edges, ring_graph, union_edges
 from oracles import (
     edge_aggregate_chain,
     edge_runs,
@@ -39,7 +37,7 @@ def scalarize_with(rng, out):
     return ad.sum_all(ad.multiply(out, c))
 
 
-# undirected graphs, the only ones ``data.Graph`` admits
+# undirected graphs, the only ones ``data.Dataset`` admits
 GRAPH_KINDS = ("symmetric", "isolated", "edgeless")
 # ``ad.edge_aggregate`` reads the two ends of an edge apart, so it is also
 # tested on directed blocks
@@ -70,7 +68,7 @@ class TestEdges:
         for n in (1, 2, 5, 11):
             a = graph_of_kind(rng, n, kind)
             x = rng.normal(size=(n, 3))
-            edges = Edges.of([a])
+            edges = union_edges([a])
             assert edges.node_count == n and edges.receivers.shape == edges.senders.shape
             np.testing.assert_allclose(edges.spread(ad.constant(x)).values, a @ x,
                                        rtol=1e-12, atol=1e-12)
@@ -80,7 +78,7 @@ class TestEdges:
         # one sparse product adds in edge order, like the two-op edge-row chain
         rng = np.random.default_rng(48)
         for n in (1, 5, 11, 23):
-            edges = Edges.of([graph_of_kind(rng, n, kind)])
+            edges = union_edges([graph_of_kind(rng, n, kind)])
             values, c = rng.normal(size=(n, 3)), ad.constant(rng.normal(size=(n, 3)))
             results = []
             for spread in (edges.spread, lambda x: ad.sparse_matmul(
@@ -99,7 +97,7 @@ class TestEdges:
         rng = np.random.default_rng(51)
         for n in (1, 5, 11, 23):
             a = graph_of_kind(rng, n, kind)
-            edges = Edges.of([a])
+            edges = union_edges([a])
             assert edges.degree.dtype == np.float64 and edges.degree.shape == (n, 1)
             np.testing.assert_array_equal(edges.degree, a.sum(axis=1).reshape(-1, 1))
             np.testing.assert_array_equal(edges.degree, a.sum(axis=0).reshape(-1, 1))
@@ -114,85 +112,21 @@ class TestEdges:
                 results.append((out.values.tobytes(), x.grad.tobytes()))
             assert results[0] == results[1]
 
-    def test_non_unit_entry_rejected(self):
-        a = ring_graph(4)
-        a[0, 1] = 1.5
-        with pytest.raises(ValueError, match="entry is not 1"):
-            Edges.of([a])
-
     def test_union_lists_each_graph_as_an_edge_range(self):
         rng = np.random.default_rng(45)
         graphs = [graph_of_kind(rng, n, kind) for n, kind in
                   ((4, "symmetric"), (1, "edgeless"), (6, "isolated"), (5, "symmetric"))]
-        edges = Edges.of(graphs)
+        edges = union_edges(graphs)
         offsets = edges.node_offsets
         np.testing.assert_array_equal(offsets, [0, 4, 5, 11, 16])
         for g, a in enumerate(graphs):
             e0, e1 = edges.edge_offsets[g], edges.edge_offsets[g + 1]
-            single = Edges.of([a])
+            single = union_edges([a])
             np.testing.assert_array_equal(edges.senders[e0:e1] - offsets[g], single.senders)
             np.testing.assert_array_equal(edges.receivers[e0:e1] - offsets[g], single.receivers)
         x = rng.normal(size=(offsets[-1], 3))
         np.testing.assert_allclose(edges.spread(ad.constant(x)).values,
                                    sp.block_diag(graphs) @ x, rtol=1e-12, atol=1e-12)
-
-    def test_union_validation(self):
-        for blocks in ([], [ring_graph(3), np.zeros((0, 0))], [ring_graph(3), np.ones((2, 3))]):
-            with pytest.raises(ValueError, match="square blocks"):
-                Edges.of(blocks)
-
-    @pytest.mark.parametrize("sparse", (False, True))
-    def test_union_equals_the_canonical_sp_block_diag(self, sparse):
-        rng = np.random.default_rng(49)
-        graphs = [graph_of_kind(rng, n, kind) for n, kind in
-                  ((4, "symmetric"), (1, "edgeless"), (6, "isolated"), (3, "edgeless"),
-                   (5, "symmetric"), (2, "isolated"))]
-        for blocks in (graphs, graphs[1:2], graphs[3:4], graphs[:3]):
-            if sparse:  # a stored zero and a self-loop listed as two halves canonicalise away
-                blocks = [sp.csr_matrix(b) for b in blocks] + [sp.csr_matrix(
-                    ([0.0, 0.5, 0.5], [1, 0, 0], [0, 3, 3]), shape=(2, 2))]
-            reference = sp.block_diag(blocks, format="csr")
-            reference.sum_duplicates()
-            reference.eliminate_zeros()
-            union = Edges.of(blocks).adjacency
-            for attr in ("indptr", "indices", "data"):
-                got, want = getattr(union, attr), getattr(reference, attr)
-                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), attr
-
-
-class TestBlockDiagonal:
-    def test_union_bytes_equal_the_canonical_sp_block_diag(self):
-        """CSR blocks are read as they are, other blocks converted; every block
-        kind gives the canonical float64 union of ``sp.block_diag``."""
-        rng = np.random.default_rng(50)
-        a, b, c = (graph_of_kind(rng, n, kind) for n, kind in
-                   ((5, "symmetric"), (1, "edgeless"), (4, "isolated")))
-        # duplicates (0, 1) and (1, 2), a stored zero at (0, 0), unsorted indices in row 1
-        raw = sp.csr_matrix(([2.0, 1.0, 0.0, 1.0, 0.5, 0.5, 3.0], [1, 1, 0, 2, 2, 0, 1],
-                             [0, 3, 6, 7]), shape=(3, 3))
-        assert not raw.has_canonical_format
-        kinds = {
-            "csr": sp.csr_matrix(a),
-            "csr_array": sp.csr_array(b),
-            "bool": sp.csr_matrix(c.astype(bool)),
-            "int": sp.csr_matrix(a.astype(np.int32) * 3),
-            "non_canonical": raw,
-            "dense": c,
-            "coo": sp.coo_matrix(a),
-        }
-        blocks = list(kinds.values())
-        for chosen in [blocks] + [[block] for block in blocks] + [blocks[::-1]]:
-            raw_before = raw.indices.tobytes(), raw.data.tobytes()
-            reference = sp.block_diag([sp.csr_matrix(x, dtype=np.float64) for x in chosen],
-                                      format="csr")
-            reference.sum_duplicates()
-            reference.eliminate_zeros()
-            union, offsets = block_diagonal(chosen)
-            assert offsets.tolist() == np.cumsum([0] + [x.shape[0] for x in chosen]).tolist()
-            for attr in ("indptr", "indices", "data"):
-                got, want = getattr(union, attr), getattr(reference, attr)
-                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), attr
-            assert (raw.indices.tobytes(), raw.data.tobytes()) == raw_before
 
 
 class TestEdgeAggregate:
@@ -201,7 +135,7 @@ class TestEdgeAggregate:
         """Forward and backward of ``fn`` on random node rows: the output and the
         gradients of p_recv, p_send and the bias."""
         n = a.shape[0]
-        edges = Edges.of([a])
+        edges = raw_edges([a])
         p_recv, p_send = (ad.parameter(rng.normal(size=(n, m))) for _ in range(2))
         bias = ad.parameter(rng.uniform(-0.05, 0.05, size=(1, m)))
         c = ad.constant(rng.normal(size=(n, m)))
@@ -241,7 +175,7 @@ class TestEdgeAggregate:
 
     def test_forward_builds_only_the_receiver_incidence(self):
         rng = np.random.default_rng(43)
-        edges = Edges.of([graph_of_kind(rng, 6, "directed")])
+        edges = raw_edges([graph_of_kind(rng, 6, "directed")])
         with ad.no_grad():
             ad.edge_aggregate(*(ad.constant(rng.normal(size=(6, 3))) for _ in range(2)),
                               ad.constant(np.zeros((1, 3))), edges, "relu")
@@ -254,7 +188,7 @@ class TestEdgeAggregate:
         for dtype in (np.float64, np.float32):
             rng = np.random.default_rng(44)
             with ad.precision(dtype):
-                edges = Edges.of([graph_of_kind(rng, n, "directed")])
+                edges = raw_edges([graph_of_kind(rng, n, "directed")])
                 p_recv, p_send = (ad.parameter(rng.normal(size=(n, m))) for _ in range(2))
                 bias = ad.parameter(np.zeros((1, m)))
                 with ad.Tape() as tape:
@@ -276,7 +210,7 @@ class TestEdgeAggregate:
         graphs = [graph_of_kind(rng, n, kind) for n, kind in
                   ((5, "directed"), (3, "edgeless"), (30, "symmetric"), (7, "isolated"),
                    (4, "directed"), (9, "symmetric"))]
-        edges = Edges.of(graphs)
+        edges = raw_edges(graphs)
         offsets = edges.node_offsets
         assert edges.edge_offsets[3] - edges.edge_offsets[2] > 20
         n, m = offsets[-1], 4
@@ -299,7 +233,7 @@ class TestEdgeAggregate:
         assert chunked == whole
 
     def test_validation(self):
-        edges = Edges.of([ring_graph(4)])
+        edges = union_edges([ring_graph(4)])
         rows, bias = ad.constant(np.ones((4, 3))), ad.constant(np.zeros((1, 3)))
         for activation in ("sigmoid", "linear"):
             with pytest.raises(ValueError, match="unknown activation"):
@@ -346,7 +280,7 @@ class TestGmnPropagation:
         rng = np.random.default_rng(3)
         prop = GmnPropagation(rng, 3, 4, 3, "tanh", "prop")
         h = rng.normal(size=(5, 3))
-        out = prop(ad.constant(h), Edges.of([np.zeros((5, 5))])).values
+        out = prop(ad.constant(h), union_edges([np.zeros((5, 5))])).values
         expected = prop.f_node(ad.constant(np.concatenate([h, np.zeros((5, 4))], axis=1))).values
         np.testing.assert_array_equal(out, expected)
 
@@ -357,7 +291,7 @@ class TestGmnPropagation:
         h = rng.normal(size=(3, 2))
         a = np.zeros((3, 3))
         a[0, 1] = a[1, 0] = 1.0
-        out = prop(ad.constant(h), Edges.of([a])).values
+        out = prop(ad.constant(h), union_edges([a])).values
         agg = np.zeros((3, 3))
         agg[0] = gmn_message(prop.f_message, h[0], h[1])
         agg[1] = gmn_message(prop.f_message, h[1], h[0])
@@ -373,7 +307,7 @@ class TestGmnPropagation:
                 for n in (1, 2, 5, 11):
                     a = graph_of_kind(rng, n, kind)
                     h = rng.normal(size=(n, 3))
-                    out = prop(ad.constant(h), Edges.of([a])).values
+                    out = prop(ad.constant(h), union_edges([a])).values
                     expected = gmn_propagation_loop(prop, h, a)
                     np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-12,
                                                err_msg=f"{activation}, {kind}")
@@ -383,7 +317,7 @@ class TestGmnPropagation:
         # output and every gradient of the folded layer against edge rows on the tape
         rng = np.random.default_rng(25)
         for n in (1, 2, 5, 11, 23):
-            edges = Edges.of([graph_of_kind(rng, n, kind)])
+            edges = union_edges([graph_of_kind(rng, n, kind)])
             prop = GmnPropagation(rng, 3, 4, 5, "linear", "prop")
             h = ad.parameter(rng.normal(size=(n, 3)))
             c = ad.constant(rng.normal(size=(n, 5)))
@@ -434,7 +368,7 @@ class TestGmnPropagation:
         # output wide, here 5 columns for a message width of 8
         rng = np.random.default_rng(24)
         a = random_graph(rng, 12, 0.5)
-        edges = Edges.of([a])
+        edges = union_edges([a])
         assert edges.senders.size > 12
         shapes = {"relu": [], "linear": []}
         original = ad._record
@@ -467,7 +401,7 @@ class TestGmnPropagation:
     def test_node_count_mismatch_rejected(self):
         rng = np.random.default_rng(23)
         prop = GmnPropagation(rng, 2, 2, 2, "linear", "prop")
-        edges = Edges.of([random_graph(rng, 3, 0.7)])
+        edges = union_edges([random_graph(rng, 3, 0.7)])
         for rows in (2, 4):
             with pytest.raises(ValueError, match=f"{rows} node states for a graph of 3 nodes"):
                 prop(ad.constant(np.ones((rows, 2))), edges)
@@ -476,7 +410,7 @@ class TestGmnPropagation:
         rng = np.random.default_rng(6)
         p1 = GmnPropagation(rng, 3, 4, 4, "relu", "p1")
         p2 = GmnPropagation(rng, 4, 4, 3, "linear", "p2")
-        edges = Edges.of([random_graph(rng, 6, 0.5)])
+        edges = union_edges([random_graph(rng, 6, 0.5)])
         x = rng.normal(size=(6, 3))
         c = rng.normal(size=(6, 3))
 
@@ -554,7 +488,7 @@ class TestGcn:
 
 # A·x the two ways pool_forward is given it: stage 0's edge list, stage 1's dense matmul
 SPREAD_FORMS = {
-    "edge_list": lambda a: Edges.of([a]).spread,
+    "edge_list": lambda a: union_edges([a]).spread,
     "dense_matmul": lambda a: lambda x: ad.matmul(ad.constant(a), x),
 }
 
@@ -566,7 +500,7 @@ class TestPoolForward:
         x = ad.constant(rng.normal(size=(n, d)))
         a_vals = random_graph(rng, n, 0.5)
         # logits that force S = I exactly
-        x1, a1, s = pool_forward(x, ad.constant(1000.0 * np.eye(n)), Edges.of([a_vals]).spread)
+        x1, a1, s = pool_forward(x, ad.constant(1000.0 * np.eye(n)), union_edges([a_vals]).spread)
         np.testing.assert_array_equal(s.values, np.eye(n))
         np.testing.assert_array_equal(x1.values, x.values)
         np.testing.assert_allclose(a1.values, np.tanh(a_vals), atol=1e-15)
@@ -578,7 +512,7 @@ class TestPoolForward:
         logits = np.zeros((n, c))
         logits[:, 0] = 1000.0
         x1, a1, s = pool_forward(ad.constant(z), ad.constant(logits),
-                                 Edges.of([random_graph(rng, n, 0.5)]).spread)
+                                 union_edges([random_graph(rng, n, 0.5)]).spread)
         np.testing.assert_allclose(x1.values[0], z.sum(axis=0), atol=1e-12)
         np.testing.assert_allclose(x1.values[1:], 0.0, atol=1e-12)
 
@@ -617,7 +551,7 @@ class TestPoolForward:
 
     def test_row_count_mismatch_rejected(self):
         rng = np.random.default_rng(16)
-        spread = Edges.of([random_graph(rng, 4, 0.7)]).spread
+        spread = union_edges([random_graph(rng, 4, 0.7)]).spread
         z = ad.constant(rng.normal(size=(4, 2)))
         with pytest.raises(ValueError, match="one row per node"):
             pool_forward(z, ad.constant(np.zeros((5, 3))), spread)
@@ -630,7 +564,7 @@ class TestPoolForward:
     def test_segments_pool_each_graph_alone(self):
         rng = np.random.default_rng(17)
         graphs = [random_graph(rng, n, 0.5) for n in (4, 1, 6)]
-        edges = Edges.of(graphs)
+        edges = union_edges(graphs)
         offsets = edges.node_offsets
         z, logits = rng.normal(size=(11, 2)), rng.normal(size=(11, 3))
         x1, a1, s = pool_forward(ad.constant(z), ad.constant(logits), edges.spread, offsets)
@@ -638,7 +572,7 @@ class TestPoolForward:
         for g, a in enumerate(graphs):
             rows = slice(offsets[g], offsets[g + 1])
             x_g, a_g, _ = pool_forward(ad.constant(z[rows]), ad.constant(logits[rows]),
-                                       Edges.of([a]).spread)
+                                       union_edges([a]).spread)
             block = slice(3 * g, 3 * g + 3)
             np.testing.assert_allclose(x1.values[block], x_g.values, rtol=1e-14, atol=1e-15)
             np.testing.assert_allclose(a1.values[block], a_g.values, rtol=1e-14, atol=1e-15)
@@ -655,7 +589,7 @@ class TestPoolForward:
 
         def f(_):
             x = ad.constant(x_vals)
-            x1, a1, s = pool_forward(embed(x), assign(x), Edges.of([a_vals]).spread)
+            x1, a1, s = pool_forward(embed(x), assign(x), union_edges([a_vals]).spread)
             return ad.add(
                 ad.sum_all(ad.multiply(x1, ad.constant(cx))),
                 ad.sum_all(ad.multiply(a1, ad.constant(ca))),

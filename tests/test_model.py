@@ -23,7 +23,7 @@ from simpool.model import (
 )
 from simpool.similarity import SimilarityConfig, index_map, preprocess_dataset
 
-from conftest import batch_of, mixed_dataset, random_graph, separable_dataset
+from conftest import batch_of, mixed_dataset, random_graph, separable_dataset, union_edges
 from oracles import decode_index, forward_graph_loop, similarity_dense_symmetric
 
 
@@ -419,7 +419,7 @@ class TestPermutationBehaviour:
                 ],
                 axis=1,
             )
-            edges = Edges.of([a_in])
+            edges = union_edges([a_in])
             x1, a1, _ = pool_forward(
                 model.z_stack(edges, ad.constant(x_in)), model.s_stack(edges, ad.constant(stats)),
                 edges.spread,
