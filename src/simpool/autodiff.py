@@ -7,6 +7,17 @@ visits each recorded node exactly once and releases it. Every tensor is
 2-D: scalars and vectors are stored as 1 x 1 and n x 1, so no operation
 checks ranks.
 
+The tape holds node numbers and closures, never an op's output. A
+recorded op's output gets a node number, and its closure holds only
+what its backward formula reads: an operand's values where the formula
+multiplies by them, its own output where the derivative is a function of
+it (``tanh``, ``relu``, ``row_softmax``, ...), and otherwise shapes,
+indices or a constant matrix. It holds no ``Tensor`` either, only where
+each parent's gradient goes: the node number of an op output, the leaf
+itself, or nothing for a constant, whose gradient no closure computes. So
+an op output whose values no formula reads is freed as soon as the
+forward code drops it.
+
 Every tensor holds the tape dtype, float32 unless a ``precision(np.float64)``
 block is open. ``Tensor`` casts what it is given, ``incidence`` builds in
 the dtype, and every other op allocates in its operands' dtype, so nothing
@@ -40,6 +51,7 @@ own transpose because graphs are undirected.
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Callable, Sequence
 
 import numpy as np
@@ -115,9 +127,15 @@ def tape_dtype() -> type:
 
 
 class Tensor:
-    """A 2-D array in the tape dtype participating in reverse-mode differentiation."""
+    """A 2-D array in the tape dtype participating in reverse-mode differentiation.
 
-    __slots__ = ("values", "requires_grad", "grad", "_grad_buffer", "_op_output", "__weakref__")
+    A tensor that an op recorded on a tape made is an op output: it
+    carries the node number (``_node``) that ``Tape.backward`` routes its
+    gradient by, and nothing on the tape refers to it. Every other tensor
+    is a leaf, which receives its gradient in ``grad`` if it requires one.
+    """
+
+    __slots__ = ("values", "requires_grad", "grad", "_grad_buffer", "_node", "__weakref__")
 
     def __init__(self, values, requires_grad: bool = False):
         arr = np.asarray(values, dtype=_DTYPE)
@@ -131,7 +149,7 @@ class Tensor:
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
         self._grad_buffer: np.ndarray | None = None
-        self._op_output = False
+        self._node: int | None = None
 
     @classmethod
     def _raw(cls, arr: np.ndarray) -> Tensor:
@@ -141,8 +159,12 @@ class Tensor:
         t.requires_grad = False
         t.grad = None
         t._grad_buffer = None
-        t._op_output = False
+        t._node = None
         return t
+
+    @property
+    def _op_output(self) -> bool:
+        return self._node is not None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -187,11 +209,16 @@ def parameter(values) -> Tensor:
 
 
 class Tape:
-    """Ordered record of operations; creation order is topological order."""
+    """Ordered record of operations; creation order is topological order.
+
+    Each record is an op output's node number and the op's backward
+    closure, which holds only the arrays its formula reads and, for each
+    parent, where its gradient goes. The tape holds no ``Tensor``.
+    """
 
     def __init__(self):
-        self._nodes: list[tuple[Tensor, Callable[[np.ndarray], None]]] = []
-        # gradients of op outputs whose node the sweep has not reached yet
+        self._nodes: list[tuple[int, Callable[[np.ndarray], list]]] = []
+        # gradients of op outputs, by node number, that the sweep has not reached yet
         self._grads: dict[int, np.ndarray] = {}
 
     def __enter__(self) -> Tape:
@@ -211,41 +238,39 @@ class Tape:
         """Seed d(loss)/d(loss) = 1 and sweep the tape once, in reverse.
 
         A tape is swept once: the sweep pops each node before it runs its
-        closure, so an op output and what its closure holds are freed as
-        soon as nothing else refers to them, and the tape is empty
-        afterwards. Gradients of op outputs wait in a scratch dict until
-        the sweep reaches the node that made them. The first gradient to
-        arrive is stored as it is and later ones are added out of place,
-        so a backward closure may return its own ``g`` and no closure may
-        write into the ``g`` it receives. Leaves (tensors not produced by a
-        recorded op) accumulate only into ``.grad``; the scratch dict never
-        holds them, so it is empty when the sweep ends.
+        closure, so what the closure holds is freed as soon as nothing else
+        refers to it, and the tape is empty afterwards. A closure returns
+        (target, gradient) pairs for the parents that need a gradient. A
+        node-number target is an op output: its gradient waits in a scratch
+        dict, keyed by that number, until the sweep reaches its node. The
+        first gradient to arrive is stored as it is and later ones are
+        added out of place, so a backward closure may return its own ``g``
+        and no closure may write into the ``g`` it receives. A ``Tensor``
+        target is a leaf, which accumulates only into ``.grad``; the
+        scratch dict never holds it, so it is empty when the sweep ends.
         """
         if loss.values.size != 1:
             raise ValueError("backward requires a scalar loss tensor")
         grads = self._grads = {}
         nodes = self._nodes
-        if not loss._op_output:
+        if loss._node is None:
             nodes.clear()
             if loss.requires_grad:
                 loss.accumulate_grad(np.ones_like(loss.values))
             return
-        grads[id(loss)] = np.ones_like(loss.values)
+        grads[loss._node] = np.ones_like(loss.values)
         while nodes:
-            out, backward = nodes.pop()
-            g = grads.pop(id(out), None)
+            node, backward = nodes.pop()
+            g = grads.pop(node, None)
             if g is None:
                 continue
-            for parent, pg in backward(g):
-                if not parent.requires_grad:
-                    continue
-                if not parent._op_output:
-                    parent.accumulate_grad(pg)
+            for target, pg in backward(g):
+                if isinstance(target, Tensor):
+                    target.accumulate_grad(pg)
                     continue
                 # out of place: pg may be an array another gradient shares
-                key = id(parent)
-                prev = grads.get(key)
-                grads[key] = pg if prev is None else prev + pg
+                prev = grads.get(target)
+                grads[target] = pg if prev is None else prev + pg
 
 
 # the tape operations record onto: the innermost open ``Tape``, or None
@@ -267,13 +292,36 @@ class no_grad:
         _CURRENT_TAPE = self._outer
 
 
+# node numbers of op outputs, unique across tapes: an op output of one tape may feed another
+_NODE_NUMBERS = itertools.count()
+
+
 def _record(op_name: str, out: Tensor, parents: Sequence[Tensor], backward) -> Tensor:
+    """Record ``backward`` under a new node number of ``out`` if a parent needs a gradient.
+
+    The open tape keeps the number and the closure, not ``out`` or ``parents``.
+    """
     tape = _CURRENT_TAPE
     if tape is not None and any(p.requires_grad for p in parents):
         out.requires_grad = True
-        out._op_output = True
-        tape._nodes.append((out, backward))
+        out._node = node = next(_NODE_NUMBERS)
+        tape._nodes.append((node, backward))
     return out
+
+
+def _target(t: Tensor):
+    """Where ``t``'s gradient goes: its node number for an op output, ``t`` for a leaf
+    that requires a gradient, None for a constant."""
+    if t._node is not None:
+        return t._node
+    return t if t.requires_grad else None
+
+
+def _operands(a: Tensor, b: Tensor):
+    """The gradient targets of a product's operands, and each operand's values where the
+    other operand's gradient reads them (None where that gradient is not computed)."""
+    ta, tb = _target(a), _target(b)
+    return ta, tb, (a.values if tb is not None else None), (b.values if ta is not None else None)
 
 
 def _check_dtypes(name: str, a, b) -> None:
@@ -317,15 +365,16 @@ def matmul(a: Tensor, b: Tensor, segments: np.ndarray | None = None) -> Tensor:
     if av.shape[1] != bv.shape[0]:
         raise ValueError(f"matmul shape mismatch: {av.shape} @ {bv.shape}")
     _check_dtypes("matmul", av, bv)
+    ta, tb, a_read, b_read = _operands(a, b)
     if segments is None:
         out = Tensor._raw(av @ bv)
 
         def backward(g):
             grads = []
-            if a.requires_grad:
-                grads.append((a, g @ bv.T))
-            if b.requires_grad:
-                grads.append((b, av.T @ g))
+            if ta is not None:
+                grads.append((ta, g @ b_read.T))
+            if tb is not None:
+                grads.append((tb, a_read.T @ g))
             return grads
 
         return _record("matmul", out, (a, b), backward)
@@ -360,18 +409,19 @@ def matmul(a: Tensor, b: Tensor, segments: np.ndarray | None = None) -> Tensor:
     out = np.empty((count * r, m), dtype=av.dtype)
     products(blocks(av, True), blocks(bv, False), out.reshape(count, r, m))
     out = Tensor._raw(out)
+    a_shape, b_shape, dtype = av.shape, bv.shape, av.dtype
 
     def segmented_backward(g):
         grads = []
         g_blocks = g.reshape(count, r, m)
-        if a.requires_grad:
-            ga = np.empty(av.shape, dtype=av.dtype)
-            products(g_blocks, transposed(blocks(bv, False)), blocks(ga, True))
-            grads.append((a, ga))
-        if b.requires_grad:
-            gb = np.empty(bv.shape, dtype=bv.dtype)
-            products(transposed(blocks(av, True)), g_blocks, blocks(gb, False))
-            grads.append((b, gb))
+        if ta is not None:
+            ga = np.empty(a_shape, dtype=dtype)
+            products(g_blocks, transposed(blocks(b_read, False)), blocks(ga, True))
+            grads.append((ta, ga))
+        if tb is not None:
+            gb = np.empty(b_shape, dtype=dtype)
+            products(transposed(blocks(a_read, True)), g_blocks, blocks(gb, False))
+            grads.append((tb, gb))
         return grads
 
     return _record("matmul", out, (a, b), segmented_backward)
@@ -379,9 +429,10 @@ def matmul(a: Tensor, b: Tensor, segments: np.ndarray | None = None) -> Tensor:
 
 def transpose(a: Tensor) -> Tensor:
     out = Tensor._raw(a.values.T.copy())
+    ta = _target(a)
 
     def backward(g):
-        return ((a, g.T),)
+        return ((ta, g.T),)
 
     return _record("transpose", out, (a,), backward)
 
@@ -406,9 +457,11 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     av, bv = a.values, b.values
     _check_broadcast("add", av, bv)
     out = Tensor._raw(av + bv)
+    targets = [(t, shape) for t, shape in ((_target(a), av.shape), (_target(b), bv.shape))
+               if t is not None]
 
     def backward(g):
-        return ((a, _broadcast_grad(g, av.shape)), (b, _broadcast_grad(g, bv.shape)))
+        return [(t, _broadcast_grad(g, shape)) for t, shape in targets]
 
     return _record("add", out, (a, b), backward)
 
@@ -417,9 +470,15 @@ def subtract(a: Tensor, b: Tensor) -> Tensor:
     av, bv = a.values, b.values
     _check_broadcast("subtract", av, bv)
     out = Tensor._raw(av - bv)
+    ta, tb, a_shape, b_shape = _target(a), _target(b), av.shape, bv.shape
 
     def backward(g):
-        return ((a, _broadcast_grad(g, av.shape)), (b, -_broadcast_grad(g, bv.shape)))
+        grads = []
+        if ta is not None:
+            grads.append((ta, _broadcast_grad(g, a_shape)))
+        if tb is not None:
+            grads.append((tb, -_broadcast_grad(g, b_shape)))
+        return grads
 
     return _record("subtract", out, (a, b), backward)
 
@@ -428,13 +487,15 @@ def multiply(a: Tensor, b: Tensor) -> Tensor:
     av, bv = a.values, b.values
     _check_broadcast("multiply", av, bv)
     out = Tensor._raw(av * bv)
+    ta, tb, a_read, b_read = _operands(a, b)
+    a_shape, b_shape = av.shape, bv.shape
 
     def backward(g):
         grads = []
-        if a.requires_grad:
-            grads.append((a, _broadcast_grad(g * bv, av.shape)))
-        if b.requires_grad:
-            grads.append((b, _broadcast_grad(g * av, bv.shape)))
+        if ta is not None:
+            grads.append((ta, _broadcast_grad(g * b_read, a_shape)))
+        if tb is not None:
+            grads.append((tb, _broadcast_grad(g * a_read, b_shape)))
         return grads
 
     return _record("multiply", out, (a, b), backward)
@@ -443,9 +504,10 @@ def multiply(a: Tensor, b: Tensor) -> Tensor:
 def scalar_multiply(a: Tensor, c: float) -> Tensor:
     c = float(c)
     out = Tensor._raw(a.values * c)
+    ta = _target(a)
 
     def backward(g):
-        return ((a, g * c),)
+        return ((ta, g * c),)
 
     return _record("scalar_multiply", out, (a,), backward)
 
@@ -457,16 +519,17 @@ def concat_columns(tensors: Sequence[Tensor]) -> Tensor:
     for t in tensors:
         if t.shape[0] != rows:
             raise ValueError("concat_columns requires equal row counts")
-    widths = [t.shape[1] for t in tensors]
     out = Tensor._raw(np.concatenate([t.values for t in tensors], axis=1))
+    parts = [(_target(t), t.shape[1]) for t in tensors]
 
     def backward(g):
         outs = []
         start = 0
-        for t, w in zip(tensors, widths):
-            outs.append((t, g[:, start:start + w]))
+        for target, w in parts:
+            if target is not None:
+                outs.append((target, g[:, start:start + w]))
             start += w
-        return tuple(outs)
+        return outs
 
     return _record("concat_columns", out, tuple(tensors), backward)
 
@@ -483,10 +546,11 @@ def gather(a: Tensor, row_idx: np.ndarray, col_idx: np.ndarray) -> Tensor:
     if col_idx.size and (col_idx.min() < 0 or col_idx.max() >= m):
         raise IndexError("gather column index out of bounds")
     out = Tensor._raw(a.values[row_idx, col_idx])
+    ta = _target(a)
 
     def backward(g):
         flat = row_idx.reshape(-1) * m + col_idx.reshape(-1)
-        return ((a, (incidence(flat, n * m) @ g.reshape(-1, 1)).reshape(n, m)),)
+        return ((ta, (incidence(flat, n * m) @ g.reshape(-1, 1)).reshape(n, m)),)
 
     return _record("gather", out, (a,), backward)
 
@@ -497,9 +561,10 @@ def gather_rows(a: Tensor, idx: np.ndarray) -> Tensor:
     if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
         raise IndexError("gather_rows index out of bounds")
     out = Tensor._raw(np.take(a.values, idx, axis=0))
+    ta, rows = _target(a), a.shape[0]
 
     def backward(g):
-        return ((a, incidence(idx, a.shape[0]) @ g),)
+        return ((ta, incidence(idx, rows) @ g),)
 
     return _record("gather_rows", out, (a,), backward)
 
@@ -517,9 +582,10 @@ def sparse_matmul(matrix, a: Tensor) -> Tensor:
         raise ValueError(f"sparse_matmul shape mismatch: {matrix.shape} @ {a.shape}")
     _check_dtypes("sparse_matmul", matrix, a.values)
     out = Tensor._raw(matrix @ a.values)
+    ta = _target(a)
 
     def backward(g):
-        return ((a, matrix.T @ g),)
+        return ((ta, matrix.T @ g),)
 
     return _record("sparse_matmul", out, (a,), backward)
 
@@ -606,26 +672,30 @@ def edge_aggregate(p_recv: Tensor, p_send: Tensor, bias: Tensor, edges, activati
     for n0, n1, e0, e1 in runs:
         out[n0:n1] = run_incidence("receiver", n0, n1, e0, e1) @ act(pre_activations(e0, e1))
     out = Tensor._raw(out)
+    t_recv, t_send, t_bias = _target(p_recv), _target(p_send), _target(bias)
 
     def backward(g):
-        g_recv = np.empty((n, m), dtype=rv.dtype)
-        g_send = np.empty((n, m), dtype=rv.dtype) if p_send.requires_grad else None
+        # the bias gradient is a sum of the p_recv one
+        g_recv = (np.empty((n, m), dtype=rv.dtype)
+                  if t_recv is not None or t_bias is not None else None)
+        g_send = np.empty((n, m), dtype=rv.dtype) if t_send is not None else None
         for n0, n1, e0, e1 in runs:
             # pre first: its gather temporaries are freed before the E x m g_pre exists
             pre = pre_activations(e0, e1)
             g_pre = np.take(g, edges.receivers[e0:e1], axis=0)
             act_grad(g_pre, pre)
             del pre
-            g_recv[n0:n1] = run_incidence("receiver", n0, n1, e0, e1) @ g_pre
+            if g_recv is not None:
+                g_recv[n0:n1] = run_incidence("receiver", n0, n1, e0, e1) @ g_pre
             if g_send is not None:
                 g_send[n0:n1] = run_incidence("sender", n0, n1, e0, e1) @ g_pre
         grads = []
-        if p_recv.requires_grad:
-            grads.append((p_recv, g_recv))
+        if t_recv is not None:
+            grads.append((t_recv, g_recv))
         if g_send is not None:
-            grads.append((p_send, g_send))
-        if bias.requires_grad:
-            grads.append((bias, g_recv.sum(axis=0, keepdims=True)))
+            grads.append((t_send, g_send))
+        if t_bias is not None:
+            grads.append((t_bias, g_recv.sum(axis=0, keepdims=True)))
         return grads
 
     return _record("edge_aggregate", out, (p_recv, p_send, bias), backward)
@@ -645,10 +715,11 @@ def row_softmax(a: Tensor) -> Tensor:
     s = e / e.sum(axis=1, keepdims=True)
     s[s < np.finfo(s.dtype).tiny] = 0.0
     out = Tensor._raw(s)
+    ta = _target(a)
 
     def backward(g):
         dot = (g * s).sum(axis=1, keepdims=True)
-        return ((a, (g - dot) * s),)
+        return ((ta, (g - dot) * s),)
 
     return _record("row_softmax", out, (a,), backward)
 
@@ -656,18 +727,23 @@ def row_softmax(a: Tensor) -> Tensor:
 def tanh(a: Tensor) -> Tensor:
     t = np.tanh(a.values)
     out = Tensor._raw(t)
+    ta = _target(a)
 
     def backward(g):
-        return ((a, g * (1.0 - t * t)),)
+        return ((ta, g * (1.0 - t * t)),)
 
     return _record("tanh", out, (a,), backward)
 
 
 def relu(a: Tensor) -> Tensor:
-    out = Tensor._raw(np.maximum(a.values, 0.0))
+    """max(a, 0). The backward pass reads the output: max(a, 0) > 0 exactly where a > 0,
+    NaN included."""
+    r = np.maximum(a.values, 0.0)
+    out = Tensor._raw(r)
+    ta = _target(a)
 
     def backward(g):
-        return ((a, g * (a.values > 0.0)),)
+        return ((ta, g * (r > 0.0)),)
 
     return _record("relu", out, (a,), backward)
 
@@ -675,10 +751,12 @@ def relu(a: Tensor) -> Tensor:
 def log(a: Tensor) -> Tensor:
     if np.any(a.values <= 0.0):
         raise NumericError("log requires strictly positive input; clamp first")
-    out = Tensor._raw(np.log(a.values))
+    av = a.values
+    out = Tensor._raw(np.log(av))
+    ta = _target(a)
 
     def backward(g):
-        return ((a, g / a.values),)
+        return ((ta, g / av),)
 
     return _record("log", out, (a,), backward)
 
@@ -688,11 +766,12 @@ def sqrt(a: Tensor) -> Tensor:
         raise NumericError("sqrt of negative input")
     r = np.sqrt(a.values)
     out = Tensor._raw(r)
+    ta = _target(a)
 
     def backward(g):
         # zero subgradient at the origin rather than the analytic +inf
         safe = np.where(r == 0.0, 1.0, r)
-        return ((a, g * 0.5 / safe * (r > 0.0)),)
+        return ((ta, g * 0.5 / safe * (r > 0.0)),)
 
     return _record("sqrt", out, (a,), backward)
 
@@ -702,29 +781,37 @@ def reciprocal(a: Tensor) -> Tensor:
         raise NumericError("reciprocal of zero entry")
     r = 1.0 / a.values
     out = Tensor._raw(r)
+    ta = _target(a)
 
     def backward(g):
-        return ((a, -g * r * r),)
+        return ((ta, -g * r * r),)
 
     return _record("reciprocal", out, (a,), backward)
 
 
 def clamp_min(a: Tensor, floor: float) -> Tensor:
-    """max(a, floor); gradient passes only where a > floor."""
+    """max(a, floor); gradient passes only where a > floor.
+
+    The backward pass reads the output: max(a, floor) > floor exactly
+    where a > floor, NaN included.
+    """
     floor = float(floor)
-    out = Tensor._raw(np.maximum(a.values, floor))
+    r = np.maximum(a.values, floor)
+    out = Tensor._raw(r)
+    ta = _target(a)
 
     def backward(g):
-        return ((a, g * (a.values > floor)),)
+        return ((ta, g * (r > floor)),)
 
     return _record("clamp_min", out, (a,), backward)
 
 
 def sum_all(a: Tensor) -> Tensor:
     out = Tensor._raw(np.array([[a.values.sum()]]))
+    ta, shape, dtype = _target(a), a.shape, a.values.dtype
 
     def backward(g):
-        return ((a, np.full_like(a.values, float(g.reshape(-1)[0]))),)
+        return ((ta, np.full(shape, float(g.reshape(-1)[0]), dtype=dtype)),)
 
     return _record("sum_all", out, (a,), backward)
 
@@ -732,9 +819,10 @@ def sum_all(a: Tensor) -> Tensor:
 def row_sum(a: Tensor) -> Tensor:
     """Sum over columns; (n, m) -> (n, 1)."""
     out = Tensor._raw(a.values.sum(axis=1, keepdims=True))
+    ta, shape = _target(a), a.shape
 
     def backward(g):
-        return ((a, np.broadcast_to(g, a.shape).copy()),)
+        return ((ta, np.broadcast_to(g, shape).copy()),)
 
     return _record("row_sum", out, (a,), backward)
 
@@ -742,9 +830,10 @@ def row_sum(a: Tensor) -> Tensor:
 def col_sum(a: Tensor) -> Tensor:
     """Sum over rows; (n, m) -> (1, m)."""
     out = Tensor._raw(a.values.sum(axis=0, keepdims=True))
+    ta, shape = _target(a), a.shape
 
     def backward(g):
-        return ((a, np.broadcast_to(g, a.shape).copy()),)
+        return ((ta, np.broadcast_to(g, shape).copy()),)
 
     return _record("col_sum", out, (a,), backward)
 

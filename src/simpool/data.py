@@ -148,6 +148,9 @@ class Dataset:
                 f"node_features must be {n} x d, one row per node, or a column of {n} "
                 f"unsigned node labels; got shape {features.shape}"
             )
+        if features.ndim == 2 and features.dtype.kind not in "fb":
+            raise ValueError(f"node_features rows must be float or bool, "
+                             f"got dtype {features.dtype}")
         require_integer("num_classes", num_classes, 1)
         labels = integer_array("labels", labels).astype(np.int64).reshape(-1)
         if labels.size != counts.size:
@@ -233,16 +236,19 @@ class Dataset:
 class Graph:
     """Graph ``position`` of a ``Dataset``: a view that holds no arrays.
 
-    ``adjacency`` is the graph's own CSR, rows and columns counted from its
-    first node, with a float64 one at each edge; ``node_features`` its
+    ``adjacency`` is the graph's own CSR, rows and columns counted from
+    its first node, with a float64 one at each edge; ``node_features`` its
     rows as ``Dataset.node_rows`` gives them (one-hot bool rows from a
     label column); ``label`` its class. Each is built from the store every
     time it is read, and checked nowhere: the store was checked when it was
     built. So a loop over ``Dataset.graphs`` holds one graph's arrays at a
-    time, not a copy of the dataset.
+    time, not a copy of the dataset. ``position`` must be an integer in
+    [0, len(dataset)): the constructor checks it as every cut of the store
+    does, so that no property reads another graph or a negative count.
     """
 
     def __init__(self, dataset: Dataset, position: int):
+        dataset._node_ranges([position])
         self.dataset = dataset
         self.position = position
 

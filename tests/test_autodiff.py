@@ -3,6 +3,7 @@
 import importlib
 import os
 import sys
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -195,15 +196,22 @@ PRIMITIVE_CASES = {
     "row_sum": lambda x: scalarize(ad.multiply(ad.row_sum(x), ad.constant(np.array([[1.0], [2.0], [3.0], [4.0]])))),
     "col_sum": lambda x: scalarize(ad.multiply(ad.col_sum(x), ad.constant(np.array([[1.0, -2.0, 3.0]])))),
     **{f"edge_aggregate_{act}": edge_aggregate_case(act) for act in ("relu", "tanh")},
+    # only the sender rows need a gradient: the receiver and bias sums are not formed
+    "edge_aggregate_senders_only": lambda x: scalarize(ad.multiply(ad.edge_aggregate(
+        ad.constant(np.full((4, 3), 0.2)), x, ad.constant(np.array([[0.1, -0.3, 0.0]])),
+        raw_edges([EDGE_BLOCK]), "tanh"), ad.constant(np.arange(12.0).reshape(4, 3) - 5.0))),
 }
+
+
+# every public function that records onto a tape
+PRIMITIVES = [name for name in ad.__all__ if name not in {
+    "Tensor", "Tape", "NumericError", "no_grad", "constant", "parameter", "grad_check"}]
 
 
 def test_every_primitive_has_a_gradient_case():
     """Each tape primitive in ``ad.__all__`` has a case named after it or ``<name>_...``."""
-    not_primitives = {"Tensor", "Tape", "NumericError", "no_grad", "constant", "parameter",
-                      "grad_check"}
-    missing = [name for name in ad.__all__ if name not in not_primitives
-               and not any(key == name or key.startswith(f"{name}_") for key in PRIMITIVE_CASES)]
+    missing = [name for name in PRIMITIVES
+               if not any(key == name or key.startswith(f"{name}_") for key in PRIMITIVE_CASES)]
     assert missing == []
 
 
@@ -235,6 +243,76 @@ def test_backward_does_not_write_into_its_gradient(name, monkeypatch):
     with ad.Tape() as tape:
         tape.backward(PRIMITIVE_CASES[name](x))
     assert x.grad is not None and np.all(np.isfinite(x.grad))
+
+
+# each primitive as a function of op outputs of the given shapes
+LIFETIME_CASES = {
+    "matmul": (((4, 3), (3, 2)), ad.matmul),
+    "matmul_segmented": (((2, 4), (4, 3)), lambda a, b: ad.matmul(a, b, np.array([0, 1, 4]))),
+    "transpose": (((4, 3),), ad.transpose),
+    "add": (((4, 3), (1, 3)), ad.add),
+    "subtract": (((4, 3), (4, 1)), ad.subtract),
+    "multiply": (((4, 3), (4, 3)), ad.multiply),
+    "scalar_multiply": (((4, 3),), lambda a: ad.scalar_multiply(a, 2.0)),
+    "concat_columns": (((4, 3), (4, 2)), lambda a, b: ad.concat_columns([a, b])),
+    "gather": (((4, 3),), lambda a: ad.gather(a, np.array([[0, 3]]), np.array([[2, 2]]))),
+    "gather_rows": (((4, 3),), lambda a: ad.gather_rows(a, np.array([3, 0, 3]))),
+    "sparse_matmul": (((4, 3),), lambda a: ad.sparse_matmul(ad.incidence([1, 0, 1, 1], 2), a)),
+    "edge_aggregate": (((4, 3), (4, 3), (1, 3)), lambda r, s, b: ad.edge_aggregate(
+        r, s, b, raw_edges([EDGE_BLOCK]), "tanh")),
+    "row_softmax": (((4, 3),), ad.row_softmax),
+    "tanh": (((4, 3),), ad.tanh),
+    "relu": (((4, 3),), ad.relu),
+    "log": (((4, 3),), ad.log),
+    "sqrt": (((4, 3),), ad.sqrt),
+    "reciprocal": (((4, 3),), ad.reciprocal),
+    "clamp_min": (((4, 3),), lambda a: ad.clamp_min(a, 1.0)),
+    "sum_all": (((4, 3),), ad.sum_all),
+    "row_sum": (((4, 3),), ad.row_sum),
+    "col_sum": (((4, 3),), ad.col_sum),
+}
+
+
+def test_every_primitive_has_a_lifetime_case():
+    assert set(PRIMITIVES) <= set(LIFETIME_CASES)
+
+
+@pytest.mark.parametrize("name", sorted(LIFETIME_CASES))
+def test_tape_holds_no_input_tensor(name):
+    """A recorded op keeps arrays its backward reads, never its input ``Tensor``s: op
+    outputs fed to it are freed once the forward code drops them, before backward."""
+    shapes, apply = LIFETIME_CASES[name]
+    rng = np.random.default_rng(23)
+    leaves = [ad.parameter(rng.uniform(0.5, 1.5, size=shape)) for shape in shapes]
+    with ad.Tape() as tape:
+        inputs = [ad.scalar_multiply(leaf, 1.0) for leaf in leaves]
+        freed = [weakref.ref(t) for t in inputs]
+        out = apply(*inputs)
+        del inputs
+        assert [ref() for ref in freed] == [None] * len(freed)
+        tape.backward(ad.sum_all(out))
+    assert len(tape) == 0 and all(leaf.grad is not None for leaf in leaves)
+
+
+def test_forward_holds_one_output_array_of_a_dense_layer():
+    """relu(x @ w + b) under a tape keeps one n x m array after the forward pass: relu's
+    output, which its backward reads, and not the product or the sum before it."""
+    rng = np.random.default_rng(24)
+    n, k, m = 2048, 16, 512  # a 4 MiB float32 output
+    x = ad.constant(rng.normal(size=(n, k)))
+    w = ad.parameter(rng.normal(size=(k, m)))
+    b = ad.parameter(rng.normal(size=(1, m)))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        with ad.Tape() as tape:
+            out = ad.relu(ad.add(ad.matmul(x, w), b))
+            held = tracemalloc.get_traced_memory()[0] - base
+            tape.backward(ad.sum_all(out))
+    finally:
+        tracemalloc.stop()
+    assert held < 1.5 * out.values.nbytes, f"{held / out.values.nbytes:.2f} n x m arrays held"
+    np.testing.assert_allclose(w.grad, x.values.T @ (out.values > 0.0), rtol=1e-5)
 
 
 class TestPrecision:
@@ -330,17 +408,18 @@ class TestTapeSemantics:
         assert grads[0] is grads[1]
 
     def test_backward_empties_the_tape_and_frees_op_outputs(self):
+        # the tape holds no op output: one is freed when the forward code drops it
         x = ad.parameter(np.random.default_rng(4).normal(size=(3, 3)))
         with ad.Tape() as tape:
             hidden = ad.tanh(ad.matmul(x, x))
             freed = weakref.ref(hidden)
             loss = ad.sum_all(hidden)
             del hidden
-            assert len(tape) == 3 and freed() is not None
+            assert len(tape) == 3 and freed() is None
             tape.backward(loss)
         assert len(tape) == 0
-        assert freed() is None
-        assert x.grad is not None
+        g = 1.0 - np.tanh(x.values @ x.values) ** 2
+        np.testing.assert_allclose(x.grad, g @ x.values.T + x.values.T @ g, rtol=1e-5)
 
     def test_backward_deterministic(self):
         rng = np.random.default_rng(3)

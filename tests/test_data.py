@@ -300,6 +300,28 @@ class TestGraph:
         assert column.graphs[0].node_features.tolist() == [[True, False, False],
                                                            [False, False, True]]
 
+    def test_feature_rows_must_be_float_or_bool(self):
+        # strings would fail only in dataset_hash, and integer rows reach Batch.features as they are
+        a = sp.csr_matrix(ring_graph(3))
+        for features in (np.array([["a"]] * 3), np.ones((3, 2), dtype=np.int64),
+                         np.ones((3, 1), dtype=np.uint8), np.ones((3, 1), dtype=complex)):
+            message = f"node_features rows must be float or bool, got dtype {features.dtype}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                one_graph(a, features)
+        for dtype in (np.float32, np.float64, bool):
+            assert one_graph(a, np.ones((3, 1), dtype=dtype)).node_features.dtype == dtype
+
+    def test_graph_position_must_lie_in_the_dataset(self, toy_dataset):
+        # -1 would read the last graph's label and a negative node count
+        n = len(toy_dataset)
+        for position in (-1, n, n + 3):
+            for read in ("adjacency", "node_features", "label", "node_count"):
+                with pytest.raises(IndexError, match=re.escape(f"one or more of [0, {n})")):
+                    getattr(Graph(toy_dataset, position), read)
+        last = Graph(toy_dataset, n - 1)
+        assert (last.label, last.node_count) == (int(toy_dataset.graph_labels[-1]),
+                                                 int(np.diff(toy_dataset.node_offsets)[-1]))
+
     def test_edge_between_graphs_rejected(self):
         # the union of two rings plus an edge from node 2 of the first to node 3
         a = sp.block_diag([ring_graph(3), ring_graph(4)], format="lil")
