@@ -220,6 +220,7 @@ class Tape:
         self._nodes: list[tuple[int, Callable[[np.ndarray], list]]] = []
         # gradients of op outputs, by node number, that the sweep has not reached yet
         self._grads: dict[int, np.ndarray] = {}
+        self._swept = False
 
     def __enter__(self) -> Tape:
         global _CURRENT_TAPE
@@ -235,7 +236,7 @@ class Tape:
         return len(self._nodes)
 
     def backward(self, loss: Tensor) -> None:
-        """Seed d(loss)/d(loss) = 1 and sweep the tape once, in reverse.
+        """Seed d(loss)/d(loss) = 1 and sweep the tape once, in reverse; a second call raises.
 
         A tape is swept once: the sweep pops each node before it runs its
         closure, so what the closure holds is freed as soon as nothing else
@@ -249,8 +250,11 @@ class Tape:
         target is a leaf, which accumulates only into ``.grad``; the
         scratch dict never holds it, so it is empty when the sweep ends.
         """
+        if self._swept:
+            raise RuntimeError("this tape was already swept; a tape is swept once")
         if loss.values.size != 1:
             raise ValueError("backward requires a scalar loss tensor")
+        self._swept = True
         grads = self._grads = {}
         nodes = self._nodes
         if loss._node is None:

@@ -314,7 +314,7 @@ class PaddedBatch(Batch):
     only readers are the benchmark's batch hook
     (``bench/spans.py::_make_batches_hook``) and its capped-memory test,
     which needs the padded allocation to fail. The benchmark change that
-    deletes the padded batch (ROADMAP item 1) deletes this subclass.
+    deletes the padded batch (ROADMAP item 8) deletes this subclass.
     """
 
     adjacency: np.ndarray  # B x N x N
@@ -537,7 +537,7 @@ def make_batches(
     from ``batch_positions``. The padded batches this returns are read
     only by the benchmark: its batch hook (``bench/spans.py::_make_batches_hook``)
     and its capped-memory test. The benchmark change that deletes
-    ``PaddedBatch`` (ROADMAP item 1) makes this return ``Batch``.
+    ``PaddedBatch`` (ROADMAP item 8) makes this return ``Batch``.
     """
     return [PaddedBatch.of(ds, chunk)
             for chunk in batch_positions(ds, batch_size, shuffle_seed, subset)]
@@ -574,52 +574,8 @@ def kfold_split(ds: Dataset, folds: int, seed: int) -> list[tuple[np.ndarray, np
 
 
 # ---------------------------------------------------------------------------
-# binary formats: the dataset content hash and the checkpoint reader
+# the dataset content hash (checkpoints are numpy .npz archives: model.save_checkpoint)
 # ---------------------------------------------------------------------------
-
-class ByteReader:
-    """Sequential reader over a binary container held in memory.
-
-    Every read past the end, and any byte left over at ``finish``, raises
-    ``error`` (a named exception type of the caller) instead of numpy's
-    or struct's generic messages.
-    """
-
-    def __init__(self, raw: bytes, error: type[Exception], what: str):
-        self.view = memoryview(raw)
-        self.pos = 0
-        self.error = error
-        self.what = what
-
-    def take(self, size: int) -> memoryview:
-        if size < 0 or self.pos + size > len(self.view):
-            raise self.error(
-                f"truncated {self.what}: {size} bytes needed at offset {self.pos}, "
-                f"file has {len(self.view)}"
-            )
-        out = self.view[self.pos:self.pos + size]
-        self.pos += size
-        return out
-
-    def unpack(self, fmt: str) -> tuple:
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
-
-    def text(self, size: int) -> str:
-        at = self.pos
-        try:
-            return bytes(self.take(size)).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise self.error(f"{self.what} text at offset {at} is not UTF-8") from exc
-
-    def array(self, dtype: str, count: int) -> np.ndarray:
-        dtype = np.dtype(dtype)
-        return np.frombuffer(self.take(dtype.itemsize * count), dtype=dtype).copy()
-
-    def finish(self) -> None:
-        extra = len(self.view) - self.pos
-        if extra:
-            raise self.error(f"{extra} trailing bytes after the {self.what}")
-
 
 def dataset_hash(ds: Dataset) -> str:
     """The sha256 of the store, in hex: the content hash a cached fold or checkpoint is checked against.

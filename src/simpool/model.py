@@ -29,14 +29,13 @@ from __future__ import annotations
 
 import math
 import os
-import struct
 from dataclasses import dataclass, replace
 from numbers import Integral
 
 import numpy as np
 
 from . import autodiff as ad
-from .data import Batch, ByteReader, require_integer
+from .data import Batch, require_integer
 from .layers import (
     Dense,
     Edges,
@@ -63,10 +62,7 @@ __all__ = [
     "SimPoolModel",
     "save_checkpoint",
     "load_checkpoint",
-    "CHECKPOINT_MAGIC",
 ]
-
-CHECKPOINT_MAGIC = b"SPM1"
 
 # what the assignment nets read: top-k structural features, node features, or both
 ASSIGN_INPUTS = ("structural", "node", "both")
@@ -340,28 +336,19 @@ def _row_softmax_float64(logits: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def save_checkpoint(path, model: SimPoolModel) -> None:
-    """Versioned binary container of named parameter tensors, stored as ``<f8`` in any precision.
+    """Write the parameters as an ``.npz`` archive, one ``<f8`` member per name, in any precision.
 
-    The container is written to ``<path>.tmp.<pid>``, flushed to disk, and
-    then replaces ``path`` in one step, so ``path`` holds the old or the new
-    checkpoint, never part of one. A write that raises removes the
-    temporary file.
+    Each member carries a CRC-32. The archive goes through an open handle (``np.savez``
+    would append ``.npz`` to a path string) to ``<path>.tmp.<pid>``, is flushed to disk
+    and then replaces ``path`` in one step, so ``path`` holds the old or the new
+    checkpoint, never part of one. A write that raises removes the temporary file.
     """
     path = os.fspath(path)
     params = model.parameters()
     tmp = f"{path}.tmp.{os.getpid()}"
     try:
         with open(tmp, "wb") as fh:
-            fh.write(CHECKPOINT_MAGIC)
-            fh.write(struct.pack("<qq", 1, len(params)))
-            for name, tensor in params.items():
-                encoded = name.encode("utf-8")
-                arr = np.ascontiguousarray(tensor.values, dtype="<f8")
-                fh.write(struct.pack("<q", len(encoded)))
-                fh.write(encoded)
-                fh.write(struct.pack("<q", arr.ndim))
-                fh.write(struct.pack(f"<{arr.ndim}q", *arr.shape))
-                fh.write(arr.tobytes())
+            np.savez(fh, **{name: np.asarray(t.values, dtype="<f8") for name, t in params.items()})
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -372,35 +359,33 @@ def save_checkpoint(path, model: SimPoolModel) -> None:
 
 
 def load_checkpoint(path, model: SimPoolModel) -> None:
-    """Restore parameters in place, in the model's dtype; names and shapes must match exactly."""
+    """Restore parameters in place, in the model's dtype, from a ``save_checkpoint`` archive.
+
+    Names must match the model's exactly, and every member must be a float64 array of its
+    parameter's shape; anything else, and any failed read (not an archive, truncated, a
+    CRC mismatch, a pickled member), raises ``ConfigError``. The model changes only once
+    every check passes.
+    """
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if raw[:4] != CHECKPOINT_MAGIC:
-        raise ConfigError(f"bad checkpoint magic {raw[:4]!r}")
-    reader = ByteReader(raw, ConfigError, "checkpoint")
-    reader.take(4)
-    version, count = reader.unpack("<qq")
-    if version != 1:
-        raise ConfigError(f"unsupported checkpoint version {version}")
-    loaded: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (name_len,) = reader.unpack("<q")
-        name = reader.text(name_len)
-        (ndim,) = reader.unpack("<q")
-        shape = tuple(int(d) for d in reader.array("<i8", ndim))
-        if any(d < 0 for d in shape):
-            raise ConfigError(f"checkpoint tensor {name} has negative shape {shape}")
-        size = math.prod(shape)
-        loaded[name] = reader.array("<f8", size).reshape(shape)
-    reader.finish()
+        try:
+            archive = np.load(fh, allow_pickle=False)
+            if not isinstance(archive, np.lib.npyio.NpzFile):
+                raise ValueError("a lone .npy array, not an .npz archive")
+            with archive:
+                loaded = dict(archive.items())
+        # one flipped header byte raises BadZipFile, EOFError, ValueError or NotImplementedError
+        # (a method, version or flag field), and numpy and zipfile name no common base
+        except Exception as exc:
+            raise ConfigError(f"unreadable checkpoint {os.fspath(path)!r}: {exc}") from exc
     params = model.parameters()
     if set(params) != set(loaded):
         missing = sorted(set(params) ^ set(loaded))
         raise ConfigError(f"checkpoint incompatible with model; mismatched names: {missing[:4]}")
     for name, tensor in params.items():
-        if loaded[name].shape != tensor.values.shape:
-            raise ConfigError(
-                f"checkpoint tensor {name} has shape {loaded[name].shape}, "
-                f"expected {tensor.values.shape}"
-            )
+        values, expected = loaded[name], ("float64", tensor.values.shape)
+        # a member without the .npy suffix reads back as raw bytes
+        got = (str(values.dtype), values.shape) if isinstance(values, np.ndarray) else "raw bytes"
+        if got != expected:
+            raise ConfigError(f"checkpoint tensor {name} is {got}, expected {expected}")
+    for name, tensor in params.items():
         tensor.values[...] = loaded[name]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, astuple, dataclass, field, fields
 
 import numpy as np
@@ -115,6 +116,8 @@ class Adam:
     """
 
     def __init__(self, params: dict[str, ad.Tensor], lr: float):
+        if not 0 < lr < math.inf:  # also false for nan
+            raise ValueError(f"lr must be positive and finite, got {lr!r}")
         self.params = params
         self.lr = lr
         self.t = 0
@@ -193,7 +196,8 @@ def train_run(cfg: TrainConfig, ds: Dataset, fold: int = 0, mapped=None,
     gradient ends the run before that step's update, with ``aborted`` set.
     Returns the stats stream and the trained model.
     """
-    if not 0 <= fold < cfg.folds:
+    require_integer("fold", fold, 0)
+    if fold >= cfg.folds:
         raise ValueError(f"fold {fold} outside [0, {cfg.folds})")
     splits = kfold_split(ds, cfg.folds, cfg.seed)
     train_idx, val_idx = splits[fold]

@@ -421,6 +421,22 @@ class TestTapeSemantics:
         g = 1.0 - np.tanh(x.values @ x.values) ** 2
         np.testing.assert_allclose(x.grad, g @ x.values.T + x.values.T @ g, rtol=1e-5)
 
+    def test_second_backward_on_a_swept_tape_raises(self):
+        # a second sweep used to return silently and leave the gradient stale
+        x = ad.parameter(np.array([[1.0]]))
+        with ad.Tape() as tape:
+            loss = ad.sum_all(ad.multiply(x, x))
+            tape.backward(loss)
+            with pytest.raises(RuntimeError, match="a tape is swept once"):
+                tape.backward(loss)
+        np.testing.assert_array_equal(x.grad, [[2.0]])
+        leaf = ad.parameter(np.array([[3.0]]))
+        with ad.Tape() as tape:
+            tape.backward(leaf)  # a loss that is not an op output
+            with pytest.raises(RuntimeError, match="a tape is swept once"):
+                tape.backward(leaf)
+        np.testing.assert_array_equal(leaf.grad, [[1.0]])
+
     def test_backward_deterministic(self):
         rng = np.random.default_rng(3)
         base = rng.normal(size=(6, 6))

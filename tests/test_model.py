@@ -1,7 +1,8 @@
 """Tests for the assembled pooling model, presets, and checkpoints."""
 
 import hashlib
-import struct
+import re
+import zipfile
 from dataclasses import replace
 
 import numpy as np
@@ -486,6 +487,19 @@ class TestPermutationBehaviour:
             np.testing.assert_allclose(probs(rng.permutation), base, rtol=1e-12, atol=1e-12)
 
 
+def params_of(model):
+    return {name: t.values.copy() for name, t in model.parameters().items()}
+
+
+def params_bytes(model):
+    return {name: t.values.tobytes() for name, t in model.parameters().items()}
+
+
+def write_archive(path, members):
+    with open(path, "wb") as fh:
+        np.savez(fh, **members)
+
+
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(9)
@@ -511,7 +525,7 @@ class TestCheckpoint:
         before = path.read_bytes()
         other = tiny_model(seed=2)
         if failure == "mid_write":
-            # a name that cannot be encoded raises after the header is written
+            # a name zip cannot encode raises after the other members are written
             params = {**other.parameters(), "\ud800": other.parameters()["z.enc.node_mlp.w"]}
             monkeypatch.setattr(other, "parameters", lambda: params)
             error = UnicodeEncodeError
@@ -563,42 +577,106 @@ class TestCheckpoint:
         with pytest.raises(ConfigError):
             load_checkpoint(path, tiny_model())
 
-    def test_truncated_or_padded_file_rejected(self, tmp_path):
+    def test_truncated_file_rejected(self, tmp_path):
         model = tiny_model(seed=1)
         path = tmp_path / "model.spm"
         save_checkpoint(path, model)
         raw = path.read_bytes()
-        # cut inside the version/count header, cut inside the last tensor, one extra byte
-        for damaged, message in ((raw[:12], "truncated"), (raw[:-5], "truncated"),
-                                 (raw + b"\x00", "trailing")):
+        # cut inside the first member's header, inside the data, inside the end records
+        for damaged in (raw[:12], raw[:len(raw) // 2], raw[:-5]):
             path.write_bytes(damaged)
-            with pytest.raises(ConfigError, match=message):
+            with pytest.raises(ConfigError, match="unreadable checkpoint"):
                 load_checkpoint(path, tiny_model())
 
-    def test_negated_shape_rejected(self, tmp_path):
+    def test_flipped_data_byte_rejected(self, tmp_path):
+        # the members' CRC-32s catch what the old container loaded as different values
         model = tiny_model(seed=1)
         path = tmp_path / "model.spm"
         save_checkpoint(path, model)
-        raw = bytearray(path.read_bytes())
-        name, tensor = next(iter(model.parameters().items()))
-        at = 4 + 16 + 8 + len(name.encode())  # magic, version and count, the name's length, the name
-        assert struct.unpack_from("<q", raw, at)[0] == tensor.values.ndim == 2
-        shape = struct.unpack_from("<2q", raw, at + 8)
-        assert shape == tensor.values.shape
-        # (3, 8) written as (-3, -8) keeps the entry count, so only the shape check can catch it
-        struct.pack_into("<2q", raw, at + 8, -shape[0], -shape[1])
-        path.write_bytes(bytes(raw))
-        with pytest.raises(ConfigError, match=f"tensor {name} has negative shape"):
+        raw = path.read_bytes()
+        fresh = tiny_model(seed=2)
+        before = params_bytes(fresh)
+        for name, tensor in model.parameters().items():
+            data = tensor.values.astype("<f8").tobytes()
+            at = raw.find(data)
+            assert at > 0 and raw.find(data, at + 1) < 0
+            for offset in {0, len(data) // 2, len(data) - 1}:
+                damaged = bytearray(raw)
+                damaged[at + offset] ^= 0x10
+                path.write_bytes(bytes(damaged))
+                with pytest.raises(ConfigError, match="Bad CRC-32"):
+                    load_checkpoint(path, fresh)
+        assert params_bytes(fresh) == before
+
+    def test_flipped_header_byte_raises_or_changes_nothing(self, tmp_path):
+        # every byte of the first member's zip and .npy headers, of the last member's
+        # central-directory entry and of the archive's end records
+        model = tiny_model(seed=1)
+        path = tmp_path / "model.spm"
+        save_checkpoint(path, model)
+        raw = path.read_bytes()
+        first = raw.find(next(iter(model.parameters().values())).values.astype("<f8").tobytes())
+        last_entry = raw.rfind(b"PK\x01\x02")
+        expected = params_bytes(model)
+        fresh = tiny_model(seed=2)
+        for at in (*range(first), *range(last_entry, len(raw))):
+            damaged = bytearray(raw)
+            damaged[at] ^= 0xFF
+            path.write_bytes(bytes(damaged))
+            try:
+                load_checkpoint(path, fresh)
+            except ConfigError:
+                continue
+            # a timestamp or an attribute field: the values read are the values written
+            assert params_bytes(fresh) == expected, at
+
+    def test_lone_npy_file_rejected(self, tmp_path):
+        path = tmp_path / "model.spm"
+        with open(path, "wb") as fh:
+            np.save(fh, np.ones((3, 8)))
+        with pytest.raises(ConfigError, match="a lone .npy array, not an .npz archive"):
             load_checkpoint(path, tiny_model())
 
-    def test_undecodable_parameter_name_rejected(self, tmp_path):
+    def test_pickled_member_rejected(self, tmp_path):
         model = tiny_model(seed=1)
+        members = params_of(model)
+        members[next(iter(members))] = np.array([{"w": 1.0}], dtype=object)
         path = tmp_path / "model.spm"
-        save_checkpoint(path, model)
-        raw = bytearray(path.read_bytes())
-        first_name = 4 + 16 + 8  # magic, version and count, the name's length
-        assert raw[first_name:first_name + 2] == b"z."
-        raw[first_name] = 0xFF  # never a byte of UTF-8
-        path.write_bytes(bytes(raw))
-        with pytest.raises(ConfigError, match="offset 28 is not UTF-8"):
-            load_checkpoint(path, tiny_model())
+        write_archive(path, members)
+        with pytest.raises(ConfigError, match="allow_pickle=False"):
+            load_checkpoint(path, model)
+
+    @pytest.mark.parametrize("dtype", ("float32", "int64", ">f8", "raw bytes"))
+    def test_member_must_be_float64(self, tmp_path, dtype):
+        model = tiny_model(seed=1)
+        members = params_of(model)
+        name = next(iter(members))
+        path = tmp_path / "model.spm"
+        if dtype == "raw bytes":
+            # a member without the .npy suffix reads back as its bytes, under its own name
+            write_archive(path, {k: v for k, v in members.items() if k != name})
+            with zipfile.ZipFile(path, "a") as archive:
+                archive.writestr(name, members[name].tobytes())
+        else:
+            members[name] = members[name].astype(dtype)
+            write_archive(path, members)
+        with pytest.raises(ConfigError, match=f"tensor {name} is .*, expected \\('float64'"):
+            load_checkpoint(path, model)
+
+    def test_wrong_shape_rejected_and_the_model_left_unchanged(self, tmp_path):
+        model = tiny_model(seed=1)
+        members = params_of(model)
+        # the last tensor transposed keeps its entry count, so only the shape check can
+        # catch it, after every other tensor has passed
+        name = list(members)[-1]
+        shape = members[name].shape
+        members[name] = np.ascontiguousarray(members[name].T)
+        assert members[name].shape != shape
+        path = tmp_path / "model.spm"
+        write_archive(path, members)
+        fresh = tiny_model(seed=2)
+        before = params_bytes(fresh)
+        message = f"tensor {name} is ('float64', {shape[::-1]}), expected ('float64', {shape})"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            load_checkpoint(path, fresh)
+        assert params_bytes(fresh) == before

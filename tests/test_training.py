@@ -80,6 +80,13 @@ class TestAdam:
         # updates settle at -lr * sign(g) = +lr
         np.testing.assert_allclose(deltas[-1], lr, rtol=1e-3)
 
+    def test_learning_rate_must_be_positive_and_finite(self):
+        # nan used to turn every parameter to nan on the first step
+        p = ad.parameter(np.ones((2, 2)))
+        for lr in (float("nan"), -1.0, 0.0, float("inf")):
+            with pytest.raises(ValueError, match="^lr must be positive and finite"):
+                Adam({"p": p}, lr=lr)
+
     def test_non_finite_gradient_names_parameter(self):
         p = ad.parameter(np.ones((2, 2)))
         opt = Adam({"weird_param": p}, lr=0.1)
@@ -232,8 +239,12 @@ class TestTrainRun:
         assert stats.max_val_acc >= stats.epochs[0].val_acc
 
     def test_invalid_fold_rejected(self, toy_dataset):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^fold 7 outside \[0, 5\)"):
             train_run(small_config(), toy_dataset, fold=7)
+        # True used to train fold 1, and 1.5 failed with a bare TypeError from splits[1.5]
+        for value in (True, 1.5, float("nan"), -1, "0"):
+            with pytest.raises(ValueError, match="^fold must be an integer >= 0"):
+                train_run(small_config(), toy_dataset, fold=value)
 
     def test_unknown_assign_inputs_rejected_before_preprocessing(self, toy_dataset, monkeypatch):
         def preprocess_dataset(*args, **kwargs):
