@@ -26,6 +26,8 @@ dtypes.
 from __future__ import annotations
 
 import hashlib
+import math
+import mmap
 import os
 import struct
 import warnings
@@ -305,6 +307,37 @@ class Batch:
         return np.diff(self.edges.node_offsets)
 
 
+# numpy's huge-page threshold: numpy advises transparent huge pages
+# (madvise MADV_HUGEPAGE) for every buffer of 4 MiB or more. Below it numpy
+# gives none, and glibc reuses heap pages, so smaller buffers stay np.zeros.
+HUGE_PAGE_ADVICE_BYTES = 4 << 20
+
+
+def _zeros_committed_on_write(shape: tuple[int, ...]) -> np.ndarray:
+    """float64 zeros of ``shape`` in C order whose 4 KiB pages become resident when written.
+
+    From ``HUGE_PAGE_ADVICE_BYTES`` up they are a private anonymous mapping
+    advised against huge pages. It reserves its address space in full, as
+    ``calloc`` does, so a shape over an ``RLIMIT_AS`` cap raises
+    ``MemoryError`` here.
+    """
+    nbytes = math.prod(shape) * np.dtype(np.float64).itemsize
+    if nbytes < HUGE_PAGE_ADVICE_BYTES:
+        return np.zeros(shape)
+    try:
+        # MAP_PRIVATE: the default flags make a shared (shmem) mapping, slower to fault in
+        buffer = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    except OSError as error:
+        raise MemoryError(f"cannot reserve {nbytes} bytes for a float64 array of shape "
+                          f"{shape}: {error}") from error
+    if hasattr(mmap, "MADV_NOHUGEPAGE"):  # so that THP mode "always" behaves as "madvise"
+        try:
+            buffer.madvise(mmap.MADV_NOHUGEPAGE)
+        except OSError:  # a kernel without transparent huge pages rejects the advice
+            pass
+    return np.frombuffer(buffer, dtype=np.float64).reshape(shape)
+
+
 @dataclass(frozen=True)
 class PaddedBatch(Batch):
     """A ``Batch`` with a dense copy of its graphs, zero-padded to the largest one.
@@ -315,6 +348,14 @@ class PaddedBatch(Batch):
     (``bench/spans.py::_make_batches_hook``) and its capped-memory test,
     which needs the padded allocation to fail. The benchmark change that
     deletes the padded batch (ROADMAP item 8) deletes this subclass.
+
+    Memory: ``adjacency`` reserves its whole B N^2 x 8 bytes of address
+    space, so a batch over an address-space cap raises ``MemoryError`` when
+    it is built, but only the 4 KiB pages its edges are written to become
+    resident. From numpy it would get huge-page advice (every buffer of 4
+    MiB or more), and under THP mode ``madvise`` each 2 MiB region a sparse
+    scatter touched would be a whole zeroed huge page: 104 MiB for a
+    20-graph batch holding a 3,000-node ring, against 13 MB on 4 KiB pages.
     """
 
     adjacency: np.ndarray  # B x N x N
@@ -327,8 +368,9 @@ class PaddedBatch(Batch):
         counts, edges = union.node_counts(), union.edges
         slot = np.repeat(np.arange(counts.size), counts)
         local = np.arange(edges.node_count) - np.repeat(edges.node_offsets[:-1], counts)
-        adjacency = np.zeros((counts.size, counts.max(), counts.max()))
-        mask = np.zeros((counts.size, counts.max()))
+        n = int(counts.max())
+        adjacency = _zeros_committed_on_write((counts.size, n, n))
+        mask = np.zeros((counts.size, n))
         adjacency[slot[edges.senders], local[edges.senders], local[edges.receivers]] = 1.0
         mask[slot, local] = 1.0
         return cls(**vars(union), adjacency=adjacency, node_mask=mask)
@@ -538,6 +580,12 @@ def make_batches(
     only by the benchmark: its batch hook (``bench/spans.py::_make_batches_hook``)
     and its capped-memory test. The benchmark change that deletes
     ``PaddedBatch`` (ROADMAP item 8) makes this return ``Batch``.
+
+    Each padded ``adjacency`` reserves its address space in full and
+    commits only the 4 KiB pages its edges are written to (see
+    ``PaddedBatch``): numpy would advise huge pages for it, and under THP
+    mode ``madvise`` a sparse scatter would then commit whole zeroed 2 MiB
+    pages. A batch past an address-space cap raises ``MemoryError``.
     """
     return [PaddedBatch.of(ds, chunk)
             for chunk in batch_positions(ds, batch_size, shuffle_seed, subset)]

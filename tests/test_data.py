@@ -1,6 +1,9 @@
 """Tests for dataset loading, batching, folds, and the content hash."""
 
 import dataclasses
+import errno
+import mmap
+import os
 import re
 import tracemalloc
 
@@ -9,6 +12,7 @@ import pytest
 import scipy.sparse as sp
 
 from simpool.data import (
+    HUGE_PAGE_ADVICE_BYTES,
     Batch,
     Dataset,
     DatasetFormatError,
@@ -34,6 +38,17 @@ from conftest import (
     write_tu_dataset,
 )
 from oracles import tu_graphs_one_by_one
+
+
+def sparse_ring(n):
+    """The n-node ring as a CSR matrix, with no dense n x n copy."""
+    i = np.arange(n)
+    j = (i + 1) % n
+    return sp.csr_matrix((np.ones(2 * n), (np.r_[i, j], np.r_[j, i])), shape=(n, n))
+
+
+def rings(*sizes):
+    return dataset_of([(sparse_ring(n), np.ones((n, 1)), 0) for n in sizes], name="RINGS")
 
 
 def is_symmetric(graph):
@@ -584,6 +599,57 @@ class TestBatches:
             np.testing.assert_array_equal(padded.adjacency[slot, :n, :n], g.adjacency.toarray())
             np.testing.assert_array_equal(padded.node_mask[slot], np.arange(7) < n)
         assert padded.adjacency.sum() == sum(g.adjacency.sum() for g in graphs)
+
+    def test_padded_copy_commits_only_the_pages_it_writes(self):
+        # the padded copy reserves 20 x 3000^2 float64, 1.44 GB, and its ones touch
+        # about 13 MB of 4 KiB pages; zeroed 2 MiB huge pages would commit about 109 MB
+        statm = "/proc/self/statm"
+        if not os.path.exists(statm):
+            pytest.skip("resident memory is read from /proc/self/statm")
+
+        def resident_bytes():
+            with open(statm) as fh:
+                return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+        ds = rings(3000, *[8] * 19)
+        before = resident_bytes()
+        (batch,) = make_batches(ds, batch_size=20)
+        grown = resident_bytes() - before
+        assert batch.adjacency.shape == (20, 3000, 3000) and batch.adjacency.dtype == np.float64
+        assert grown < 40e6, f"resident memory grew by {grown / 1e6:.1f} MB"
+        assert batch.adjacency.flags.c_contiguous and batch.adjacency.flags.writeable
+        rows, cols = np.nonzero(batch.adjacency[0])
+        assert rows.size == 6000
+        assert np.all(((cols - rows) % 3000 == 1) | ((rows - cols) % 3000 == 1))
+
+    def test_padded_copy_past_the_threshold_holds_the_bytes_of_zeros(self):
+        # 3 x 800^2 float64 is 15 MB, past numpy's 4 MiB huge-page threshold, so the
+        # copy is mapped; it must hold the bytes a zeroed numpy array would
+        ds = dataset_of([(random_graph(np.random.default_rng(1), 800, 0.01), np.ones((800, 1)), 0),
+                         (sparse_ring(5), np.ones((5, 1)), 1),
+                         (np.zeros((1, 1)), np.ones((1, 1)), 0)], name="MAPPED")
+        (batch,) = make_batches(ds, batch_size=3)
+        want = np.zeros((3, 800, 800))
+        for slot, g in enumerate(ds.graphs):
+            want[slot, :g.node_count, :g.node_count] = g.adjacency.toarray()
+        assert batch.adjacency.nbytes >= HUGE_PAGE_ADVICE_BYTES
+        assert batch.adjacency.dtype == want.dtype and batch.adjacency.shape == want.shape
+        assert batch.adjacency.tobytes() == want.tobytes()
+
+    def test_padded_copy_past_the_address_space_raises_memory_error(self, monkeypatch):
+        # a mapping refused under an RLIMIT_AS cap raises OSError(ENOMEM); the
+        # benchmark counts a failed step by MemoryError, as numpy's own zeros raise
+        def refuse(*args, **kwargs):
+            raise OSError(errno.ENOMEM, os.strerror(errno.ENOMEM))
+
+        monkeypatch.setattr(mmap, "mmap", refuse)
+        ds = rings(1000, 8)
+        with pytest.raises(MemoryError, match=r"shape \(2, 1000, 1000\)") as caught:
+            make_batches(ds, batch_size=2)
+        assert isinstance(caught.value.__cause__, OSError)
+        # under numpy's 4 MiB huge-page threshold the copy is numpy's zeros, never mapped
+        (small,) = make_batches(ds, batch_size=1, subset=[1])
+        assert small.adjacency.shape == (1, 8, 8) and small.adjacency.sum() == 16
 
     def test_subset_must_be_integer_positions(self, toy_dataset):
         # read as positions, a mask would pick graphs 0 and 1 and a float array truncate

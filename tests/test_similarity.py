@@ -379,19 +379,19 @@ class TestPreprocessDataset:
 
     def test_runs_cut_between_whole_graphs(self):
         # a complete graph on 20 nodes costs 20 * 19^2 Gram multiply-adds
-        graphs = dataset_of([(np.ones((20, 20)) - np.eye(20), np.ones((20, 1)), 0)] * 9).graphs
+        graphs = dataset_of([(np.ones((20, 20)) - np.eye(20), np.ones((20, 1)), 0)] * 40).graphs
         per_run = similarity.GRAM_RUN_MULTIPLY_ADDS // (20 * 19**2)
-        assert 1 < per_run < 9
+        assert 1 < per_run < 40
         runs = graph_runs(graphs)
-        assert runs[0] == (0, per_run) and runs[-1][1] == 9
+        assert runs[0] == (0, per_run) and runs[-1][1] == 40
         assert all(a[1] == b[0] for a, b in zip(runs[:-1], runs[1:]))
         assert graph_runs([]) == []
 
     def test_peak_memory_is_a_few_runs_not_the_dataset(self):
-        # 120 equal complete graphs: each run's Gram temporaries are per-run, only
+        # 400 equal complete graphs: each run's Gram temporaries are per-run, only
         # the n x k outputs add up over the dataset
         clique = sp.csr_matrix(np.ones((20, 20)) - np.eye(20))
-        ds = dataset_of([(clique, np.ones((20, 1)), 0)] * 120, name="CLIQUES")
+        ds = dataset_of([(clique, np.ones((20, 1)), 0)] * 400, name="CLIQUES")
         cfg = resolve_preset("enzymes").sim
         runs = graph_runs(ds.graphs)
         assert len(runs) >= 20
