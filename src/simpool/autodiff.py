@@ -7,16 +7,18 @@ visits each recorded node exactly once and releases it. Every tensor is
 2-D: scalars and vectors are stored as 1 x 1 and n x 1, so no operation
 checks ranks.
 
-The tape holds node numbers and closures, never an op's output. A
-recorded op's output gets a node number, and its closure holds only
-what its backward formula reads: an operand's values where the formula
-multiplies by them, its own output where the derivative is a function of
-it (``tanh``, ``relu``, ``row_softmax``, ...), and otherwise shapes,
-indices or a constant matrix. It holds no ``Tensor`` either, only where
-each parent's gradient goes: the node number of an op output, the leaf
-itself, or nothing for a constant, whose gradient no closure computes. So
-an op output whose values no formula reads is freed as soon as the
-forward code drops it.
+The tape holds node numbers and closures, never an op's output. Every
+primitive but ``edge_aggregate`` records through ``_op``: it computes
+the forward values and states, for each parent, a formula that maps the
+output's gradient to that parent's. ``_op`` keeps a formula only for a
+parent whose gradient goes somewhere: the node number of an op output,
+or the leaf itself. A constant's formula is dropped, and with it every
+array only that formula read. A formula captures only what it reads: an
+operand's values where it multiplies by them, the op's own output where
+the derivative is a function of it (``tanh``, ``relu``, ``row_softmax``,
+...), and otherwise shapes, indices or a constant matrix, never a
+``Tensor``. So an op output whose values no kept formula reads is freed
+as soon as the forward code drops it.
 
 Every tensor holds the tape dtype, float32 unless a ``precision(np.float64)``
 block is open. ``Tensor`` casts what it is given, ``incidence`` builds in
@@ -306,10 +308,13 @@ def _record(op_name: str, out: Tensor, parents: Sequence[Tensor], backward) -> T
     The open tape keeps the number and the closure, not ``out`` or ``parents``.
     """
     tape = _CURRENT_TAPE
-    if tape is not None and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._node = node = next(_NODE_NUMBERS)
-        tape._nodes.append((node, backward))
+    if tape is not None:
+        for p in parents:
+            if p.requires_grad:
+                out.requires_grad = True
+                out._node = node = next(_NODE_NUMBERS)
+                tape._nodes.append((node, backward))
+                break
     return out
 
 
@@ -321,11 +326,39 @@ def _target(t: Tensor):
     return t if t.requires_grad else None
 
 
-def _operands(a: Tensor, b: Tensor):
-    """The gradient targets of a product's operands, and each operand's values where the
-    other operand's gradient reads them (None where that gradient is not computed)."""
-    ta, tb = _target(a), _target(b)
-    return ta, tb, (a.values if tb is not None else None), (b.values if ta is not None else None)
+def _op(op_name: str, values: np.ndarray, grads) -> Tensor:
+    """The op output ``values``, recorded with the gradient formulas its parents need.
+
+    ``grads`` holds one (parent, formula) pair per parent, and a formula
+    maps the output's gradient to that parent's. Outside a tape the output
+    is returned at once. Inside one, the closure handed to ``_record``
+    keeps a formula only where its parent's gradient goes somewhere
+    (``_target``): a constant's formula is dropped, and with it every
+    array only that formula read.
+
+    The capture rule: a formula captures only the arrays it reads, and no
+    ``Tensor``. Bind a shape it needs to a name of its own, because a
+    lambda that reads ``av.shape`` keeps ``av`` alive.
+
+    The closure spells out one and two kept formulas, as nearly every op
+    has: a comprehension would cost the backward sweep a frame per node.
+    """
+    out = Tensor._raw(values)
+    if _CURRENT_TAPE is None:
+        return out
+    parents, kept = [], []
+    for p, formula in grads:
+        parents.append(p)
+        t = _target(p)
+        if t is not None:
+            kept.append((t, formula))
+    if len(kept) == 1:
+        ((t, f),) = kept
+        return _record(op_name, out, parents, lambda g: ((t, f(g)),))
+    if len(kept) == 2:
+        (t, f), (u, h) = kept
+        return _record(op_name, out, parents, lambda g: ((t, f(g)), (u, h(g))))
+    return _record(op_name, out, parents, lambda g: [(t, f(g)) for t, f in kept])
 
 
 def _check_dtypes(name: str, a, b) -> None:
@@ -369,19 +402,8 @@ def matmul(a: Tensor, b: Tensor, segments: np.ndarray | None = None) -> Tensor:
     if av.shape[1] != bv.shape[0]:
         raise ValueError(f"matmul shape mismatch: {av.shape} @ {bv.shape}")
     _check_dtypes("matmul", av, bv)
-    ta, tb, a_read, b_read = _operands(a, b)
     if segments is None:
-        out = Tensor._raw(av @ bv)
-
-        def backward(g):
-            grads = []
-            if ta is not None:
-                grads.append((ta, g @ b_read.T))
-            if tb is not None:
-                grads.append((tb, a_read.T @ g))
-            return grads
-
-        return _record("matmul", out, (a, b), backward)
+        return _op("matmul", av @ bv, ((a, lambda g: g @ bv.T), (b, lambda g: av.T @ g)))
 
     segments = np.asarray(segments)
     sizes = np.diff(segments)
@@ -412,33 +434,23 @@ def matmul(a: Tensor, b: Tensor, segments: np.ndarray | None = None) -> Tensor:
 
     out = np.empty((count * r, m), dtype=av.dtype)
     products(blocks(av, True), blocks(bv, False), out.reshape(count, r, m))
-    out = Tensor._raw(out)
     a_shape, b_shape, dtype = av.shape, bv.shape, av.dtype
 
-    def segmented_backward(g):
-        grads = []
-        g_blocks = g.reshape(count, r, m)
-        if ta is not None:
-            ga = np.empty(a_shape, dtype=dtype)
-            products(g_blocks, transposed(blocks(b_read, False)), blocks(ga, True))
-            grads.append((ta, ga))
-        if tb is not None:
-            gb = np.empty(b_shape, dtype=dtype)
-            products(transposed(blocks(a_read, True)), g_blocks, blocks(gb, False))
-            grads.append((tb, gb))
-        return grads
+    def grad_a(g):
+        ga = np.empty(a_shape, dtype=dtype)
+        products(g.reshape(count, r, m), transposed(blocks(bv, False)), blocks(ga, True))
+        return ga
 
-    return _record("matmul", out, (a, b), segmented_backward)
+    def grad_b(g):
+        gb = np.empty(b_shape, dtype=dtype)
+        products(transposed(blocks(av, True)), g.reshape(count, r, m), blocks(gb, False))
+        return gb
+
+    return _op("matmul", out, ((a, grad_a), (b, grad_b)))
 
 
 def transpose(a: Tensor) -> Tensor:
-    out = Tensor._raw(a.values.T.copy())
-    ta = _target(a)
-
-    def backward(g):
-        return ((ta, g.T),)
-
-    return _record("transpose", out, (a,), backward)
+    return _op("transpose", a.values.T.copy(), ((a, lambda g: g.T),))
 
 
 def _broadcast_grad(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -460,60 +472,30 @@ def _check_broadcast(name: str, av: np.ndarray, bv: np.ndarray) -> None:
 def add(a: Tensor, b: Tensor) -> Tensor:
     av, bv = a.values, b.values
     _check_broadcast("add", av, bv)
-    out = Tensor._raw(av + bv)
-    targets = [(t, shape) for t, shape in ((_target(a), av.shape), (_target(b), bv.shape))
-               if t is not None]
-
-    def backward(g):
-        return [(t, _broadcast_grad(g, shape)) for t, shape in targets]
-
-    return _record("add", out, (a, b), backward)
+    a_shape, b_shape = av.shape, bv.shape
+    return _op("add", av + bv, ((a, lambda g: _broadcast_grad(g, a_shape)),
+                                (b, lambda g: _broadcast_grad(g, b_shape))))
 
 
 def subtract(a: Tensor, b: Tensor) -> Tensor:
     av, bv = a.values, b.values
     _check_broadcast("subtract", av, bv)
-    out = Tensor._raw(av - bv)
-    ta, tb, a_shape, b_shape = _target(a), _target(b), av.shape, bv.shape
-
-    def backward(g):
-        grads = []
-        if ta is not None:
-            grads.append((ta, _broadcast_grad(g, a_shape)))
-        if tb is not None:
-            grads.append((tb, -_broadcast_grad(g, b_shape)))
-        return grads
-
-    return _record("subtract", out, (a, b), backward)
+    a_shape, b_shape = av.shape, bv.shape
+    return _op("subtract", av - bv, ((a, lambda g: _broadcast_grad(g, a_shape)),
+                                     (b, lambda g: -_broadcast_grad(g, b_shape))))
 
 
 def multiply(a: Tensor, b: Tensor) -> Tensor:
     av, bv = a.values, b.values
     _check_broadcast("multiply", av, bv)
-    out = Tensor._raw(av * bv)
-    ta, tb, a_read, b_read = _operands(a, b)
     a_shape, b_shape = av.shape, bv.shape
-
-    def backward(g):
-        grads = []
-        if ta is not None:
-            grads.append((ta, _broadcast_grad(g * b_read, a_shape)))
-        if tb is not None:
-            grads.append((tb, _broadcast_grad(g * a_read, b_shape)))
-        return grads
-
-    return _record("multiply", out, (a, b), backward)
+    return _op("multiply", av * bv, ((a, lambda g: _broadcast_grad(g * bv, a_shape)),
+                                     (b, lambda g: _broadcast_grad(g * av, b_shape))))
 
 
 def scalar_multiply(a: Tensor, c: float) -> Tensor:
     c = float(c)
-    out = Tensor._raw(a.values * c)
-    ta = _target(a)
-
-    def backward(g):
-        return ((ta, g * c),)
-
-    return _record("scalar_multiply", out, (a,), backward)
+    return _op("scalar_multiply", a.values * c, ((a, lambda g: g * c),))
 
 
 def concat_columns(tensors: Sequence[Tensor]) -> Tensor:
@@ -523,19 +505,10 @@ def concat_columns(tensors: Sequence[Tensor]) -> Tensor:
     for t in tensors:
         if t.shape[0] != rows:
             raise ValueError("concat_columns requires equal row counts")
-    out = Tensor._raw(np.concatenate([t.values for t in tensors], axis=1))
-    parts = [(_target(t), t.shape[1]) for t in tensors]
-
-    def backward(g):
-        outs = []
-        start = 0
-        for target, w in parts:
-            if target is not None:
-                outs.append((target, g[:, start:start + w]))
-            start += w
-        return outs
-
-    return _record("concat_columns", out, tuple(tensors), backward)
+    ends = itertools.accumulate(t.shape[1] for t in tensors)
+    return _op("concat_columns", np.concatenate([t.values for t in tensors], axis=1),
+               [(t, lambda g, lo=end - t.shape[1], hi=end: g[:, lo:hi])
+                for t, end in zip(tensors, ends)])
 
 
 def gather(a: Tensor, row_idx: np.ndarray, col_idx: np.ndarray) -> Tensor:
@@ -549,28 +522,22 @@ def gather(a: Tensor, row_idx: np.ndarray, col_idx: np.ndarray) -> Tensor:
         raise IndexError("gather row index out of bounds")
     if col_idx.size and (col_idx.min() < 0 or col_idx.max() >= m):
         raise IndexError("gather column index out of bounds")
-    out = Tensor._raw(a.values[row_idx, col_idx])
-    ta = _target(a)
 
-    def backward(g):
+    def grad(g):
         flat = row_idx.reshape(-1) * m + col_idx.reshape(-1)
-        return ((ta, (incidence(flat, n * m) @ g.reshape(-1, 1)).reshape(n, m)),)
+        return (incidence(flat, n * m) @ g.reshape(-1, 1)).reshape(n, m)
 
-    return _record("gather", out, (a,), backward)
+    return _op("gather", a.values[row_idx, col_idx], ((a, grad),))
 
 
 def gather_rows(a: Tensor, idx: np.ndarray) -> Tensor:
     """Select whole rows of a 2-D tensor; indices are constants."""
     idx = np.asarray(idx, dtype=np.intp).reshape(-1)
-    if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
+    rows = a.shape[0]
+    if idx.size and (idx.min() < 0 or idx.max() >= rows):
         raise IndexError("gather_rows index out of bounds")
-    out = Tensor._raw(np.take(a.values, idx, axis=0))
-    ta, rows = _target(a), a.shape[0]
-
-    def backward(g):
-        return ((ta, incidence(idx, rows) @ g),)
-
-    return _record("gather_rows", out, (a,), backward)
+    return _op("gather_rows", np.take(a.values, idx, axis=0),
+               ((a, lambda g: incidence(idx, rows) @ g),))
 
 
 def sparse_matmul(matrix, a: Tensor) -> Tensor:
@@ -585,13 +552,7 @@ def sparse_matmul(matrix, a: Tensor) -> Tensor:
     if matrix.shape[1] != a.shape[0]:
         raise ValueError(f"sparse_matmul shape mismatch: {matrix.shape} @ {a.shape}")
     _check_dtypes("sparse_matmul", matrix, a.values)
-    out = Tensor._raw(matrix @ a.values)
-    ta = _target(a)
-
-    def backward(g):
-        return ((ta, matrix.T @ g),)
-
-    return _record("sparse_matmul", out, (a,), backward)
+    return _op("sparse_matmul", matrix @ a.values, ((a, lambda g: matrix.T @ g),))
 
 
 def _tanh_grad_in_place(g: np.ndarray, pre: np.ndarray) -> None:
@@ -646,6 +607,11 @@ def edge_aggregate(p_recv: Tensor, p_send: Tensor, bias: Tensor, edges, activati
     gradient is the column sum of the ``p_recv`` gradient, which sums every
     edge once whatever the runs are. Every node's sums add in edge order,
     so outputs and gradients do not depend on the runs.
+
+    It is the one primitive that records its own closure through
+    ``_record`` rather than formulas through ``_op``: its three gradients
+    share one recomputation of each run's ``pre`` and ``g_pre``, and a
+    formula per parent would redo that pass for each.
     """
     if activation not in _EDGE_ACTIVATIONS:
         raise ValueError(f"unknown activation {activation!r}")
@@ -718,79 +684,41 @@ def row_softmax(a: Tensor) -> Tensor:
     e = np.exp(shifted)
     s = e / e.sum(axis=1, keepdims=True)
     s[s < np.finfo(s.dtype).tiny] = 0.0
-    out = Tensor._raw(s)
-    ta = _target(a)
-
-    def backward(g):
-        dot = (g * s).sum(axis=1, keepdims=True)
-        return ((ta, (g - dot) * s),)
-
-    return _record("row_softmax", out, (a,), backward)
+    return _op("row_softmax", s, ((a, lambda g: (g - (g * s).sum(axis=1, keepdims=True)) * s),))
 
 
 def tanh(a: Tensor) -> Tensor:
     t = np.tanh(a.values)
-    out = Tensor._raw(t)
-    ta = _target(a)
-
-    def backward(g):
-        return ((ta, g * (1.0 - t * t)),)
-
-    return _record("tanh", out, (a,), backward)
+    return _op("tanh", t, ((a, lambda g: g * (1.0 - t * t)),))
 
 
 def relu(a: Tensor) -> Tensor:
     """max(a, 0). The backward pass reads the output: max(a, 0) > 0 exactly where a > 0,
     NaN included."""
     r = np.maximum(a.values, 0.0)
-    out = Tensor._raw(r)
-    ta = _target(a)
-
-    def backward(g):
-        return ((ta, g * (r > 0.0)),)
-
-    return _record("relu", out, (a,), backward)
+    return _op("relu", r, ((a, lambda g: g * (r > 0.0)),))
 
 
 def log(a: Tensor) -> Tensor:
-    if np.any(a.values <= 0.0):
-        raise NumericError("log requires strictly positive input; clamp first")
     av = a.values
-    out = Tensor._raw(np.log(av))
-    ta = _target(a)
-
-    def backward(g):
-        return ((ta, g / av),)
-
-    return _record("log", out, (a,), backward)
+    if np.any(av <= 0.0):
+        raise NumericError("log requires strictly positive input; clamp first")
+    return _op("log", np.log(av), ((a, lambda g: g / av),))
 
 
 def sqrt(a: Tensor) -> Tensor:
     if np.any(a.values < 0.0):
         raise NumericError("sqrt of negative input")
     r = np.sqrt(a.values)
-    out = Tensor._raw(r)
-    ta = _target(a)
-
-    def backward(g):
-        # zero subgradient at the origin rather than the analytic +inf
-        safe = np.where(r == 0.0, 1.0, r)
-        return ((ta, g * 0.5 / safe * (r > 0.0)),)
-
-    return _record("sqrt", out, (a,), backward)
+    # zero subgradient at the origin rather than the analytic +inf
+    return _op("sqrt", r, ((a, lambda g: g * 0.5 / np.where(r == 0.0, 1.0, r) * (r > 0.0)),))
 
 
 def reciprocal(a: Tensor) -> Tensor:
     if np.any(a.values == 0.0):
         raise NumericError("reciprocal of zero entry")
     r = 1.0 / a.values
-    out = Tensor._raw(r)
-    ta = _target(a)
-
-    def backward(g):
-        return ((ta, -g * r * r),)
-
-    return _record("reciprocal", out, (a,), backward)
+    return _op("reciprocal", r, ((a, lambda g: -g * r * r),))
 
 
 def clamp_min(a: Tensor, floor: float) -> Tensor:
@@ -801,45 +729,27 @@ def clamp_min(a: Tensor, floor: float) -> Tensor:
     """
     floor = float(floor)
     r = np.maximum(a.values, floor)
-    out = Tensor._raw(r)
-    ta = _target(a)
-
-    def backward(g):
-        return ((ta, g * (r > floor)),)
-
-    return _record("clamp_min", out, (a,), backward)
+    return _op("clamp_min", r, ((a, lambda g: g * (r > floor)),))
 
 
 def sum_all(a: Tensor) -> Tensor:
-    out = Tensor._raw(np.array([[a.values.sum()]]))
-    ta, shape, dtype = _target(a), a.shape, a.values.dtype
-
-    def backward(g):
-        return ((ta, np.full(shape, float(g.reshape(-1)[0]), dtype=dtype)),)
-
-    return _record("sum_all", out, (a,), backward)
+    shape, dtype = a.shape, a.values.dtype
+    return _op("sum_all", np.array([[a.values.sum()]]),
+               ((a, lambda g: np.full(shape, float(g.reshape(-1)[0]), dtype=dtype)),))
 
 
 def row_sum(a: Tensor) -> Tensor:
     """Sum over columns; (n, m) -> (n, 1)."""
-    out = Tensor._raw(a.values.sum(axis=1, keepdims=True))
-    ta, shape = _target(a), a.shape
-
-    def backward(g):
-        return ((ta, np.broadcast_to(g, shape).copy()),)
-
-    return _record("row_sum", out, (a,), backward)
+    shape = a.shape
+    return _op("row_sum", a.values.sum(axis=1, keepdims=True),
+               ((a, lambda g: np.broadcast_to(g, shape).copy()),))
 
 
 def col_sum(a: Tensor) -> Tensor:
     """Sum over rows; (n, m) -> (1, m)."""
-    out = Tensor._raw(a.values.sum(axis=0, keepdims=True))
-    ta, shape = _target(a), a.shape
-
-    def backward(g):
-        return ((ta, np.broadcast_to(g, shape).copy()),)
-
-    return _record("col_sum", out, (a,), backward)
+    shape = a.shape
+    return _op("col_sum", a.values.sum(axis=0, keepdims=True),
+               ((a, lambda g: np.broadcast_to(g, shape).copy()),))
 
 
 # ---------------------------------------------------------------------------

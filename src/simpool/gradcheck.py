@@ -25,7 +25,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import autodiff as ad
-from .data import Batch, Dataset
+from .data import Batch, Dataset, require_integer
 from .layers import (
     Dense,
     Edges,
@@ -218,7 +218,17 @@ def run_suite(
     checks: list[str] | None = None,
     progress=None,
 ) -> list[CheckResult]:
-    """Run the finite-difference suite in float64; one result per component."""
+    """Run the finite-difference suite in float64; one result per component.
+
+    ``checks`` names the checks to run, all of ``SUITE_CHECKS`` when None.
+    An unknown name or fewer than one graph per check raises ``ValueError``,
+    so a suite that runs nothing never passes.
+    """
+    require_integer("graphs_per_check", graphs_per_check, 1)
+    if checks is not None:
+        unknown = [name for name in checks if name not in SUITE_CHECKS]
+        if unknown:
+            raise ValueError(f"unknown checks {unknown}; valid names: {list(SUITE_CHECKS)}")
     results = []
     for name, check in SUITE_CHECKS.items():
         if checks is not None and name not in checks:

@@ -30,7 +30,6 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, replace
-from numbers import Integral
 
 import numpy as np
 
@@ -93,11 +92,7 @@ class ModelPreset:
     def __post_init__(self):
         for size in ("gmn_units", "embed_units", "clusters_1", "clusters_2", "gcn1_units",
                      "s1_hidden", "gcn2_units", "epochs"):
-            value = getattr(self, size)
-            if isinstance(value, bool) or not isinstance(value, Integral):
-                raise ValueError(f"{size} must be an integer, got {value!r}")
-            if value < 1:
-                raise ValueError(f"{size} must be >= 1, got {value}")
+            require_integer(size, getattr(self, size), 1)
         if not 0 < self.learning_rate < math.inf:  # also false for nan
             raise ValueError(f"learning_rate must be positive and finite, "
                              f"got {self.learning_rate!r}")
@@ -202,6 +197,8 @@ class SimPoolModel:
     ):
         if assign_inputs not in ASSIGN_INPUTS:
             raise ConfigError(f"unknown assignment input mode {assign_inputs!r}")
+        require_integer("feature_dim", feature_dim, 1)
+        require_integer("num_classes", num_classes, 1)
         require_integer("seed", seed, 0)
         self.preset = preset
         self.sim = preset.sim

@@ -28,12 +28,12 @@ the dense computation. Real-valued weights agree to rounding error only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 import scipy.sparse as sp
 
 from . import autodiff as ad
+from .data import require_integer
 from .layers import block_offsets
 
 __all__ = [
@@ -58,18 +58,12 @@ class SimilarityConfig:
     k: int = 12
 
     def __post_init__(self):
-        for name in ("p", "k"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.p < 1:
-            raise ValueError("power p must be >= 1")
+        require_integer("p", self.p, 1)
+        require_integer("k", self.k, 1)
         if not 0 <= self.lam < np.inf:  # also false for nan
             raise ValueError(f"lam must be a finite self-connection weight >= 0, got {self.lam!r}")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must lie in [0, 1]")
-        if self.k < 1:
-            raise ValueError("top-k width must be >= 1")
 
 
 @dataclass

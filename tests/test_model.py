@@ -95,7 +95,7 @@ class TestPresets:
     def test_sizes_below_one_rejected(self, size):
         preset = resolve_preset("enzymes", 1 / 32)
         for value in (0, -1):
-            with pytest.raises(ValueError, match=f"{size} must be >= 1"):
+            with pytest.raises(ValueError, match=f"^{size} must be an integer >= 1, got {value}$"):
                 replace(preset, **{size: value})
 
     @pytest.mark.parametrize("field", ("gmn_units", "embed_units", "clusters_1", "clusters_2",
@@ -123,6 +123,15 @@ class TestPresets:
     def test_unknown_assign_inputs_rejected(self):
         with pytest.raises(ConfigError, match="bogus"):
             tiny_model(assign_inputs="bogus")
+
+    @pytest.mark.parametrize("field", ("feature_dim", "num_classes"))
+    def test_feature_and_class_counts_must_be_positive_integers(self, field):
+        # num_classes=0 constructed and failed in the first forward pass on a
+        # zero-size max, feature_dim=2.5 raised a bare TypeError from the RNG
+        for value in (0, -1, 2.5, True, "3"):
+            with pytest.raises(ValueError, match=f"^{field} must be an integer >= 1, got "):
+                tiny_model(**{field: value})
+        assert tiny_model(**{field: np.int64(2)}).parameters()
 
     def test_seed_must_be_a_non_negative_integer(self):
         # -1 and 2.5 used to fail in default_rng with a bare error, True seeded as 1
@@ -331,16 +340,21 @@ class TestBatchMatchesGraphs:
             assert err <= 1e-12, f"{name}: {err:.1e}"
 
     def test_tape_length_does_not_depend_on_the_batch_size(self, tmp_path):
+        # a forward pass and its weighted total record one fixed node count per mode
         ds = separable_dataset(tmp_path, count=10)
-        model = tiny_model(num_classes=2, feature_dim=ds.feature_dim)
-        mapped = preprocess_dataset(ds, model.sim)
-        lengths = []
-        for size in (2, 5):
-            (batch,) = make_batches(ds, size, subset=np.arange(size))
-            with ad.Tape() as tape:
-                model.forward_batch(batch, mapped)
-                lengths.append(len(tape))
-        assert lengths[0] == lengths[1]
+        nodes_per_step = {}
+        for mode in ASSIGN_INPUTS:
+            model = tiny_model(mode, num_classes=2, feature_dim=ds.feature_dim)
+            mapped = preprocess_dataset(ds, model.sim)
+            lengths = []
+            for size in (2, 5):
+                (batch,) = make_batches(ds, size, subset=np.arange(size))
+                with ad.Tape() as tape:
+                    model.forward_batch(batch, mapped).total(1.0, 1.0)
+                    lengths.append(len(tape))
+            assert lengths[0] == lengths[1], mode
+            nodes_per_step[mode] = lengths[0]
+        assert nodes_per_step == {"structural": 141, "node": 131, "both": 142}
 
 
 class TestStageZeroOnEdges:

@@ -500,6 +500,13 @@ class TestConfigValidation:
                 SimilarityConfig(**{field: value})
         assert SimilarityConfig(p=np.int64(2), k=np.int32(3)).k == 3
 
+    def test_p_and_k_below_one_name_their_field_and_value(self):
+        for field in ("p", "k"):
+            for value in (0, -1):
+                with pytest.raises(ValueError,
+                                   match=f"^{field} must be an integer >= 1, got {value}$"):
+                    SimilarityConfig(**{field: value})
+
     def test_compute_features_dispatch(self):
         rng = np.random.default_rng(16)
         a = random_sparse_graph(rng, 10, 3)
