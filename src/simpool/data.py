@@ -32,7 +32,7 @@ import os
 import struct
 import warnings
 from dataclasses import dataclass
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 import scipy.sparse as sp
@@ -522,6 +522,21 @@ def require_integer(name: str, value, least: int) -> None:
     """
     if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+# ranges for ``require_real``: the message's wording, then the test, which is false for nan
+POSITIVE = ("positive and finite", lambda v: 0 < v < math.inf)
+NON_NEGATIVE = ("non-negative and finite", lambda v: 0 <= v < math.inf)
+UNIT_INTERVAL = ("in [0, 1]", lambda v: 0 <= v <= 1)
+
+
+def require_real(name: str, value, within, error: type[ValueError] = ValueError) -> None:
+    """Raise ``error`` naming ``name`` unless ``value`` is a non-bool real ``within`` a range."""
+    what, test = within
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise error(f"{name} must be a real number, got {value!r}")
+    if not test(value):
+        raise error(f"{name} must be {what}, got {value!r}")
 
 
 def integer_array(name: str, values, what: str = "integers") -> np.ndarray:

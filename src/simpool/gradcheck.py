@@ -2,11 +2,13 @@
 
 Each check draws seeded random graphs (|V| <= 10) and builds them as a
 ``data.Dataset``: ``Batch.of`` cuts the edge lists and batches that stage
-0 reads from it, as in training. It builds the component with fresh
-random parameters, and compares analytic gradients of a scalar
-projection of the output against central differences, parameter
-coordinate by coordinate. The suite runs in float64, whatever the
-tape's setting outside it: its tolerance is far below float32 rounding.
+0 reads from it, as in training, and the full-model check runs the
+training path whole (``preprocess_dataset``, ``Batch.of``,
+``forward_batch``). It builds the component with fresh random
+parameters, and compares analytic gradients of a scalar projection of
+the output against central differences, parameter coordinate by
+coordinate. The suite runs in float64, whatever the tape's setting
+outside it: its tolerance is far below float32 rounding.
 
 ReLU networks are piecewise linear: occasionally a pre-activation lies
 within epsilon of its kink and the epsilon-wide secant spans two linear
@@ -38,7 +40,7 @@ from .layers import (
     pool_forward,
 )
 from .model import SimPoolModel, resolve_preset
-from .similarity import compute_features, index_map, symmetric_similarity_on_tape
+from .similarity import preprocess_dataset, symmetric_similarity_on_tape
 
 __all__ = ["CheckResult", "run_suite", "SUITE_CHECKS"]
 
@@ -159,13 +161,11 @@ def _check_full_model(rng, n):
     )
     a = _random_graph(rng, n)
     x = rng.uniform(-1, 1, size=(n, 3))
-    mapped = index_map(compute_features(a, model.sim), model.sim).mapped
-    label = int(rng.integers(0, 6))
-
-    batch = Batch.of(Dataset("gradcheck", sp.csr_matrix(a), [0, n], x, [label], 6), [0])
+    ds = Dataset("gradcheck", sp.csr_matrix(a), [0, n], x, [int(rng.integers(0, 6))], 6)
+    batch, mapped = Batch.of(ds, [0]), preprocess_dataset(ds, model.sim)
 
     def forward():
-        return model.forward_graph(batch, mapped).total(1.0, 1.0)
+        return model.forward_batch(batch, mapped).total(1.0, 1.0)
 
     return _check_params(forward, model.parameters())
 

@@ -27,14 +27,13 @@ together.
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import autodiff as ad
-from .data import Batch, require_integer
+from .data import NON_NEGATIVE, POSITIVE, Batch, require_integer, require_real
 from .layers import (
     Dense,
     Edges,
@@ -93,13 +92,9 @@ class ModelPreset:
         for size in ("gmn_units", "embed_units", "clusters_1", "clusters_2", "gcn1_units",
                      "s1_hidden", "gcn2_units", "epochs"):
             require_integer(size, getattr(self, size), 1)
-        if not 0 < self.learning_rate < math.inf:  # also false for nan
-            raise ValueError(f"learning_rate must be positive and finite, "
-                             f"got {self.learning_rate!r}")
+        require_real("learning_rate", self.learning_rate, POSITIVE)
         for weight in ("w_e", "w_c"):
-            value = getattr(self, weight)
-            if not 0 <= value < math.inf:
-                raise ValueError(f"{weight} must be non-negative and finite, got {value!r}")
+            require_real(weight, getattr(self, weight), NON_NEGATIVE)
 
 
 PRESETS: dict[str, ModelPreset] = {
@@ -144,8 +139,7 @@ def resolve_preset(name: str, scale: float = 1.0) -> ModelPreset:
     """
     if name not in PRESETS:
         raise ConfigError(f"unknown preset {name!r}; available: {sorted(PRESETS)}")
-    if not 0 < scale < np.inf:  # also false for nan
-        raise ConfigError(f"scale must be positive and finite, got {scale!r}")
+    require_real("scale", scale, POSITIVE, ConfigError)
     preset = PRESETS[name]
     widths = ("gmn_units", "embed_units", "gcn1_units", "s1_hidden", "gcn2_units")
     return replace(preset, **{w: max(1, round(getattr(preset, w) * scale)) for w in widths})
@@ -298,8 +292,10 @@ class SimPoolModel:
         probs = ad.row_softmax(logits)
         terms = (cross_entropy(probs, batch.labels), loss_le(s0, segments), loss_le(s1, blocks1),
                  loss_lc(s0, segments), loss_lc(s1, blocks1))
+        with ad.no_grad(), ad.precision(np.float64):  # float32 rows sum to 1 only to about 1e-7
+            report = ad.row_softmax(ad.constant(logits.values)).values
         return Forward(
-            probs=_row_softmax_float64(logits.values),
+            probs=report,
             losses=dict(zip(LOSS_TERMS, terms)),
             assign_argmax=(np.argmax(s0.values, axis=1), np.argmax(s1.values, axis=1)),
         )
@@ -314,18 +310,6 @@ class SimPoolModel:
         if mapped_by_index is not None:
             mapped = np.concatenate([mapped_by_index[int(i)] for i in batch.indices])
         return self.forward_graph(batch, mapped)
-
-
-def _row_softmax_float64(logits: np.ndarray) -> np.ndarray:
-    """The softmax of each row of ``logits``, in float64 and off the tape.
-
-    A float32 row sums to 1 only to about 1e-7. With float64 logits this
-    is ``ad.row_softmax`` byte for byte, except that the tape flushes
-    probabilities below 2.2e-308 to zero.
-    """
-    x = logits.astype(np.float64)
-    e = np.exp(x - x.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import autodiff as ad
-from .data import require_integer
+from .data import NON_NEGATIVE, UNIT_INTERVAL, require_integer, require_real
 from .layers import block_offsets
 
 __all__ = [
@@ -60,18 +60,16 @@ class SimilarityConfig:
     def __post_init__(self):
         require_integer("p", self.p, 1)
         require_integer("k", self.k, 1)
-        if not 0 <= self.lam < np.inf:  # also false for nan
-            raise ValueError(f"lam must be a finite self-connection weight >= 0, got {self.lam!r}")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError("alpha must lie in [0, 1]")
+        require_real("lam", self.lam, NON_NEGATIVE)  # a self-connection weight
+        require_real("alpha", self.alpha, UNIT_INTERVAL)
 
 
 @dataclass
 class SimilarityFeatures:
-    """Similarity matrix (CSR, zeros not stored) and/or its top-k encoding."""
+    """A similarity matrix (CSR, zeros not stored) and, from ``index_map``, its top-k encoding."""
 
     source_node_count: int
-    dense: sp.csr_matrix | None = None
+    dense: sp.csr_matrix
     mapped: np.ndarray | None = None
 
 
@@ -80,7 +78,6 @@ class SparseStats:
     """Measured cost of one sparse similarity computation."""
 
     node_count: int
-    edge_count: int
     pair_count: int = 0
     multiply_adds: int = 0
 
@@ -127,8 +124,7 @@ def similarity_sparse(
         ahat = ahat @ base
     # Ahat^T Ahat accumulates one d x d outer product per row of degree d
     row_degree = np.diff(ahat.indptr).astype(np.int64)
-    stats = SparseStats(node_count=n, edge_count=int(a.nnz),
-                        multiply_adds=int((row_degree**2).sum()))
+    stats = SparseStats(node_count=n, multiply_adds=int((row_degree**2).sum()))
     gram = ahat @ ahat
 
     norms_sq = gram.diagonal()
@@ -172,8 +168,6 @@ def index_map(features, cfg: SimilarityConfig, offsets=None) -> SimilarityFeatur
     their own entries, one sort per row length, whatever their column order.
     """
     matrix = features.dense if isinstance(features, SimilarityFeatures) else features
-    if matrix is None:
-        raise ValueError("no similarity matrix stored")
     c = sp.csr_matrix(matrix, dtype=np.float64)
     n = c.shape[0]
     if c.shape != (n, n):

@@ -2,14 +2,14 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, astuple, dataclass, field, fields
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import NumericError
-from .data import Batch, Dataset, batch_positions, kfold_split, require_integer
+from .data import (POSITIVE, Batch, Dataset, batch_positions, kfold_split, require_integer,
+                   require_real)
 from .model import ASSIGN_INPUTS, LOSS_TERMS, ConfigError, ModelPreset, SimPoolModel
 from .similarity import preprocess_dataset
 
@@ -41,6 +41,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not isinstance(self.preset, ModelPreset):
+            raise ConfigError(f"preset must be a ModelPreset, got {type(self.preset).__name__} "
+                              f"{self.preset!r}; build one with resolve_preset")
         if self.assign_inputs not in ASSIGN_INPUTS:
             raise ConfigError(f"unknown assignment input mode {self.assign_inputs!r}")
         for name, least in (("batch_size", 1), ("folds", 2), ("seed", 0)):
@@ -116,8 +119,7 @@ class Adam:
     """
 
     def __init__(self, params: dict[str, ad.Tensor], lr: float):
-        if not 0 < lr < math.inf:  # also false for nan
-            raise ValueError(f"lr must be positive and finite, got {lr!r}")
+        require_real("lr", lr, POSITIVE)
         self.params = params
         self.lr = lr
         self.t = 0
@@ -163,14 +165,6 @@ class Adam:
 # training loop
 # ---------------------------------------------------------------------------
 
-def _mapped_features_for(cfg: TrainConfig, ds: Dataset, supplied):
-    if cfg.assign_inputs == "node":
-        return None
-    if supplied is not None:
-        return supplied
-    return preprocess_dataset(ds, cfg.preset.sim)
-
-
 def evaluate_accuracy(model: SimPoolModel, ds: Dataset, indices, mapped=None,
                       batch_size: int = 20) -> float:
     """Fraction of correctly classified graphs among `indices`."""
@@ -185,23 +179,26 @@ def evaluate_accuracy(model: SimPoolModel, ds: Dataset, indices, mapped=None,
     return correct / total
 
 
-def train_run(cfg: TrainConfig, ds: Dataset, fold: int = 0, mapped=None,
+def train_run(cfg: TrainConfig, ds: Dataset, fold: int = 0,
               progress=None) -> tuple[RunStats, SimPoolModel]:
     """Train one fold; deterministic for a fixed config and seed.
 
-    Per epoch the stats record batch-averaged losses, training accuracy
-    accumulated from the training passes themselves, validation accuracy
-    from a separate pass, and the number of distinct argmax clusters used
-    across all training graphs at each pooling layer. A non-finite loss or
-    gradient ends the run before that step's update, with ``aborted`` set.
-    Returns the stats stream and the trained model.
+    Unless ``cfg.assign_inputs`` is ``"node"``, the structural rows are
+    built once per run by ``preprocess_dataset``, under the current
+    ``ad.precision``, the one the model is built in. Per epoch the stats
+    record batch-averaged losses, training accuracy accumulated from the
+    training passes themselves, validation accuracy from a separate pass,
+    and the number of distinct argmax clusters used across all training
+    graphs at each pooling layer. A non-finite loss or gradient ends the
+    run before that step's update, with ``aborted`` set. Returns the stats
+    stream and the trained model.
     """
     require_integer("fold", fold, 0)
     if fold >= cfg.folds:
         raise ValueError(f"fold {fold} outside [0, {cfg.folds})")
     splits = kfold_split(ds, cfg.folds, cfg.seed)
     train_idx, val_idx = splits[fold]
-    mapped = _mapped_features_for(cfg, ds, mapped)
+    mapped = None if cfg.assign_inputs == "node" else preprocess_dataset(ds, cfg.preset.sim)
 
     preset = cfg.preset
     model = SimPoolModel(
@@ -294,12 +291,11 @@ def fold_aggregate(maxima) -> tuple[float, float]:
     return float(x[0] + d.mean()), float(np.std(d))
 
 
-def cross_validate(cfg: TrainConfig, ds: Dataset, mapped=None, progress=None) -> CrossValResult:
-    """Run every fold and aggregate the per-fold maximum accuracies."""
-    mapped = _mapped_features_for(cfg, ds, mapped)
+def cross_validate(cfg: TrainConfig, ds: Dataset, progress=None) -> CrossValResult:
+    """Run every fold, each one ``train_run``, and aggregate the per-fold maximum accuracies."""
     fold_stats = []
     for fold in range(cfg.folds):
-        stats, _ = train_run(cfg, ds, fold=fold, mapped=mapped)
+        stats, _ = train_run(cfg, ds, fold=fold)
         fold_stats.append(stats)
         if progress is not None:
             progress(fold, stats)

@@ -2,9 +2,13 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from simpool import autodiff as ad
 from simpool import gradcheck
+from simpool.data import Batch, Dataset
+from simpool.model import SimPoolModel
+from simpool.similarity import preprocess_dataset
 
 
 def test_suite_passes_except_full_model():
@@ -38,3 +42,34 @@ def test_suite_runs_in_float64_whatever_the_setting():
     with ad.precision(np.float32):
         inside = gradcheck.run_suite(graphs_per_check=2, checks=checks)
     assert [r.max_error for r in inside] == [r.max_error for r in pinned]
+
+
+def test_full_model_check_runs_the_training_path(monkeypatch):
+    # it used to build its rows with compute_features and index_map and call forward_graph;
+    # the whole check takes about 16 s a graph, so the forward pass stops at its first call
+    class Reached(Exception):
+        pass
+
+    seen = []
+
+    def forward_batch(model, batch, mapped_by_index=None):
+        seen.append((batch, mapped_by_index))
+        raise Reached
+
+    monkeypatch.setattr(SimPoolModel, "forward_batch", forward_batch)
+    with pytest.raises(Reached):
+        gradcheck._check_full_model(np.random.default_rng(0), 5)
+    (batch, mapped), = seen
+    # the check's draws, in order: the model seed, the graph, its node rows, its label
+    rng = np.random.default_rng(0)
+    rng.integers(0, 2**31)
+    a = gradcheck._random_graph(rng, 5)
+    x = rng.uniform(-1, 1, size=(5, 3))
+    ds = Dataset("gradcheck", sp.csr_matrix(a), [0, 5], x, [int(rng.integers(0, 6))], 6)
+    assert isinstance(batch, Batch) and batch.size == 1
+    assert batch.indices.tolist() == [0] and batch.labels.tolist() == ds.graph_labels.tolist()
+    assert (batch.edges.adjacency != sp.csr_matrix(a)).nnz == 0
+    assert np.array_equal(batch.features, x)
+    (rows,) = preprocess_dataset(ds, gradcheck.resolve_preset("enzymes", scale=1 / 32).sim)
+    assert len(mapped) == 1 and mapped[0].dtype == rows.dtype == np.float64
+    assert mapped[0].tobytes() == rows.tobytes()

@@ -1,5 +1,6 @@
 """Tests for the optimiser, the training loop, and run statistics."""
 
+import re
 import tracemalloc
 import weakref
 from dataclasses import replace
@@ -12,7 +13,7 @@ from simpool import autodiff as ad
 from simpool import training
 from simpool.autodiff import NumericError
 from simpool.data import Batch, PaddedBatch, make_batches
-from simpool.model import ConfigError, SimPoolModel, resolve_preset
+from simpool.model import PRESETS, ConfigError, SimPoolModel, resolve_preset
 from simpool.similarity import SimilarityConfig, preprocess_dataset
 from simpool.training import (
     STATS_HEADER,
@@ -334,6 +335,37 @@ class TestTrainRun:
             tracemalloc.stop()
         assert peak < n * n * 8, peak / (n * n * 8)
 
+    @pytest.mark.parametrize("assign_inputs,builds", (("structural", 1), ("both", 1), ("node", 0)))
+    def test_a_run_builds_its_rows_once(self, toy_dataset, monkeypatch, assign_inputs, builds):
+        calls = []
+
+        def counted(ds, cfg):
+            calls.append(cfg)
+            return preprocess_dataset(ds, cfg)
+
+        monkeypatch.setattr(training, "preprocess_dataset", counted)
+        cfg = small_config(epochs=2, assign_inputs=assign_inputs)
+        train_run(cfg, toy_dataset, fold=0)
+        assert calls == [cfg.preset.sim] * builds
+
+    @pytest.mark.parametrize("assign_inputs", ("structural", "both"))
+    def test_each_fold_builds_its_own_rows(self, toy_dataset, monkeypatch, assign_inputs):
+        # the rows used to be built once for all folds and handed to each
+        cfg = small_config(epochs=2, folds=2, assign_inputs=assign_inputs)
+        cached = preprocess_dataset(toy_dataset, cfg.preset.sim)
+        monkeypatch.setattr(training, "preprocess_dataset", lambda ds, sim: cached)
+        expected = [stats_to_csv(s) for s in cross_validate(cfg, toy_dataset).fold_stats]
+        calls = []
+
+        def counted(ds, sim):
+            calls.append(sim)
+            return preprocess_dataset(ds, sim)
+
+        monkeypatch.setattr(training, "preprocess_dataset", counted)
+        result = cross_validate(cfg, toy_dataset)
+        assert len(calls) == 2
+        assert [stats_to_csv(s) for s in result.fold_stats] == expected
+
     def test_learns_separable_task(self, tmp_path):
         ds = separable_dataset(tmp_path, count=40, seed=5)
         cfg = small_config(epochs=12, folds=4, seed=2, batch_size=10,
@@ -436,6 +468,48 @@ class TestCrossValidate:
             TrainConfig(preset, batch_size=0)
         with pytest.raises(ValueError):
             cross_validate(small_config(folds=1), None)
+
+    def test_real_settings_reject_bools_and_non_numbers_by_name(self):
+        # each of these used to construct, or to fail with a bare TypeError from '<='
+        preset = PRESETS["enzymes"]
+        settings = {
+            "lam": lambda v: SimilarityConfig(lam=v),
+            "alpha": lambda v: SimilarityConfig(alpha=v),
+            "learning_rate": lambda v: replace(preset, learning_rate=v),
+            "w_e": lambda v: replace(preset, w_e=v),
+            "scale": lambda v: resolve_preset("enzymes", scale=v),
+            "lr": lambda v: Adam({}, lr=v),
+        }
+        for name, build in settings.items():
+            for value in (True, False, "1", "0.5", "1e-3", None):
+                with pytest.raises(ValueError, match=rf"^{name} must be a real number, got "
+                                                     rf"{re.escape(repr(value))}$"):
+                    build(value)
+            build(np.float32(0.5))  # numpy scalars are real numbers
+        with pytest.raises(ConfigError, match="^scale must be a real number"):
+            resolve_preset("enzymes", scale="1")
+
+    def test_ranges_are_kept(self):
+        preset = PRESETS["enzymes"]
+        for build, value, message in (
+                (lambda v: SimilarityConfig(lam=v), -0.5, "lam must be non-negative and finite"),
+                (lambda v: SimilarityConfig(alpha=v), 1.5, r"alpha must be in \[0, 1\]"),
+                (lambda v: replace(preset, learning_rate=v), 0.0,
+                 "learning_rate must be positive and finite"),
+                (lambda v: replace(preset, w_c=v), float("inf"),
+                 "w_c must be non-negative and finite"),
+                (lambda v: Adam({}, lr=v), float("nan"), "lr must be positive and finite")):
+            with pytest.raises(ValueError, match=f"^{message}, got {value!r}$"):
+                build(value)
+        assert SimilarityConfig(lam=0, alpha=0).alpha == 0
+        assert replace(preset, w_e=0.0, learning_rate=np.float64(1e-3)).w_e == 0.0
+
+    def test_a_preset_name_is_not_a_preset(self):
+        # TrainConfig(preset="enzymes") used to construct and fail in train_run with an
+        # AttributeError on 'str'
+        with pytest.raises(ConfigError, match="^preset must be a ModelPreset, got str 'enzymes'; "
+                                              "build one with resolve_preset$"):
+            TrainConfig(preset="enzymes")
 
     def test_batch_size_and_folds_must_be_integers(self):
         # 2.5 failed later as a slice index or in kfold_split, one fold only in train_run
