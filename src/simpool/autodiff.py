@@ -37,7 +37,9 @@ argument, only into the values. Every sum of rows by an index is a
 product with ``incidence(idx, rows)``, the rows x E CSC matrix with a 1
 at (idx[e], e), which adds into each row in order of e: the backward
 passes of ``gather`` and ``gather_rows``, the sums of ``edge_aggregate``,
-and, through ``sparse_matmul``, the model's sum pool.
+and, through ``sparse_matmul``, the model's sum pool. A contiguous range
+of rows needs no index: ``row_range`` copies it, and its backward pass
+writes the gradient into that range of a zero array.
 
 ``sparse_matmul`` multiplies by a constant sparse matrix: stage-0
 pooling's A·S on the union's adjacency, or a sum by index on an
@@ -75,6 +77,7 @@ __all__ = [
     "concat_columns",
     "gather",
     "gather_rows",
+    "row_range",
     "sparse_matmul",
     "edge_aggregate",
     "row_softmax",
@@ -197,6 +200,20 @@ class Tensor:
             buffer = self._grad_buffer = np.empty(g.shape, dtype=g.dtype)
         np.copyto(buffer, g)
         self.grad = buffer
+
+    def store_in(self, values: np.ndarray, grad_buffer: np.ndarray) -> None:
+        """Move the values into ``values`` and give ``accumulate_grad`` ``grad_buffer``.
+
+        Both arrays must have this tensor's shape and dtype; ``training.Adam``
+        passes views of its flat arrays. The values are copied in, and so is
+        a gradient the tensor holds, which then lives in ``grad_buffer``.
+        """
+        np.copyto(values, self.values)
+        self.values = values
+        if self.grad is not None:
+            np.copyto(grad_buffer, self.grad)
+            self.grad = grad_buffer
+        self._grad_buffer = grad_buffer
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -538,6 +555,22 @@ def gather_rows(a: Tensor, idx: np.ndarray) -> Tensor:
         raise IndexError("gather_rows index out of bounds")
     return _op("gather_rows", np.take(a.values, idx, axis=0),
                ((a, lambda g: incidence(idx, rows) @ g),))
+
+
+def row_range(a: Tensor, start: int, stop: int) -> Tensor:
+    """Rows ``start`` to ``stop`` of a 2-D tensor, copied; their gradient fills that range
+    of a zero array, with no incidence."""
+    rows = a.shape[0]
+    if not 0 <= start <= stop <= rows:
+        raise IndexError(f"row range [{start}, {stop}) outside [0, {rows}]")
+    shape, dtype = a.shape, a.values.dtype
+
+    def grad(g):
+        out = np.zeros(shape, dtype=dtype)
+        out[start:stop] = g
+        return out
+
+    return _op("row_range", a.values[start:stop].copy(), ((a, grad),))
 
 
 def sparse_matmul(matrix, a: Tensor) -> Tensor:

@@ -209,7 +209,8 @@ class GmnPropagation:
     rows per layer.
 
     A linear layer is one linear map of h. With W_top and W_bot the first
-    d and the last m rows of f_node's weight, and deg the degree column,
+    d and the last m rows of f_node's weight (``ad.row_range``), and deg
+    the degree column,
 
         out = h W_top + deg * (h (W_recv W_bot) + b_msg W_bot)
               + A^T (h (W_send W_bot)) + b_node,
@@ -239,8 +240,8 @@ class GmnPropagation:
                                           msg.bias, edges, msg.activation)
             return node(ad.concat_columns([h, aggregate]))
         d = msg.w_recv.shape[0]
-        w_top = ad.gather_rows(node.weight, np.arange(d))
-        w_bot = ad.gather_rows(node.weight, np.arange(d, node.in_dim))
+        w_top = ad.row_range(node.weight, 0, d)
+        w_bot = ad.row_range(node.weight, d, node.in_dim)
         own = ad.add(ad.matmul(h, ad.matmul(msg.w_recv, w_bot)), ad.matmul(msg.bias, w_bot))
         out = ad.add(ad.matmul(h, w_top), ad.multiply(ad.constant(edges.degree), own))
         out = ad.add(out, edges.spread(ad.matmul(h, ad.matmul(msg.w_send, w_bot))))

@@ -22,7 +22,10 @@ L_E and the cluster term L_C of each stage, five terms named once in
 takes a batch and its stacked structural rows, ``forward_batch`` a batch
 and those rows per dataset position; both return the same ``Forward``
 record, and ``Forward.total`` is the one place that weighs the terms
-together.
+together. The objective is built on one network pass, from the batch to
+the logits and both stages' assignments. ``predict`` runs that pass alone
+under ``ad.no_grad`` and returns each graph's argmax class, so evaluation
+builds no loss term.
 """
 
 from __future__ import annotations
@@ -151,7 +154,11 @@ LOSS_TERMS = ("task_loss", "le_0", "le_1", "lc_0", "lc_1")
 
 @dataclass
 class Forward:
-    """One forward pass over a graph or a batch of graphs."""
+    """The objective ``forward_graph`` builds on the network pass over a batch.
+
+    Training reads it; evaluation calls ``SimPoolModel.predict``, which
+    runs the same network pass and none of this.
+    """
 
     probs: np.ndarray  # one float64 row per graph, rows sum to 1
     losses: dict[str, ad.Tensor]  # 1 x 1 per name in LOSS_TERMS; batch means
@@ -266,19 +273,17 @@ class SimPoolModel:
             return structural
         return ad.concat_columns([structural, x1])
 
-    def forward_graph(self, batch: Batch, mapped: np.ndarray | None = None) -> Forward:
-        """One forward pass over a batch's disjoint union; ``mapped`` stacks its structural rows.
+    def _network(self, batch: Batch, mapped: np.ndarray | None):
+        """The network alone: the logits, both assignment outputs and ``s1``'s graph blocks.
 
-        ``mapped`` may be in the tape dtype, as ``preprocess_dataset`` run
-        under the same ``ad.precision`` returns it, or wider, and is then
-        cast; a narrower float raises ``ConfigError``.
+        ``forward_graph`` builds the objective on this pass and ``predict``
+        reads only its logits.
         """
         edges = batch.edges
-        segments = edges.node_offsets
         x = ad.constant(batch.features)
         f0 = self._assign_features_0(x, mapped)
         x1, a1, s0 = pool_forward(self.z_stack(edges, x), self.s_stack(edges, f0), edges.spread,
-                                  segments)
+                                  edges.node_offsets)
         f1 = self._assign_features_1(x1, a1)
         blocks1 = block_offsets(a1)
         # a1's blocks are symmetric: transpose(a1) holds them as column ranges
@@ -288,7 +293,17 @@ class SimPoolModel:
         # global sum pool: each graph's c rows summed into one
         pooled = ad.sparse_matmul(
             ad.incidence(np.repeat(np.arange(batch.size), a2.shape[1]), batch.size), z2)
-        logits = self.classifier(pooled)
+        return self.classifier(pooled), s0, s1, blocks1
+
+    def forward_graph(self, batch: Batch, mapped: np.ndarray | None = None) -> Forward:
+        """One forward pass over a batch's disjoint union; ``mapped`` stacks its structural rows.
+
+        ``mapped`` may be in the tape dtype, as ``preprocess_dataset`` run
+        under the same ``ad.precision`` returns it, or wider, and is then
+        cast; a narrower float raises ``ConfigError``.
+        """
+        logits, s0, s1, blocks1 = self._network(batch, mapped)
+        segments = batch.edges.node_offsets
         probs = ad.row_softmax(logits)
         terms = (cross_entropy(probs, batch.labels), loss_le(s0, segments), loss_le(s1, blocks1),
                  loss_lc(s0, segments), loss_lc(s1, blocks1))
@@ -306,10 +321,26 @@ class SimPoolModel:
         The rows take the dtypes ``forward_graph`` takes; concatenating
         rows already in the tape dtype leaves ``ad.constant`` no copy.
         """
-        mapped = None
-        if mapped_by_index is not None:
-            mapped = np.concatenate([mapped_by_index[int(i)] for i in batch.indices])
-        return self.forward_graph(batch, mapped)
+        return self.forward_graph(batch, _stacked_rows(batch, mapped_by_index))
+
+    def predict(self, batch: Batch, mapped_by_index=None) -> np.ndarray:
+        """Each graph's class, the argmax of its logits, from the network pass alone.
+
+        It takes ``forward_batch``'s arguments and records nothing, even
+        inside an open tape. It builds no loss term and no float64 report,
+        and its classes are ``forward_batch(...).probs.argmax(axis=1)``
+        except where two probabilities round to one float64 value.
+        """
+        with ad.no_grad():
+            logits = self._network(batch, _stacked_rows(batch, mapped_by_index))[0]
+        return np.argmax(logits.values, axis=1)
+
+
+def _stacked_rows(batch: Batch, mapped_by_index) -> np.ndarray | None:
+    """The batch's structural rows in graph order, or None without ``mapped_by_index``."""
+    if mapped_by_index is None:
+        return None
+    return np.concatenate([mapped_by_index[int(i)] for i in batch.indices])
 
 
 # ---------------------------------------------------------------------------

@@ -109,52 +109,89 @@ def stats_from_csv(text: str) -> RunStats:
 
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
+# Elements of the flat arrays that one pass of Adam's formula covers. A float32 slice is
+# 256 KiB, so the slices of values, gradient, m and v and the two scratch rows (1.5 MiB)
+# stay in a 2 MiB L2 cache through the formula's dozen passes, while a slice's dozen numpy
+# calls still cost little next to its arithmetic.
+ADAM_SLICE = 1 << 16
+
 
 class Adam:
     """Adam over named parameter tensors; missing gradients count as zero.
 
-    The moments ``m`` and ``v`` take their parameter's dtype. A step runs
-    in place through two scratch rows, each the size of the largest
-    parameter, and makes no per-parameter temporaries.
+    The parameters share one arena. Each tensor's values and gradient
+    buffer (``Tensor.store_in``) and its moments ``m[name]`` and
+    ``v[name]`` are views of four flat arrays, laid out in the order of
+    ``params``. The tensors stay the caller's: a backward pass accumulates
+    into the arena, and an in-place write to the values, as
+    ``model.load_checkpoint`` makes, changes what the next step updates.
+    A tensor lives in one arena: a second ``Adam`` over it moves it, and
+    rebinding ``values`` takes it out. The arena holds one dtype, so
+    parameters of two dtypes raise ``TypeError``. A step checks the flat
+    gradient once and runs the formula over slices of ``ADAM_SLICE``
+    elements through two scratch rows of that length, whatever the
+    largest parameter's size.
     """
 
     def __init__(self, params: dict[str, ad.Tensor], lr: float):
         require_real("lr", lr, POSITIVE)
+        first_of = {}
+        for name, p in params.items():
+            first_of.setdefault(p.values.dtype, name)
+        if len(first_of) > 1:
+            named = " and ".join(f"{dtype} ({name}, ...)" for dtype, name in first_of.items())
+            raise TypeError(f"Adam over parameters of {named}: build the model under one "
+                            "ad.precision")
+        dtype = next(iter(first_of), np.dtype(ad.tape_dtype()))
         self.params = params
         self.lr = lr
         self.t = 0
-        self.m = {k: np.zeros_like(p.values) for k, p in params.items()}
-        self.v = {k: np.zeros_like(p.values) for k, p in params.items()}
-        values = [p.values for p in params.values()]
-        self._scratch = np.empty((2, max((x.size for x in values), default=0)),
-                                 dtype=np.result_type(np.float32, *values))
+        ends = np.cumsum([p.values.size for p in params.values()], dtype=np.intp).tolist()
+        size = ends[-1] if ends else 0
+        self._values, self._grads = np.empty(size, dtype), np.empty(size, dtype)
+        self._m, self._v = np.zeros(size, dtype), np.zeros(size, dtype)
+        self._scratch = np.empty((2, min(size, ADAM_SLICE)), dtype)
+        self.m, self.v = {}, {}
+        self._buffers = []  # (name, tensor, its gradient buffer) in arena order
+        for (name, p), end in zip(params.items(), ends):
+            lo, shape = end - p.values.size, p.values.shape
+            grad = self._grads[lo:end].reshape(shape)
+            p.store_in(self._values[lo:end].reshape(shape), grad)
+            self.m[name] = self._m[lo:end].reshape(shape)
+            self.v[name] = self._v[lo:end].reshape(shape)
+            self._buffers.append((name, p, grad))
 
     def step(self) -> None:
         """Update every parameter, or none when any gradient is non-finite.
 
-        Each update is the textbook m_hat / (sqrt(v_hat) + eps) formula
-        with its operations in the textbook order, so it matches that
-        formula byte for byte in either dtype.
+        A gradient that backward accumulated is already in the arena. One
+        assigned to ``grad`` directly is copied in, and a missing one is
+        zeroed, so no earlier step's gradient is read. Each update is the
+        textbook m_hat / (sqrt(v_hat) + eps) formula with its operations in
+        the textbook order, so it matches that formula byte for byte in
+        either dtype.
         """
-        for name, p in self.params.items():
-            if p.grad is not None and not np.all(np.isfinite(p.grad)):
-                raise NumericError(f"non-finite gradient for parameter {name}")
+        for _, p, buffer in self._buffers:
+            if p.grad is None:
+                buffer.fill(0.0)
+            elif p.grad is not buffer:
+                np.copyto(buffer, p.grad)
+        if not np.isfinite(self._grads).all():
+            name = next(name for name, _, g in self._buffers if not np.isfinite(g).all())
+            raise NumericError(f"non-finite gradient for parameter {name}")
         self.t += 1
         bias1, bias2 = 1.0 - BETA1**self.t, 1.0 - BETA2**self.t
-        for name, p in self.params.items():
-            m, v = self.m[name], self.v[name]
-            a, b = (row[:m.size].reshape(m.shape) for row in self._scratch)
-            grad = p.grad
-            if grad is None:
-                grad = b
-                grad.fill(0.0)
+        for lo in range(0, self._grads.size, ADAM_SLICE):
+            hi = lo + ADAM_SLICE
+            grad, m, v = self._grads[lo:hi], self._m[lo:hi], self._v[lo:hi]
+            a, b = (row[:grad.size] for row in self._scratch)
             m *= BETA1
             m += np.multiply(grad, 1.0 - BETA1, out=a)
             v *= BETA2
             v += np.multiply(np.multiply(grad, grad, out=a), 1.0 - BETA2, out=a)
             step = np.multiply(np.divide(m, bias1, out=a), self.lr, out=a)
             step /= np.add(np.sqrt(np.divide(v, bias2, out=b), out=b), EPS, out=b)
-            p.values -= step
+            self._values[lo:hi] -= step
 
     def zero_grad(self) -> None:
         for p in self.params.values():
@@ -167,15 +204,17 @@ class Adam:
 
 def evaluate_accuracy(model: SimPoolModel, ds: Dataset, indices, mapped=None,
                       batch_size: int = 20) -> float:
-    """Fraction of correctly classified graphs among `indices`."""
+    """Fraction of correctly classified graphs among `indices`.
+
+    Each batch of ``batch_size`` graphs runs ``model.predict``: the network
+    pass of ``forward_batch`` and no loss term, recorded on no tape.
+    """
     correct = 0
     total = 0
-    with ad.no_grad():
-        for chunk in batch_positions(ds, batch_size, subset=np.asarray(indices)):
-            batch = Batch.of(ds, chunk)
-            fwd = model.forward_batch(batch, mapped)
-            correct += int((fwd.probs.argmax(axis=1) == batch.labels).sum())
-            total += batch.size
+    for chunk in batch_positions(ds, batch_size, subset=np.asarray(indices)):
+        batch = Batch.of(ds, chunk)
+        correct += int((model.predict(batch, mapped) == batch.labels).sum())
+        total += batch.size
     return correct / total
 
 

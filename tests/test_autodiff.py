@@ -92,6 +92,14 @@ class TestForwardValues:
         with pytest.raises(ValueError):  # a 1-D index would make a 1-D tensor
             ad.gather(a, np.array([0]), np.array([0]))
 
+    def test_row_range_bounds(self):
+        a = ad.constant(np.arange(6.0).reshape(3, 2))
+        np.testing.assert_array_equal(ad.row_range(a, 1, 3).values, a.values[1:])
+        assert ad.row_range(a, 3, 3).shape == (0, 2)
+        for start, stop in ((-1, 2), (2, 1), (0, 4)):
+            with pytest.raises(IndexError, match="outside"):
+                ad.row_range(a, start, stop)
+
     def test_scatter_rows_sums_into_indexed_rows(self):
         # rows are scattered by a product with their incidence
         x = ad.constant([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
@@ -178,6 +186,9 @@ PRIMITIVE_CASES = {
         ad.multiply(ad.gather_rows(x, np.array([3, 0, 3, 1, 3])),
                     ad.constant(np.arange(15.0).reshape(5, 3) - 7.0))
     ),
+    "row_range": lambda x: scalarize(
+        ad.multiply(ad.row_range(x, 1, 3), ad.constant(np.arange(6.0).reshape(2, 3) - 2.0))
+    ),
     "sparse_matmul_incidence": lambda x: scalarize(
         ad.multiply(ad.sparse_matmul(ad.incidence(np.array([2, 0, 2, 4]), 5), x),
                     ad.constant(np.arange(15.0).reshape(5, 3) - 7.0))
@@ -259,6 +270,7 @@ LIFETIME_CASES = {
     "concat_columns": (((4, 3), (4, 2)), lambda a, b: ad.concat_columns([a, b])),
     "gather": (((4, 3),), lambda a: ad.gather(a, np.array([[0, 3]]), np.array([[2, 2]]))),
     "gather_rows": (((4, 3),), lambda a: ad.gather_rows(a, np.array([3, 0, 3]))),
+    "row_range": (((4, 3),), lambda a: ad.row_range(a, 1, 3)),
     "sparse_matmul": (((4, 3),), lambda a: ad.sparse_matmul(ad.incidence([1, 0, 1, 1], 2), a)),
     "edge_aggregate": (((4, 3), (4, 3), (1, 3)), lambda r, s, b: ad.edge_aggregate(
         r, s, b, raw_edges([EDGE_BLOCK]), "tanh")),

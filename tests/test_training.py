@@ -12,8 +12,9 @@ import scipy.sparse as sp
 from simpool import autodiff as ad
 from simpool import training
 from simpool.autodiff import NumericError
-from simpool.data import Batch, PaddedBatch, make_batches
-from simpool.model import PRESETS, ConfigError, SimPoolModel, resolve_preset
+from simpool.data import Batch, PaddedBatch, batch_positions, make_batches
+from simpool.model import (PRESETS, ConfigError, SimPoolModel, load_checkpoint, resolve_preset,
+                           save_checkpoint)
 from simpool.similarity import SimilarityConfig, preprocess_dataset
 from simpool.training import (
     STATS_HEADER,
@@ -109,8 +110,10 @@ class TestAdam:
 
     @pytest.mark.parametrize("dtype", (np.float64, np.float32))
     def test_in_place_step_matches_the_formula_bytes(self, dtype):
-        # "unused" never gets a gradient; the small ones reuse the scratch "big" needs
-        shapes = {"w": (7, 5), "big": (40, 9), "b": (1, 5), "unused": (3, 2)}
+        # "unused" never gets a gradient; "huge" spans three slices of the formula's pass,
+        # and the slices cut "b" and "unused" off from it and each other at no parameter edge
+        shapes = {"w": (7, 5), "big": (40, 9), "huge": (3, training.ADAM_SLICE // 2 + 5),
+                  "b": (1, 5), "unused": (3, 2)}
         rng = np.random.default_rng(12)
         start = {k: rng.normal(size=shape) for k, shape in shapes.items()}
         with ad.precision(dtype):
@@ -130,6 +133,104 @@ class TestAdam:
             assert params[k].values.tobytes() == reference[k].values.tobytes()
             assert opt.m[k].tobytes() == m[k].tobytes()
             assert opt.v[k].tobytes() == v[k].tobytes()
+
+
+    def test_parameters_of_two_dtypes_are_rejected(self):
+        # the arena holds one dtype; a wider scratch used to round the float32 moments
+        # through float64
+        with ad.precision(np.float32):
+            narrow = ad.parameter(np.ones((2, 3)))
+        with ad.precision(np.float64):
+            wide = ad.parameter(np.ones((3, 1)))
+        with pytest.raises(TypeError, match=r"float32 \(narrow.*float64 \(wide"):
+            Adam({"narrow": narrow, "wide": wide}, lr=0.1)
+
+    def test_parameters_live_in_one_arena(self, toy_dataset):
+        """Values, gradients, m and v are views of four flat arrays, one each, and the
+        model keeps its own tensors, now reading the arena."""
+        model = SimPoolModel(small_config().preset, toy_dataset.feature_dim,
+                             toy_dataset.num_classes, "node")
+        params = model.parameters()
+        tensors = dict(params)
+        opt = Adam(params, lr=1e-3)
+        (batch,) = make_batches(toy_dataset, len(toy_dataset))
+        with ad.Tape() as tape:
+            tape.backward(model.forward_batch(batch).total(1.0, 1.0))
+        assert all(model.parameters()[name] is t for name, t in tensors.items())
+        size = sum(t.values.size for t in tensors.values())
+        arrays = {"values": [t.values for t in tensors.values()],
+                  "grad": [t.grad for t in tensors.values()],
+                  "m": list(opt.m.values()), "v": list(opt.v.values())}
+        bases = {}
+        for kind, views in arrays.items():
+            (base,) = {id(x.base): x.base for x in views}.values()
+            assert base.shape == (size,), kind
+            assert all(np.shares_memory(x, base) for x in views), kind
+            bases[kind] = base
+        assert len({id(b) for b in bases.values()}) == 4
+        opt.step()
+        assert all(model.parameters()[name].values.base is bases["values"] for name in tensors)
+
+    @staticmethod
+    def _step_pair(dtype, grads_per_step, assign=None):
+        """Step ``Adam`` and the formula side by side; each step's gradients come from a
+        backward pass, so they land in the arena, and ``assign`` then sets ``grad``s directly."""
+        rng = np.random.default_rng(3)
+        start = {"a": rng.normal(size=(4, 3)), "b": rng.normal(size=(2, 3))}
+        with ad.precision(dtype):
+            params = {k: ad.parameter(x.copy()) for k, x in start.items()}
+            reference = {k: ad.parameter(x.copy()) for k, x in start.items()}
+            weights = {k: ad.constant(rng.normal(size=x.shape)) for k, x in start.items()}
+        opt = Adam(params, lr=0.01)
+        m = {k: np.zeros_like(p.values) for k, p in reference.items()}
+        v = {k: np.zeros_like(p.values) for k, p in reference.items()}
+        for t, names in enumerate(grads_per_step, start=1):
+            opt.zero_grad()
+            with ad.Tape() as tape:
+                loss = ad.sum_all(ad.multiply(params[names[0]], weights[names[0]]))
+                for k in names[1:]:
+                    loss = ad.add(loss, ad.sum_all(ad.multiply(params[k], weights[k])))
+                tape.backward(loss)
+            for k, g in (assign or {}).items():
+                params[k].grad = g.astype(dtype)
+            for k, p in params.items():
+                reference[k].grad = None if p.grad is None else p.grad.copy()
+            opt.step()
+            adam_step_formula(reference, m, v, t, 0.01)
+        for k in start:
+            assert params[k].values.tobytes() == reference[k].values.tobytes(), k
+            assert opt.m[k].tobytes() == m[k].tobytes() and opt.v[k].tobytes() == v[k].tobytes()
+
+    @pytest.mark.parametrize("dtype", (np.float64, np.float32))
+    def test_a_gradient_that_stops_arriving_counts_as_zero(self, dtype):
+        # "a" has a gradient in the arena at step 1 and none at steps 2 and 3
+        self._step_pair(dtype, [("a", "b"), ("b",), ("b",)])
+
+    @pytest.mark.parametrize("dtype", (np.float64, np.float32))
+    def test_a_directly_assigned_gradient_is_used(self, dtype):
+        self._step_pair(dtype, [("a", "b"), ("a", "b")],
+                        assign={"a": np.arange(12.0).reshape(4, 3) - 5.5})
+
+    def test_a_loaded_checkpoint_is_what_the_next_step_updates(self, tmp_path):
+        preset = small_config().preset
+        source = SimPoolModel(preset, feature_dim=3, num_classes=2, assign_inputs="node", seed=0)
+        target = SimPoolModel(preset, feature_dim=3, num_classes=2, assign_inputs="node", seed=1)
+        save_checkpoint(tmp_path / "source.npz", source)
+        opt = Adam(target.parameters(), lr=0.01)
+        load_checkpoint(tmp_path / "source.npz", target)
+        reference = source.parameters()
+        rng = np.random.default_rng(8)
+        for name, p in target.parameters().items():
+            p.grad = reference[name].grad = rng.normal(size=p.values.shape)
+        opt.step()
+        adam_step_formula(reference, {k: np.zeros_like(p.values) for k, p in reference.items()},
+                          {k: np.zeros_like(p.values) for k, p in reference.items()}, 1, 0.01)
+        for name, p in target.parameters().items():
+            assert p.values.tobytes() == reference[name].values.tobytes(), name
+
+    def test_scratch_does_not_grow_with_the_largest_parameter(self):
+        opt = Adam({"huge": ad.parameter(np.zeros((5, training.ADAM_SLICE)))}, lr=0.1)
+        assert opt._scratch.shape == (2, training.ADAM_SLICE)
 
 
 class TestFloat32Training:
@@ -392,6 +493,60 @@ class TestEvaluateAccuracy:
         expected = np.mean(np.array(predicted) == ds.labels()[indices])
         for batch_size in (1, 3, indices.size):
             assert evaluate_accuracy(model, ds, indices, mapped, batch_size) == expected
+
+    @staticmethod
+    def _counted_from_forward(model, ds, indices, mapped, batch_size):
+        """Correct graphs counted from ``forward_batch``'s probabilities, batch by batch."""
+        correct = 0
+        with ad.no_grad():
+            for chunk in batch_positions(ds, batch_size, subset=indices):
+                batch = Batch.of(ds, chunk)
+                predicted = model.forward_batch(batch, mapped).probs.argmax(axis=1)
+                correct += int((predicted == batch.labels).sum())
+        return correct / indices.size
+
+    def test_evaluation_builds_no_objective(self, tmp_path, monkeypatch):
+        ds = separable_dataset(tmp_path, count=12)
+        preset = resolve_preset("enzymes", 1 / 32)
+        model = SimPoolModel(preset, ds.feature_dim, ds.num_classes, "structural", seed=2)
+        mapped = preprocess_dataset(ds, preset.sim)
+        indices = np.arange(12)
+        expected = self._counted_from_forward(model, ds, indices, mapped, 5)
+
+        def no_loss(*args):
+            raise AssertionError("evaluation built a loss term")
+
+        for loss in ("cross_entropy", "loss_le", "loss_lc"):
+            monkeypatch.setattr(f"simpool.model.{loss}", no_loss)
+        assert evaluate_accuracy(model, ds, indices, mapped, 5) == expected
+
+    def test_predict_records_nothing_inside_a_tape(self, tmp_path):
+        ds = separable_dataset(tmp_path, count=4)
+        model = SimPoolModel(resolve_preset("enzymes", 1 / 32), ds.feature_dim, ds.num_classes,
+                             "both", seed=0)
+        batch = Batch.of(ds, np.arange(4))
+        mapped = preprocess_dataset(ds, model.sim)
+        with ad.Tape() as tape:
+            classes = model.predict(batch, mapped)
+        assert len(tape) == 0
+        with ad.no_grad():
+            np.testing.assert_array_equal(
+                classes, model.forward_batch(batch, mapped).probs.argmax(axis=1))
+
+    @pytest.mark.parametrize("dtype", (np.float32, np.float64))
+    # seeds whose untrained model predicts both classes, and not all of them right
+    @pytest.mark.parametrize("assign_inputs,seed", (("structural", 2), ("node", 0), ("both", 9)))
+    def test_accuracy_is_the_count_from_forward_probabilities(self, tmp_path, assign_inputs,
+                                                              seed, dtype):
+        ds = separable_dataset(tmp_path, count=15)
+        indices = np.array([4, 11, 0, 7, 14, 2, 9, 5, 12, 1, 8, 3, 13, 6, 10])
+        with ad.precision(dtype):
+            model = SimPoolModel(resolve_preset("enzymes", 1 / 32), ds.feature_dim,
+                                 ds.num_classes, assign_inputs, seed=seed)
+            mapped = preprocess_dataset(ds, model.sim)
+            expected = self._counted_from_forward(model, ds, indices, mapped, 4)
+            assert 0.0 < expected < 1.0
+            assert evaluate_accuracy(model, ds, indices, mapped, 4) == expected
 
     def test_positions_outside_the_dataset_rejected(self, tmp_path):
         ds = separable_dataset(tmp_path, count=2)
