@@ -202,17 +202,15 @@ class Tensor:
         self.grad = buffer
 
     def store_in(self, values: np.ndarray, grad_buffer: np.ndarray) -> None:
-        """Move the values into ``values`` and give ``accumulate_grad`` ``grad_buffer``.
+        """Copy the values into ``values`` and keep them there; ``accumulate_grad`` then
+        fills ``grad_buffer``.
 
         Both arrays must have this tensor's shape and dtype; ``training.Adam``
-        passes views of its flat arrays. The values are copied in, and so is
-        a gradient the tensor holds, which then lives in ``grad_buffer``.
+        passes views of its flat arrays. A gradient the tensor holds stays
+        where it is until the next ``zero_grad``.
         """
         np.copyto(values, self.values)
         self.values = values
-        if self.grad is not None:
-            np.copyto(grad_buffer, self.grad)
-            self.grad = grad_buffer
         self._grad_buffer = grad_buffer
 
     def __repr__(self) -> str:
