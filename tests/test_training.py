@@ -110,8 +110,8 @@ class TestAdam:
 
     @pytest.mark.parametrize("dtype", (np.float64, np.float32))
     def test_in_place_step_matches_the_formula_bytes(self, dtype):
-        # "unused" never gets a gradient; "huge" spans three slices of the formula's pass,
-        # and the slices cut "b" and "unused" off from it and each other at no parameter edge
+        # "unused" never gets a gradient; "huge" is larger than one slice of the formula's
+        # pass, and the edge between two slices falls inside it
         shapes = {"w": (7, 5), "big": (40, 9), "huge": (3, training.ADAM_SLICE // 2 + 5),
                   "b": (1, 5), "unused": (3, 2)}
         rng = np.random.default_rng(12)
@@ -133,7 +133,6 @@ class TestAdam:
             assert params[k].values.tobytes() == reference[k].values.tobytes()
             assert opt.m[k].tobytes() == m[k].tobytes()
             assert opt.v[k].tobytes() == v[k].tobytes()
-
 
     def test_parameters_of_two_dtypes_are_rejected(self):
         # the arena holds one dtype; a wider scratch used to round the float32 moments
