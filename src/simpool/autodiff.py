@@ -30,7 +30,9 @@ takes only float64 input.
 A batch of graphs is one disjoint union, so the ops see it as one graph.
 Where the union must stay per graph, ``matmul`` takes ``segments``: the
 product of a block-diagonal left operand, given as its blocks side by
-side, with the stacked right operand, one row block per graph.
+side, with the stacked right operand, one row block per graph. A
+``Segments`` checks its offsets and measures their sizes once, so a
+batch's products share that work.
 
 Gather indices are constants: no gradient ever flows into an index
 argument, only into the values. Every sum of rows by an index is a
@@ -399,19 +401,51 @@ def incidence(idx, rows: int) -> sp.csc_matrix:
                          shape=(rows, idx.size))
 
 
+class Segments:
+    """Offsets 0 = o_0 <= ... <= o_B that cut an axis into B ranges, checked once.
+
+    ``sizes`` holds the B range lengths, ``count`` is B, ``total`` is o_B,
+    and ``equal`` says whether every range has one length (stacked c x c
+    blocks); ``ranges`` lists the (o_g, o_(g+1)) bounds as ints. A batch
+    builds one per offsets array (``layers.Edges`` for its graphs,
+    ``layers.block_offsets`` for stacked blocks), so its products and
+    losses do not diff and check the offsets again on every call. Offsets
+    that fall anywhere raise ``ValueError``.
+    """
+
+    __slots__ = ("offsets", "sizes", "count", "total", "equal", "ranges")
+
+    def __init__(self, offsets):
+        offsets = np.asarray(offsets)
+        sizes = np.diff(offsets)
+        if offsets.ndim != 1 or offsets.size == 0 or offsets[0] != 0 or np.any(sizes < 0):
+            raise ValueError(f"segments must rise from 0, got {offsets.tolist()}")
+        self.offsets, self.sizes = offsets, sizes
+        self.count, self.total = sizes.size, int(offsets[-1])
+        self.equal = self.count > 0 and bool(np.all(sizes == sizes[0]))
+        bounds = offsets.tolist()
+        self.ranges = list(zip(bounds[:-1], bounds[1:]))
+
+
+def as_segments(segments) -> Segments:
+    """``segments`` as a ``Segments``: itself, or raw offsets checked and measured now."""
+    return segments if isinstance(segments, Segments) else Segments(segments)
+
+
 # ---------------------------------------------------------------------------
 # primitives
 # ---------------------------------------------------------------------------
 
-def matmul(a: Tensor, b: Tensor, segments: np.ndarray | None = None) -> Tensor:
+def matmul(a: Tensor, b: Tensor, segments: Segments | np.ndarray | None = None) -> Tensor:
     """a @ b, or with ``segments`` the product of a block-diagonal left operand.
 
-    ``segments`` are offsets 0 = o_0 <= ... <= o_B = K that cut the K
-    columns of ``a`` and the K rows of ``b`` into B ranges. The blocks of
-    the left operand are the column ranges of ``a``, so ``a`` is r x K and
-    the result stacks the B products a[:, o_g:o_(g+1)] @ b[o_g:o_(g+1)] as
-    a (B r) x m array. With a = transpose(S) this is S_g^T Z_g for every
-    graph g of a disjoint union at once.
+    ``segments`` are offsets 0 = o_0 <= ... <= o_B = K, a ``Segments`` or
+    a raw offsets array, that cut the K columns of ``a`` and the K rows of
+    ``b`` into B ranges. The blocks of the left operand are the column
+    ranges of ``a``, so ``a`` is r x K and the result stacks the B products
+    a[:, o_g:o_(g+1)] @ b[o_g:o_(g+1)] as a (B r) x m array. With
+    a = transpose(S) this is S_g^T Z_g for every graph g of a disjoint
+    union at once.
     """
     av, bv = a.values, b.values
     if av.shape[1] != bv.shape[0]:
@@ -420,22 +454,21 @@ def matmul(a: Tensor, b: Tensor, segments: np.ndarray | None = None) -> Tensor:
     if segments is None:
         return _op("matmul", av @ bv, ((a, lambda g: g @ bv.T), (b, lambda g: av.T @ g)))
 
-    segments = np.asarray(segments)
-    sizes = np.diff(segments)
-    if segments[0] != 0 or segments[-1] != av.shape[1] or np.any(sizes < 0):
+    cut = as_segments(segments)
+    if cut.total != av.shape[1]:
         raise ValueError(f"segments must rise from 0 to {av.shape[1]}")
-    count, r, m = sizes.size, av.shape[0], bv.shape[1]
+    ranges, count, equal = cut.ranges, cut.count, cut.equal
+    size = int(cut.sizes[0]) if equal else 0
+    r, m = av.shape[0], bv.shape[1]
     # equal segments (stacked c x c blocks) make 3-D views: one batched product
-    equal = count > 0 and bool(np.all(sizes == sizes[0]))
 
     def blocks(x: np.ndarray, by_columns: bool):
         """x's blocks along the segmented axis, as views where x is contiguous."""
         if equal:
             if by_columns:
-                return x.reshape(x.shape[0], count, sizes[0]).transpose(1, 0, 2)
-            return x.reshape(count, sizes[0], x.shape[1])
-        pairs = zip(segments[:-1], segments[1:])
-        return [x[:, lo:hi] for lo, hi in pairs] if by_columns else [x[lo:hi] for lo, hi in pairs]
+                return x.reshape(x.shape[0], count, size).transpose(1, 0, 2)
+            return x.reshape(count, size, x.shape[1])
+        return [x[:, lo:hi] for lo, hi in ranges] if by_columns else [x[lo:hi] for lo, hi in ranges]
 
     def transposed(xs):
         return xs.transpose(0, 2, 1) if equal else [x.T for x in xs]

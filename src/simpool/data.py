@@ -220,19 +220,29 @@ class Dataset:
         counts = self.node_offsets[p + 1] - self.node_offsets[p]
         return union, np.concatenate([[0], np.cumsum(counts)])
 
+    def _stacked_features(self, positions) -> np.ndarray:
+        """The stored label column or rows of the graphs at ``positions``, stacked in that order."""
+        ranges = self._node_ranges(positions)
+        return np.concatenate([self.node_features[lo:hi] for lo, hi in ranges])
+
     def node_rows(self, positions) -> np.ndarray:
         """The node feature rows of the graphs at ``positions``, stacked in that order.
 
         A new array: one-hot bool rows built from the label column, or a
         copy of the stored rows.
         """
-        parts = [self.node_features[lo:hi] for lo, hi in self._node_ranges(positions)]
-        stacked = np.concatenate(parts)
-        if stacked.ndim == 2:
-            return stacked
-        onehot = np.zeros((stacked.size, self.feature_dim), dtype=bool)
-        onehot[np.arange(stacked.size), stacked] = True
+        stacked = self._stacked_features(positions)
+        return stacked if stacked.ndim == 2 else self._one_hot(stacked)
+
+    def _one_hot(self, column: np.ndarray) -> np.ndarray:
+        """Bool rows as wide as ``feature_dim``, with a one at each node's label."""
+        onehot = np.zeros((column.size, self.feature_dim), dtype=bool)
+        onehot[np.arange(column.size), column] = True
         return onehot
+
+    def node_labels(self, positions) -> np.ndarray | None:
+        """The node-label column of the graphs at ``positions``, stacked; None for a row store."""
+        return None if self.node_features.ndim == 2 else self._stacked_features(positions)
 
 
 class Graph:
@@ -279,24 +289,30 @@ class Batch:
     ``edges`` lists every graph's edges over the stacked node rows, and its
     ``node_offsets`` cut ``features``, the graphs' node rows in batch
     order (one-hot bool rows built once per batch from a label column),
-    into graphs. ``Batch.of`` cuts one from a dataset's store.
+    into graphs. ``node_labels`` is that label column, cut from a
+    label-column store, and None for a row store: the model's GMN stacks
+    read it in place of the one-hot rows. ``Batch.of`` cuts one from a
+    dataset's store.
     """
 
     features: np.ndarray  # (sum of node counts) x d, the graphs' node rows stacked
     labels: np.ndarray  # B
     indices: np.ndarray  # B source positions in the dataset
     edges: Edges  # the union's edge list
+    node_labels: np.ndarray | None  # one label in [0, d) per node row, or None for a row store
 
     @classmethod
     def of(cls, dataset: Dataset, positions) -> Batch:
         """The union of the graphs at dataset ``positions``, its edges in ``ad.tape_dtype()``."""
         adjacency, offsets = dataset.union(positions, ad.tape_dtype())
         positions = np.array(positions, dtype=np.int64)  # integers: the union checked them
+        column = dataset.node_labels(positions)
         return cls(
-            features=dataset.node_rows(positions),
+            features=dataset.node_rows(positions) if column is None else dataset._one_hot(column),
             labels=dataset.graph_labels[positions],
             indices=positions,
             edges=Edges(adjacency, offsets),
+            node_labels=column,
         )
 
     @property

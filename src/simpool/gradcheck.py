@@ -1,10 +1,12 @@
 """Finite-difference verification of every differentiable component.
 
-Each check draws seeded random graphs (|V| <= 10) and builds them as a
+Each check draws seeded random graphs (|V| <= 11) and builds them as a
 ``data.Dataset``: ``Batch.of`` cuts the edge lists and batches that stage
 0 reads from it, as in training, and the full-model check runs the
 training path whole (``preprocess_dataset``, ``Batch.of``,
-``forward_batch``). It builds the component with fresh random
+``forward_batch``). Every check but one builds node feature rows; the
+label-pair check builds a node-label column, the input of the first GMN
+propagation's label path. It builds the component with fresh random
 parameters, and compares analytic gradients of a scalar projection of
 the output against central differences, parameter coordinate by
 coordinate. The suite runs in float64, whatever the tape's setting
@@ -34,6 +36,7 @@ from .layers import (
     GcnLayer,
     GmnEncoder,
     GmnPropagation,
+    LabelPairs,
     cross_entropy,
     loss_lc,
     loss_le,
@@ -109,6 +112,37 @@ def _check_gmn_propagation(rng, n):
     proj = rng.normal(size=(n, 3))
     forward = lambda: ad.sum_all(ad.multiply(p2(p1(x, edges), edges), ad.constant(proj)))
     return _check_params(forward, {**p1.parameters(), **p2.parameters()})
+
+
+def _check_label_pairs(rng, n):
+    """The label path of a GMN stack on a label-column dataset whose last node is isolated.
+
+    The encoder runs on the one-hot label rows; a relu and a tanh
+    propagation read its table through the batch's ``LabelPairs``, and a
+    linear propagation folds each one's node rows.
+    """
+    a = _random_graph(rng, n + 1)
+    a[n] = a[:, n] = 0.0
+    labels = rng.integers(0, 3, size=n + 1).astype(np.uint8)
+    ds = Dataset("gradcheck", sp.csr_matrix(a), [0, n + 1], labels, [0], 1)
+    batch = Batch.of(ds, [0])
+    d, edges = ds.feature_dim, batch.edges
+    pairs = LabelPairs(edges, batch.node_labels, d)
+    enc = GmnEncoder(rng, d, 3, "relu", "enc")
+    props = [GmnPropagation(rng, 3, 2, 3, act, act) for act in ("relu", "tanh")]
+    folds = [GmnPropagation(rng, 3, 2, 2, "linear", f"fold{i}") for i in range(2)]
+    rows = ad.constant(np.eye(d))
+    projections = [ad.constant(rng.normal(size=(n + 1, 2))) for _ in range(2)]
+
+    def forward():
+        table = enc(rows)
+        outs = [fold(prop(table, edges, pairs), edges) for prop, fold in zip(props, folds)]
+        return ad.add(*(ad.sum_all(ad.multiply(out, c)) for out, c in zip(outs, projections)))
+
+    params = {**enc.parameters()}
+    for layer in props + folds:
+        params.update(layer.parameters())
+    return _check_params(forward, params)
 
 
 def _check_gcn(rng, n):
@@ -203,6 +237,7 @@ def _check_packed_batch(rng, n):
 SUITE_CHECKS = {
     "gmn_encoder": _check_gmn_encoder,
     "gmn_propagation": _check_gmn_propagation,
+    "gmn_label_pairs": _check_label_pairs,
     "gcn": _check_gcn,
     "pooling_eq9": _check_pooling,
     "loss_le": _check_loss_le,

@@ -7,12 +7,13 @@ union as one ``Edges`` list, cut from a dataset by ``data.Batch.of``,
 with no n x n tensor: a relu or tanh GMN
 propagation sums its messages through the edge list's ``ad.incidence``
 matrices in one ``ad.edge_aggregate`` op, which keeps no edge rows on the
-tape; a linear one is one linear map of the node rows, with the degree
-column and one sparse product by A in place of the edge pass; and
-stage-0 pooling takes A·S as one sparse product. Graphs are undirected
-(``data.Dataset`` checks it), so A is its own transpose. Pooling and the
-GCN keep graphs apart through ``ad.matmul``'s segments, and the losses are
-means over graphs.
+tape, or, reading a table of label rows, forms one message per label pair
+(``LabelPairs``) with no edge pass; a linear one is one linear map of the
+node rows, with the degree column and one sparse product by A in place
+of the edge pass; and stage-0 pooling takes A·S as one sparse product.
+Graphs are undirected (``data.Dataset`` checks it), so A is its own
+transpose. Pooling and the GCN keep graphs apart through ``ad.matmul``'s
+segments, and the losses are means over graphs.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from . import autodiff as ad
 
 __all__ = [
     "Edges",
+    "LabelPairs",
     "Dense",
     "MLP",
     "GmnEncoder",
@@ -70,21 +72,24 @@ class Edges:
     (receivers[e], e)), which the forward pass needs and which is built
     with the list, and ``sender_incidence``, which only a backward pass
     needs and which is built on first use. All these products add in edge
-    order. The adjacency, ``degree`` and the incidences hold
-    ``ad.tape_dtype()`` as it was when the list was built, so the list
-    serves a model built under the same ``ad.precision``; their entries are
-    small integers, exact in float32.
+    order. ``node_segments`` is ``node_offsets`` as the ``ad.Segments``
+    that the batch's segmented products and losses read. The adjacency,
+    ``degree`` and the incidences hold ``ad.tape_dtype()`` as it was when
+    the list was built, so the list serves a model built under the same
+    ``ad.precision``; their entries are small integers, exact in float32.
     """
 
     def __init__(self, adjacency: sp.csr_matrix, node_offsets: np.ndarray):
         dtype = ad.tape_dtype()
         a = self.adjacency = adjacency.astype(dtype, copy=False)
         n = self.node_count = a.shape[0]
-        self.senders = np.repeat(np.arange(n), np.diff(a.indptr))
+        row_lengths = np.diff(a.indptr)
+        self.senders = np.repeat(np.arange(n), row_lengths)
         self.receivers = a.indices.astype(np.intp)
         self.node_offsets = node_offsets
+        self.node_segments = ad.Segments(node_offsets)
         self.edge_offsets = a.indptr[node_offsets].astype(np.intp)
-        self.degree = np.diff(a.indptr).astype(dtype).reshape(-1, 1)
+        self.degree = row_lengths.astype(dtype).reshape(-1, 1)
         self.receiver_incidence = ad.incidence(self.receivers, n)
 
     @cached_property
@@ -95,6 +100,42 @@ class Edges:
     def spread(self, x: ad.Tensor) -> ad.Tensor:
         """A @ x: row i sums x[receivers[e]] over the edges e that i sends, in edge order."""
         return ad.sparse_matmul(self.adjacency, x)
+
+
+# the largest label count whose label-pair codes ``LabelPairs`` counts with one
+# ``np.bincount`` over all d^2 codes; past it, ``np.unique`` sorts the edges' codes
+PAIR_TABLE_LIMIT = 1 << 8
+
+
+class LabelPairs:
+    """A batch's node-label column and the (receiver, sender) label pairs its edges carry.
+
+    ``labels`` gives each node of ``edges`` one of ``label_count`` labels.
+    An edge j -> i carries the pair (labels[i], labels[j]);
+    ``receiver_labels`` and ``sender_labels`` list the P pairs present,
+    in code order (receiver label times ``label_count`` plus sender
+    label). ``counts`` is the n x P CSR whose row i counts, per pair, the
+    messages node i receives. Graphs are undirected, so the messages i
+    receives come from the neighbours in row i of the adjacency: ``counts``
+    shares its ``indptr``, and each entry is a one, one per edge, which the
+    product adds up. The present pairs come from one ``np.bincount`` over
+    the d^2 codes, with no sort, up to ``PAIR_TABLE_LIMIT`` labels.
+    """
+
+    def __init__(self, edges: Edges, labels: np.ndarray, label_count: int):
+        self.labels = labels = np.asarray(labels, dtype=np.intp)
+        a = edges.adjacency
+        # row i of the adjacency (``senders``) is the node that receives from its neighbours
+        codes = labels[edges.senders] * label_count + labels[edges.receivers]
+        if label_count <= PAIR_TABLE_LIMIT:
+            present = np.bincount(codes, minlength=label_count * label_count) > 0
+            pairs, column = np.flatnonzero(present), np.cumsum(present)[codes] - 1
+        else:
+            pairs, column = np.unique(codes, return_inverse=True)
+        self.receiver_labels, self.sender_labels = np.divmod(pairs, label_count)
+        self.counts = sp.csr_matrix((np.ones(codes.size, dtype=a.dtype),
+                                     column.astype(a.indptr.dtype), a.indptr),
+                                    shape=(edges.node_count, pairs.size))
 
 
 class Dense:
@@ -208,6 +249,22 @@ class GmnPropagation:
     kept: the op's backward pass recomputes them, so the tape holds O(n)
     rows per layer.
 
+    With ``pairs``, a ``LabelPairs``, ``h`` is a table of d rows, one per
+    node label, and node i's state is h[labels[i]]: the layer reads a
+    batch whose encoder ran on the d one-hot label rows, and takes the
+    label path whatever its activation. Every message depends only on its
+    (receiver label, sender label) pair, and f_node's product splits as
+    concat(h_i, agg_i) W = h_i W_top + agg_i W_bot, so
+
+        out = act(T_top[labels] + C (act(R[a] + S[b] + b_msg) W_bot) + b_node),
+
+    with R, S and T_top the table's products by W_recv, W_send and W_top,
+    a and b the receiver and sender labels of the P pairs present, and C
+    the n x P pair counts (``LabelPairs.counts``). That is the per-edge
+    layer's sum regrouped by pair, exact in exact arithmetic and equal up
+    to rounding: it multiplies d rather than n rows by the u x u weights,
+    forms P messages rather than E, and runs no edge pass.
+
     A linear layer is one linear map of h. With W_top and W_bot the first
     d and the last m rows of f_node's weight (``ad.row_range``), and deg
     the degree column,
@@ -230,18 +287,26 @@ class GmnPropagation:
         self.f_message = GmnMessage(rng, in_dim, message_dim, activation, f"{name}.msg")
         self.f_node = Dense(rng, in_dim + message_dim, out_dim, activation, f"{name}.node")
 
-    def __call__(self, h: ad.Tensor, edges: Edges) -> ad.Tensor:
+    def __call__(self, h: ad.Tensor, edges: Edges, pairs: LabelPairs | None = None) -> ad.Tensor:
         n = edges.node_count
-        if h.shape[0] != n:
-            raise ValueError(f"{h.shape[0]} node states for a graph of {n} nodes")
+        states = h.shape[0] if pairs is None else pairs.labels.size
+        if states != n:
+            raise ValueError(f"{states} node states for a graph of {n} nodes")
         msg, node = self.f_message, self.f_node
-        if msg.activation != "linear":
+        if pairs is None and msg.activation != "linear":
             aggregate = ad.edge_aggregate(ad.matmul(h, msg.w_recv), ad.matmul(h, msg.w_send),
                                           msg.bias, edges, msg.activation)
             return node(ad.concat_columns([h, aggregate]))
         d = msg.w_recv.shape[0]
         w_top = ad.row_range(node.weight, 0, d)
         w_bot = ad.row_range(node.weight, d, node.in_dim)
+        if pairs is not None:
+            pre = ad.add(ad.gather_rows(ad.matmul(h, msg.w_recv), pairs.receiver_labels),
+                         ad.gather_rows(ad.matmul(h, msg.w_send), pairs.sender_labels))
+            messages = ACTIVATIONS[msg.activation](ad.add(pre, msg.bias))
+            out = ad.add(ad.gather_rows(ad.matmul(h, w_top), pairs.labels),
+                         ad.sparse_matmul(pairs.counts, ad.matmul(messages, w_bot)))
+            return ACTIVATIONS[node.activation](ad.add(out, node.bias))
         own = ad.add(ad.matmul(h, ad.matmul(msg.w_recv, w_bot)), ad.matmul(msg.bias, w_bot))
         out = ad.add(ad.matmul(h, w_top), ad.multiply(ad.constant(edges.degree), own))
         out = ad.add(out, edges.spread(ad.matmul(h, ad.matmul(msg.w_send, w_bot))))
@@ -251,12 +316,12 @@ class GmnPropagation:
         return {**self.f_message.parameters(), **self.f_node.parameters()}
 
 
-def block_offsets(a: ad.Tensor) -> np.ndarray:
-    """Offsets 0, n, ..., B n of a stack of B square n x n blocks, (B n) x n."""
+def block_offsets(a: ad.Tensor) -> ad.Segments:
+    """The ``ad.Segments`` 0, n, ..., B n of a stack of B square n x n blocks, (B n) x n."""
     rows, n = a.shape
     if n == 0 or rows % n:
         raise ValueError(f"a {a.shape} tensor is not a stack of square blocks")
-    return np.arange(0, rows + 1, n)
+    return ad.Segments(np.arange(0, rows + 1, n))
 
 
 class GcnLayer:
@@ -283,7 +348,7 @@ class GcnLayer:
         if np.any(a.values < 0):
             raise ValueError("gcn requires non-negative adjacency")
         n = a.shape[1]
-        a_tilde = ad.add(a, ad.constant(np.tile(np.eye(n), (segments.size - 1, 1))))
+        a_tilde = ad.add(a, ad.constant(np.tile(np.eye(n), (segments.count, 1))))
         inv_sqrt_deg = ad.reciprocal(ad.sqrt(ad.row_sum(a_tilde)))
         mixed = ad.matmul(ad.transpose(a_tilde), ad.multiply(h, inv_sqrt_deg), segments)
         out = ad.matmul(ad.multiply(mixed, inv_sqrt_deg), self.weight)
@@ -312,7 +377,7 @@ def pool_forward(z: ad.Tensor, logits: ad.Tensor, spread, segments=None):
 
 def _graph_sizes(rows: int, segments) -> np.ndarray:
     """Each graph's row count; without ``segments``, all rows are one graph."""
-    return np.array([rows]) if segments is None else np.diff(segments)
+    return np.array([rows]) if segments is None else ad.as_segments(segments).sizes
 
 
 def loss_le(s: ad.Tensor, segments=None) -> ad.Tensor:

@@ -7,7 +7,21 @@ stacks of the same shape on the whole union: a relu encoder, a relu
 propagation step and a linear propagation step, each `gmn_units` wide.
 The Z stack ends in `embed_units` node embeddings; the S stack reads
 structural features, node features, or both, and ends in `clusters_1`
-assignment logits. Stage 1 embeds with a GCN and assigns through a
+assignment logits.
+
+A batch cut from a node-label column (``Batch.node_labels``) gives every
+node one of d one-hot rows, so after the encoder every node state is one
+of d rows, and every message of the first propagation depends only on
+its (receiver label, sender label) pair: the first step of 1-WL colour
+refinement. A stack that reads that column, the Z stack and in ``node``
+mode the S stack, runs its encoder on the d label rows and its first
+propagation once per label pair present (``GmnPropagation``'s label
+path, over one ``LabelPairs`` per batch). That regroups the per-node and
+per-edge sums of the same parameters, so it is exact in exact arithmetic
+and agrees with the per-edge path on the one-hot rows to rounding. Row
+stores (structural rows, ``both`` mode's concatenation, degree scalars)
+take the per-edge path, and a label column's one-hot rows are cast to
+the tape only where a stack reads them. Stage 1 embeds with a GCN and assigns through a
 two-layer MLP fed by similarity features recomputed (differentiably)
 from the learned coarse adjacency. Each stage coarsens with
 ``pool_forward(z, logits, spread, segments)``, ``spread`` being its A·x
@@ -43,6 +57,7 @@ from .layers import (
     GcnLayer,
     GmnEncoder,
     GmnPropagation,
+    LabelPairs,
     MLP,
     block_offsets,
     cross_entropy,
@@ -171,15 +186,21 @@ class Forward:
 
 
 class _GmnStack:
-    """Relu encoder, relu propagation, linear propagation; the Z and S nets."""
+    """Relu encoder, relu propagation, linear propagation; the Z and S nets.
+
+    Without ``pairs`` the stack reads one row of ``x`` per node. With a
+    ``LabelPairs``, ``x`` holds the d one-hot label rows: the encoder runs
+    on those, and the first propagation reads the d x u table it returns
+    through the labels (``GmnPropagation``'s label path).
+    """
 
     def __init__(self, rng, in_dim: int, units: int, out_dim: int, name: str):
         self.encoder = GmnEncoder(rng, in_dim, units, "relu", f"{name}.enc")
         self.prop0 = GmnPropagation(rng, units, units, units, "relu", f"{name}.prop0")
         self.prop1 = GmnPropagation(rng, units, units, out_dim, "linear", f"{name}.prop1")
 
-    def __call__(self, edges: Edges, x: ad.Tensor) -> ad.Tensor:
-        return self.prop1(self.prop0(self.encoder(x), edges), edges)
+    def __call__(self, edges: Edges, x: ad.Tensor, pairs: LabelPairs | None = None) -> ad.Tensor:
+        return self.prop1(self.prop0(self.encoder(x), edges, pairs), edges)
 
     def parameters(self) -> dict[str, ad.Tensor]:
         return {**self.encoder.parameters(), **self.prop0.parameters(), **self.prop1.parameters()}
@@ -241,17 +262,20 @@ class SimPoolModel:
     # forward passes
     # ------------------------------------------------------------------
 
-    def _assign_features_0(self, x: ad.Tensor, mapped: np.ndarray | None) -> ad.Tensor:
+    def _assign_features_0(self, x: ad.Tensor, pairs: LabelPairs | None, rows: np.ndarray,
+                           mapped: np.ndarray | None) -> tuple[ad.Tensor, LabelPairs | None]:
+        """The S stack's input, as the Z stack's (``x``, ``pairs``) is: the node input in
+        ``node`` mode, else the structural rows, beside the node ``rows`` in ``both`` mode."""
         if self.assign_inputs == "node":
-            return x
+            return x, pairs
         if mapped is None:
             raise ConfigError(
                 "structural assignment features requested but no precomputed "
                 "mapped similarity was supplied; run preprocessing first"
             )
-        if mapped.shape != (x.shape[0], self.sim.k):
+        if mapped.shape != (rows.shape[0], self.sim.k):
             raise ConfigError(
-                f"mapped similarity shape {mapped.shape} != ({x.shape[0]}, {self.sim.k})"
+                f"mapped similarity shape {mapped.shape} != ({rows.shape[0]}, {self.sim.k})"
             )
         tape = np.dtype(ad.tape_dtype())
         if mapped.dtype.kind == "f" and mapped.dtype.itemsize < tape.itemsize:
@@ -262,8 +286,8 @@ class SimPoolModel:
             )
         structural = ad.constant(mapped)
         if self.assign_inputs == "structural":
-            return structural
-        return ad.concat_columns([structural, x])
+            return structural, None
+        return ad.concat_columns([structural, x if pairs is None else ad.constant(rows)]), None
 
     def _assign_features_1(self, x1: ad.Tensor, a1: ad.Tensor) -> ad.Tensor:
         if self.assign_inputs == "node":
@@ -279,11 +303,14 @@ class SimPoolModel:
         ``forward_graph`` builds the objective on this pass and ``predict``
         reads only its logits.
         """
-        edges = batch.edges
-        x = ad.constant(batch.features)
-        f0 = self._assign_features_0(x, mapped)
-        x1, a1, s0 = pool_forward(self.z_stack(edges, x), self.s_stack(edges, f0), edges.spread,
-                                  edges.node_offsets)
+        edges, rows = batch.edges, batch.features
+        pairs = None if batch.node_labels is None else LabelPairs(edges, batch.node_labels,
+                                                                  rows.shape[1])
+        # a label column feeds the stacks the d one-hot label rows, not the n node rows
+        x = ad.constant(rows if pairs is None else np.eye(rows.shape[1]))
+        f0 = self._assign_features_0(x, pairs, rows, mapped)
+        x1, a1, s0 = pool_forward(self.z_stack(edges, x, pairs), self.s_stack(edges, *f0),
+                                  edges.spread, edges.node_segments)
         f1 = self._assign_features_1(x1, a1)
         blocks1 = block_offsets(a1)
         # a1's blocks are symmetric: transpose(a1) holds them as column ranges
@@ -303,7 +330,7 @@ class SimPoolModel:
         cast; a narrower float raises ``ConfigError``.
         """
         logits, s0, s1, blocks1 = self._network(batch, mapped)
-        segments = batch.edges.node_offsets
+        segments = batch.edges.node_segments
         probs = ad.row_softmax(logits)
         terms = (cross_entropy(probs, batch.labels), loss_le(s0, segments), loss_le(s1, blocks1),
                  loss_lc(s0, segments), loss_lc(s1, blocks1))

@@ -216,7 +216,7 @@ def symmetric_similarity_on_tape(a: ad.Tensor, p: int = 1, lam: float = 0.0) -> 
     inverse norms as column scales.
     """
     segments = block_offsets(a)
-    count, n = segments.size - 1, a.shape[1]
+    count, n = segments.count, a.shape[1]
     base = a if lam == 0.0 else ad.add(a, ad.constant(np.tile(lam * np.eye(n), (count, 1))))
     ahat = base
     for _ in range(p - 1):

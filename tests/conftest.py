@@ -172,11 +172,15 @@ def raw_edges(blocks):
     return Edges(sp.block_diag([sp.csr_matrix(b) for b in blocks], format="csr"), offsets)
 
 
-def float64_features(ds):
-    """``ds`` rebuilt with its node features as float64 rows, one-hot rows for a label column."""
+def row_store(ds, dtype=np.float64):
+    """``ds`` rebuilt with its node features as ``dtype`` rows, one-hot rows for a label column.
+
+    A row store takes the per-edge path of the first GMN propagation, so it
+    is the reference for a label column's label-pair path.
+    """
     everything = np.arange(len(ds))
     return Dataset(ds.name, ds.union(everything)[0], ds.node_offsets,
-                   ds.node_rows(everything).astype(np.float64), ds.graph_labels, ds.num_classes,
+                   ds.node_rows(everything).astype(dtype), ds.graph_labels, ds.num_classes,
                    metadata=dict(ds.metadata))
 
 

@@ -337,8 +337,8 @@ def forward_graph_loop(model, adjacency, features, label: int, mapped=None) -> F
     """
     edges = raw_edges([adjacency])
     x = ad.constant(features)
-    f0 = model._assign_features_0(x, mapped)
-    x1, a1, s0 = _pool_dense(model.z_stack(edges, x), model.s_stack(edges, f0), edges.spread)
+    f0 = model._assign_features_0(x, None, features, mapped)
+    x1, a1, s0 = _pool_dense(model.z_stack(edges, x), model.s_stack(edges, *f0), edges.spread)
     f1 = x1
     if model.assign_inputs != "node":
         f1 = _similarity_dense_on_tape(a1, model.sim.p, model.sim.lam)

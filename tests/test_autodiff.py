@@ -61,6 +61,33 @@ class TestForwardValues:
             with pytest.raises(ValueError, match="segments"):
                 ad.matmul(ad.constant(a), ad.constant(b), np.array(bad))
 
+    def test_segments_are_measured_once(self, monkeypatch):
+        # a Segments gives the raw offsets' bytes, forward and backward, and diffs nothing again
+        rng = np.random.default_rng(3)
+        a, b, g = rng.normal(size=(3, 8)), rng.normal(size=(8, 4)), rng.normal(size=(12, 4))
+        diffs, diff = [], np.diff
+        monkeypatch.setattr(np, "diff", lambda *args, **kw: diffs.append(args) or diff(*args, **kw))
+        for offsets, equal in (([0, 2, 2, 7, 8], False), ([0, 2, 4, 6, 8], True)):
+            cut = ad.Segments(np.array(offsets))
+            assert (cut.count, cut.total, cut.equal) == (4, 8, equal)
+            assert cut.sizes.tolist() == diff(offsets).tolist()
+            runs = []
+            for segments in (np.array(offsets), cut):
+                left, right = ad.parameter(a), ad.parameter(b)
+                diffs.clear()
+                with ad.Tape() as tape:
+                    out = ad.matmul(left, right, segments)
+                    tape.backward(ad.sum_all(ad.multiply(out, ad.constant(g))))
+                runs.append((out.values.tobytes(), left.grad.tobytes(), right.grad.tobytes(),
+                             len(diffs)))
+            assert runs[0][:3] == runs[1][:3]
+            assert runs[0][3] == 1 and runs[1][3] == 0
+        for bad in ([], [1, 8], [0, 5, 3, 8], [[0, 8]]):
+            with pytest.raises(ValueError, match="segments must rise from 0"):
+                ad.Segments(np.array(bad))
+        with pytest.raises(ValueError, match="segments must rise from 0 to 8"):
+            ad.matmul(ad.constant(a), ad.constant(b), ad.Segments(np.array([0, 7])))
+
     def test_scatter_add_matches_bincount_bytes(self):
         # random, heavily repeated and empty index lists
         rng = np.random.default_rng(2)

@@ -29,7 +29,7 @@ from simpool.data import (
 
 from conftest import (
     dataset_of,
-    float64_features,
+    row_store,
     many_label_dataset,
     mixed_dataset,
     random_graph,
@@ -769,7 +769,7 @@ class TestCache:
                                         toy_dataset.graph_labels, toy_dataset.num_classes))
                    for dtype in (bool, np.float32, np.float64)}
         assert len(digests) == 1
-        assert digests == {dataset_hash(float64_features(toy_dataset))}
+        assert digests == {dataset_hash(row_store(toy_dataset))}
         assert dataset_hash(toy_dataset) not in digests
 
     def test_hash_changes_with_every_part(self):

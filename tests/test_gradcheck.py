@@ -22,6 +22,14 @@ def test_suite_passes_except_full_model():
         assert r.passed, f"{r.name}: {r.max_error:.2e} >= {r.tolerance:.0e}"
 
 
+def test_label_pair_check_reaches_the_label_path(corrupt_backward):
+    # only the label path gathers rows in this check: a wrong gather gradient must fail it
+    (clean,) = gradcheck.run_suite(graphs_per_check=2, checks=["gmn_label_pairs"])
+    corrupt_backward("gather_rows", 1.01)
+    (corrupted,) = gradcheck.run_suite(graphs_per_check=2, checks=["gmn_label_pairs"])
+    assert clean.passed and not corrupted.passed
+
+
 def test_unknown_check_names_are_rejected():
     # an unknown name used to select nothing, and an empty suite passes
     with pytest.raises(ValueError, match=r"unknown checks \['pooling', 'gnc'\]; valid names: "

@@ -7,6 +7,7 @@ import pytest
 import scipy.sparse as sp
 
 from simpool import autodiff as ad
+from simpool import layers
 from simpool.data import Batch
 from simpool.layers import (
     Dense,
@@ -14,6 +15,7 @@ from simpool.layers import (
     GmnEncoder,
     GmnMessage,
     GmnPropagation,
+    LabelPairs,
     MLP,
     cross_entropy,
     loss_lc,
@@ -21,7 +23,8 @@ from simpool.layers import (
     pool_forward,
 )
 
-from conftest import dataset_of, mixed_dataset, random_graph, raw_edges, ring_graph, union_edges
+from conftest import (dataset_of, many_label_dataset, mixed_dataset, random_graph, raw_edges,
+                      ring_graph, union_edges)
 from oracles import (
     edge_aggregate_chain,
     edge_runs,
@@ -422,6 +425,86 @@ class TestGmnPropagation:
         for name, p in params.items():
             err = ad.grad_check(lambda _: forward(), p)
             assert err < 1e-4, f"{name}: {err:.2e}"
+
+
+class TestLabelPairs:
+    @staticmethod
+    def batch(tmp_path, make=mixed_dataset):
+        ds = make(tmp_path)
+        return ds, Batch.of(ds, np.arange(len(ds)))
+
+    def test_counts_are_each_nodes_messages_per_pair(self, tmp_path):
+        for make in (mixed_dataset, many_label_dataset):
+            ds, batch = self.batch(tmp_path / make.__name__, make)
+            edges, labels = batch.edges, batch.node_labels.astype(np.intp)
+            pairs = LabelPairs(edges, labels, ds.feature_dim)
+            expected = np.zeros((edges.node_count, ds.feature_dim, ds.feature_dim))
+            for j, i in zip(edges.senders, edges.receivers):  # edge j -> i
+                expected[i, labels[i], labels[j]] += 1
+            present = expected.sum(axis=0) > 0
+            receivers, senders = np.nonzero(present)
+            np.testing.assert_array_equal(pairs.receiver_labels, receivers)
+            np.testing.assert_array_equal(pairs.sender_labels, senders)
+            np.testing.assert_array_equal(pairs.counts.toarray(), expected[:, present])
+            assert pairs.counts.indptr is edges.adjacency.indptr
+            assert pairs.counts.dtype == edges.adjacency.dtype
+
+    def test_sorted_codes_give_the_bincount_pairs(self, tmp_path, monkeypatch):
+        ds, batch = self.batch(tmp_path, many_label_dataset)
+        counted = LabelPairs(batch.edges, batch.node_labels, ds.feature_dim)
+        monkeypatch.setattr(layers, "PAIR_TABLE_LIMIT", 0)
+        unique = LabelPairs(batch.edges, batch.node_labels, ds.feature_dim)
+        for name in ("receiver_labels", "sender_labels"):
+            np.testing.assert_array_equal(getattr(unique, name), getattr(counted, name))
+        assert (unique.counts != counted.counts).nnz == 0
+
+    def test_edgeless_graphs_carry_no_pair(self):
+        labels = np.array([0, 2, 1], dtype=np.uint8)
+        ds = dataset_of([(np.zeros((3, 3)), np.eye(3), 0)])
+        pairs = LabelPairs(Batch.of(ds, [0]).edges, labels, 3)
+        assert pairs.receiver_labels.size == 0 and pairs.counts.shape == (3, 0)
+
+    @pytest.mark.parametrize("activation", ("relu", "tanh", "linear"))
+    def test_label_path_is_the_per_edge_layer_on_the_table_rows(self, tmp_path, activation):
+        # out, and the gradients of every parameter and of the table, to rounding
+        ds, batch = self.batch(tmp_path)
+        edges, labels = batch.edges, batch.node_labels
+        pairs = LabelPairs(edges, labels, ds.feature_dim)
+        rng = np.random.default_rng(31)
+        prop = GmnPropagation(rng, 4, 3, 5, activation, "prop")
+        table = ad.parameter(rng.normal(size=(ds.feature_dim, 4)))
+        c = rng.normal(size=(edges.node_count, 5))
+        params = {**prop.parameters(), "table": table}
+        results = []
+        for read in (lambda: prop(table, edges, pairs),
+                     lambda: prop(ad.gather_rows(table, labels), edges)):
+            for p in params.values():
+                p.zero_grad()
+            with ad.Tape() as tape:
+                out = read()
+                tape.backward(ad.sum_all(ad.multiply(out, ad.constant(c))))
+            results.append((out.values, {k: p.grad.copy() for k, p in params.items()}))
+        (out, grads), (expected, expected_grads) = results
+        np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-14)
+        for name, grad in expected_grads.items():
+            err = np.abs(grads[name] - grad).max() / np.abs(grad).max()
+            assert err <= 1e-12, f"{name}: {err:.1e}"
+
+    def test_label_path_runs_no_edge_pass(self, tmp_path, monkeypatch):
+        ds, batch = self.batch(tmp_path)
+        pairs = LabelPairs(batch.edges, batch.node_labels, ds.feature_dim)
+        monkeypatch.setattr(ad, "edge_aggregate", None)
+        prop = GmnPropagation(np.random.default_rng(2), 4, 4, 4, "relu", "prop")
+        out = prop(ad.constant(np.ones((ds.feature_dim, 4))), batch.edges, pairs)
+        assert out.shape == (batch.edges.node_count, 4)
+
+    def test_label_count_mismatch_rejected(self, tmp_path):
+        ds, batch = self.batch(tmp_path)
+        edges = batch.edges
+        pairs = LabelPairs(Batch.of(ds, [0]).edges, batch.node_labels[:5], ds.feature_dim)
+        prop = GmnPropagation(np.random.default_rng(2), 4, 4, 4, "relu", "prop")
+        with pytest.raises(ValueError, match=f"5 node states for a graph of {edges.node_count} "):
+            prop(ad.constant(np.ones((ds.feature_dim, 4))), edges, pairs)
 
 
 class TestGcn:

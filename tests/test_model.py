@@ -24,7 +24,8 @@ from simpool.model import (
 )
 from simpool.similarity import SimilarityConfig, index_map, preprocess_dataset
 
-from conftest import batch_of, mixed_dataset, random_graph, separable_dataset, union_edges
+from conftest import (batch_of, many_label_dataset, mixed_dataset, random_graph, row_store,
+                      separable_dataset, union_edges)
 from oracles import decode_index, forward_graph_loop, similarity_dense_symmetric
 
 
@@ -355,6 +356,75 @@ class TestBatchMatchesGraphs:
             assert lengths[0] == lengths[1], mode
             nodes_per_step[mode] = lengths[0]
         assert nodes_per_step == {"structural": 141, "node": 131, "both": 142}
+
+    def test_tape_length_of_a_label_column(self, tmp_path):
+        # the label path records more, smaller nodes than the per-edge path: 9 per stack
+        ds = mixed_dataset(tmp_path)
+        nodes_per_step = {}
+        for mode in ASSIGN_INPUTS:
+            model = tiny_model(mode)
+            mapped = preprocess_dataset(ds, model.sim)
+            lengths = []
+            for size in (2, 5):
+                (batch,) = make_batches(ds, size, subset=np.arange(size))
+                assert batch.node_labels is not None
+                with ad.Tape() as tape:
+                    model.forward_batch(batch, mapped).total(1.0, 1.0)
+                    lengths.append(len(tape))
+            assert lengths[0] == lengths[1], mode
+            nodes_per_step[mode] = lengths[0]
+        assert nodes_per_step == {"structural": 150, "node": 149, "both": 151}
+
+    @pytest.mark.parametrize("mode, column_calls, row_calls",
+                             [("structural", 1, 2), ("node", 0, 2), ("both", 1, 2)])
+    def test_edge_passes_per_step(self, tmp_path, monkeypatch, mode, column_calls, row_calls):
+        # a stack that reads the label column runs no edge pass; one that reads rows runs one
+        calls = []
+        original = ad.edge_aggregate
+        monkeypatch.setattr(ad, "edge_aggregate", lambda *a: calls.append(a) or original(*a))
+        ds = mixed_dataset(tmp_path)
+        model = tiny_model(mode)
+        for store, expected in ((ds, column_calls), (row_store(ds), row_calls)):
+            (batch,) = make_batches(store, len(store))
+            calls.clear()
+            with ad.Tape() as tape:
+                tape.backward(model.forward_batch(batch, preprocess_dataset(store, model.sim))
+                              .total(1.0, 1.0))
+            assert len(calls) == expected, store.node_features.dtype
+
+
+class TestLabelPathMatchesRows:
+    """A label column's label-pair path against the per-edge path on its one-hot rows."""
+
+    @staticmethod
+    def run(model, ds, mapped):
+        """Probabilities, the five losses and every parameter gradient of one batch of ``ds``."""
+        params = model.parameters()
+        for p in params.values():
+            p.zero_grad()
+        (batch,) = make_batches(ds, len(ds), shuffle_seed=3)
+        with ad.Tape() as tape:
+            fwd = model.forward_batch(batch, mapped)
+            tape.backward(fwd.total(model.preset.w_e, model.preset.w_c))
+        return batch, fwd, {name: p.grad.copy() for name, p in params.items()}
+
+    @pytest.mark.parametrize("make", (mixed_dataset, many_label_dataset))
+    @pytest.mark.parametrize("assign_inputs", ASSIGN_INPUTS)
+    def test_probabilities_losses_and_gradients(self, tmp_path, make, assign_inputs):
+        ds = make(tmp_path)
+        model = tiny_model(assign_inputs, feature_dim=ds.feature_dim)
+        mapped = preprocess_dataset(ds, model.sim)
+        batch, fwd, grads = self.run(model, ds, mapped)
+        rows_batch, rows_fwd, rows_grads = self.run(model, row_store(ds), mapped)
+        assert batch.node_labels is not None and rows_batch.node_labels is None
+        np.testing.assert_array_equal(batch.features, rows_batch.features)
+        np.testing.assert_allclose(fwd.probs, rows_fwd.probs, rtol=1e-12, atol=0)
+        for k in LOSS_TERMS:
+            np.testing.assert_allclose(fwd.losses[k].item(), rows_fwd.losses[k].item(),
+                                       rtol=1e-12, err_msg=k)
+        for name, grad in rows_grads.items():
+            err = np.abs(grads[name] - grad).max() / np.abs(grad).max()
+            assert err <= 1e-12, f"{name}: {err:.1e}"
 
 
 class TestStageZeroOnEdges:

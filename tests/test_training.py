@@ -28,7 +28,7 @@ from simpool.training import (
     train_run,
 )
 
-from conftest import dataset_of, float64_features, ring_graph, separable_dataset
+from conftest import dataset_of, row_store, ring_graph, separable_dataset
 from oracles import adam_step_formula, forward_graph_loop
 
 
@@ -270,11 +270,13 @@ class TestFloat32Training:
 
     @pytest.mark.parametrize("dtype", (np.float32, np.float64))
     def test_float32_features_step_as_their_float64_copies(self, toy_dataset, dtype):
-        """Loaded bool one-hot rows give the step of float64 copies, byte for byte."""
-        assert toy_dataset.graphs[0].node_features.dtype == np.bool_
+        """Bool one-hot rows step as their float64 copies, byte for byte. The label
+        column they came from takes the label-pair path, which equals the rows'
+        per-edge path in exact arithmetic, so it steps as they do up to rounding."""
+        assert toy_dataset.node_features.ndim == 1
         cfg = small_config(assign_inputs="both")
         steps = []
-        for ds in (toy_dataset, float64_features(toy_dataset)):
+        for ds in (row_store(toy_dataset, bool), row_store(toy_dataset), toy_dataset):
             with ad.precision(dtype):
                 model = SimPoolModel(cfg.preset, feature_dim=ds.feature_dim,
                                      num_classes=ds.num_classes, assign_inputs="both")
@@ -283,10 +285,19 @@ class TestFloat32Training:
                 with ad.Tape() as tape:
                     fwd = model.forward_batch(batch, preprocess_dataset(ds, model.sim))
                     tape.backward(fwd.total(1.0, 1.0))
+                grads = {k: p.grad.astype(np.float64) for k, p in model.parameters().items()}
                 optimiser.step()
             steps.append(([loss.values.tobytes() for loss in fwd.losses.values()],
-                          {k: p.values.tobytes() for k, p in model.parameters().items()}))
-        assert steps[0] == steps[1]
+                          {k: p.values.tobytes() for k, p in model.parameters().items()},
+                          [loss.item() for loss in fwd.losses.values()], grads))
+        bool_rows, float_rows, column = steps
+        assert bool_rows[:2] == float_rows[:2]
+        assert column[:2] != float_rows[:2]
+        tolerance = {np.float64: 1e-12, np.float32: 1e-4}[dtype]
+        np.testing.assert_allclose(column[2], float_rows[2], rtol=tolerance)
+        for name, grad in float_rows[3].items():
+            err = np.abs(column[3][name] - grad).max() / np.abs(grad).max()
+            assert err <= tolerance, f"{name}: {err:.1e}"
 
     @pytest.mark.parametrize("assign_inputs", ("structural", "both"))
     def test_float32_structural_rows_step_as_their_float64_source(self, toy_dataset,
