@@ -413,15 +413,14 @@ class Segments:
     that fall anywhere raise ``ValueError``.
     """
 
-    __slots__ = ("offsets", "sizes", "count", "total", "equal", "ranges")
+    __slots__ = ("sizes", "count", "total", "equal", "ranges")
 
     def __init__(self, offsets):
         offsets = np.asarray(offsets)
         sizes = np.diff(offsets)
         if offsets.ndim != 1 or offsets.size == 0 or offsets[0] != 0 or np.any(sizes < 0):
             raise ValueError(f"segments must rise from 0, got {offsets.tolist()}")
-        self.offsets, self.sizes = offsets, sizes
-        self.count, self.total = sizes.size, int(offsets[-1])
+        self.sizes, self.count, self.total = sizes, sizes.size, int(offsets[-1])
         self.equal = self.count > 0 and bool(np.all(sizes == sizes[0]))
         bounds = offsets.tolist()
         self.ranges = list(zip(bounds[:-1], bounds[1:]))

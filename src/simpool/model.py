@@ -7,7 +7,14 @@ stacks of the same shape on the whole union: a relu encoder, a relu
 propagation step and a linear propagation step, each `gmn_units` wide.
 The Z stack ends in `embed_units` node embeddings; the S stack reads
 structural features, node features, or both, and ends in `clusters_1`
-assignment logits.
+assignment logits. Stage 1 embeds with a GCN and assigns through a
+two-layer MLP fed by similarity features recomputed (differentiably)
+from the learned coarse adjacency. Each stage coarsens with
+``pool_forward(z, logits, spread, segments)``, ``spread`` being its A·x
+and ``segments`` its graphs, so every graph's coarse adjacency is a
+c x c block of one (B c) x c stack. Stage 2 sum-pools each graph into a
+single row and a dense softmax layer produces class probabilities. There
+is no link prediction term anywhere.
 
 A batch cut from a node-label column (``Batch.node_labels``) gives every
 node one of d one-hot rows, so after the encoder every node state is one
@@ -21,14 +28,7 @@ per-edge sums of the same parameters, so it is exact in exact arithmetic
 and agrees with the per-edge path on the one-hot rows to rounding. Row
 stores (structural rows, ``both`` mode's concatenation, degree scalars)
 take the per-edge path, and a label column's one-hot rows are cast to
-the tape only where a stack reads them. Stage 1 embeds with a GCN and assigns through a
-two-layer MLP fed by similarity features recomputed (differentiably)
-from the learned coarse adjacency. Each stage coarsens with
-``pool_forward(z, logits, spread, segments)``, ``spread`` being its A·x
-and ``segments`` its graphs, so every graph's coarse adjacency is a
-c x c block of one (B c) x c stack. Stage 2 sum-pools each graph into a
-single row and a dense softmax layer produces class probabilities. There
-is no link prediction term anywhere.
+the tape only where a stack reads them.
 
 The objective is DiffPool's: the task cross-entropy plus the entropy term
 L_E and the cluster term L_C of each stage, five terms named once in
@@ -303,11 +303,11 @@ class SimPoolModel:
         ``forward_graph`` builds the objective on this pass and ``predict``
         reads only its logits.
         """
-        edges, rows = batch.edges, batch.features
-        pairs = None if batch.node_labels is None else LabelPairs(edges, batch.node_labels,
-                                                                  rows.shape[1])
+        edges, rows, labels = batch.edges, batch.features, batch.node_labels
+        width = rows.shape[1]
+        pairs = None if labels is None else LabelPairs(edges, labels, width)
         # a label column feeds the stacks the d one-hot label rows, not the n node rows
-        x = ad.constant(rows if pairs is None else np.eye(rows.shape[1]))
+        x = ad.constant(rows if pairs is None else np.eye(width))
         f0 = self._assign_features_0(x, pairs, rows, mapped)
         x1, a1, s0 = pool_forward(self.z_stack(edges, x, pairs), self.s_stack(edges, *f0),
                                   edges.spread, edges.node_segments)

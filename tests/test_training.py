@@ -28,7 +28,7 @@ from simpool.training import (
     train_run,
 )
 
-from conftest import dataset_of, row_store, ring_graph, separable_dataset
+from conftest import dataset_of, ring_graph, row_store, separable_dataset
 from oracles import adam_step_formula, forward_graph_loop
 
 
