@@ -232,12 +232,10 @@ class Dataset:
         copy of the stored rows.
         """
         stacked = self._stacked_features(positions)
-        return stacked if stacked.ndim == 2 else self._one_hot(stacked)
-
-    def _one_hot(self, column: np.ndarray) -> np.ndarray:
-        """Bool rows as wide as ``feature_dim``, with a one at each node's label."""
-        onehot = np.zeros((column.size, self.feature_dim), dtype=bool)
-        onehot[np.arange(column.size), column] = True
+        if stacked.ndim == 2:
+            return stacked
+        onehot = np.zeros((stacked.size, self.feature_dim), dtype=bool)
+        onehot[np.arange(stacked.size), stacked] = True
         return onehot
 
     def node_labels(self, positions) -> np.ndarray | None:
@@ -306,13 +304,12 @@ class Batch:
         """The union of the graphs at dataset ``positions``, its edges in ``ad.tape_dtype()``."""
         adjacency, offsets = dataset.union(positions, ad.tape_dtype())
         positions = np.array(positions, dtype=np.int64)  # integers: the union checked them
-        column = dataset.node_labels(positions)
         return cls(
-            features=dataset.node_rows(positions) if column is None else dataset._one_hot(column),
+            features=dataset.node_rows(positions),
             labels=dataset.graph_labels[positions],
             indices=positions,
             edges=Edges(adjacency, offsets),
-            node_labels=column,
+            node_labels=dataset.node_labels(positions),
         )
 
     @property

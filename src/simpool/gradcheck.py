@@ -127,11 +127,11 @@ def _check_label_pairs(rng, n):
     ds = Dataset("gradcheck", sp.csr_matrix(a), [0, n + 1], labels, [0], 1)
     batch = Batch.of(ds, [0])
     d, edges = ds.feature_dim, batch.edges
-    pairs = LabelPairs(edges, batch.node_labels, d)
+    pairs = LabelPairs(edges, batch.node_labels)
     enc = GmnEncoder(rng, d, 3, "relu", "enc")
     props = [GmnPropagation(rng, 3, 2, 3, act, act) for act in ("relu", "tanh")]
     folds = [GmnPropagation(rng, 3, 2, 2, "linear", f"fold{i}") for i in range(2)]
-    rows = ad.constant(np.eye(d))
+    rows = ad.constant(pairs.label_rows(d))
     projections = [ad.constant(rng.normal(size=(n + 1, 2))) for _ in range(2)]
 
     def forward():

@@ -102,40 +102,44 @@ class Edges:
         return ad.sparse_matmul(self.adjacency, x)
 
 
-# the largest label count whose label-pair codes ``LabelPairs`` counts with one
-# ``np.bincount`` over all d^2 codes; past it, ``np.unique`` sorts the edges' codes
-PAIR_TABLE_LIMIT = 1 << 8
-
-
 class LabelPairs:
     """A batch's node-label column and the (receiver, sender) label pairs its edges carry.
 
-    ``labels`` gives each node of ``edges`` one of ``label_count`` labels.
-    An edge j -> i carries the pair (labels[i], labels[j]);
-    ``receiver_labels`` and ``sender_labels`` list the P pairs present,
-    in code order (receiver label times ``label_count`` plus sender
-    label). ``counts`` is the n x P CSR whose row i counts, per pair, the
-    messages node i receives. Graphs are undirected, so the messages i
-    receives come from the neighbours in row i of the adjacency: ``counts``
-    shares its ``indptr``, and each entry is a one, one per edge, which the
-    product adds up. The present pairs come from one ``np.bincount`` over
-    the d^2 codes, with no sort, up to ``PAIR_TABLE_LIMIT`` labels.
+    ``present`` lists the distinct labels of ``labels`` in ascending
+    order: the rows of the batch's label table, so the table is no taller
+    than the batch has nodes, whatever the dataset's label count.
+    ``rows`` gives each node of ``edges`` its label's row in that table.
+    An edge j -> i carries the pair (rows[i], rows[j]); ``receiver_rows``
+    and ``sender_rows`` list the P pairs present, in code order (receiver
+    row times the table's height plus sender row), found by one
+    ``np.bincount`` with no sort. ``counts`` is the n x P CSR whose row i
+    counts, per pair, the messages node i receives. Graphs are undirected,
+    so the messages i receives come from the neighbours in row i of the
+    adjacency: ``counts`` has the adjacency's row lengths, in an
+    ``indptr`` of its own, and each entry is a one, one per edge, which
+    the product adds up.
     """
 
-    def __init__(self, edges: Edges, labels: np.ndarray, label_count: int):
-        self.labels = labels = np.asarray(labels, dtype=np.intp)
+    def __init__(self, edges: Edges, labels: np.ndarray):
+        seen = np.bincount(np.asarray(labels, dtype=np.intp)) > 0
+        self.present = np.flatnonzero(seen)
+        self.rows = rows = (np.cumsum(seen) - 1)[labels]
+        height = self.present.size
         a = edges.adjacency
         # row i of the adjacency (``senders``) is the node that receives from its neighbours
-        codes = labels[edges.senders] * label_count + labels[edges.receivers]
-        if label_count <= PAIR_TABLE_LIMIT:
-            present = np.bincount(codes, minlength=label_count * label_count) > 0
-            pairs, column = np.flatnonzero(present), np.cumsum(present)[codes] - 1
-        else:
-            pairs, column = np.unique(codes, return_inverse=True)
-        self.receiver_labels, self.sender_labels = np.divmod(pairs, label_count)
+        codes = rows[edges.senders] * height + rows[edges.receivers]
+        pairs = np.bincount(codes, minlength=height * height) > 0
+        column = np.cumsum(pairs)[codes] - 1
+        self.receiver_rows, self.sender_rows = np.divmod(np.flatnonzero(pairs), height)
         self.counts = sp.csr_matrix((np.ones(codes.size, dtype=a.dtype),
-                                     column.astype(a.indptr.dtype), a.indptr),
-                                    shape=(edges.node_count, pairs.size))
+                                     column.astype(a.indptr.dtype), a.indptr.copy()),
+                                    shape=(edges.node_count, self.receiver_rows.size))
+
+    def label_rows(self, width: int) -> np.ndarray:
+        """The table's one-hot rows: one per present label, ``width`` wide."""
+        onehot = np.zeros((self.present.size, width), dtype=bool)
+        onehot[np.arange(self.present.size), self.present] = True
+        return onehot
 
 
 class Dense:
@@ -249,21 +253,22 @@ class GmnPropagation:
     kept: the op's backward pass recomputes them, so the tape holds O(n)
     rows per layer.
 
-    With ``pairs``, a ``LabelPairs``, ``h`` is a table of d rows, one per
-    node label, and node i's state is h[labels[i]]: the layer reads a
-    batch whose encoder ran on the d one-hot label rows, and takes the
-    label path whatever its activation. Every message depends only on its
-    (receiver label, sender label) pair, and f_node's product splits as
+    With ``pairs``, a ``LabelPairs``, ``h`` is a table of one row per
+    label present in the batch, and node i's state is h[rows[i]]: the
+    layer reads a batch whose encoder ran on the present labels' one-hot
+    rows (``LabelPairs.label_rows``), and takes the label path whatever
+    its activation. Every message depends only on its (receiver label,
+    sender label) pair, and f_node's product splits as
     concat(h_i, agg_i) W = h_i W_top + agg_i W_bot, so
 
-        out = act(T_top[labels] + C (act(R[a] + S[b] + b_msg) W_bot) + b_node),
+        out = act(T_top[rows] + C (act(R[a] + S[b] + b_msg) W_bot) + b_node),
 
     with R, S and T_top the table's products by W_recv, W_send and W_top,
-    a and b the receiver and sender labels of the P pairs present, and C
+    a and b the receiver and sender rows of the P pairs present, and C
     the n x P pair counts (``LabelPairs.counts``). That is the per-edge
     layer's sum regrouped by pair, exact in exact arithmetic and equal up
-    to rounding: it multiplies d rather than n rows by the u x u weights,
-    forms P messages rather than E, and runs no edge pass.
+    to rounding: it multiplies at most min(n, d) rather than n rows by the
+    u x u weights, forms P messages rather than E, and runs no edge pass.
 
     A linear layer is one linear map of h. With W_top and W_bot the first
     d and the last m rows of f_node's weight (``ad.row_range``), and deg
@@ -289,7 +294,7 @@ class GmnPropagation:
 
     def __call__(self, h: ad.Tensor, edges: Edges, pairs: LabelPairs | None = None) -> ad.Tensor:
         n = edges.node_count
-        states = h.shape[0] if pairs is None else pairs.labels.size
+        states = h.shape[0] if pairs is None else pairs.rows.size
         if states != n:
             raise ValueError(f"{states} node states for a graph of {n} nodes")
         msg, node = self.f_message, self.f_node
@@ -301,10 +306,10 @@ class GmnPropagation:
         w_top = ad.row_range(node.weight, 0, d)
         w_bot = ad.row_range(node.weight, d, node.in_dim)
         if pairs is not None:
-            pre = ad.add(ad.gather_rows(ad.matmul(h, msg.w_recv), pairs.receiver_labels),
-                         ad.gather_rows(ad.matmul(h, msg.w_send), pairs.sender_labels))
+            pre = ad.add(ad.gather_rows(ad.matmul(h, msg.w_recv), pairs.receiver_rows),
+                         ad.gather_rows(ad.matmul(h, msg.w_send), pairs.sender_rows))
             messages = ACTIVATIONS[msg.activation](ad.add(pre, msg.bias))
-            out = ad.add(ad.gather_rows(ad.matmul(h, w_top), pairs.labels),
+            out = ad.add(ad.gather_rows(ad.matmul(h, w_top), pairs.rows),
                          ad.sparse_matmul(pairs.counts, ad.matmul(messages, w_bot)))
             return ACTIVATIONS[node.activation](ad.add(out, node.bias))
         own = ad.add(ad.matmul(h, ad.matmul(msg.w_recv, w_bot)), ad.matmul(msg.bias, w_bot))

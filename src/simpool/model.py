@@ -21,9 +21,10 @@ node one of d one-hot rows, so after the encoder every node state is one
 of d rows, and every message of the first propagation depends only on
 its (receiver label, sender label) pair: the first step of 1-WL colour
 refinement. A stack that reads that column, the Z stack and in ``node``
-mode the S stack, runs its encoder on the d label rows and its first
-propagation once per label pair present (``GmnPropagation``'s label
-path, over one ``LabelPairs`` per batch). That regroups the per-node and
+mode the S stack, runs its encoder on the one-hot rows of the labels
+present in the batch, at most min(n, d), and its first propagation once
+per label pair present (``GmnPropagation``'s label path, over one
+``LabelPairs`` per batch). That regroups the per-node and
 per-edge sums of the same parameters, so it is exact in exact arithmetic
 and agrees with the per-edge path on the one-hot rows to rounding. Row
 stores (structural rows, ``both`` mode's concatenation, degree scalars)
@@ -189,9 +190,10 @@ class _GmnStack:
     """Relu encoder, relu propagation, linear propagation; the Z and S nets.
 
     Without ``pairs`` the stack reads one row of ``x`` per node. With a
-    ``LabelPairs``, ``x`` holds the d one-hot label rows: the encoder runs
-    on those, and the first propagation reads the d x u table it returns
-    through the labels (``GmnPropagation``'s label path).
+    ``LabelPairs``, ``x`` holds the one-hot rows of the batch's present
+    labels: the encoder runs on those, and the first propagation reads the
+    table it returns through each node's row (``GmnPropagation``'s label
+    path).
     """
 
     def __init__(self, rng, in_dim: int, units: int, out_dim: int, name: str):
@@ -304,10 +306,9 @@ class SimPoolModel:
         reads only its logits.
         """
         edges, rows, labels = batch.edges, batch.features, batch.node_labels
-        width = rows.shape[1]
-        pairs = None if labels is None else LabelPairs(edges, labels, width)
-        # a label column feeds the stacks the d one-hot label rows, not the n node rows
-        x = ad.constant(rows if pairs is None else np.eye(width))
+        pairs = None if labels is None else LabelPairs(edges, labels)
+        # a label column feeds the stacks its present labels' one-hot rows, not the n node rows
+        x = ad.constant(rows if pairs is None else pairs.label_rows(rows.shape[1]))
         f0 = self._assign_features_0(x, pairs, rows, mapped)
         x1, a1, s0 = pool_forward(self.z_stack(edges, x, pairs), self.s_stack(edges, *f0),
                                   edges.spread, edges.node_segments)

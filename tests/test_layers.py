@@ -7,7 +7,6 @@ import pytest
 import scipy.sparse as sp
 
 from simpool import autodiff as ad
-from simpool import layers
 from simpool.data import Batch
 from simpool.layers import (
     Dense,
@@ -437,47 +436,60 @@ class TestLabelPairs:
         for make in (mixed_dataset, many_label_dataset):
             ds, batch = self.batch(tmp_path / make.__name__, make)
             edges, labels = batch.edges, batch.node_labels.astype(np.intp)
-            pairs = LabelPairs(edges, labels, ds.feature_dim)
-            expected = np.zeros((edges.node_count, ds.feature_dim, ds.feature_dim))
+            pairs = LabelPairs(edges, labels)
+            np.testing.assert_array_equal(pairs.present, np.unique(labels))
+            np.testing.assert_array_equal(pairs.present[pairs.rows], labels)
+            d = ds.feature_dim
+            expected = np.zeros((edges.node_count, d, d))
             for j, i in zip(edges.senders, edges.receivers):  # edge j -> i
                 expected[i, labels[i], labels[j]] += 1
             present = expected.sum(axis=0) > 0
             receivers, senders = np.nonzero(present)
-            np.testing.assert_array_equal(pairs.receiver_labels, receivers)
-            np.testing.assert_array_equal(pairs.sender_labels, senders)
+            np.testing.assert_array_equal(pairs.present[pairs.receiver_rows], receivers)
+            np.testing.assert_array_equal(pairs.present[pairs.sender_rows], senders)
             np.testing.assert_array_equal(pairs.counts.toarray(), expected[:, present])
-            assert pairs.counts.indptr is edges.adjacency.indptr
             assert pairs.counts.dtype == edges.adjacency.dtype
 
-    def test_sorted_codes_give_the_bincount_pairs(self, tmp_path, monkeypatch):
-        ds, batch = self.batch(tmp_path, many_label_dataset)
-        counted = LabelPairs(batch.edges, batch.node_labels, ds.feature_dim)
-        monkeypatch.setattr(layers, "PAIR_TABLE_LIMIT", 0)
-        unique = LabelPairs(batch.edges, batch.node_labels, ds.feature_dim)
-        for name in ("receiver_labels", "sender_labels"):
-            np.testing.assert_array_equal(getattr(unique, name), getattr(counted, name))
-        assert (unique.counts != counted.counts).nnz == 0
+    def test_summing_the_counts_leaves_the_adjacency(self, tmp_path):
+        ds, batch = self.batch(tmp_path)
+        a = batch.edges.adjacency
+        before = a.toarray(), a.indptr.copy()
+        pairs = LabelPairs(batch.edges, batch.node_labels)
+        counts = pairs.counts.toarray()
+        pairs.counts.sum_duplicates()
+        np.testing.assert_array_equal(pairs.counts.toarray(), counts)
+        np.testing.assert_array_equal(a.indptr, before[1])
+        np.testing.assert_array_equal(a.toarray(), before[0])
+
+    def test_table_holds_only_the_present_labels(self, tmp_path):
+        ds = many_label_dataset(tmp_path)
+        batch = Batch.of(ds, [0])
+        pairs = LabelPairs(batch.edges, batch.node_labels)
+        rows = pairs.label_rows(ds.feature_dim)
+        assert pairs.present.size == np.unique(batch.node_labels).size < ds.feature_dim
+        assert rows.shape == (pairs.present.size, ds.feature_dim) and rows.dtype == bool
+        np.testing.assert_array_equal(rows[pairs.rows], batch.features)
 
     def test_edgeless_graphs_carry_no_pair(self):
         labels = np.array([0, 2, 1], dtype=np.uint8)
         ds = dataset_of([(np.zeros((3, 3)), np.eye(3), 0)])
-        pairs = LabelPairs(Batch.of(ds, [0]).edges, labels, 3)
-        assert pairs.receiver_labels.size == 0 and pairs.counts.shape == (3, 0)
+        pairs = LabelPairs(Batch.of(ds, [0]).edges, labels)
+        assert pairs.receiver_rows.size == 0 and pairs.counts.shape == (3, 0)
 
     @pytest.mark.parametrize("activation", ("relu", "tanh", "linear"))
     def test_label_path_is_the_per_edge_layer_on_the_table_rows(self, tmp_path, activation):
         # out, and the gradients of every parameter and of the table, to rounding
         ds, batch = self.batch(tmp_path)
         edges, labels = batch.edges, batch.node_labels
-        pairs = LabelPairs(edges, labels, ds.feature_dim)
+        pairs = LabelPairs(edges, labels)
         rng = np.random.default_rng(31)
         prop = GmnPropagation(rng, 4, 3, 5, activation, "prop")
-        table = ad.parameter(rng.normal(size=(ds.feature_dim, 4)))
+        table = ad.parameter(rng.normal(size=(pairs.present.size, 4)))
         c = rng.normal(size=(edges.node_count, 5))
         params = {**prop.parameters(), "table": table}
         results = []
         for read in (lambda: prop(table, edges, pairs),
-                     lambda: prop(ad.gather_rows(table, labels), edges)):
+                     lambda: prop(ad.gather_rows(table, pairs.rows), edges)):
             for p in params.values():
                 p.zero_grad()
             with ad.Tape() as tape:
@@ -492,19 +504,19 @@ class TestLabelPairs:
 
     def test_label_path_runs_no_edge_pass(self, tmp_path, monkeypatch):
         ds, batch = self.batch(tmp_path)
-        pairs = LabelPairs(batch.edges, batch.node_labels, ds.feature_dim)
+        pairs = LabelPairs(batch.edges, batch.node_labels)
         monkeypatch.setattr(ad, "edge_aggregate", None)
         prop = GmnPropagation(np.random.default_rng(2), 4, 4, 4, "relu", "prop")
-        out = prop(ad.constant(np.ones((ds.feature_dim, 4))), batch.edges, pairs)
+        out = prop(ad.constant(np.ones((pairs.present.size, 4))), batch.edges, pairs)
         assert out.shape == (batch.edges.node_count, 4)
 
     def test_label_count_mismatch_rejected(self, tmp_path):
         ds, batch = self.batch(tmp_path)
         edges = batch.edges
-        pairs = LabelPairs(Batch.of(ds, [0]).edges, batch.node_labels[:5], ds.feature_dim)
+        pairs = LabelPairs(Batch.of(ds, [0]).edges, batch.node_labels[:5])
         prop = GmnPropagation(np.random.default_rng(2), 4, 4, 4, "relu", "prop")
         with pytest.raises(ValueError, match=f"5 node states for a graph of {edges.node_count} "):
-            prop(ad.constant(np.ones((ds.feature_dim, 4))), edges, pairs)
+            prop(ad.constant(np.ones((pairs.present.size, 4))), edges, pairs)
 
 
 class TestGcn:

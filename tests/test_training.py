@@ -292,7 +292,6 @@ class TestFloat32Training:
                           [loss.item() for loss in fwd.losses.values()], grads))
         bool_rows, float_rows, column = steps
         assert bool_rows[:2] == float_rows[:2]
-        assert column[:2] != float_rows[:2]
         tolerance = {np.float64: 1e-12, np.float32: 1e-4}[dtype]
         np.testing.assert_allclose(column[2], float_rows[2], rtol=tolerance)
         for name, grad in float_rows[3].items():
